@@ -8,11 +8,11 @@ from .nodes import (Add, Expr, Mul, Num, ONE, Pow, Var, ZERO, add, div, mul,
                     neg, node_count, num, pow_, sqrt_, sub, to_text, var,
                     variables)
 from .rational import HAVE_GMPY2, Rat, as_rat
-from .tape import BACKEND, Tape, compile_tape
+from .tape import Tape, compile_tape
 from .zerotest import ZeroVerdict, exprs_equal, is_zero_probabilistic
 
 __all__ = [
-    "Add", "BACKEND", "Expr", "HAVE_GMPY2", "Mul", "Num", "ONE", "Pow", "Rat",
+    "Add", "Expr", "HAVE_GMPY2", "Mul", "Num", "ONE", "Pow", "Rat",
     "Tape", "Var", "ZERO", "ZeroVerdict", "add", "as_rat", "compile_tape",
     "differentiate", "div", "evaluate", "exprs_equal", "is_zero_probabilistic",
     "mul", "neg", "node_count", "num", "pow_", "rename_variables", "sqrt_",

@@ -1,38 +1,36 @@
 """Flat evaluation tapes for expression DAGs.
 
-A tape is the DAG in topological order with integer-coded instructions, so a
-single expression compiled once can be evaluated at many points without
-touching Python objects per node.  Three interpreters share the layout:
+A tape is the DAG in topological order as a list of `(op, a, b)`
+instructions, compiled once and evaluated at many points (an operation tape
+in the sense of Griewank & Walther, *Evaluating Derivatives*).  One
+interpreter loop runs the instructions over a number domain; the domain
+supplies the constants, the point, and the integer and fractional power
+functions.  There are four domains:
 
-  * float64   -- the hot kernel; compiled (Cython) when available, with a
-                 pure-Python fallback selected at import time
-  * exact     -- rational arithmetic (gmpy2/Fraction objects)
-  * mpf       -- arbitrary-precision floating (mpmath), used for radicals
+  * exact           -- rationals (gmpy2.mpq or Fraction); a fractional power
+                       must come out rational (`rat_pow_exact`)
+  * mpf             -- mpmath floats at a given precision, used for radicals
+  * float64         -- Python floats, one point per call
+  * float64 columns -- numpy arrays with one entry per point, so that each
+                       instruction runs once over all the points
 
-Set PATHGEOM_PURE_PYTHON=1 to force the fallback (used by the benchmark).
+The scalar domains evaluate node by node in the DAG's own order.  The column
+domain uses numpy's vectorised `power`, whose last bits can differ from
+libm `pow`: `eval_f64_many` agrees with per-row `eval_f64` to rounding, not
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from ..errors import DivisionByZero, DomainError
+from ..errors import DivisionByZero, DomainError, UnboundVariable
 from .nodes import Add, Expr, Mul, Num, Pow, Var
 from .rational import Rat, is_int, rat_pow_exact
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW_INT, OP_POW_FRAC = range(6)
-
-_compiled = None
-if os.environ.get("PATHGEOM_PURE_PYTHON", "") != "1":
-    try:
-        from .. import _evalcore as _compiled
-    except ImportError:
-        _compiled = None
-
-BACKEND = "compiled" if _compiled is not None else "python"
 
 
 def _toposort(root: Expr):
@@ -57,227 +55,183 @@ def _toposort(root: Expr):
 class Tape:
     """Compiled form of one expression over an ordered variable chart.
 
-    Tapes reuse an internal value buffer, so a single instance must not be
-    evaluated from multiple threads; compiling is cheap, compile per thread.
-    The expression-level APIs (evaluate, is_zero_probabilistic) build fresh
-    tapes per call and stay safe to use concurrently.
+    `code[k]` is the instruction of DAG node k as `(op, a, b)`: CONST and
+    VAR index the constants and the chart with `a`; ADD and MUL carry the
+    tuple of their children's node indices in `a`; POW_INT and POW_FRAC
+    have the base's node index in `a` and, in `b`, the integer exponent or
+    the index of the fractional exponent.  Every evaluation allocates its
+    own values, so one tape may be evaluated from several threads.
     """
 
-    __slots__ = ("var_names", "ops", "ia", "ib", "children",
-                 "consts_exact", "consts_f64", "exps_exact", "exps_f64",
-                 "exps_int", "_values")
+    __slots__ = ("var_names", "code", "consts_exact", "consts_f64",
+                 "exps_exact", "exps_f64")
 
     def __init__(self, root: Expr, var_names):
         self.var_names = tuple(var_names)
         slot = {name: k for k, name in enumerate(self.var_names)}
         missing = root.free_variables - set(slot)
         if missing:
-            from ..errors import UnboundVariable
             raise UnboundVariable(f"no slot for variable(s) {sorted(missing)}")
         order = _toposort(root)
         index = {id(n): k for k, n in enumerate(order)}
-        n = len(order)
-        ops = np.zeros(n, dtype=np.int8)
-        ia = np.zeros(n, dtype=np.int32)
-        ib = np.zeros(n, dtype=np.int32)
-        children: list = []
+        code: list = []
         consts: list = []
         exps: list = []
-        for k, node in enumerate(order):
+        for node in order:
             if isinstance(node, Num):
-                ops[k] = OP_CONST
-                ia[k] = len(consts)
+                code.append((OP_CONST, len(consts), None))
                 consts.append(node.value)
             elif isinstance(node, Var):
-                ops[k] = OP_VAR
-                ia[k] = slot[node.name]
+                code.append((OP_VAR, slot[node.name], None))
             elif isinstance(node, (Add, Mul)):
-                ops[k] = OP_ADD if isinstance(node, Add) else OP_MUL
-                ia[k] = len(children)
-                ib[k] = len(node.args)
-                children.extend(index[id(a)] for a in node.args)
+                code.append((OP_ADD if isinstance(node, Add) else OP_MUL,
+                             tuple(index[id(a)] for a in node.args), None))
             else:
                 e = node.exponent
-                ia[k] = index[id(node.base)]
+                base = index[id(node.base)]
                 if is_int(e):
                     if abs(int(e)) >= 2 ** 31:
                         raise OverflowError("integer exponent too large to "
                                             "compile")
-                    ops[k] = OP_POW_INT
-                    ib[k] = int(e)
+                    code.append((OP_POW_INT, base, int(e)))
                 else:
-                    ops[k] = OP_POW_FRAC
-                    ib[k] = len(exps)
+                    code.append((OP_POW_FRAC, base, len(exps)))
                     exps.append(e)
-        self.ops = ops
-        self.ia = ia
-        self.ib = ib
-        self.children = np.asarray(children, dtype=np.int32)
+        self.code = code
         self.consts_exact = consts
-        self.consts_f64 = np.asarray([float(c) for c in consts], dtype=np.float64)
+        self.consts_f64 = [float(c) for c in consts]
         self.exps_exact = exps
-        self.exps_f64 = np.asarray([float(e) for e in exps], dtype=np.float64)
-        self.exps_int = np.zeros(0, dtype=np.int64)
-        self._values = np.zeros(n, dtype=np.float64)
+        self.exps_f64 = [float(e) for e in exps]
 
     def __len__(self):
-        return len(self.ops)
+        return len(self.code)
 
-    # -- float64 ---------------------------------------------------------
-
-    def eval_f64(self, point) -> float:
-        inputs = np.asarray(point, dtype=np.float64)
-        if _compiled is not None:
-            status = _compiled.eval_f64(self.ops, self.ia, self.ib, self.children,
-                                        self.consts_f64, self.exps_f64,
-                                        inputs, self._values)
-            _raise_f64(status)
-            return float(self._values[-1])
-        return _eval_f64_py(self, inputs)
-
-    def eval_f64_many(self, points) -> np.ndarray:
-        """Evaluate at an (m, nvars) array of points; returns length-m array."""
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        out = np.zeros(len(pts), dtype=np.float64)
-        if _compiled is not None:
-            status = _compiled.eval_f64_many(self.ops, self.ia, self.ib, self.children,
-                                             self.consts_f64, self.exps_f64,
-                                             pts, out, self._values)
-            _raise_f64(status)
-            return out
-        for r in range(len(pts)):
-            out[r] = _eval_f64_py(self, pts[r])
-        return out
-
-    # -- exact rational ----------------------------------------------------
+    def _run(self, inputs, consts, exps, zero, one, pow_int, pow_frac):
+        """The interpreter: the value of every node, in tape order."""
+        values = []
+        push = values.append
+        for op, a, b in self.code:
+            if op == OP_MUL:
+                v = one
+                for j in a:
+                    v *= values[j]
+            elif op == OP_ADD:
+                v = zero
+                for j in a:
+                    v += values[j]
+            elif op == OP_CONST:
+                v = consts[a]
+            elif op == OP_VAR:
+                v = inputs[a]
+            elif op == OP_POW_INT:
+                v = pow_int(values[a], b)
+            else:
+                v = pow_frac(values[a], exps[b])
+            push(v)
+        return values
 
     def eval_exact(self, point):
-        values = [None] * len(self.ops)
-        children = self.children
-        for k in range(len(self.ops)):
-            op = self.ops[k]
-            if op == OP_CONST:
-                values[k] = self.consts_exact[self.ia[k]]
-            elif op == OP_VAR:
-                values[k] = point[self.ia[k]]
-            elif op == OP_ADD:
-                s = 0
-                for j in range(self.ia[k], self.ia[k] + self.ib[k]):
-                    s += values[children[j]]
-                values[k] = s
-            elif op == OP_MUL:
-                s = 1
-                for j in range(self.ia[k], self.ia[k] + self.ib[k]):
-                    s *= values[children[j]]
-                values[k] = s
-            elif op == OP_POW_INT:
-                base = values[self.ia[k]]
-                e = int(self.ib[k])
-                if base == 0 and e < 0:
-                    raise DivisionByZero("denominator evaluated to zero")
-                values[k] = base ** e
-            else:
-                got = rat_pow_exact(Rat(values[self.ia[k]]), self.exps_exact[self.ib[k]])
-                if got is None:
-                    raise DomainError("not a perfect rational power; "
-                                      "use floating evaluation")
-                values[k] = got
-        return values[-1]
+        return self._run(point, self.consts_exact, self.exps_exact, 0, 1,
+                         _pow_int, _exact_pow_frac)[-1]
 
-    # -- high-precision floating -------------------------------------------
+    def eval_f64(self, point) -> float:
+        inputs = np.asarray(point, dtype=np.float64).tolist()
+        return self._run(inputs, self.consts_f64, self.exps_f64, 0.0, 1.0,
+                         _f64_pow_int, _f64_pow_frac)[-1]
+
+    def eval_f64_many(self, points) -> np.ndarray:
+        """Evaluate at an (m, nvars) array of points; returns length-m array.
+
+        Raises as `eval_f64` would if any row raises."""
+        m = len(points)
+        if m == 0:
+            return np.zeros(0, dtype=np.float64)
+        columns = list(np.array(points, dtype=np.float64).T.copy())
+        consts = [np.full(m, c) for c in self.consts_f64]
+        # overflow gives inf and inf - inf gives nan silently, as with floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._run(columns, consts, self.exps_f64, 0.0, 1.0,
+                             _column_pow_int, _column_pow_frac)[-1]
 
     def eval_mpf(self, point, prec_bits=256):
-        """Returns (value, scale): scale is the largest |intermediate|, used
-        for relative-tolerance zero decisions."""
+        """Returns (value, scale): scale is the largest |value| of any node,
+        used for relative-tolerance zero decisions."""
         import mpmath
 
         with mpmath.workprec(prec_bits):
             mpf = mpmath.mpf
-            values = [None] * len(self.ops)
-            scale = mpf(0)
-            children = self.children
-            for k in range(len(self.ops)):
-                op = self.ops[k]
-                if op == OP_CONST:
-                    c = self.consts_exact[self.ia[k]]
-                    v = mpf(int(c.numerator)) / int(c.denominator)
-                elif op == OP_VAR:
-                    p = point[self.ia[k]]
-                    v = mpf(int(p.numerator)) / int(p.denominator) \
-                        if hasattr(p, "numerator") else mpf(p)
-                elif op == OP_ADD:
-                    v = mpf(0)
-                    for j in range(self.ia[k], self.ia[k] + self.ib[k]):
-                        v += values[children[j]]
-                elif op == OP_MUL:
-                    v = mpf(1)
-                    for j in range(self.ia[k], self.ia[k] + self.ib[k]):
-                        v *= values[children[j]]
-                elif op == OP_POW_INT:
-                    base = values[self.ia[k]]
-                    e = int(self.ib[k])
-                    if base == 0 and e < 0:
-                        raise DivisionByZero("denominator evaluated to zero")
-                    v = base ** e
-                else:
-                    base = values[self.ia[k]]
-                    e = self.exps_exact[self.ib[k]]
-                    if base < 0:
-                        raise DomainError("negative base under a fractional power")
-                    if base == 0 and e < 0:
-                        raise DivisionByZero("denominator evaluated to zero")
-                    v = mpmath.power(base, mpf(int(e.numerator)) / int(e.denominator))
-                values[k] = v
-                av = abs(v)
-                if av > scale:
-                    scale = av
-            return values[-1], scale
+
+            def convert(q):
+                return mpf(int(q.numerator)) / int(q.denominator)
+
+            inputs = [convert(p) if hasattr(p, "numerator") else mpf(p)
+                      for p in point]
+            values = self._run(inputs, [convert(c) for c in self.consts_exact],
+                               [convert(e) for e in self.exps_exact],
+                               mpf(0), mpf(1), _pow_int, _mpf_pow_frac)
+            return values[-1], max(abs(v) for v in values)
 
 
-def _raise_f64(status: int):
-    if status == 0:
-        return
-    if status == 1:
+# -- the domains' power functions ---------------------------------------------------
+
+def _pow_int(base, e: int):
+    """Integer power, exact or mpf."""
+    if base == 0 and e < 0:
         raise DivisionByZero("denominator evaluated to zero")
-    raise DomainError("negative base under a fractional power")
+    return base ** e
 
 
-def _eval_f64_py(tape: Tape, inputs) -> float:
-    """Pure-Python mirror of the compiled kernel."""
-    values = tape._values
-    ops, ia, ib, children = tape.ops, tape.ia, tape.ib, tape.children
-    consts, fexps = tape.consts_f64, tape.exps_f64
-    for k in range(len(ops)):
-        op = ops[k]
-        if op == OP_CONST:
-            values[k] = consts[ia[k]]
-        elif op == OP_VAR:
-            values[k] = inputs[ia[k]]
-        elif op == OP_ADD:
-            s = 0.0
-            for j in range(ia[k], ia[k] + ib[k]):
-                s += values[children[j]]
-            values[k] = s
-        elif op == OP_MUL:
-            s = 1.0
-            for j in range(ia[k], ia[k] + ib[k]):
-                s *= values[children[j]]
-            values[k] = s
-        elif op == OP_POW_INT:
-            base = values[ia[k]]
-            e = int(ib[k])
-            if base == 0.0 and e < 0:
-                raise DivisionByZero("denominator evaluated to zero")
-            values[k] = base ** e
-        else:
-            base = values[ia[k]]
-            if base < 0.0:
-                raise DomainError("negative base under a fractional power")
-            e = fexps[ib[k]]
-            if base == 0.0 and e < 0:
-                raise DivisionByZero("denominator evaluated to zero")
-            values[k] = math.pow(base, e)
-    return float(values[-1])
+def _exact_pow_frac(base, e):
+    got = rat_pow_exact(Rat(base), e)
+    if got is None:
+        raise DomainError("not a perfect rational power; "
+                          "use floating evaluation")
+    return got
+
+
+def _mpf_pow_frac(base, e):
+    import mpmath
+
+    if base < 0:
+        raise DomainError("negative base under a fractional power")
+    if base == 0 and e < 0:
+        raise DivisionByZero("denominator evaluated to zero")
+    return mpmath.power(base, e)
+
+
+def _f64_pow_int(base: float, e: int) -> float:
+    if base == 0.0 and e < 0:
+        raise DivisionByZero("denominator evaluated to zero")
+    try:
+        return base ** e
+    except OverflowError:
+        # an overflowing integer power is infinite, as in numpy
+        return math.copysign(math.inf, base) if e % 2 else math.inf
+
+
+def _f64_pow_frac(base: float, e: float) -> float:
+    if base < 0.0:
+        raise DomainError("negative base under a fractional power")
+    if base == 0.0 and e < 0:
+        raise DivisionByZero("denominator evaluated to zero")
+    return math.pow(base, e)
+
+
+def _column_pow_int(base: np.ndarray, e: int) -> np.ndarray:
+    if e < 0 and (base == 0.0).any():
+        raise DivisionByZero("denominator evaluated to zero")
+    return base ** e
+
+
+def _column_pow_frac(base: np.ndarray, e: float) -> np.ndarray:
+    if (base < 0.0).any():
+        raise DomainError("negative base under a fractional power")
+    if e < 0 and (base == 0.0).any():
+        raise DivisionByZero("denominator evaluated to zero")
+    v = np.power(base, e)
+    if (np.isinf(v) & np.isfinite(base)).any():
+        raise OverflowError("math range error")
+    return v
 
 
 def compile_tape(e: Expr, var_names) -> Tape:

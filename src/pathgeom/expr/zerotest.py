@@ -9,6 +9,7 @@ nonzero, and poles of the tested expression trigger resampling.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -40,17 +41,25 @@ class ZeroVerdict:
 
 
 def _sample_rational(rng: random.Random, lo, hi, bound):
-    """Random rational with numerator/denominator uniform over [-bound, bound],
-    optionally squeezed into an interval."""
+    """Random rational n/d with d uniform over [1, bound] and n uniform over
+    [-bound, bound], or, given an interval, over the n with lo < n/d <= hi.
+
+    A denominator with no such numerator is redrawn; an interval that none
+    of RESAMPLE_BUDGET denominators fits is sampled at its midpoint."""
     den = rng.randint(1, bound)
     if lo is None:
         numer = rng.randint(-bound, bound)
         return Rat(numer, den)
-    lo_n = int(lo * den) + 1
-    hi_n = int(hi * den)
-    if lo_n > hi_n:
-        lo_n = hi_n = int((lo + hi) / 2 * den)
-    return Rat(rng.randint(lo_n, hi_n), den)
+    lo, hi = Rat(lo), Rat(hi)
+    if lo > hi:
+        raise ValueError(f"empty sampling interval ({lo}, {hi})")
+    for _ in range(RESAMPLE_BUDGET):
+        lo_n = math.floor(lo * den) + 1
+        hi_n = math.floor(hi * den)
+        if lo_n <= hi_n:
+            return Rat(rng.randint(lo_n, hi_n), den)
+        den = rng.randint(1, bound)
+    return (lo + hi) / 2
 
 
 def is_zero_probabilistic(e: Expr, constraints=(), trials: int = DEFAULT_TRIALS,

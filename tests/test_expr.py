@@ -2,13 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathgeom.errors import DivisionByZero, DomainError, UnboundVariable
-from pathgeom.expr import (add, as_rat, differentiate, div, evaluate,
-                           exprs_equal, is_zero_probabilistic, mul, neg,
-                           node_count, num, pow_, sqrt_, sub, substitute,
+from pathgeom.expr import (add, as_rat, compile_tape, differentiate, div,
+                           evaluate, exprs_equal, is_zero_probabilistic, mul,
+                           neg, node_count, num, pow_, sqrt_, sub, substitute,
                            to_text, var, variables)
 
 t, z, p, q, x, y = variables("t z p q x y")
@@ -138,6 +139,62 @@ class TestEvaluate:
     def test_mpf_precision(self):
         v = evaluate(sqrt_(x), {"x": 2}, "mpf")
         assert abs(float(v) - math.sqrt(2)) < 1e-15
+
+
+class TestBatchTape:
+    """eval_f64_many runs each instruction over all rows; per-row eval_f64
+    is the reference it must match."""
+
+    def test_matches_rows_on_catalog_pairs(self):
+        from pathgeom import PairODE, catalog, catalog_names
+        rng = np.random.default_rng(5)
+        pairs = [catalog(n) for n in catalog_names()]
+        pairs = [c for c in pairs if isinstance(c, PairODE)]
+        assert pairs
+        for pair in pairs:
+            for rhs in pair.rhs:
+                tape = compile_tape(rhs, pair.chart)
+                assert len(tape) == node_count(rhs)
+                pts = rng.uniform(1, 4, size=(40, len(pair.chart)))
+                rows = np.array([tape.eval_f64(pt) for pt in pts])
+                np.testing.assert_allclose(tape.eval_f64_many(pts), rows,
+                                           rtol=1e-12, atol=0)
+
+    def test_constant_and_variable_outputs_have_one_entry_per_row(self):
+        pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        const = compile_tape(num(Fraction(3, 4)), ("p", "q"))
+        assert const.eval_f64_many(pts).tolist() == [0.75] * 3
+        assert compile_tape(q, ("p", "q")).eval_f64_many(pts).tolist() == \
+            [2.0, 4.0, 6.0]
+
+    def test_zero_rows(self):
+        out = compile_tape(p * q + 1, ("p", "q")).eval_f64_many(
+            np.zeros((0, 2)))
+        assert out.shape == (0,)
+
+    def test_pole_in_any_row_raises(self):
+        tape = compile_tape(div(num(1), p - q), ("p", "q"))
+        with pytest.raises(DivisionByZero):
+            tape.eval_f64_many([[2.0, 1.0], [3.0, 3.0], [4.0, 1.0]])
+
+    def test_negative_radicand_in_any_row_raises(self):
+        tape = compile_tape(sqrt_(p), ("p",))
+        with pytest.raises(DomainError):
+            tape.eval_f64_many([[4.0], [-1.0], [9.0]])
+
+    def test_overflow(self):
+        # an integer power saturates to a signed infinity; a fractional
+        # power raises, as math.pow does
+        for e, x, want in ((2, 1e200, math.inf), (3, -1e200, -math.inf),
+                           (-2, 1e-200, math.inf)):
+            tape = compile_tape(pow_(p, e), ("p",))
+            assert tape.eval_f64([x]) == want
+            assert tape.eval_f64_many([[1.0], [x]]).tolist() == [1.0, want]
+        tape = compile_tape(pow_(p, as_rat("3/2")), ("p",))
+        with pytest.raises(OverflowError):
+            tape.eval_f64([1e300])
+        with pytest.raises(OverflowError):
+            tape.eval_f64_many([[1.0], [1e300]])
 
 
 class TestPrinting:

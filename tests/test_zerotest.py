@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pathgeom.errors import SamplingExhausted
 from pathgeom.expr import (div, is_zero_probabilistic, mul, num, pow_, sqrt_,
                            sub, variables)
+from pathgeom.expr.zerotest import _sample_rational
 
 p, q, y = variables("p q y")
 
@@ -75,3 +78,26 @@ def test_deterministic_given_seed():
     v1 = is_zero_probabilistic(sub(p, q), trials=5, seed=123)
     v2 = is_zero_probabilistic(sub(p, q), trials=5, seed=123)
     assert v1.witness == v2.witness
+
+
+# negative, straddling and narrow intervals, with exact and float ends
+_FRACTIONS = st.fractions(-20, 20, max_denominator=50)
+_INTERVALS = st.one_of(
+    st.lists(_FRACTIONS, min_size=2, max_size=2).map(sorted),
+    st.lists(st.floats(-20, 20), min_size=2, max_size=2).map(sorted),
+    st.tuples(_FRACTIONS,
+              st.sampled_from([0, Fraction(1, 10 ** 6), Fraction(1, 997)]))
+    .map(lambda t: (t[0], t[0] + t[1])))
+
+
+@given(_INTERVALS, st.sampled_from([1, 7, 100, 10 ** 6]),
+       st.integers(0, 2 ** 32))
+@example((-2, Fraction(-1, 2)), 7, 0)
+@example((-0.5, 0.5), 10 ** 6, 0)
+@settings(max_examples=150, deadline=None)
+def test_interval_draws_stay_in_interval(interval, bound, seed):
+    lo, hi = interval
+    rng = random.Random(seed)
+    for _ in range(40):
+        x = _sample_rational(rng, lo, hi, bound)
+        assert Fraction(lo) <= x <= Fraction(hi)
