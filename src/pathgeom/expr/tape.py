@@ -5,10 +5,14 @@ instructions, compiled once and evaluated at many points (an operation tape
 in the sense of Griewank & Walther, *Evaluating Derivatives*).  One
 interpreter loop runs the instructions over a number domain; the domain
 supplies the constants, the point, and the integer and fractional power
-functions.  There are four domains:
+functions.  There are five domains:
 
   * exact           -- rationals (gmpy2.mpq or Fraction); a fractional power
                        must come out rational (`rat_pow_exact`)
+  * mod p           -- residues mod the prime p = 2^61 - 1 (`MODULUS`); sums
+                       and products are reduced mod p, a negative power takes
+                       the modular inverse, and a fractional power has no
+                       residue
   * mpf             -- mpmath floats at a given precision, used for radicals
   * float64         -- Python floats, one point per call
   * float64 columns -- numpy arrays with one entry per point, so that each
@@ -18,6 +22,13 @@ The scalar domains evaluate node by node in the DAG's own order.  The column
 domain uses numpy's vectorised `power`, whose last bits can differ from
 libm `pow`: `eval_f64_many` agrees with per-row `eval_f64` to rounding, not
 bit for bit.
+
+The mod-p domain is the exact one seen through the reduction map
+Z_(p) -> F_p, the rationals whose denominators p does not divide.  A point
+of such rationals, on a tape whose constants are such rationals, gives the
+residue of the exact value whenever no base of a negative power is 0 mod p
+(`eval_modp` raises DivisionByZero otherwise).  So a nonzero residue proves
+the exact value nonzero; a zero residue does not prove it zero.
 """
 
 from __future__ import annotations
@@ -31,6 +42,20 @@ from .nodes import Add, Expr, Mul, Num, Pow, Var
 from .rational import Rat, is_int, rat_pow_exact
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW_INT, OP_POW_FRAC = range(6)
+
+MODULUS = 2 ** 61 - 1   # a Mersenne prime
+
+
+def residue(q):
+    """q mod MODULUS for an int or rational q, or None when MODULUS divides
+    the denominator of q."""
+    den = int(q.denominator) % MODULUS
+    if den == 0:
+        return None
+    num = int(q.numerator)
+    if den == 1:
+        return num % MODULUS
+    return num * pow(den, -1, MODULUS) % MODULUS
 
 
 def _toposort(root: Expr):
@@ -64,7 +89,7 @@ class Tape:
     """
 
     __slots__ = ("var_names", "code", "consts_exact", "consts_f64",
-                 "exps_exact", "exps_f64")
+                 "exps_exact", "exps_f64", "_consts_modp")
 
     def __init__(self, root: Expr, var_names):
         self.var_names = tuple(var_names)
@@ -102,12 +127,15 @@ class Tape:
         self.consts_f64 = [float(c) for c in consts]
         self.exps_exact = exps
         self.exps_f64 = [float(e) for e in exps]
+        self._consts_modp = None   # reduced on first use
 
     def __len__(self):
         return len(self.code)
 
-    def _run(self, inputs, consts, exps, zero, one, pow_int, pow_frac):
-        """The interpreter: the value of every node, in tape order."""
+    def _run(self, inputs, consts, exps, zero, one, pow_int, pow_frac,
+             modulus=0):
+        """The interpreter: the value of every node, in tape order.  A nonzero
+        `modulus` reduces every sum and product modulo it."""
         values = []
         push = values.append
         for op, a, b in self.code:
@@ -115,10 +143,14 @@ class Tape:
                 v = one
                 for j in a:
                     v *= values[j]
+                if modulus:
+                    v %= modulus
             elif op == OP_ADD:
                 v = zero
                 for j in a:
                     v += values[j]
+                if modulus:
+                    v %= modulus
             elif op == OP_CONST:
                 v = consts[a]
             elif op == OP_VAR:
@@ -133,6 +165,31 @@ class Tape:
     def eval_exact(self, point):
         return self._run(point, self.consts_exact, self.exps_exact, 0, 1,
                          _pow_int, _exact_pow_frac)[-1]
+
+    @property
+    def reducible_mod_p(self) -> bool:
+        """True when the tape is evaluated mod MODULUS: it has no fractional
+        power, and MODULUS divides neither the numerator nor the denominator
+        of a nonzero constant (a constant that is 0 mod p would wipe out its
+        terms)."""
+        if self._consts_modp is None:
+            consts = [residue(c) for c in self.consts_exact]
+            ok = not self.exps_exact and all(
+                r is not None and (r != 0 or c == 0)
+                for r, c in zip(consts, self.consts_exact))
+            self._consts_modp = consts if ok else False
+        return self._consts_modp is not False
+
+    def eval_modp(self, residues) -> int:
+        """The value mod MODULUS at a point given by the residues of its
+        coordinates (see `residue`), as an int in [0, MODULUS).
+
+        Raises DivisionByZero when the base of a negative power is 0 mod
+        MODULUS, and DomainError when the tape is not `reducible_mod_p`."""
+        if not self.reducible_mod_p:
+            raise DomainError("tape has no value mod p")
+        return self._run(residues, self._consts_modp, (), 0, 1, _modp_pow_int,
+                         None, MODULUS)[-1]
 
     def eval_f64(self, point) -> float:
         inputs = np.asarray(point, dtype=np.float64).tolist()
@@ -179,6 +236,12 @@ def _pow_int(base, e: int):
     if base == 0 and e < 0:
         raise DivisionByZero("denominator evaluated to zero")
     return base ** e
+
+
+def _modp_pow_int(base: int, e: int) -> int:
+    if base == 0 and e < 0:
+        raise DivisionByZero("denominator evaluated to zero mod p")
+    return pow(base, e, MODULUS)
 
 
 def _exact_pow_frac(base, e):

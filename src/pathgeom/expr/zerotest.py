@@ -1,10 +1,21 @@
 """Randomized zero testing of expressions.
 
-Rational-function expressions are tested at exact random rational points
+Rational-function expressions are tested at random rational points
 (Schwartz-Zippel); expressions containing radicals fall back to 256-bit
 floating evaluation with relative tolerance 1e-30.  Constraint expressions
 mark excluded loci: a sample is admissible only where every constraint is
 nonzero, and poles of the tested expression trigger resampling.
+
+A rational point n/d is evaluated mod the prime p = 2^61 - 1 at the residue
+n * d^-1 (`tape.MODULUS`).  Where no denominator vanishes mod p, a nonzero
+residue proves the value nonzero over Q; the nonzero verdict's witness value
+is then evaluated exactly.  A zero residue counts as a zero value.  A
+constraint that is 0 mod p, or a pole mod p, is decided by exact
+evaluation, so the draws and the rejected samples are those of exact
+arithmetic.  A call whose tapes have no mod-p value (a fractional power, or
+a nonzero constant that is 0 or undefined mod p: `Tape.reducible_mod_p`) is
+evaluated exactly throughout, as is a point with a coordinate undefined mod
+p.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from dataclasses import dataclass
 from ..errors import DivisionByZero, DomainError, SamplingExhausted
 from .nodes import Expr, sub
 from .rational import Rat
-from .tape import compile_tape
+from .tape import compile_tape, residue
 
 DEFAULT_BOUND = 10 ** 6
 DEFAULT_TRIALS = 20
@@ -62,6 +73,18 @@ def _sample_rational(rng: random.Random, lo, hi, bound):
     return (lo + hi) / 2
 
 
+def _modp(tape, residues):
+    """The value mod p at a point given by its residues, or None when there
+    are no residues or the point is a pole mod p (which may not be one over
+    Q)."""
+    if residues is None:
+        return None
+    try:
+        return tape.eval_modp(residues)
+    except DivisionByZero:
+        return None
+
+
 def is_zero_probabilistic(e: Expr, constraints=(), trials: int = DEFAULT_TRIALS,
                           seed=0, rng: random.Random | None = None,
                           bound: int = DEFAULT_BOUND,
@@ -86,12 +109,21 @@ def is_zero_probabilistic(e: Expr, constraints=(), trials: int = DEFAULT_TRIALS,
     ctapes = [compile_tape(c, names) for c in constraints]
     ranges = var_ranges or {}
     rejected = 0
+    modular = mode == "exact" and tape.reducible_mod_p and all(
+        ct.reducible_mod_p for ct in ctapes)
 
-    def admissible(point):
+    def residues_of(point):
+        if not modular:
+            return None
+        residues = [residue(q) for q in point]
+        return None if None in residues else residues
+
+    def admissible(point, residues):
         for ct in ctapes:
             try:
                 if mode == "exact":
-                    if ct.eval_exact(point) == 0:
+                    # a nonzero residue proves the constraint nonzero
+                    if not _modp(ct, residues) and ct.eval_exact(point) == 0:
                         return False
                 else:
                     value, scale = ct.eval_mpf(point, MPF_PREC)
@@ -109,12 +141,16 @@ def is_zero_probabilistic(e: Expr, constraints=(), trials: int = DEFAULT_TRIALS,
             for n in names:
                 lo, hi = ranges.get(n, (None, None))
                 cand.append(_sample_rational(rng, lo, hi, bound))
-            if not admissible(cand):
+            residues = residues_of(cand)
+            if not admissible(cand, residues):
                 rejected += 1
                 continue
             try:
                 if mode == "exact":
-                    value = tape.eval_exact(cand)
+                    # a zero residue counts as zero; otherwise the value
+                    # (a nonzero verdict's witness value) is exact
+                    value = (0 if _modp(tape, residues) == 0
+                             else tape.eval_exact(cand))
                     scale = None
                 else:
                     value, scale = tape.eval_mpf(cand, MPF_PREC)
@@ -139,7 +175,12 @@ def is_zero_probabilistic(e: Expr, constraints=(), trials: int = DEFAULT_TRIALS,
     deg = e.degree_bound
     failure = None
     if mode == "exact" and deg is not None:
-        # Schwartz-Zippel: per-trial failure <= deg/|S| with |S| = bound
+        # Schwartz-Zippel: a draw from the default box takes any one value
+        # with probability at most 1/(2 bound + 1) <= 1/bound, and
+        # n/d -> n * d^-1 mod p keeps distinct draws apart while
+        # 2 bound^2 < p, so a trial misses a nonzero value with probability
+        # <= deg/bound, over Q and mod p alike unless p divides every
+        # coefficient of the cleared numerator
         per = min(1.0, deg / bound)
         failure = per ** trials
     return ZeroVerdict(True, trials=trials, mode=mode, degree_bound=deg,

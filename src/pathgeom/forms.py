@@ -422,7 +422,7 @@ def _check_independent(gens, seed=0, points: int = 10):
                 for i in range(n):
                     if tapes[a][i] is not None:
                         rows[a, i] = tapes[a][i].eval_f64(pt)
-        except (DivisionByZero, DomainError):
+        except (DivisionByZero, DomainError, OverflowError):
             continue
         if np.linalg.matrix_rank(rows, tol=1e-8) == k:
             return

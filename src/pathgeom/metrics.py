@@ -109,7 +109,7 @@ def _sample_admissible(rng, tape_det, chart, box, min_det, size_tapes=(),
                 continue
             if any(abs(t.eval_f64(pt)) > size_cap for t in size_tapes):
                 continue
-        except (DivisionByZero, DomainError):
+        except (DivisionByZero, DomainError, OverflowError):
             continue
         return pt
     raise DegeneratePoint(f"no sample with |coframe det| > {min_det} in {budget} draws")
@@ -259,7 +259,7 @@ def conformal_equiv_check(g1: CoframeMetric, g2: CoframeMetric, points: int = 20
             try:
                 if abs(det1.eval_f64(pt)) > min_det and abs(det2.eval_f64(pt)) > min_det:
                     break
-            except (DivisionByZero, DomainError):
+            except (DivisionByZero, DomainError, OverflowError):
                 continue
         else:
             raise DegeneratePoint("no admissible sample for conformal check")

@@ -170,7 +170,7 @@ def _sample_points_float(exprs, seed, var_ranges=None, budget=3000):
         pt = [rng.uniform(*ranges.get(n, (-2.0, 2.0))) for n in names]
         try:
             values = [t.eval_f64(np.asarray(pt)) for t in tapes]
-        except (DivisionByZero, DomainError):
+        except (DivisionByZero, DomainError, OverflowError):
             continue
         if not all(np.isfinite(v) for v in values):
             continue

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from pathgeom.expr import (add, as_rat, compile_tape, differentiate, div,
                            evaluate, exprs_equal, is_zero_probabilistic, mul,
                            neg, node_count, num, pow_, sqrt_, sub, substitute,
                            to_text, var, variables)
+from pathgeom.expr.tape import MODULUS, residue
 
 t, z, p, q, x, y = variables("t z p q x y")
 
@@ -195,6 +197,76 @@ class TestBatchTape:
             tape.eval_f64([1e300])
         with pytest.raises(OverflowError):
             tape.eval_f64_many([[1.0], [1e300]])
+
+
+@functools.cache
+def _identity_tapes():
+    """Curvature quartic and torsion quadric coefficient tapes of the
+    radical-free catalog pairs."""
+    from pathgeom import PairODE, catalog, catalog_names
+    from pathgeom.invariants import (curvature_quartic, fels_invariants,
+                                     torsion_quadric)
+    tapes = []
+    for name in catalog_names():
+        pair = catalog(name)
+        if not isinstance(pair, PairODE):
+            continue
+        inv = fels_invariants(pair)
+        exprs = (curvature_quartic(inv).coefficients
+                 + torsion_quadric(inv).coefficients)
+        if not any(e.has_radical for e in exprs):
+            tapes += [compile_tape(e, pair.chart) for e in exprs]
+    return tapes
+
+
+class TestModpTape:
+    """eval_modp is eval_exact followed by reduction mod p."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_on_catalog_identities(self, data):
+        tapes = _identity_tapes()
+        tape = tapes[data.draw(st.integers(0, len(tapes) - 1))]
+        assert tape.reducible_mod_p
+        point = [data.draw(st.fractions(-50, 50, max_denominator=10 ** 6))
+                 for _ in tape.var_names]
+        residues = [residue(c) for c in point]
+        try:
+            exact = tape.eval_exact(point)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                tape.eval_modp(residues)
+            return
+        assert tape.eval_modp(residues) == residue(exact)
+
+    def test_catalog_identities_are_nontrivial(self):
+        # the property above needs both nonzero and zero coefficients
+        values = [t.eval_exact([Fraction(k + 2, 3) for k in range(len(t.var_names))])
+                  for t in _identity_tapes()]
+        assert any(v != 0 for v in values) and any(v == 0 for v in values)
+
+    def test_pole_mod_p_only(self):
+        tape = compile_tape(div(num(1), x - 3), ("x",))
+        assert tape.eval_exact([Fraction(3 + MODULUS)]) == Fraction(1, MODULUS)
+        with pytest.raises(DivisionByZero):
+            tape.eval_modp([residue(Fraction(3 + MODULUS))])
+
+    def test_residue(self):
+        assert residue(Fraction(-1, 2)) * 2 % MODULUS == MODULUS - 1
+        assert residue(Fraction(5, MODULUS)) is None
+        assert residue(Fraction(MODULUS + 4)) == 4
+
+    @pytest.mark.parametrize("const", [Fraction(1, MODULUS), MODULUS,
+                                       2 * MODULUS])
+    def test_constant_without_faithful_residue(self, const):
+        tape = compile_tape(mul(num(const), x) + 1, ("x",))
+        assert not tape.reducible_mod_p
+        with pytest.raises(DomainError):
+            tape.eval_modp([1])
+
+    def test_fractional_power_has_no_residue(self):
+        tape = compile_tape(sqrt_(x), ("x",))
+        assert not tape.reducible_mod_p
 
 
 class TestPrinting:

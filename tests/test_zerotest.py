@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pathgeom.errors import SamplingExhausted
-from pathgeom.expr import (div, is_zero_probabilistic, mul, num, pow_, sqrt_,
-                           sub, variables)
-from pathgeom.expr.zerotest import _sample_rational
+from pathgeom.errors import DivisionByZero, SamplingExhausted
+from pathgeom.expr import (compile_tape, div, is_zero_probabilistic, mul, num,
+                           pow_, sqrt_, sub, variables)
+from pathgeom.expr.tape import MODULUS
+from pathgeom.expr.zerotest import (DEFAULT_BOUND, DEFAULT_TRIALS,
+                                    RESAMPLE_BUDGET, _sample_rational)
 
 p, q, y = variables("p q y")
 
@@ -101,3 +103,97 @@ def test_interval_draws_stay_in_interval(interval, bound, seed):
     for _ in range(40):
         x = _sample_rational(rng, lo, hi, bound)
         assert Fraction(lo) <= x <= Fraction(hi)
+
+
+def _fraction_reference(e, constraints=(), trials=DEFAULT_TRIALS, seed=0,
+                        bound=DEFAULT_BOUND, var_ranges=None):
+    """The exact-mode zero test in Fraction arithmetic over the same draws:
+    (witness, witness value, trials, constraints rejected)."""
+    rng = random.Random(seed)
+    names = sorted(set(e.free_variables).union(
+        *(c.free_variables for c in constraints)))
+    tape = compile_tape(e, names)
+    ctapes = [compile_tape(c, names) for c in constraints]
+    ranges = var_ranges or {}
+    rejected = 0
+    for trial in range(trials):
+        for _ in range(RESAMPLE_BUDGET):
+            point = [_sample_rational(rng, *ranges.get(n, (None, None)), bound)
+                     for n in names]
+            try:
+                if any(ct.eval_exact(point) == 0 for ct in ctapes):
+                    rejected += 1
+                    continue
+                value = tape.eval_exact(point)
+            except DivisionByZero:
+                rejected += 1
+                continue
+            break
+        else:
+            raise SamplingExhausted("reference ran out of samples")
+        if value != 0:
+            return dict(zip(names, point)), value, trial + 1, rejected
+    return None, None, trials, rejected
+
+
+_SAME_DRAWS_CASES = {
+    "zero": ((p + q) ** 2 - p ** 2 - 2 * p * q - q ** 2, {}),
+    "nonzero": ((p - q) * (p + 1) * q, {"bound": 3}),
+    "pole_with_constraint": (div(p, q) + div(num(1), p - y) - p * y,
+                             {"constraints": [p - y], "bound": 3}),
+    "pole_with_constraint_zero": (div(p * p - y * y, q * (p - y))
+                                  - div(p + y, q),
+                                  {"constraints": [p - y], "bound": 3}),
+    "var_ranges": (div(p * p - 4, q - 1) - div(q, p),
+                   {"var_ranges": {"p": (Fraction(-3), Fraction(-1, 2)),
+                                   "q": (0, 2)}, "bound": 5}),
+    # no n/d with d <= bound fits, so p is the midpoint 3/(2 MODULUS)
+    "range_undefined_mod_p": ((p + q) ** 2 - p ** 2 - 2 * p * q - q ** 2 + p,
+                              {"var_ranges": {"p": (Fraction(1, MODULUS),
+                                                    Fraction(2, MODULUS))}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SAME_DRAWS_CASES))
+@pytest.mark.parametrize("seed", range(8))
+def test_same_draws_as_fraction_reference(case, seed):
+    e, kwargs = _SAME_DRAWS_CASES[case]
+    verdict = is_zero_probabilistic(e, seed=seed, **kwargs)
+    assert verdict.mode == "exact"
+    witness, value, trials, rejected = _fraction_reference(e, seed=seed, **kwargs)
+    assert verdict.witness == witness
+    assert verdict.witness_value == value
+    assert type(verdict.witness_value) is type(value)
+    assert verdict.trials == trials
+    assert verdict.constraints_rejected == rejected
+    assert verdict.is_zero == (witness is None)
+
+
+def test_same_draws_cases_reach_every_branch():
+    # the cases above must hold nonzero witnesses found after a zero value,
+    # and rejections both by a constraint and by a pole
+    def run(case, seed):
+        e, kwargs = _SAME_DRAWS_CASES[case]
+        return _fraction_reference(e, seed=seed, **kwargs)
+    assert any(run("nonzero", s)[2] > 1 for s in range(8))
+    assert all(run("pole_with_constraint_zero", s)[3] > 0 for s in range(8))
+    for case in ("zero", "pole_with_constraint_zero"):
+        assert all(run(case, s)[0] is None for s in range(8))
+    assert all(run("var_ranges", s)[0] is not None for s in range(8))
+
+
+def test_constant_with_p_in_denominator_is_tested_exactly():
+    c = Fraction(1, MODULUS)
+    zero = (p + c) ** 2 - p ** 2 - 2 * c * p - c * c
+    nonzero = (p + c) ** 2 - p ** 2 - 2 * c * p
+    assert is_zero_probabilistic(zero).is_zero
+    verdict = is_zero_probabilistic(nonzero)
+    assert not verdict.is_zero
+    assert verdict.witness_value == c * c
+    assert verdict.trials == 1
+
+
+def test_multiple_of_p_is_not_zero():
+    # MODULUS * p is 0 mod p at every point; such a constant is tested exactly
+    verdict = is_zero_probabilistic(num(MODULUS) * p - num(MODULUS) * q)
+    assert not verdict.is_zero
