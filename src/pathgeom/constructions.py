@@ -15,6 +15,7 @@ from .errors import (DegenerateLocus, DivisionByZero, DomainError,
 from .expr import (Expr, Rat, add, compile_tape, differentiate, div,
                    is_zero_probabilistic, mul, num, rename_variables,
                    sqrt_, sub, substitute, var)
+from .expr.sampling import draw_float
 from .forms import CHAIN_PAIR_CHART, DifferentialForm, d, one_form
 from .jets import CRGraph, PairODE, ScalarODE
 from .metrics import CoframeMetric
@@ -414,9 +415,8 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
         rng = random.Random(seed)
         spread = 2.0 + 2.0 * max(abs(zhat), abs(ahat), abs(bhat))
         for _ in range(300):
-            guess = [zhat + rng.uniform(-spread, spread),
-                     ahat + rng.uniform(-spread, spread),
-                     bhat + rng.uniform(-spread, spread)]
+            offset = draw_float(rng, [(-spread, spread)] * 3)
+            guess = [zhat + offset[0], ahat + offset[1], bhat + offset[2]]
             try:
                 state = _newton_solve(G, J, t0, guess, newton_tol, max_iter)
             except JacobianSingular:

@@ -9,7 +9,6 @@
     cr_graph quadric { vars x y p; F = (x^2+y^2)/4; }
     coframe flat4 { vars y p Y P; eta 1 = 1*d Y; eta 2 = 1*d P;
                     eta 3 = 1*d y; eta 4 = 1*d p; }
-    task check { run = classify; system = cr_sphere; }
 
 Numeric literals are exact rationals (integers, fractions 3/4, and decimal
 literals converted exactly); sqrt(e) is sugar for e^(1/2); '#' starts a line
@@ -31,7 +30,7 @@ from .forms import DifferentialForm, one_form
 from .jets import CRGraph, PairODE, ScalarODE
 from .metrics import CoframeMetric
 
-KINDS = ("scalar_ode", "pair_ode", "cr_graph", "coframe", "task")
+KINDS = ("scalar_ode", "pair_ode", "cr_graph", "coframe")
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r\n]+)
@@ -71,11 +70,6 @@ def _lex(text: str):
         pos = m.end()
     tokens.append(Token("eof", "", line, col))
     return tokens
-
-
-@dataclass(frozen=True)
-class TaskDecl:
-    settings: tuple  # ((key, value-string), ...)
 
 
 @dataclass(frozen=True)
@@ -348,18 +342,6 @@ class _Parser:
         self.pos = save
         return got is not None
 
-    def parse_task_body(self, name) -> TaskDecl:
-        settings = []
-        while self.peek().kind == "ident":
-            key = self.advance().text
-            self.expect("punct", "=")
-            tok = self.peek()
-            if tok.kind not in ("ident", "number"):
-                self.error("expected a task value")
-            settings.append((key, self.advance().text))
-            self.expect("punct", ";")
-        return TaskDecl(settings=tuple(settings))
-
 
 def parse(text: str) -> Document:
     """Parse a .pg document; raises DslSyntaxError / UnknownVariable /
@@ -415,8 +397,5 @@ def serialize(doc: Document) -> str:
                 out.append(f"  structure = {obj.structure};")
             for k, eta in enumerate(obj.etas, start=1):
                 out.append(f"  eta {k} = {_serialize_oneform(eta)};")
-        elif kind == "task":
-            for key, value in obj.settings:
-                out.append(f"  {key} = {value};")
         out.append("}")
     return "\n".join(out) + "\n"

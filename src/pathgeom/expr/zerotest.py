@@ -20,18 +20,16 @@ p.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from ..errors import DivisionByZero, DomainError, SamplingExhausted
 from .nodes import Expr, sub
-from .rational import Rat
+from .sampling import RESAMPLE_BUDGET, draw_exact
 from .tape import compile_tape, residue
 
 DEFAULT_BOUND = 10 ** 6
 DEFAULT_TRIALS = 20
-RESAMPLE_BUDGET = 100
 MPF_REL_TOL = 1e-30
 MPF_PREC = 256
 
@@ -49,28 +47,6 @@ class ZeroVerdict:
 
     def __bool__(self):
         return self.is_zero
-
-
-def _sample_rational(rng: random.Random, lo, hi, bound):
-    """Random rational n/d with d uniform over [1, bound] and n uniform over
-    [-bound, bound], or, given an interval, over the n with lo < n/d <= hi.
-
-    A denominator with no such numerator is redrawn; an interval that none
-    of RESAMPLE_BUDGET denominators fits is sampled at its midpoint."""
-    den = rng.randint(1, bound)
-    if lo is None:
-        numer = rng.randint(-bound, bound)
-        return Rat(numer, den)
-    lo, hi = Rat(lo), Rat(hi)
-    if lo > hi:
-        raise ValueError(f"empty sampling interval ({lo}, {hi})")
-    for _ in range(RESAMPLE_BUDGET):
-        lo_n = math.floor(lo * den) + 1
-        hi_n = math.floor(hi * den)
-        if lo_n <= hi_n:
-            return Rat(rng.randint(lo_n, hi_n), den)
-        den = rng.randint(1, bound)
-    return (lo + hi) / 2
 
 
 def _modp(tape, residues):
@@ -107,7 +83,7 @@ def is_zero_probabilistic(e: Expr, constraints=(), trials: int = DEFAULT_TRIALS,
     mode = "mpf" if radical else "exact"
     tape = compile_tape(e, names)
     ctapes = [compile_tape(c, names) for c in constraints]
-    ranges = var_ranges or {}
+    ranges = [(var_ranges or {}).get(n) for n in names]
     rejected = 0
     modular = mode == "exact" and tape.reducible_mod_p and all(
         ct.reducible_mod_p for ct in ctapes)
@@ -137,10 +113,7 @@ def is_zero_probabilistic(e: Expr, constraints=(), trials: int = DEFAULT_TRIALS,
         point = None
         value = scale = None
         for _ in range(RESAMPLE_BUDGET):
-            cand = []
-            for n in names:
-                lo, hi = ranges.get(n, (None, None))
-                cand.append(_sample_rational(rng, lo, hi, bound))
+            cand = draw_exact(rng, ranges, bound)
             residues = residues_of(cand)
             if not admissible(cand, residues):
                 rejected += 1

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ChartMismatch, DependentGenerators, RankDeficient
-from .expr import (Expr, Rat, ZERO, add, differentiate, div, is_zero_probabilistic,
-                   mul, num, rename_variables, sub, substitute, var)
+from .expr import (Expr, Rat, ZERO, add, compile_tape, differentiate, div,
+                   is_zero_probabilistic, mul, num, rename_variables, sub,
+                   substitute, var)
+from .expr.sampling import sample_points
 from .jets import PairODE, ScalarODE
 
 CHAIN_RHO_CHART = ("x", "y", "p", "b1", "b2")
@@ -336,8 +340,6 @@ def _exact_kernel(M, n):
 
 
 def _float_kernel(M, n, tol):
-    import numpy as np
-
     A = np.asarray(M, dtype=np.float64)
     _, s, vt = np.linalg.svd(A)
     scale = s[0] if s[0] > 0 else 1.0
@@ -397,33 +399,16 @@ def frobenius_integrable(generators, trials: int = 20, seed=0) -> bool:
 
 
 def _check_independent(gens, seed=0, points: int = 10):
-    import random
-
-    import numpy as np
-
-    from .errors import DivisionByZero, DomainError
-    from .expr import compile_tape
-
+    """Raise DependentGenerators unless the generators have full rank at one
+    of `points` random points."""
     chart = gens[0].chart
-    k = len(gens)
-    n = len(chart)
-    tapes = [[None] * n for _ in range(k)]
-    for a, g in enumerate(gens):
-        for i in range(n):
-            c = g.comps.get((i,))
-            if c is not None:
-                tapes[a][i] = compile_tape(c, chart)
-    rng = random.Random(seed)
-    for _ in range(points):
-        pt = np.array([rng.uniform(-2, 2) for _ in chart])
-        rows = np.zeros((k, n))
-        try:
-            for a in range(k):
-                for i in range(n):
-                    if tapes[a][i] is not None:
-                        rows[a, i] = tapes[a][i].eval_f64(pt)
-        except (DivisionByZero, DomainError, OverflowError):
-            continue
-        if np.linalg.matrix_rank(rows, tol=1e-8) == k:
+    slots = [(a, i) for a, g in enumerate(gens) for i in range(len(chart))
+             if (i,) in g.comps]
+    tapes = [compile_tape(gens[a].comps[(i,)], chart) for a, i in slots]
+    for _, values in sample_points(tapes, chart, seed, points):
+        rows = np.zeros((len(gens), len(chart)))
+        for (a, i), v in zip(slots, values):
+            rows[a, i] = v
+        if np.linalg.matrix_rank(rows, tol=1e-8) == len(gens):
             return
     raise DependentGenerators("generators pointwise dependent on the sampled domain")

@@ -165,6 +165,7 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
                 k[s] = rhs(t + float(_C[s]) * hs, ys)
             y_new = y + hs * (_B5 @ k)
             err_vec = hs * (_ERR @ k)
+            finite = np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))
         except (DivisionByZero, DomainError):
             if fixed_step is not None:
                 singular_at = t
@@ -174,7 +175,10 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
                 singular_at = t
                 break
             continue
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
+        except OverflowError:
+            # a stage left float range (an overflowing fractional power)
+            finite = False
+        if not finite:
             if fixed_step is not None:
                 raise StepUnderflow(f"solution left float range at t = {t}")
             h /= 2

@@ -9,17 +9,20 @@ point is plain linear algebra).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePoint, DivisionByZero, DomainError, TorsionNonzero
+from .errors import DegeneratePoint, TorsionNonzero
 from .expr import (Rat, ZERO, add, compile_tape, differentiate,
                    is_zero_probabilistic, mul, num, substitute)
+from .expr.sampling import sample_points
 from .forms import DifferentialForm, d, exterior_derivative, one_form, wedge
 from .invariants import fels_torsion
 from .jets import PairODE
+
+MIN_DET = 1e-8      # smallest |coframe det| at a sample point
+SIZE_CAP = 1e3      # largest |metric entry| at an Einstein sample point
 
 
 @dataclass(frozen=True)
@@ -96,25 +99,6 @@ class EinsteinReport:
         return self.max_residual < residual_tol and self.lambda_spread < lambda_tol
 
 
-def _sample_admissible(rng, tape_det, chart, box, min_det, size_tapes=(),
-                       size_cap=1e3, budget=500):
-    """Random point with |coframe det| > min_det; size_tapes (metric entries)
-    are additionally capped so float64 curvature assembly keeps full accuracy
-    away from blow-up loci."""
-    lo, hi = box
-    for _ in range(budget):
-        pt = np.array([rng.uniform(lo, hi) for _ in chart])
-        try:
-            if abs(tape_det.eval_f64(pt)) <= min_det:
-                continue
-            if any(abs(t.eval_f64(pt)) > size_cap for t in size_tapes):
-                continue
-        except (DivisionByZero, DomainError, OverflowError):
-            continue
-        return pt
-    raise DegeneratePoint(f"no sample with |coframe det| > {min_det} in {budget} draws")
-
-
 def _det4(rows):
     """Symbolic determinant of a 4x4 Expr matrix by cofactor expansion."""
     def det2(m, r, c):
@@ -143,18 +127,21 @@ def _det4(rows):
     return total
 
 
-def einstein_check(cm: CoframeMetric, points: int = 20, seed: int = 0,
-                   box=(-2.0, 2.0), min_det: float = 1e-8) -> EinsteinReport:
+def einstein_check(cm: CoframeMetric, points: int = 20,
+                   seed: int = 0) -> EinsteinReport:
     """Evaluate Ric - lambda*g at random admissible points.
 
-    Per point, lambda is the trace Ric:g/4 and the residual is the max-norm of
-    Ric - lambda*g; the signature of g is verified to be (2,2) at every
-    sample (DegeneratePoint otherwise).
+    A point is admissible where |coframe det| > MIN_DET and every metric
+    entry is at most SIZE_CAP in size, so that float64 curvature assembly
+    keeps full accuracy away from blow-up loci.  Per point, lambda is the
+    trace Ric:g/4 and the residual is the max-norm of Ric - lambda*g; the
+    signature of g is verified to be (2,2) at every sample (DegeneratePoint
+    otherwise).
     """
     chart = cm.chart
     g = cm.metric_components()
     names = list(chart)
-    g_t = [[compile_tape(g[i][j], names) for j in range(4)] for i in range(4)]
+    g_t = [compile_tape(g[i][j], names) for i in range(4) for j in range(4)]
     dg_t = [[[compile_tape(differentiate(g[i][j], chart[k]), names)
               for j in range(4)] for i in range(4)] for k in range(4)]
     ddg_t = [[[[compile_tape(
@@ -162,14 +149,19 @@ def einstein_check(cm: CoframeMetric, points: int = 20, seed: int = 0,
         for j in range(4)] for i in range(4)] for k in range(4)] for l in range(4)]
     det_t = compile_tape(_det4(cm.coefficient_rows()), names)
 
-    rng = random.Random(seed)
+    admissible = ((pt, vals) for pt, vals in
+                  sample_points([det_t] + g_t, names, seed, 500 * points)
+                  if abs(vals[0]) > MIN_DET
+                  and max(abs(v) for v in vals[1:]) <= SIZE_CAP)
     lambdas = []
     max_res = 0.0
     signature = None
-    flat_g = [t for row in g_t for t in row]
     for _ in range(points):
-        pt = _sample_admissible(rng, det_t, chart, box, min_det, size_tapes=flat_g)
-        G = np.array([[g_t[i][j].eval_f64(pt) for j in range(4)] for i in range(4)])
+        pt, vals = next(admissible, (None, None))
+        if pt is None:
+            raise DegeneratePoint(f"no {points} samples with |coframe det| > "
+                                  f"{MIN_DET} in {500 * points} draws")
+        G = np.array(vals[1:]).reshape(4, 4)
         dG = np.array([[[dg_t[k][i][j].eval_f64(pt) for j in range(4)]
                         for i in range(4)] for k in range(4)])
         ddG = np.array([[[[ddg_t[l][k][i][j].eval_f64(pt) for j in range(4)]
@@ -238,33 +230,29 @@ class ConformalVerdict:
 
 
 def conformal_equiv_check(g1: CoframeMetric, g2: CoframeMetric, points: int = 20,
-                          seed: int = 0, rel_tol: float = 1e-8,
-                          box=(-2.0, 2.0), min_det: float = 1e-8) -> ConformalVerdict:
-    """Pointwise proportionality test g1 = f * g2 at random admissible points."""
+                          seed: int = 0, rel_tol: float = 1e-8) -> ConformalVerdict:
+    """Pointwise proportionality test g1 = f * g2 at random points where both
+    coframe determinants exceed MIN_DET in size."""
     if tuple(g1.chart) != tuple(g2.chart):
         raise ValueError(f"charts differ: {g1.chart} vs {g2.chart}")
     chart = g1.chart
     names = list(chart)
     m1 = g1.metric_components()
     m2 = g2.metric_components()
-    t1 = [[compile_tape(m1[i][j], names) for j in range(4)] for i in range(4)]
-    t2 = [[compile_tape(m2[i][j], names) for j in range(4)] for i in range(4)]
-    det1 = compile_tape(_det4(g1.coefficient_rows()), names)
-    det2 = compile_tape(_det4(g2.coefficient_rows()), names)
-    rng = random.Random(seed)
+    tapes = [compile_tape(_det4(g1.coefficient_rows()), names),
+             compile_tape(_det4(g2.coefficient_rows()), names)]
+    tapes += [compile_tape(m[i][j], names)
+              for m in (m1, m2) for i in range(4) for j in range(4)]
+    admissible = ((pt, vals) for pt, vals in
+                  sample_points(tapes, names, seed, 200 * points)
+                  if abs(vals[0]) > MIN_DET and abs(vals[1]) > MIN_DET)
     factors = []
     for _ in range(points):
-        for _attempt in range(200):
-            pt = np.array([rng.uniform(*box) for _ in chart])
-            try:
-                if abs(det1.eval_f64(pt)) > min_det and abs(det2.eval_f64(pt)) > min_det:
-                    break
-            except (DivisionByZero, DomainError, OverflowError):
-                continue
-        else:
+        pt, vals = next(admissible, (None, None))
+        if pt is None:
             raise DegeneratePoint("no admissible sample for conformal check")
-        A = np.array([[t1[i][j].eval_f64(pt) for j in range(4)] for i in range(4)])
-        B = np.array([[t2[i][j].eval_f64(pt) for j in range(4)] for i in range(4)])
+        A = np.array(vals[2:18]).reshape(4, 4)
+        B = np.array(vals[18:]).reshape(4, 4)
         ref = np.unravel_index(np.argmax(np.abs(B)), B.shape)
         f = A[ref] / B[ref]
         if not np.allclose(A, f * B, rtol=0, atol=rel_tol * max(1.0, np.max(np.abs(A)))):

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,10 +19,10 @@ from .constructions import (SolutionFunction, catalog, catalog_names,
                             chain_pair_from_scalar, dancing_curve_numeric,
                             freestyle_pair)
 from .dsl import CoframeDecl, Document
-from .errors import (DivisionByZero, DomainError, IllConditioned,
-                     SamplingExhausted, UnknownName)
+from .errors import IllConditioned, SamplingExhausted, UnknownName
 from .expr import (add, compile_tape, is_zero_probabilistic, num, sub,
                    to_text)
+from .expr.sampling import sample_points
 from .forms import chain_pair_via_rho, exterior_derivative, rho_chain, wedge
 from .invariants import (curvature_quartic, fels_invariants, scalar_invariants,
                          torsion_quadric)
@@ -35,6 +33,7 @@ from .roots import admissibility, classify_quadric, classify_quartic
 
 DEFAULT_IDENTITY_TRIALS = 50
 DEFAULT_TYPE_SAMPLES = 20
+SAMPLE_BUDGET = 3000      # draws per pointwise classification
 
 
 @dataclass
@@ -146,39 +145,7 @@ def _zero_matrix_check(name, entries, labels, trials, seed, constraints=()):
                        witnesses=witnesses, details=values), not witnesses
 
 
-def _sample_points_exact(exprs, seed, bound=40, budget=3000):
-    """Random exact-rational points where every expression evaluates cleanly."""
-    names = sorted(set().union(*(e.free_variables for e in exprs)))
-    tapes = [compile_tape(e, names) for e in exprs]
-    rng = random.Random(seed)
-    for _ in range(budget):
-        pt = [Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-              for _ in names]
-        try:
-            values = [t.eval_exact(pt) for t in tapes]
-        except (DivisionByZero, DomainError):
-            continue
-        yield dict(zip(names, pt)), values
-
-
-def _sample_points_float(exprs, seed, var_ranges=None, budget=3000):
-    names = sorted(set().union(*(e.free_variables for e in exprs)))
-    tapes = [compile_tape(e, names) for e in exprs]
-    rng = random.Random(seed)
-    ranges = var_ranges or {}
-    for _ in range(budget):
-        pt = [rng.uniform(*ranges.get(n, (-2.0, 2.0))) for n in names]
-        try:
-            values = [t.eval_f64(np.asarray(pt)) for t in tapes]
-        except (DivisionByZero, DomainError, OverflowError):
-            continue
-        if not all(np.isfinite(v) for v in values):
-            continue
-        yield dict(zip(names, pt)), values
-
-
-def _classify_pair_pointwise(pair: PairODE, samples, seed, tol=1e-8,
-                             var_ranges=None):
+def _classify_pair_pointwise(pair: PairODE, samples, seed):
     """Quartic/quadric root profiles of a pair at sampled admissible points.
 
     Exact rational evaluation and exact classification whenever the system is
@@ -190,22 +157,21 @@ def _classify_pair_pointwise(pair: PairODE, samples, seed, tol=1e-8,
     quadric = torsion_quadric(inv).coefficients
     exprs = list(quartic) + list(quadric)
     exact = not any(e.has_radical for e in exprs)
-    if exact:
-        stream = _sample_points_exact(exprs, seed)
-    else:
-        stream = _sample_points_float(exprs, seed, var_ranges=var_ranges)
+    names = sorted(set().union(*(e.free_variables for e in exprs)))
+    tapes = [compile_tape(e, names) for e in exprs]
     results = []
     skipped = 0
-    for assignment, values in stream:
+    for point, values in sample_points(tapes, names, seed, SAMPLE_BUDGET,
+                                       exact=exact):
         try:
-            q4 = classify_quartic(values[:5], tol=tol)
-            q2 = classify_quadric(values[5:], tol=tol)
+            q4 = classify_quartic(values[:5])
+            q2 = classify_quadric(values[5:])
         except IllConditioned:
             skipped += 1
             if skipped > samples:
                 raise
             continue
-        results.append((assignment, q4, q2))
+        results.append((dict(zip(names, point)), q4, q2))
         if len(results) == samples:
             break
     if len(results) < samples:
@@ -245,9 +211,11 @@ def _uniform_type_records(results, exact, samples, expected_quartic=None,
     rec = CheckRecord(name="uniform_quartic_type", verdict=verdict,
                       tolerance="clustering 1e-08" if not exact else "exact",
                       witnesses=witness, details=details)
-    flags = admissibility(results[0][1], results[0][2])
+    # a construction is admissible only if it is at every sampled point
+    flags = [admissibility(q4, q2).as_dict() for _, q4, q2 in results]
     frec = CheckRecord(name="admissibility_flags", verdict="info",
-                       details={k: str(v) for k, v in flags.as_dict().items()})
+                       details={k: str(all(f[k] for f in flags))
+                                for k in flags[0]})
     return [rec, frec]
 
 
@@ -297,15 +265,10 @@ def cmd_invariants(doc: Document | None, system_name: str,
 
 
 def cmd_classify(doc: Document | None, system_name: str,
-                 samples: int = DEFAULT_TYPE_SAMPLES, seed: int = 0,
-                 tol: float = 1e-8, var_ranges=None,
-                 expected_quartic=None) -> Report:
+                 samples: int = DEFAULT_TYPE_SAMPLES, seed: int = 0) -> Report:
     pair = resolve(doc, system_name, PairODE)
-    results, exact, skipped = _classify_pair_pointwise(
-        pair, samples, seed, tol=tol, var_ranges=var_ranges)
-    checks = _uniform_type_records(results, exact, samples,
-                                   expected_quartic=expected_quartic,
-                                   skipped=skipped)
+    results, exact, skipped = _classify_pair_pointwise(pair, samples, seed)
+    checks = _uniform_type_records(results, exact, samples, skipped=skipped)
     return Report(command=f"classify {system_name}", seed=seed,
                   fingerprint=_fingerprint(doc), checks=checks)
 

@@ -101,7 +101,6 @@ class TestRoundTrip:
         coframe cf { vars y p Y P;
           eta 1 = 1*d Y; eta 2 = (y+p)*d P + 2*d y;
           eta 3 = 1*d y; eta 4 = (1/(Y-p))*d p; }
-        task run1 { run = classify; samples = 20; }
         """)
 
     def test_generated_documents_round_trip(self):

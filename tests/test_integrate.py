@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pathgeom.constructions import catalog
-from pathgeom.errors import EliminationInvalid, SingularEncounter
-from pathgeom.expr import div, num, sub, var, variables
+from pathgeom.errors import EliminationInvalid, SingularEncounter, StepUnderflow
+from pathgeom.expr import as_rat, div, mul, num, pow_, sub, var, variables
 from pathgeom.integrate import (denominator_bases, integrate_pair,
                                 third_order_reduction_check)
 from pathgeom.jets import PairODE, prolong
@@ -34,6 +34,15 @@ class TestIntegratePair:
         assert traj.truncated_by_singularity
         assert traj.singular_at < 2.0
         assert traj.states[-1, 1] < 1.0
+
+    def test_overflowing_stage_is_a_step_failure(self):
+        # u1'' = (10^205 u1^2)^(3/2) blows up at once; a stage with
+        # |u1| > 1.78 overflows the fractional power (OverflowError), which
+        # halves the step like a non-finite stage instead of escaping
+        big = pow_(mul(num(10 ** 205), var("u1") ** 2), as_rat("3/2"))
+        with pytest.raises(StepUnderflow, match="solution left float range"):
+            integrate_pair(PairODE(big, num(0)), (1e-100, 0.0, 0.0, 0.0),
+                           (0.0, 1.0))
 
     def test_observed_order_at_least_4_5(self):
         flat = catalog("flat_chain_pair")

@@ -1,16 +1,22 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
 from pathgeom.dsl import parse
-from pathgeom.pipeline import (cmd_catalog, cmd_classify, cmd_invariants,
-                               cmd_metric, cmd_verify_chains, cmd_verify_cr,
+from pathgeom.pipeline import (_classify_pair_pointwise, cmd_catalog,
+                               cmd_classify, cmd_invariants, cmd_metric,
+                               cmd_verify_chains, cmd_verify_cr,
                                cmd_verify_dancing)
+from pathgeom.roots import admissibility
 
 DOC = parse("""
 scalar_ode flat { vars t z p; F = 0; }
 scalar_ode quartic { vars t z p; F = p^4; }
 pair_ode generic { vars t u1 u2 q1 q2; F1 = u2^2; F2 = q1^3 + u1; }
+pair_ode mixed { vars t u1 u2 q1 q2; F1 = q2^3; F2 = q1^3 + u1; }
 coframe flat4 {
   vars y p Y P;
   eta 1 = 1*d Y; eta 2 = 1*d P; eta 3 = 1*d y; eta 4 = 1*d p;
@@ -57,6 +63,21 @@ class TestReports:
         byname = {c.name: c for c in rep.checks}
         assert byname["uniform_quartic_type"].details["quartic_type"] == "D_c"
         assert byname["admissibility_flags"].details["chain_CR"] == "True"
+
+    def test_admissibility_flags_hold_at_every_sample(self):
+        # the flags of `mixed` change from point to point: a construction is
+        # reported admissible only if it is at every sampled point
+        first_differs = 0
+        for seed in range(3):
+            rep = cmd_classify(DOC, "mixed", samples=8, seed=seed)
+            reported = {c.name: c for c in rep.checks}["admissibility_flags"]
+            results, _, _ = _classify_pair_pointwise(DOC.get("mixed"), 8, seed)
+            flags = [admissibility(q4, q2).as_dict() for _, q4, q2 in results]
+            assert reported.details == {k: str(all(f[k] for f in flags))
+                                        for k in flags[0]}
+            first_differs += reported.details != {k: str(v)
+                                                  for k, v in flags[0].items()}
+        assert first_differs
 
     def test_verify_chains_all_pass(self):
         rep = cmd_verify_chains(DOC, "flat", trials=12, samples=6, seed=0)
@@ -154,6 +175,24 @@ class TestCli:
                              "--trials", "8", "--samples", "4",
                              "--seed", "5", "--json", str(out))
             assert proc.returncode == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--system", "cr_y3_pair"),
+        ("invariants", "--system", "dancing_sqrt_pair"),
+        ("metric", "--system", "fubini_study_coframe"),
+        ("verify-dancing", "--phi", "sqrt"),
+    ])
+    def test_report_independent_of_hash_seed(self, tmp_path, argv):
+        outs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"r{hash_seed}.json"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            proc = subprocess.run([sys.executable, "-m", "pathgeom.cli", *argv,
+                                   "--json", str(out)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 

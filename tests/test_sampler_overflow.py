@@ -2,15 +2,12 @@
 the sampler.  (10^205 y^2)^(3/2) overflows float64 for |y| > 1.78, about a
 tenth of the default box (-2, 2)."""
 
-import itertools
 import random
 
-import numpy as np
-
-from pathgeom.expr import as_rat, compile_tape, mul, num, pow_, var
+from pathgeom.expr import Rat, as_rat, compile_tape, mul, num, pow_, var
+from pathgeom.expr.sampling import draw_float, sample_points
 from pathgeom.forms import _check_independent, d, one_form
-from pathgeom.metrics import CoframeMetric, _sample_admissible, conformal_equiv_check
-from pathgeom.pipeline import _sample_points_float
+from pathgeom.metrics import CoframeMetric, conformal_equiv_check, einstein_check
 
 y = var("y")
 BIG = pow_(mul(num(10 ** 205), y ** 2), as_rat("3/2"))
@@ -30,21 +27,28 @@ def test_box_holds_overflowing_points():
     assert _overflows(1.9) and _overflows(-1.9) and not _overflows(1.5)
 
 
-def test_pipeline_float_samples_skip_overflow():
+def test_float_samples_skip_overflow():
+    tape = compile_tape(BIG, ("y",))
     for seed in SEEDS:
-        got = list(itertools.islice(_sample_points_float([BIG], seed), 40))
-        assert len(got) == 40
-        assert not any(_overflows(pt["y"]) for pt, _ in got)
+        got = list(sample_points([tape], ("y",), seed, 60))
+        rng = random.Random(seed)
+        draws = [draw_float(rng, [None]) for _ in range(60)]
+        # the overflowing draws are dropped and no other
+        assert [list(pt) for pt, _ in got] == [pt for pt in draws
+                                               if not _overflows(pt[0])]
+        assert len(got) < 60
 
 
 def test_einstein_sampler_skips_overflow():
-    det = compile_tape(y, ("y",))
-    size = compile_tape(BIG, ("y",))
+    # 10^-307 (10^205 y^2)^(3/2) is at most 18 on the box, but its tape
+    # overflows on the way there
+    small = mul(num(Rat(1, 10 ** 307)), BIG)
+    cm = CoframeMetric(CH4, (one_form(CH4, {"Y": small}), d(CH4, "P"),
+                             d(CH4, "y"), d(CH4, "p")), "para")
     for seed in SEEDS:
-        pt = _sample_admissible(random.Random(seed), det, ("y",), (-2.0, 2.0),
-                                min_det=1e-8, size_tapes=[size],
-                                size_cap=np.inf)
-        assert not _overflows(pt[0])
+        rep = einstein_check(cm, points=8, seed=seed)
+        assert len(rep.lambdas) == 8
+        assert rep.signature == (2, 2)
 
 
 def test_conformal_sampler_skips_overflow():

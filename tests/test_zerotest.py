@@ -7,9 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from pathgeom.errors import DivisionByZero, SamplingExhausted
 from pathgeom.expr import (compile_tape, div, is_zero_probabilistic, mul, num,
                            pow_, sqrt_, sub, variables)
+from pathgeom.expr.sampling import _sample_rational
 from pathgeom.expr.tape import MODULUS
 from pathgeom.expr.zerotest import (DEFAULT_BOUND, DEFAULT_TRIALS,
-                                    RESAMPLE_BUDGET, _sample_rational)
+                                    RESAMPLE_BUDGET)
 
 p, q, y = variables("p q y")
 
