@@ -314,10 +314,10 @@ class DancingCurve:
     def pair_residuals(self, pair: PairODE):
         """Max residuals of (z'' - F1, b'' - F2) along the curve, evaluating
         the pair's right-hand sides at (t, z, b, z', b')."""
-        tapes = [compile_tape(rhs, pair.chart) for rhs in pair.rhs]
         pts = np.column_stack([self.t, self.z, self.b, self.z1, self.b1])
-        r1 = np.abs(self.z2 - tapes[0].eval_f64_many(pts))
-        r2 = np.abs(self.b2 - tapes[1].eval_f64_many(pts))
+        f1, f2 = compile_tape(pair.rhs, pair.chart).eval_f64_many(pts)
+        r1 = np.abs(self.z2 - f1)
+        r2 = np.abs(self.b2 - f2)
         return float(np.max(r1)), float(np.max(r2))
 
 
@@ -366,10 +366,6 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     """
     tn, zn, an, bn = phi.chart
     that, zhat, ahat, bhat = (float(v) for v in anchor)
-    phi_t = compile_tape(phi.phi, phi.chart)
-    if abs(phi_t.eval_f64([that, zhat, ahat, bhat])) < 1e-12:
-        raise NonTransverse("anchor is incident: the solution function "
-                            "vanishes on it")
 
     def exact(v):
         from fractions import Fraction
@@ -381,27 +377,24 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     gs = (g1, g2, g3)
     state_vars = (zn, an, bn)
     order = (tn, zn, an, bn)
-
-    def tape(e):
-        return compile_tape(e, order)
-
-    G_t = [tape(g) for g in gs]
-    J_t = [[tape(differentiate(g, v)) for v in state_vars] for g in gs]
-    Gt_t = [tape(differentiate(g, tn)) for g in gs]
-    Gtt_t = [tape(differentiate(differentiate(g, tn), tn)) for g in gs]
-    Jt_t = [[tape(differentiate(differentiate(g, v), tn)) for v in state_vars]
-            for g in gs]
-    H_t = [[[tape(differentiate(differentiate(g, u), v)) for v in state_vars]
-            for u in state_vars] for g in gs]
+    # G alone for the line search, J for Newton steps, and the t-derivatives
+    # Gt, Gtt, Jt and the state Hessian H for the Taylor coefficients
+    Js = [differentiate(g, v) for g in gs for v in state_vars]
+    Gts = [differentiate(g, tn) for g in gs]
+    G_tape, J_tape = compile_tape(gs, order), compile_tape(Js, order)
+    taylor_tape = compile_tape(
+        Gts + [differentiate(e, tn) for e in Gts + Js]
+        + [differentiate(e, v) for e in Js for v in state_vars], order)
 
     def G(t, s):
-        pt = np.array([t, s[0], s[1], s[2]])
-        return np.array([gt.eval_f64(pt) for gt in G_t])
+        return np.array(G_tape.eval_f64(np.array([t, *s])))
 
     def J(t, s):
-        pt = np.array([t, s[0], s[1], s[2]])
-        return np.array([[J_t[i][j].eval_f64(pt) for j in range(3)]
-                         for i in range(3)])
+        return np.array(J_tape.eval_f64(np.array([t, *s]))).reshape(3, 3)
+
+    if abs(G(that, (zhat, ahat, bhat))[0]) < 1e-12:
+        raise NonTransverse("anchor is incident: the solution function "
+                            "vanishes on it")
 
     t0, t1 = float(t_range[0]), float(t_range[1])
     ts = np.linspace(t0, t1, samples)
@@ -448,15 +441,11 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
         t_cur = float(t_next)
         pt = np.array([t_cur, state[0], state[1], state[2]])
         Jm = J(t_cur, state)
-        Gt = np.array([g.eval_f64(pt) for g in Gt_t])
+        Gt, Gtt, Jt, H = np.split(np.array(taylor_tape.eval_f64(pt)),
+                                  [3, 6, 15])
+        Jt, H = Jt.reshape(3, 3), H.reshape(3, 3, 3)
         s1 = np.linalg.solve(Jm, -Gt)
-        Gtt = np.array([g.eval_f64(pt) for g in Gtt_t])
-        Jt = np.array([[Jt_t[i][j].eval_f64(pt) for j in range(3)]
-                       for i in range(3)])
-        Hq = np.array([
-            s1 @ np.array([[H_t[i][a][c].eval_f64(pt) for c in range(3)]
-                           for a in range(3)]) @ s1
-            for i in range(3)])
+        Hq = np.array([s1 @ H[i] @ s1 for i in range(3)])
         s2 = np.linalg.solve(Jm, -(Gtt + 2 * Jt @ s1 + Hq))
         rows["z"][i], rows["a"][i], rows["b"][i] = state
         rows["z1"][i], rows["b1"][i] = s1[0], s1[2]

@@ -7,11 +7,12 @@ range or, given None, over the default:
              over [-bound, bound] (or over the n with lo < n/d <= hi);
   * float -- `rng.uniform` over (lo, hi), by default over DEFAULT_BOX.
 
-`sample_points` evaluates compiled tapes at successive draws from one seed
-(exact ones with bound EXACT_BOUND) and yields only the points where every
-tape has a value (and, in float64, a finite one).  A point that raises
-DivisionByZero, DomainError or OverflowError is dropped, not fatal; the
-caller chooses the total number of draws and what to do when they run out.
+`sample_points` evaluates one compiled sequence tape at successive draws
+from one seed (exact ones with bound EXACT_BOUND) and yields only the points
+where every output has a value (and, in float64, a finite one).  A point
+that raises DivisionByZero, DomainError or OverflowError is dropped, not
+fatal; the caller chooses the total number of draws and what to do when they
+run out.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ def draw_float(rng: random.Random, ranges) -> list:
     return [rng.uniform(*(r or DEFAULT_BOX)) for r in ranges]
 
 
-def sample_points(tapes, names, seed, budget: int, exact: bool = False):
+def sample_points(tape, names, seed, budget: int, exact: bool = False):
     """Yield (point, values) at up to `budget` draws over the default box,
-    where `point` holds a coordinate per name (the tapes' variable order):
-    a list of rationals, or a float64 array; `values` are the tapes' values
-    there, exact or finite float64."""
+    where `point` holds a coordinate per name (the tape's variable order):
+    a list of rationals, or a float64 array; `values` is the list of the
+    sequence tape's outputs there, exact or finite float64."""
     rng = random.Random(seed)
     box = [None] * len(names)
     for _ in range(budget):
@@ -76,10 +77,7 @@ def sample_points(tapes, names, seed, budget: int, exact: bool = False):
         else:
             point = np.array(draw_float(rng, box))
         try:
-            if exact:
-                values = [t.eval_exact(point) for t in tapes]
-            else:
-                values = [t.eval_f64(point) for t in tapes]
+            values = tape.eval_exact(point) if exact else tape.eval_f64(point)
         except (DivisionByZero, DomainError, OverflowError):
             continue
         if exact or all(math.isfinite(v) for v in values):

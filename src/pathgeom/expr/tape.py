@@ -2,7 +2,9 @@
 
 A tape is the DAG in topological order as a list of `(op, a, b)`
 instructions, compiled once and evaluated at many points (an operation tape
-in the sense of Griewank & Walther, *Evaluating Derivatives*).  One
+in the sense of Griewank & Walther, *Evaluating Derivatives*).  A tape
+compiled from a sequence of expressions runs the union of their DAGs, each
+shared node once, and returns a list with one value per expression.  One
 interpreter loop runs the instructions over a number domain; the domain
 supplies the constants, the point, and the integer and fractional power
 functions.  There are five domains:
@@ -58,9 +60,9 @@ def residue(q):
     return num * pow(den, -1, MODULUS) % MODULUS
 
 
-def _toposort(root: Expr):
+def _toposort(roots):
     order, seen = [], set()
-    stack = [(root, False)]
+    stack = [(root, False) for root in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
         if id(node) in seen:
@@ -78,26 +80,30 @@ def _toposort(root: Expr):
 
 
 class Tape:
-    """Compiled form of one expression over an ordered variable chart.
+    """Compiled form of one expression, or of a sequence of expressions, over
+    an ordered variable chart.
 
     `code[k]` is the instruction of DAG node k as `(op, a, b)`: CONST and
     VAR index the constants and the chart with `a`; ADD and MUL carry the
     tuple of their children's node indices in `a`; POW_INT and POW_FRAC
     have the base's node index in `a` and, in `b`, the integer exponent or
-    the index of the fractional exponent.  Every evaluation allocates its
-    own values, so one tape may be evaluated from several threads.
+    the index of the fractional exponent.  `outputs` holds the node index of
+    each expression.  Every evaluation allocates its own values, so one tape
+    may be evaluated from several threads.
     """
 
-    __slots__ = ("var_names", "code", "consts_exact", "consts_f64",
-                 "exps_exact", "exps_f64", "_consts_modp")
+    __slots__ = ("var_names", "code", "outputs", "single", "consts_exact",
+                 "exps_exact", "_f64", "_consts_modp")
 
-    def __init__(self, root: Expr, var_names):
+    def __init__(self, exprs, var_names):
+        self.single = isinstance(exprs, Expr)
+        roots = (exprs,) if self.single else tuple(exprs)
         self.var_names = tuple(var_names)
         slot = {name: k for k, name in enumerate(self.var_names)}
-        missing = root.free_variables - set(slot)
+        missing = set().union(*(r.free_variables for r in roots)) - set(slot)
         if missing:
             raise UnboundVariable(f"no slot for variable(s) {sorted(missing)}")
-        order = _toposort(root)
+        order = _toposort(roots)
         index = {id(n): k for k, n in enumerate(order)}
         code: list = []
         consts: list = []
@@ -123,10 +129,10 @@ class Tape:
                     code.append((OP_POW_FRAC, base, len(exps)))
                     exps.append(e)
         self.code = code
+        self.outputs = tuple(index[id(r)] for r in roots)
         self.consts_exact = consts
-        self.consts_f64 = [float(c) for c in consts]
         self.exps_exact = exps
-        self.exps_f64 = [float(e) for e in exps]
+        self._f64 = None           # converted on first float evaluation
         self._consts_modp = None   # reduced on first use
 
     def __len__(self):
@@ -162,9 +168,24 @@ class Tape:
             push(v)
         return values
 
+    def _result(self, values):
+        """The output value of a one-expression tape, else the list of them."""
+        if self.single:
+            return values[self.outputs[0]]
+        return [values[k] for k in self.outputs]
+
+    def _floats(self):
+        """Constants and fractional exponents as floats, converted on first
+        use, so a constant beyond float range raises only in float domains."""
+        if self._f64 is None:
+            self._f64 = ([float(c) for c in self.consts_exact],
+                         [float(e) for e in self.exps_exact])
+        return self._f64
+
     def eval_exact(self, point):
-        return self._run(point, self.consts_exact, self.exps_exact, 0, 1,
-                         _pow_int, _exact_pow_frac)[-1]
+        return self._result(self._run(point, self.consts_exact,
+                                      self.exps_exact, 0, 1, _pow_int,
+                                      _exact_pow_frac))
 
     @property
     def reducible_mod_p(self) -> bool:
@@ -180,7 +201,7 @@ class Tape:
             self._consts_modp = consts if ok else False
         return self._consts_modp is not False
 
-    def eval_modp(self, residues) -> int:
+    def eval_modp(self, residues):
         """The value mod MODULUS at a point given by the residues of its
         coordinates (see `residue`), as an int in [0, MODULUS).
 
@@ -188,31 +209,34 @@ class Tape:
         MODULUS, and DomainError when the tape is not `reducible_mod_p`."""
         if not self.reducible_mod_p:
             raise DomainError("tape has no value mod p")
-        return self._run(residues, self._consts_modp, (), 0, 1, _modp_pow_int,
-                         None, MODULUS)[-1]
+        return self._result(self._run(residues, self._consts_modp, (), 0, 1,
+                                      _modp_pow_int, None, MODULUS))
 
-    def eval_f64(self, point) -> float:
+    def eval_f64(self, point):
         inputs = np.asarray(point, dtype=np.float64).tolist()
-        return self._run(inputs, self.consts_f64, self.exps_f64, 0.0, 1.0,
-                         _f64_pow_int, _f64_pow_frac)[-1]
+        return self._result(self._run(inputs, *self._floats(), 0.0, 1.0,
+                                      _f64_pow_int, _f64_pow_frac))
 
-    def eval_f64_many(self, points) -> np.ndarray:
-        """Evaluate at an (m, nvars) array of points; returns length-m array.
+    def eval_f64_many(self, points):
+        """Evaluate at an (m, nvars) array of points; returns a length-m
+        array per output.
 
         Raises as `eval_f64` would if any row raises."""
         m = len(points)
         if m == 0:
-            return np.zeros(0, dtype=np.float64)
+            return self._result([np.zeros(0, dtype=np.float64)] * len(self))
+        consts, exps = self._floats()
         columns = list(np.array(points, dtype=np.float64).T.copy())
-        consts = [np.full(m, c) for c in self.consts_f64]
+        consts = [np.full(m, c) for c in consts]
         # overflow gives inf and inf - inf gives nan silently, as with floats
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._run(columns, consts, self.exps_f64, 0.0, 1.0,
-                             _column_pow_int, _column_pow_frac)[-1]
+            return self._result(self._run(columns, consts, exps, 0.0, 1.0,
+                                          _column_pow_int, _column_pow_frac))
 
     def eval_mpf(self, point, prec_bits=256):
-        """Returns (value, scale): scale is the largest |value| of any node,
-        used for relative-tolerance zero decisions."""
+        """Returns (value, scale), with the list of values of a sequence tape:
+        scale is the largest |value| of any node of the tape, used for
+        relative-tolerance zero decisions."""
         import mpmath
 
         with mpmath.workprec(prec_bits):
@@ -226,7 +250,8 @@ class Tape:
             values = self._run(inputs, [convert(c) for c in self.consts_exact],
                                [convert(e) for e in self.exps_exact],
                                mpf(0), mpf(1), _pow_int, _mpf_pow_frac)
-            return values[-1], max(abs(v) for v in values)
+            return (self._result(values),
+                    max((abs(v) for v in values), default=mpf(0)))
 
 
 # -- the domains' power functions ---------------------------------------------------
@@ -297,5 +322,7 @@ def _column_pow_frac(base: np.ndarray, e: float) -> np.ndarray:
     return v
 
 
-def compile_tape(e: Expr, var_names) -> Tape:
-    return Tape(e, var_names)
+def compile_tape(exprs, var_names) -> Tape:
+    """A tape for one Expr, whose evaluations return one value, or for a
+    sequence of them, whose evaluations return a list in input order."""
+    return Tape(exprs, var_names)

@@ -402,13 +402,10 @@ def _check_independent(gens, seed=0, points: int = 10):
     """Raise DependentGenerators unless the generators have full rank at one
     of `points` random points."""
     chart = gens[0].chart
-    slots = [(a, i) for a, g in enumerate(gens) for i in range(len(chart))
-             if (i,) in g.comps]
-    tapes = [compile_tape(gens[a].comps[(i,)], chart) for a, i in slots]
-    for _, values in sample_points(tapes, chart, seed, points):
-        rows = np.zeros((len(gens), len(chart)))
-        for (a, i), v in zip(slots, values):
-            rows[a, i] = v
+    tape = compile_tape([g.comps.get((i,), ZERO) for g in gens
+                         for i in range(len(chart))], chart)
+    for _, values in sample_points(tape, chart, seed, points):
+        rows = np.array(values).reshape(len(gens), len(chart))
         if np.linalg.matrix_rank(rows, tol=1e-8) == len(gens):
             return
     raise DependentGenerators("generators pointwise dependent on the sampled domain")

@@ -118,19 +118,17 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
     When any syntactic denominator of the right-hand sides drops below
     singular_floor in magnitude, the trajectory is truncated and flagged.
     """
-    f1 = compile_tape(sys.rhs1, sys.chart)
-    f2 = compile_tape(sys.rhs2, sys.chart)
-    dens = [compile_tape(b, sys.chart)
-            for b in {*denominator_bases(sys.rhs1), *denominator_bases(sys.rhs2)}]
+    f = compile_tape(sys.rhs, sys.chart)
+    dens = compile_tape(denominator_bases(sys.rhs1)
+                        + denominator_bases(sys.rhs2), sys.chart)
 
     def rhs(t, y):
         pt = np.array([t, y[0], y[1], y[2], y[3]])
-        return np.array([y[2], y[3], f1.eval_f64(pt), f2.eval_f64(pt)])
+        return np.array([y[2], y[3], *f.eval_f64(pt)])
 
     def min_denominator(t, y):
         pt = np.array([t, y[0], y[1], y[2], y[3]])
-        vals = [abs(dt.eval_f64(pt)) for dt in dens]
-        return min(vals) if vals else np.inf
+        return min((abs(v) for v in dens.eval_f64(pt)), default=np.inf)
 
     t0, t1 = float(span[0]), float(span[1])
     direction = 1.0 if t1 >= t0 else -1.0
@@ -141,6 +139,8 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
         f_now = rhs(t0, y)
     except (DivisionByZero, DomainError):
         raise SingularEncounter(t0) from None
+    except OverflowError:
+        raise StepUnderflow(f"solution left float range at t = {t0}") from None
 
     ts = [t0]
     states = [y.copy()]
@@ -160,11 +160,13 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
         try:
             k = np.zeros((7, 4))
             k[0] = f_now
-            for s in range(1, 7):
-                ys = y + hs * (_A[s] @ k[:s])
-                k[s] = rhs(t + float(_C[s]) * hs, ys)
-            y_new = y + hs * (_B5 @ k)
-            err_vec = hs * (_ERR @ k)
+            # a stage that leaves float range is a non-finite step, below
+            with np.errstate(over="ignore", invalid="ignore"):
+                for s in range(1, 7):
+                    ys = y + hs * (_A[s] @ k[:s])
+                    k[s] = rhs(t + float(_C[s]) * hs, ys)
+                y_new = y + hs * (_B5 @ k)
+                err_vec = hs * (_ERR @ k)
             finite = np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))
         except (DivisionByZero, DomainError):
             if fixed_step is not None:

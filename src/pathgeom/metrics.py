@@ -99,34 +99,6 @@ class EinsteinReport:
         return self.max_residual < residual_tol and self.lambda_spread < lambda_tol
 
 
-def _det4(rows):
-    """Symbolic determinant of a 4x4 Expr matrix by cofactor expansion."""
-    def det2(m, r, c):
-        (i, j), (k, l) = r, c
-        return add(mul(m[i][k], m[j][l]), mul(num(-1), m[i][l], m[j][k]))
-
-    def det3(m, rs, cs):
-        i = rs[0]
-        total = ZERO
-        for pos, c in enumerate(cs):
-            rest = tuple(x for x in cs if x != c)
-            minor = det2(m, rs[1:], rest)
-            term = mul(m[i][c], minor)
-            if pos % 2 == 1:
-                term = mul(num(-1), term)
-            total = add(total, term)
-        return total
-
-    total = ZERO
-    for pos, c in enumerate(range(4)):
-        minor = det3(rows, (1, 2, 3), tuple(x for x in range(4) if x != c))
-        term = mul(rows[0][c], minor)
-        if pos % 2 == 1:
-            term = mul(num(-1), term)
-        total = add(total, term)
-    return total
-
-
 def einstein_check(cm: CoframeMetric, points: int = 20,
                    seed: int = 0) -> EinsteinReport:
     """Evaluate Ric - lambda*g at random admissible points.
@@ -139,33 +111,30 @@ def einstein_check(cm: CoframeMetric, points: int = 20,
     otherwise).
     """
     chart = cm.chart
-    g = cm.metric_components()
     names = list(chart)
-    g_t = [compile_tape(g[i][j], names) for i in range(4) for j in range(4)]
-    dg_t = [[[compile_tape(differentiate(g[i][j], chart[k]), names)
-              for j in range(4)] for i in range(4)] for k in range(4)]
-    ddg_t = [[[[compile_tape(
-        differentiate(differentiate(g[i][j], chart[k]), chart[l]), names)
-        for j in range(4)] for i in range(4)] for k in range(4)] for l in range(4)]
-    det_t = compile_tape(_det4(cm.coefficient_rows()), names)
+    coef = [c for row in cm.coefficient_rows() for c in row]
+    g = [e for row in cm.metric_components() for e in row]
+    dg = [differentiate(e, x) for x in chart for e in g]
+    ddg = [differentiate(e, x) for x in chart for e in dg]
+    tape = compile_tape(coef + g + dg + ddg, names)
 
-    admissible = ((pt, vals) for pt, vals in
-                  sample_points([det_t] + g_t, names, seed, 500 * points)
-                  if abs(vals[0]) > MIN_DET
-                  and max(abs(v) for v in vals[1:]) <= SIZE_CAP)
+    def admissible():
+        for pt, vals in sample_points(tape, names, seed, 500 * points):
+            c, G, dG, ddG = np.split(np.array(vals), [16, 32, 96])
+            if abs(np.linalg.det(c.reshape(4, 4))) > MIN_DET \
+                    and np.max(np.abs(G)) <= SIZE_CAP:
+                yield (pt, G.reshape(4, 4), dG.reshape(4, 4, 4),
+                       ddG.reshape(4, 4, 4, 4))
+
+    samples = admissible()
     lambdas = []
     max_res = 0.0
     signature = None
     for _ in range(points):
-        pt, vals = next(admissible, (None, None))
+        pt, G, dG, ddG = next(samples, (None,) * 4)
         if pt is None:
             raise DegeneratePoint(f"no {points} samples with |coframe det| > "
                                   f"{MIN_DET} in {500 * points} draws")
-        G = np.array(vals[1:]).reshape(4, 4)
-        dG = np.array([[[dg_t[k][i][j].eval_f64(pt) for j in range(4)]
-                        for i in range(4)] for k in range(4)])
-        ddG = np.array([[[[ddg_t[l][k][i][j].eval_f64(pt) for j in range(4)]
-                          for i in range(4)] for k in range(4)] for l in range(4)])
         eig = np.linalg.eigvalsh(G)
         sig = (int(np.sum(eig > 0)), int(np.sum(eig < 0)))
         if sig != (2, 2):
@@ -237,22 +206,24 @@ def conformal_equiv_check(g1: CoframeMetric, g2: CoframeMetric, points: int = 20
         raise ValueError(f"charts differ: {g1.chart} vs {g2.chart}")
     chart = g1.chart
     names = list(chart)
-    m1 = g1.metric_components()
-    m2 = g2.metric_components()
-    tapes = [compile_tape(_det4(g1.coefficient_rows()), names),
-             compile_tape(_det4(g2.coefficient_rows()), names)]
-    tapes += [compile_tape(m[i][j], names)
-              for m in (m1, m2) for i in range(4) for j in range(4)]
-    admissible = ((pt, vals) for pt, vals in
-                  sample_points(tapes, names, seed, 200 * points)
-                  if abs(vals[0]) > MIN_DET and abs(vals[1]) > MIN_DET)
+    tape = compile_tape(
+        [c for m in (g1, g2) for row in m.coefficient_rows() for c in row]
+        + [e for m in (g1, g2) for row in m.metric_components() for e in row],
+        names)
+
+    def admissible():
+        for pt, vals in sample_points(tape, names, seed, 200 * points):
+            c1, c2, A, B = np.array(vals).reshape(4, 4, 4)
+            if abs(np.linalg.det(c1)) > MIN_DET \
+                    and abs(np.linalg.det(c2)) > MIN_DET:
+                yield pt, A, B
+
+    samples = admissible()
     factors = []
     for _ in range(points):
-        pt, vals = next(admissible, (None, None))
+        pt, A, B = next(samples, (None,) * 3)
         if pt is None:
             raise DegeneratePoint("no admissible sample for conformal check")
-        A = np.array(vals[2:18]).reshape(4, 4)
-        B = np.array(vals[18:]).reshape(4, 4)
         ref = np.unravel_index(np.argmax(np.abs(B)), B.shape)
         f = A[ref] / B[ref]
         if not np.allclose(A, f * B, rtol=0, atol=rel_tol * max(1.0, np.max(np.abs(A)))):

@@ -23,6 +23,7 @@ from .errors import IllConditioned, SamplingExhausted, UnknownName
 from .expr import (add, compile_tape, is_zero_probabilistic, num, sub,
                    to_text)
 from .expr.sampling import sample_points
+from .expr.zerotest import MPF_PREC, MPF_REL_TOL
 from .forms import chain_pair_via_rho, exterior_derivative, rho_chain, wedge
 from .invariants import (curvature_quartic, fels_invariants, scalar_invariants,
                          torsion_quadric)
@@ -130,9 +131,11 @@ def _zero_matrix_check(name, entries, labels, trials, seed, constraints=()):
     """Identity-test a family of expressions; pass iff all are zero."""
     witnesses = []
     values = {}
+    verdicts = []
     for label, e in zip(labels, entries):
         verdict = is_zero_probabilistic(e, constraints=constraints,
                                         trials=trials, seed=seed)
+        verdicts.append(verdict)
         values[label] = "0" if verdict.is_zero else \
             f"nonzero ({_expr_text(e, 120)})"
         if not verdict.is_zero:
@@ -141,8 +144,15 @@ def _zero_matrix_check(name, entries, labels, trials, seed, constraints=()):
                     witnesses.append(w)
     return CheckRecord(name=name,
                        verdict="pass" if not witnesses else "fail",
-                       tolerance=f"exact identity, {trials} trials",
+                       tolerance=_identity_tolerance(verdicts, trials),
                        witnesses=witnesses, details=values), not witnesses
+
+
+def _identity_tolerance(verdicts, trials):
+    """Exact only if every verdict was decided exactly (or mod p), else mpf."""
+    if all(v.mode == "exact" for v in verdicts):
+        return f"exact identity, {trials} trials"
+    return f"mpf {MPF_PREC}-bit, relative {MPF_REL_TOL:g}, {trials} trials"
 
 
 def _classify_pair_pointwise(pair: PairODE, samples, seed):
@@ -158,10 +168,10 @@ def _classify_pair_pointwise(pair: PairODE, samples, seed):
     exprs = list(quartic) + list(quadric)
     exact = not any(e.has_radical for e in exprs)
     names = sorted(set().union(*(e.free_variables for e in exprs)))
-    tapes = [compile_tape(e, names) for e in exprs]
+    tape = compile_tape(exprs, names)
     results = []
     skipped = 0
-    for point, values in sample_points(tapes, names, seed, SAMPLE_BUDGET,
+    for point, values in sample_points(tape, names, seed, SAMPLE_BUDGET,
                                        exact=exact):
         try:
             q4 = classify_quartic(values[:5])
@@ -308,16 +318,19 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
         tolerance=f"nonzero witness, {max(8, trials // 4)} trials",
         details={"rank": "4" if nonzero else "degenerate"}))
     si = scalar_invariants(sys)
-    scalar_zero = (is_zero_probabilistic(si.t1, trials=trials, seed=seed).is_zero
-                   and is_zero_probabilistic(si.c1, trials=trials, seed=seed).is_zero)
+    verdicts = []
+
+    def is_zero(e):
+        verdicts.append(is_zero_probabilistic(e, trials=trials, seed=seed))
+        return verdicts[-1].is_zero
+
+    scalar_zero = is_zero(si.t1) and is_zero(si.c1)
     T = fels_invariants(closed).torsion
-    torsion_zero = all(is_zero_probabilistic(T[i][j], trials=trials,
-                                             seed=seed).is_zero
-                       for i in range(2) for j in range(2))
+    torsion_zero = all(is_zero(T[i][j]) for i in range(2) for j in range(2))
     checks.append(CheckRecord(
         name="torsion_iff_flat_scalar",
         verdict="pass" if torsion_zero == scalar_zero else "fail",
-        tolerance=f"exact identity, {trials} trials",
+        tolerance=_identity_tolerance(verdicts, trials),
         details={"scalar_invariants_zero": str(scalar_zero),
                  "chain_torsion_zero": str(torsion_zero)}))
     results, exact, skipped = _classify_pair_pointwise(closed, samples, seed)

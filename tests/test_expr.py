@@ -200,6 +200,149 @@ class TestBatchTape:
 
 
 @functools.cache
+def _expression_lists():
+    """(chart, expressions) of the callers' sequence tapes: the quartic and
+    quadric coefficients of each catalog pair, and the coframe coefficients,
+    metric and its first and second derivatives of each catalog coframe."""
+    from pathgeom import PairODE, catalog, catalog_names
+    from pathgeom.invariants import (curvature_quartic, fels_invariants,
+                                     torsion_quadric)
+    from pathgeom.metrics import CoframeMetric
+    out = []
+    for name in catalog_names():
+        obj = catalog(name)
+        if isinstance(obj, PairODE):
+            inv = fels_invariants(obj)
+            out.append((obj.chart, list(curvature_quartic(inv).coefficients
+                                        + torsion_quadric(inv).coefficients)))
+        elif isinstance(obj, CoframeMetric):
+            g = [e for row in obj.metric_components() for e in row]
+            dg = [differentiate(e, v) for v in obj.chart for e in g]
+            ddg = [differentiate(e, v) for v in obj.chart for e in dg]
+            coef = [c for row in obj.coefficient_rows() for c in row]
+            out.append((obj.chart, coef + g + dg + ddg))
+    return out
+
+
+def _raised(f):
+    """The class of the evaluation error f raises, or None."""
+    try:
+        f()
+    except (DivisionByZero, DomainError, OverflowError) as exc:
+        return type(exc)
+    return None
+
+
+class TestSequenceTape:
+    """A tape of a sequence of expressions returns, in every domain, what
+    the expressions' own tapes return, each shared node compiled once."""
+
+    def _cases(self, radical_free=False):
+        for chart, exprs in _expression_lists():
+            if radical_free and any(e.has_radical for e in exprs):
+                continue
+            seq = compile_tape(exprs, chart)
+            singles = [compile_tape(e, chart) for e in exprs]
+            assert len(seq) < sum(len(t) for t in singles)
+            yield chart, seq, singles
+
+    def test_cases_cover_pairs_and_coframes(self):
+        sizes = sorted(len(exprs) for _, exprs in _expression_lists())
+        assert sizes[0] == 8 and sizes[-1] == 16 + 16 + 64 + 256
+
+    def test_exact_and_modp(self):
+        rng = random.Random(3)
+        compared = 0
+        for chart, seq, singles in self._cases(radical_free=True):
+            for _ in range(3):
+                point = [Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+                         for _ in chart]
+                residues = [residue(c) for c in point]
+                for run in (lambda t: t.eval_exact(point),
+                            lambda t: t.eval_modp(residues)):
+                    errors = {_raised(lambda: run(t)) for t in singles} - {None}
+                    if errors:
+                        assert _raised(lambda: run(seq)) in errors
+                        continue
+                    assert run(seq) == [run(t) for t in singles]
+                    compared += 1
+        assert compared >= 20
+
+    def test_float_rows_and_columns(self):
+        rng = np.random.default_rng(4)
+        compared = 0
+        for chart, seq, singles in self._cases():
+            pts = rng.uniform(1, 4, size=(12, len(chart)))
+            for pt in pts:
+                errors = {_raised(lambda: t.eval_f64(pt)) for t in singles}
+                if errors != {None}:
+                    assert _raised(lambda: seq.eval_f64(pt)) in errors
+                    continue
+                assert [repr(v) for v in seq.eval_f64(pt)] == \
+                    [repr(t.eval_f64(pt)) for t in singles]
+                compared += 1
+            rows = np.array([pt for pt in pts
+                             if _raised(lambda: seq.eval_f64(pt)) is None])
+            columns = seq.eval_f64_many(rows)
+            assert len(columns) == len(singles)
+            for column, t in zip(columns, singles):
+                np.testing.assert_array_equal(column, t.eval_f64_many(rows))
+        assert compared >= 20
+
+    def test_mpf_values_and_scale(self):
+        rng = random.Random(5)
+        compared = 0
+        for chart, seq, singles in self._cases():
+            for _ in range(2):
+                point = [Fraction(rng.randint(10, 40), rng.randint(1, 10))
+                         for _ in chart]
+                if _raised(lambda: seq.eval_mpf(point)) is not None:
+                    continue
+                values, scale = seq.eval_mpf(point)
+                got = [t.eval_mpf(point) for t in singles]
+                assert values == [v for v, _ in got]
+                # the scale runs over every node, so over all the outputs'
+                assert scale == max(s for _, s in got)
+                compared += 1
+        assert compared >= 5
+
+    @pytest.mark.parametrize("bad, point", [
+        (div(num(1), p - q), (2, 2)),
+        (sqrt_(p - q), (1, 2)),
+        (pow_(mul(num(10 ** 205), p ** 2), as_rat("3/2")), (1.9, 0)),
+    ])
+    def test_raising_output_raises_same_class(self, bad, point):
+        single = compile_tape(bad, ("p", "q"))
+        seq = compile_tape([p + q, bad, p * q], ("p", "q"))
+        exact = [Fraction(c) for c in point]
+        domains = (lambda t: t.eval_exact(exact),
+                   lambda t: t.eval_modp([residue(c) for c in exact]),
+                   lambda t: t.eval_f64(point),
+                   lambda t: t.eval_f64_many([[3.0, 1.0], point]),
+                   lambda t: t.eval_mpf(exact))
+        raised = [_raised(lambda: run(single)) for run in domains]
+        assert raised[2] is not None
+        assert [_raised(lambda: run(seq)) for run in domains] == raised
+
+    def test_empty_sequence(self):
+        tape = compile_tape([], ("p",))
+        assert len(tape) == 0
+        assert tape.eval_exact([Fraction(1)]) == []
+        assert tape.eval_modp([1]) == []
+        assert tape.eval_f64([1.0]) == []
+        assert tape.eval_f64_many([[1.0], [2.0]]) == []
+        assert tape.eval_mpf([1.0])[0] == []
+
+    def test_constant_beyond_float_range(self):
+        # constants are converted to float on the first float evaluation
+        tape = compile_tape([mul(num(10 ** 400), p), p], ("p",))
+        assert tape.eval_exact([Fraction(1, 2)]) == [Fraction(10 ** 400, 2),
+                                                      Fraction(1, 2)]
+        with pytest.raises(OverflowError):
+            tape.eval_f64([0.5])
+
+
+@functools.cache
 def _identity_tapes():
     """Curvature quartic and torsion quadric coefficient tapes of the
     radical-free catalog pairs."""

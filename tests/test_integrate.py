@@ -44,6 +44,14 @@ class TestIntegratePair:
             integrate_pair(PairODE(big, num(0)), (1e-100, 0.0, 0.0, 0.0),
                            (0.0, 1.0))
 
+    def test_overflow_at_initial_point_is_a_step_failure(self):
+        # the right-hand side overflows at the initial state itself
+        big = pow_(mul(num(10 ** 205), var("u1") ** 2), as_rat("3/2"))
+        with pytest.raises(StepUnderflow,
+                           match="solution left float range at t = 0.0"):
+            integrate_pair(PairODE(big, num(0)), (1.9, 0.0, 0.0, 0.0),
+                           (0.0, 1.0))
+
     def test_observed_order_at_least_4_5(self):
         flat = catalog("flat_chain_pair")
         ref = integrate_pair(flat, TAME_IC, (0.0, 1.0),

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from pathgeom import pipeline
+from pathgeom.constructions import chain_pair_from_scalar
 from pathgeom.dsl import parse
 from pathgeom.pipeline import (_classify_pair_pointwise, cmd_catalog,
                                cmd_classify, cmd_invariants, cmd_metric,
@@ -79,6 +81,33 @@ class TestReports:
                                                   for k, v in flags[0].items()}
         assert first_differs
 
+    def test_identity_tolerance_names_exact_arithmetic(self):
+        rep = cmd_invariants(DOC, "generic", trials=8)
+        tol = {c.name: c.tolerance for c in rep.checks}
+        assert tol["torsion_trace_identity"] == "exact identity, 8 trials"
+        rep = cmd_verify_chains(DOC, "flat", trials=8, samples=4)
+        tol = {c.name: c.tolerance for c in rep.checks}
+        assert tol["dual_derivation_equal"] == "exact identity, 8 trials"
+        assert tol["torsion_iff_flat_scalar"] == "exact identity, 8 trials"
+
+    def test_identity_tolerance_names_mpf_arithmetic(self, monkeypatch):
+        mpf = "mpf 256-bit, relative 1e-30, 8 trials"
+        rep = cmd_invariants(None, "dancing_sqrt_pair", trials=8)
+        tol = {c.name: c.tolerance for c in rep.checks}
+        assert tol["torsion_trace_identity"] == mpf
+        # the pointwise classification of a radical chain pair aborts (the
+        # float root clustering defect), so the flat chain pair's stands in
+        flat = chain_pair_from_scalar(DOC.get("flat"))
+        classify = pipeline._classify_pair_pointwise
+        monkeypatch.setattr(pipeline, "_classify_pair_pointwise",
+                            lambda pair, samples, seed:
+                            classify(flat, samples, seed))
+        doc = parse("scalar_ode r { vars t z p; F = sqrt(p); }")
+        rep = cmd_verify_chains(doc, "r", trials=8, samples=4)
+        tol = {c.name: c.tolerance for c in rep.checks}
+        assert tol["dual_derivation_equal"] == mpf
+        assert tol["torsion_iff_flat_scalar"] == mpf
+
     def test_verify_chains_all_pass(self):
         rep = cmd_verify_chains(DOC, "flat", trials=12, samples=6, seed=0)
         assert rep.passed
@@ -139,6 +168,16 @@ class TestCli:
         proc = self._run("invariants", str(bad), "--system", "oops")
         assert proc.returncode == 2
         assert "input error" in proc.stderr
+
+    def test_constant_beyond_float_range_classifies_exactly(self, tmp_path):
+        # 10^400 has no float value; a radical-free pair never needs one
+        doc = tmp_path / "big.pg"
+        doc.write_text("pair_ode g { vars t u1 u2 q1 q2; "
+                       "F1 = 10^400*q1^3; F2 = 0; }\n")
+        proc = self._run("classify", str(doc), "--system", "g",
+                         "--samples", "4")
+        assert proc.returncode == 0, proc.stderr
+        assert "arithmetic: exact" in proc.stdout
 
     def test_exit_two_on_unknown_name(self):
         proc = self._run("classify", "--system", "missing_system")

@@ -28,9 +28,9 @@ def test_box_holds_overflowing_points():
 
 
 def test_float_samples_skip_overflow():
-    tape = compile_tape(BIG, ("y",))
+    tape = compile_tape([BIG], ("y",))
     for seed in SEEDS:
-        got = list(sample_points([tape], ("y",), seed, 60))
+        got = list(sample_points(tape, ("y",), seed, 60))
         rng = random.Random(seed)
         draws = [draw_float(rng, [None]) for _ in range(60)]
         # the overflowing draws are dropped and no other
