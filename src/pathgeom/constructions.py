@@ -321,12 +321,17 @@ class DancingCurve:
         return float(np.max(r1)), float(np.max(r2))
 
 
-def _newton_solve(G, J, t, state, tol, max_iter):
+NEWTON_TOL = 1e-12           # max-norm of the constraints at a Newton solution
+NEWTON_MAX_ITER = 25
+DANCING_RESIDUAL_TOL = 1e-10  # largest constraint residual along a curve
+
+
+def _newton_solve(G, J, t, state):
     s = np.array(state, dtype=np.float64)
     gv = G(t, s)
     norm = np.max(np.abs(gv))
-    for _ in range(max_iter):
-        if norm < tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if norm < NEWTON_TOL:
             return s
         Jm = J(t, s)
         det = np.linalg.det(Jm)
@@ -342,20 +347,19 @@ def _newton_solve(G, J, t, state, tol, max_iter):
             except (DivisionByZero, DomainError):
                 gv_new = None
             if gv_new is not None and np.all(np.isfinite(gv_new)) and \
-                    np.max(np.abs(gv_new)) <= (1 - lam / 2) * norm + tol:
+                    np.max(np.abs(gv_new)) <= (1 - lam / 2) * norm + NEWTON_TOL:
                 s, gv = cand, gv_new
                 norm = np.max(np.abs(gv))
                 break
             lam /= 2
         else:
             return None
-    return s if norm < tol else None
+    return s if norm < NEWTON_TOL else None
 
 
 def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
-                          samples: int = 200, newton_tol: float = 1e-12,
-                          max_iter: int = 25, residual_tol: float = 1e-10,
-                          initial_guess=None, seed: int = 0) -> DancingCurve:
+                          samples: int = 200, initial_guess=None,
+                          seed: int = 0) -> DancingCurve:
     """Trace the dancing path determined by a non-incident anchor
     (t^, z^, a^, b^): continuation in t solving the three incidence
     constraints for (z, a, b) by damped Newton.
@@ -402,8 +406,7 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     # locate a point on the curve at t0
     state = None
     if initial_guess is not None:
-        state = _newton_solve(G, J, t0, [float(v) for v in initial_guess],
-                              newton_tol, max_iter)
+        state = _newton_solve(G, J, t0, [float(v) for v in initial_guess])
     if state is None:
         rng = random.Random(seed)
         spread = 2.0 + 2.0 * max(abs(zhat), abs(ahat), abs(bhat))
@@ -411,7 +414,7 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
             offset = draw_float(rng, [(-spread, spread)] * 3)
             guess = [zhat + offset[0], ahat + offset[1], bhat + offset[2]]
             try:
-                state = _newton_solve(G, J, t0, guess, newton_tol, max_iter)
+                state = _newton_solve(G, J, t0, guess)
             except JacobianSingular:
                 state = None
             if state is not None:
@@ -429,8 +432,7 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
         while abs(t_next - t_cur) > snap:
             step = t_next - t_cur
             while True:
-                cand = _newton_solve(G, J, t_cur + step, state, newton_tol,
-                                     max_iter)
+                cand = _newton_solve(G, J, t_cur + step, state)
                 if cand is not None:
                     break
                 step /= 2
@@ -451,7 +453,7 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
         rows["z1"][i], rows["b1"][i] = s1[0], s1[2]
         rows["z2"][i], rows["b2"][i] = s2[0], s2[2]
         rows["res"][i] = float(np.max(np.abs(G(t_cur, state))))
-    if np.max(rows["res"]) >= residual_tol:
+    if np.max(rows["res"]) >= DANCING_RESIDUAL_TOL:
         raise NewtonDiverged(float(ts[int(np.argmax(rows['res']))]))
     return DancingCurve(t=ts, z=rows["z"], b=rows["b"], a=rows["a"],
                         z1=rows["z1"], b1=rows["b1"], z2=rows["z2"],

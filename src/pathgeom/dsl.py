@@ -94,22 +94,16 @@ class Document:
     def __init__(self, decls, source=""):
         self.decls = list(decls)
         self.source = source
-        self._by_name = {name: (kind, obj) for kind, name, obj in self.decls}
+        self._by_name = {name: obj for _, name, obj in self.decls}
 
     def __eq__(self, other):
         return isinstance(other, Document) and self.decls == other.decls
 
-    def names(self):
-        return [name for _, name, _ in self.decls]
-
     def __contains__(self, name):
         return name in self._by_name
 
-    def kind_of(self, name):
-        return self._by_name[name][0]
-
     def get(self, name):
-        return self._by_name[name][1]
+        return self._by_name[name]
 
 
 class _Parser:

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import UnboundVariable
 from .nodes import Expr
-from .rational import Rat, as_rat
+from .rational import as_rat
 from .tape import compile_tape
-
-MPF_PRECISION_BITS = 256
 
 
 def _ordered_point(e: Expr, assignment):
@@ -28,18 +24,17 @@ def evaluate(e: Expr, assignment, mode: str = "exact"):
     mode 'exact'    -> exact rational (requires integer exponents or perfect
                        rational powers; raises DomainError otherwise)
     mode 'floating' -> float64
-    mode 'mpf'      -> mpmath floating at 256 bits
+    mode 'mpf'      -> mpmath floating at 256 bits (`tape.MPF_PREC`)
 
     Raises DivisionByZero, DomainError, UnboundVariable.
     """
     names, point = _ordered_point(e, assignment)
     tape = compile_tape(e, names)
     if mode == "exact":
-        return tape.eval_exact([as_rat(v) if not isinstance(v, (Rat, Fraction)) else v
-                                for v in point])
+        return tape.eval_exact([as_rat(v) for v in point])
     if mode == "floating":
         return tape.eval_f64([float(v) for v in point])
     if mode == "mpf":
-        value, _ = tape.eval_mpf(point, MPF_PRECISION_BITS)
+        value, _ = tape.eval_mpf(point)
         return value
     raise ValueError(f"unknown mode {mode!r}")

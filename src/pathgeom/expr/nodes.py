@@ -320,7 +320,7 @@ def pow_(base, exponent) -> Expr:
     """base raised to an exact rational exponent (the exponent is data,
     not a sub-expression)."""
     base = _coerce(base)
-    e = exponent if isinstance(exponent, type(RONE)) else as_rat(exponent)
+    e = as_rat(exponent)
     if e == 0:
         return ONE
     if e == 1:
@@ -332,7 +332,7 @@ def pow_(base, exponent) -> Expr:
         if base.value < 0:
             # odd root of a negative rational (even roots raise above):
             # take the real branch with the sign pulled out front
-            sign = -1 if int(e.numerator) % 2 else 1
+            sign = -1 if e.numerator % 2 else 1
             return mul(num(sign), _raw_pow(num(-base.value), e))
         return _raw_pow(base, e)  # symbolic radical constant, e.g. 2^(1/2)
     if isinstance(base, Pow):

@@ -1,51 +1,42 @@
-"""Exact rational arithmetic backend.
-
-gmpy2.mpq is used when available (much faster on large numerators); the
-stdlib Fraction is the fallback.  Both expose .numerator/.denominator and
-hash equal for equal values, so expression interning is backend-agnostic.
-"""
+"""Exact rational arithmetic: `Rat` is the stdlib Fraction, and
+`rat_pow_exact` is the one exact-root routine."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import DivisionByZero, DomainError
 
-try:
-    from gmpy2 import mpq as Rat, mpz, iroot
-
-    def _int_nth_root(n: int, k: int):
-        """Exact k-th root of a nonnegative integer, or None."""
-        root, exact = iroot(mpz(n), k)
-        return int(root) if exact else None
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rat = Fraction
-    HAVE_GMPY2 = False
-
-    def _int_nth_root(n: int, k: int):
-        if n < 2:
-            return n
-        root = round(n ** (1.0 / k))
-        for cand in (root - 1, root, root + 1):
-            if cand >= 0 and cand ** k == n:
-                return cand
-        return None
-
-
+Rat = Fraction
 RZERO = Rat(0)
 RONE = Rat(1)
 
 
+def _int_nth_root(n: int, k: int):
+    """Exact k-th root of a nonnegative integer of any size, or None."""
+    if k == 2:
+        root = math.isqrt(n)
+    elif n < 2:
+        root = n
+    else:
+        # integer Newton from 2^ceil(bits/k) >= the root, decreasing to the
+        # floor of the root
+        root = 1 << -(-n.bit_length() // k)
+        while True:
+            step = ((k - 1) * root + n // root ** (k - 1)) // k
+            if step >= root:
+                break
+            root = step
+    return root if root ** k == n else None
+
+
 def as_rat(value) -> Rat:
-    """Coerce int / Fraction / mpq (and exact-decimal strings) to the backend type."""
-    if isinstance(value, int):
+    """Coerce an int, a Fraction or an exact-decimal string to a Rat."""
+    if isinstance(value, Rat):
+        return value
+    if isinstance(value, (int, str)):
         return Rat(value)
-    if isinstance(value, (Fraction, type(RZERO))):
-        return Rat(value.numerator, value.denominator)
-    if isinstance(value, str):
-        return Rat(Fraction(value))
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -64,7 +55,7 @@ def rat_pow_exact(base: Rat, exp: Rat):
         if base == 0 and e < 0:
             raise DivisionByZero("0 raised to a negative power")
         return base ** e
-    p, q = int(exp.numerator), int(exp.denominator)
+    p, q = exp.numerator, exp.denominator
     if base == 0:
         if p < 0:
             raise DivisionByZero("0 raised to a negative power")
@@ -75,7 +66,7 @@ def rat_pow_exact(base: Rat, exp: Rat):
             raise DomainError("negative base under an even root")
         sign = (-1) ** p
         base = -base
-    num, den = int(base.numerator), int(base.denominator)
+    num, den = base.numerator, base.denominator
     if p < 0:
         num, den, p = den, num, -p
     rn = _int_nth_root(num ** p, q)

@@ -9,13 +9,13 @@ interpreter loop runs the instructions over a number domain; the domain
 supplies the constants, the point, and the integer and fractional power
 functions.  There are five domains:
 
-  * exact           -- rationals (gmpy2.mpq or Fraction); a fractional power
-                       must come out rational (`rat_pow_exact`)
+  * exact           -- rationals (Fraction); a fractional power must come
+                       out rational (`rat_pow_exact`)
   * mod p           -- residues mod the prime p = 2^61 - 1 (`MODULUS`); sums
                        and products are reduced mod p, a negative power takes
                        the modular inverse, and a fractional power has no
                        residue
-  * mpf             -- mpmath floats at a given precision, used for radicals
+  * mpf             -- mpmath floats at MPF_PREC bits, used for radicals
   * float64         -- Python floats, one point per call
   * float64 columns -- numpy arrays with one entry per point, so that each
                        instruction runs once over all the points
@@ -41,11 +41,12 @@ import numpy as np
 
 from ..errors import DivisionByZero, DomainError, UnboundVariable
 from .nodes import Add, Expr, Mul, Num, Pow, Var
-from .rational import Rat, is_int, rat_pow_exact
+from .rational import is_int, rat_pow_exact
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW_INT, OP_POW_FRAC = range(6)
 
 MODULUS = 2 ** 61 - 1   # a Mersenne prime
+MPF_PREC = 256          # bits of every mpf evaluation
 
 
 def residue(q):
@@ -233,13 +234,13 @@ class Tape:
             return self._result(self._run(columns, consts, exps, 0.0, 1.0,
                                           _column_pow_int, _column_pow_frac))
 
-    def eval_mpf(self, point, prec_bits=256):
-        """Returns (value, scale), with the list of values of a sequence tape:
-        scale is the largest |value| of any node of the tape, used for
-        relative-tolerance zero decisions."""
+    def eval_mpf(self, point):
+        """Returns (value, scale) at MPF_PREC bits, with the list of values of
+        a sequence tape: scale is the largest |value| of any node of the
+        tape, used for relative-tolerance zero decisions."""
         import mpmath
 
-        with mpmath.workprec(prec_bits):
+        with mpmath.workprec(MPF_PREC):
             mpf = mpmath.mpf
 
             def convert(q):
@@ -270,7 +271,7 @@ def _modp_pow_int(base: int, e: int) -> int:
 
 
 def _exact_pow_frac(base, e):
-    got = rat_pow_exact(Rat(base), e)
+    got = rat_pow_exact(base, e)
     if got is None:
         raise DomainError("not a perfect rational power; "
                           "use floating evaluation")

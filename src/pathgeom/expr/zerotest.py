@@ -2,20 +2,19 @@
 
 Rational-function expressions are tested at random rational points
 (Schwartz-Zippel); expressions containing radicals fall back to 256-bit
-floating evaluation with relative tolerance 1e-30.  Constraint expressions
-mark excluded loci: a sample is admissible only where every constraint is
-nonzero, and poles of the tested expression trigger resampling.
+floating evaluation (`tape.MPF_PREC`) with relative tolerance 1e-30.  A draw
+at a pole of the tested expression, or outside the domain of its radicals,
+is rejected and redrawn.
 
 A rational point n/d is evaluated mod the prime p = 2^61 - 1 at the residue
 n * d^-1 (`tape.MODULUS`).  Where no denominator vanishes mod p, a nonzero
 residue proves the value nonzero over Q; the nonzero verdict's witness value
-is then evaluated exactly.  A zero residue counts as a zero value.  A
-constraint that is 0 mod p, or a pole mod p, is decided by exact
-evaluation, so the draws and the rejected samples are those of exact
-arithmetic.  A call whose tapes have no mod-p value (a fractional power, or
-a nonzero constant that is 0 or undefined mod p: `Tape.reducible_mod_p`) is
-evaluated exactly throughout, as is a point with a coordinate undefined mod
-p.
+is then evaluated exactly.  A zero residue counts as a zero value.  A pole
+mod p is decided by exact evaluation, so the draws and the rejected samples
+are those of exact arithmetic.  An expression whose tape has no mod-p value
+(a fractional power, or a nonzero constant that is 0 or undefined mod p:
+`Tape.reducible_mod_p`) is evaluated exactly throughout, as is a point with
+a coordinate undefined mod p.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .tape import compile_tape, residue
 DEFAULT_BOUND = 10 ** 6
 DEFAULT_TRIALS = 20
 MPF_REL_TOL = 1e-30
-MPF_PREC = 256
 
 
 @dataclass
@@ -49,6 +47,12 @@ class ZeroVerdict:
         return self.is_zero
 
 
+def _residues(point):
+    """The residues of a point's coordinates, or None when one has none."""
+    residues = [residue(q) for q in point]
+    return None if None in residues else residues
+
+
 def _modp(tape, residues):
     """The value mod p at a point given by its residues, or None when there
     are no residues or the point is a pole mod p (which may not be one over
@@ -61,81 +65,47 @@ def _modp(tape, residues):
         return None
 
 
-def is_zero_probabilistic(e: Expr, constraints=(), trials: int = DEFAULT_TRIALS,
-                          seed=0, rng: random.Random | None = None,
+def is_zero_probabilistic(e: Expr, trials: int = DEFAULT_TRIALS, seed=0,
                           bound: int = DEFAULT_BOUND,
                           var_ranges: dict | None = None) -> ZeroVerdict:
-    """Decide e == 0 by evaluation at `trials` admissible random points.
+    """Decide e == 0 by evaluation at `trials` random points where e has a
+    value.
 
     Returns a nonzero verdict with a witness assignment as soon as any
     evaluation is nonzero (exact) or exceeds the relative tolerance (mpf).
     var_ranges maps variable names to (lo, hi) sampling intervals, useful to
-    keep radicands positive.
+    keep radicands positive.  `constraints_rejected` counts the draws
+    rejected at poles or outside the domain of a radical.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if rng is None:
-        rng = random.Random(seed)
-    constraints = tuple(constraints)
-    names = sorted(set(e.free_variables).union(*(c.free_variables for c in constraints))
-                   if constraints else e.free_variables)
-    radical = e.has_radical or any(c.has_radical for c in constraints)
-    mode = "mpf" if radical else "exact"
+    rng = random.Random(seed)
+    names = sorted(e.free_variables)
+    mode = "mpf" if e.has_radical else "exact"
     tape = compile_tape(e, names)
-    ctapes = [compile_tape(c, names) for c in constraints]
     ranges = [(var_ranges or {}).get(n) for n in names]
     rejected = 0
-    modular = mode == "exact" and tape.reducible_mod_p and all(
-        ct.reducible_mod_p for ct in ctapes)
-
-    def residues_of(point):
-        if not modular:
-            return None
-        residues = [residue(q) for q in point]
-        return None if None in residues else residues
-
-    def admissible(point, residues):
-        for ct in ctapes:
-            try:
-                if mode == "exact":
-                    # a nonzero residue proves the constraint nonzero
-                    if not _modp(ct, residues) and ct.eval_exact(point) == 0:
-                        return False
-                else:
-                    value, scale = ct.eval_mpf(point, MPF_PREC)
-                    if abs(value) <= MPF_REL_TOL * max(1, scale):
-                        return False
-            except (DivisionByZero, DomainError):
-                return False
-        return True
+    modular = mode == "exact" and tape.reducible_mod_p
 
     for trial in range(trials):
-        point = None
-        value = scale = None
         for _ in range(RESAMPLE_BUDGET):
-            cand = draw_exact(rng, ranges, bound)
-            residues = residues_of(cand)
-            if not admissible(cand, residues):
-                rejected += 1
-                continue
+            point = draw_exact(rng, ranges, bound)
             try:
                 if mode == "exact":
                     # a zero residue counts as zero; otherwise the value
                     # (a nonzero verdict's witness value) is exact
+                    residues = _residues(point) if modular else None
                     value = (0 if _modp(tape, residues) == 0
-                             else tape.eval_exact(cand))
-                    scale = None
+                             else tape.eval_exact(point))
                 else:
-                    value, scale = tape.eval_mpf(cand, MPF_PREC)
+                    value, scale = tape.eval_mpf(point)
             except (DivisionByZero, DomainError):
                 rejected += 1
                 continue
-            point = cand
             break
-        if point is None:
+        else:
             raise SamplingExhausted(
-                f"no admissible sample point in {RESAMPLE_BUDGET} attempts "
-                f"(constraints rejected {rejected} candidates)")
+                f"no sample point with a value in {RESAMPLE_BUDGET} attempts")
         if mode == "exact":
             nonzero = value != 0
         else:
@@ -160,8 +130,19 @@ def is_zero_probabilistic(e: Expr, constraints=(), trials: int = DEFAULT_TRIALS,
                        failure_bound=failure, constraints_rejected=rejected)
 
 
-def exprs_equal(a: Expr, b: Expr, constraints=(), trials: int = DEFAULT_TRIALS,
-                seed=0, rng=None, var_ranges=None) -> ZeroVerdict:
+def exprs_equal(a: Expr, b: Expr, trials: int = DEFAULT_TRIALS,
+                seed=0) -> ZeroVerdict:
     """Identity test a == b via is_zero_probabilistic(a - b)."""
-    return is_zero_probabilistic(sub(a, b), constraints=constraints, trials=trials,
-                                 seed=seed, rng=rng, var_ranges=var_ranges)
+    return is_zero_probabilistic(sub(a, b), trials=trials, seed=seed)
+
+
+def zero_verdicts(exprs, trials: int, seed) -> list:
+    """The verdicts of is_zero_probabilistic on the expressions in turn, up
+    to and including the first nonzero one: every expression is zero iff
+    all the verdicts are."""
+    verdicts = []
+    for e in exprs:
+        verdicts.append(is_zero_probabilistic(e, trials=trials, seed=seed))
+        if not verdicts[-1].is_zero:
+            break
+    return verdicts

@@ -17,10 +17,14 @@ from .expr import (Expr, Rat, ZERO, add, compile_tape, differentiate, div,
                    is_zero_probabilistic, mul, num, rename_variables, sub,
                    substitute, var)
 from .expr.sampling import sample_points
+from .expr.zerotest import zero_verdicts
 from .jets import PairODE, ScalarODE
 
 CHAIN_RHO_CHART = ("x", "y", "p", "b1", "b2")
 CHAIN_PAIR_CHART = ("x", "y", "p", "Y", "P")
+KERNEL_TOL = 1e-10        # relative singular value counted as 0 (floats)
+RHO_CHECK_TRIALS = 8      # trials of chain_pair_via_rho's identity checks
+INDEPENDENCE_POINTS = 10  # draws of _check_independent
 
 
 def _sort_index(idx):
@@ -282,8 +286,8 @@ class VectorFieldValue:
     components: tuple
 
 
-def characteristic_direction(a: DifferentialForm, point: dict,
-                             tol: float = 1e-10) -> VectorFieldValue:
+def characteristic_direction(a: DifferentialForm,
+                             point: dict) -> VectorFieldValue:
     """Kernel direction of a degree-2 form at a point on an odd chart,
     normalized so its first nonzero component is 1.  The coefficient matrix
     must have corank exactly 1 (else RankDeficient)."""
@@ -304,7 +308,7 @@ def characteristic_direction(a: DifferentialForm, point: dict,
     if exact:
         kernel = _exact_kernel(M, n)
     else:
-        kernel = _float_kernel(M, n, tol)
+        kernel = _float_kernel(M, n)
     first = next((k for k, v in enumerate(kernel) if v != 0), None)
     if first is None:
         raise RankDeficient("kernel extraction returned the zero vector")
@@ -339,17 +343,18 @@ def _exact_kernel(M, n):
     return kernel
 
 
-def _float_kernel(M, n, tol):
+def _float_kernel(M, n):
     A = np.asarray(M, dtype=np.float64)
     _, s, vt = np.linalg.svd(A)
     scale = s[0] if s[0] > 0 else 1.0
-    corank = int(np.sum(s <= tol * scale))
+    corank = int(np.sum(s <= KERNEL_TOL * scale))
     if corank != 1:
-        raise RankDeficient(f"corank is {corank} at tolerance {tol}, expected 1")
+        raise RankDeficient(f"corank is {corank} at tolerance {KERNEL_TOL}, "
+                            "expected 1")
     return list(vt[-1])
 
 
-def chain_pair_via_rho(sys: ScalarODE, check_trials: int = 8) -> PairODE:
+def chain_pair_via_rho(sys: ScalarODE) -> PairODE:
     """Chains of z'' = F as a pair of 2nd-order ODEs, derived from the
     characteristic direction of the quasi-symplectic 2-form after the change
     of variables Y = (p b1 + 1)/b1, P = (F b1 - b2)/b1.
@@ -367,20 +372,21 @@ def chain_pair_via_rho(sys: ScalarODE, check_trials: int = 8) -> PairODE:
     pulled = pullback(rho, chart, bmap)
     v = kernel_field_5(pulled)
     vx = v[0]
-    if is_zero_probabilistic(vx, trials=check_trials).is_zero:
+    if is_zero_probabilistic(vx, trials=RHO_CHECK_TRIALS).is_zero:
         raise RankDeficient("characteristic field is tangent to x = const")
     for comp, expect, label in ((v[1], Y, "dy/dx"), (v[2], P, "dp/dx")):
         claim = sub(comp, mul(expect, vx))
-        if not is_zero_probabilistic(claim, trials=check_trials).is_zero:
+        if not is_zero_probabilistic(claim, trials=RHO_CHECK_TRIALS).is_zero:
             raise RankDeficient(f"characteristic field has {label} != "
                                 "the expected jet coordinate")
     return PairODE(div(v[3], vx), div(v[4], vx), chart=chart)
 
 
-def frobenius_integrable(generators, trials: int = 20, seed=0) -> bool:
+def frobenius_integrable(generators, trials: int = 20, seed=0) -> list:
     """Frobenius test for the Pfaffian system spanned by the given 1-forms:
     integrable iff d(theta) ^ theta_1 ^ ... ^ theta_k == 0 for every
-    generator theta (randomized identity test on each coefficient)."""
+    generator theta.  Returns the ZeroVerdicts of the coefficients up to the
+    first nonzero one, all zero iff the system is integrable."""
     gens = list(generators)
     if not gens:
         raise DependentGenerators("no generators")
@@ -390,21 +396,18 @@ def frobenius_integrable(generators, trials: int = 20, seed=0) -> bool:
             raise ChartMismatch("generators must be 1-forms on a common chart")
     _check_independent(gens, seed=seed)
     span = wedge_all(*gens)
-    for g in gens:
-        top = wedge(exterior_derivative(g), span)
-        for c in top.comps.values():
-            if not is_zero_probabilistic(c, trials=trials, seed=seed).is_zero:
-                return False
-    return True
+    coefficients = (c for g in gens
+                    for c in wedge(exterior_derivative(g), span).comps.values())
+    return zero_verdicts(coefficients, trials=trials, seed=seed)
 
 
-def _check_independent(gens, seed=0, points: int = 10):
+def _check_independent(gens, seed=0):
     """Raise DependentGenerators unless the generators have full rank at one
-    of `points` random points."""
+    of INDEPENDENCE_POINTS random points."""
     chart = gens[0].chart
     tape = compile_tape([g.comps.get((i,), ZERO) for g in gens
                          for i in range(len(chart))], chart)
-    for _, values in sample_points(tape, chart, seed, points):
+    for _, values in sample_points(tape, chart, seed, INDEPENDENCE_POINTS):
         rows = np.array(values).reshape(len(gens), len(chart))
         if np.linalg.matrix_rank(rows, tol=1e-8) == len(gens):
             return

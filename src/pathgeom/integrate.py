@@ -46,6 +46,9 @@ _C = np.array([float(x) for x in _DP_C])
 _B5 = np.array([float(x) for x in _DP_B5])
 _ERR = np.array([float(b5 - b4) for b5, b4 in zip(_DP_B5, _DP_B4)])
 
+SINGULAR_FLOOR = 1e-8   # |denominator| at which a trajectory is truncated
+MAX_STEPS = 200_000
+
 
 def denominator_bases(e: Expr):
     """Sub-expressions appearing with negative exponents (syntactic poles)."""
@@ -66,11 +69,12 @@ def denominator_bases(e: Expr):
     return out
 
 
-def _near_singular(min_denominator, t, y, floor, slack: float = 1e5):
-    """Step-control failure close to a syntactic pole counts as a singular
-    encounter, not a controller defect."""
+def _near_singular(min_denominator, t, y):
+    """Step-control failure close to a syntactic pole (within 1e5 times
+    SINGULAR_FLOOR) counts as a singular encounter, not a controller
+    defect."""
     try:
-        return min_denominator(t, y) <= floor * slack
+        return min_denominator(t, y) <= SINGULAR_FLOOR * 1e5
     except (DivisionByZero, DomainError):
         return True
 
@@ -107,16 +111,14 @@ class Trajectory:
 
 
 def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
-                   abs_tol: float = 1e-11, max_step: float | None = None,
-                   fixed_step: float | None = None,
-                   singular_floor: float = 1e-8,
-                   max_steps: int = 200_000) -> Trajectory:
+                   abs_tol: float = 1e-11,
+                   fixed_step: float | None = None) -> Trajectory:
     """Integrate (u1'', u2'') = (F1, F2) from ic = (u1, u2, q1, q2) over
     span = (t0, t1) with the Dormand-Prince 5(4) pair.
 
     fixed_step disables adaptivity (used by the order-of-convergence test).
     When any syntactic denominator of the right-hand sides drops below
-    singular_floor in magnitude, the trajectory is truncated and flagged.
+    SINGULAR_FLOOR in magnitude, the trajectory is truncated and flagged.
     """
     f = compile_tape(sys.rhs, sys.chart)
     dens = compile_tape(denominator_bases(sys.rhs1)
@@ -134,7 +136,7 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
     direction = 1.0 if t1 >= t0 else -1.0
     y = np.array([float(v) for v in ic], dtype=np.float64)
     try:
-        if min_denominator(t0, y) <= singular_floor:
+        if min_denominator(t0, y) <= SINGULAR_FLOOR:
             raise SingularEncounter(t0)
         f_now = rhs(t0, y)
     except (DivisionByZero, DomainError):
@@ -146,15 +148,14 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
     states = [y.copy()]
     errors = [0.0]
     singular_at = None
-    h = fixed_step if fixed_step is not None else \
-        min(abs(t1 - t0) / 100.0, max_step or np.inf, 0.1)
+    h = fixed_step if fixed_step is not None else min(abs(t1 - t0) / 100.0, 0.1)
     h_min = 1e-13 * max(1.0, abs(t1 - t0))
     t = t0
     steps = 0
     while direction * (t1 - t) > 1e-14 * max(1.0, abs(t1)):
         steps += 1
-        if steps > max_steps:
-            raise StepUnderflow(f"exceeded {max_steps} steps")
+        if steps > MAX_STEPS:
+            raise StepUnderflow(f"exceeded {MAX_STEPS} steps")
         h = min(h, abs(t1 - t))
         hs = direction * h
         try:
@@ -185,7 +186,7 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
                 raise StepUnderflow(f"solution left float range at t = {t}")
             h /= 2
             if h < h_min:
-                if _near_singular(min_denominator, t, y, singular_floor):
+                if _near_singular(min_denominator, t, y):
                     singular_at = t
                     break
                 raise StepUnderflow(f"solution left float range at t = {t}")
@@ -195,7 +196,7 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
         if fixed_step is None and err > 1.0:
             h *= max(0.2, 0.9 * err ** -0.2)
             if h < h_min:
-                if _near_singular(min_denominator, t, y, singular_floor):
+                if _near_singular(min_denominator, t, y):
                     singular_at = t
                     break
                 raise StepUnderflow(f"step size underflow at t = {t}")
@@ -210,13 +211,11 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
             near = min_denominator(t, y)
         except (DivisionByZero, DomainError):
             near = 0.0
-        if near <= singular_floor:
+        if near <= SINGULAR_FLOOR:
             singular_at = t
             break
         if fixed_step is None:
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
-            if max_step is not None:
-                h = min(h, max_step)
     return Trajectory(chart=sys.chart, t=np.array(ts), states=np.array(states),
                       error_estimates=np.array(errors), singular_at=singular_at)
 

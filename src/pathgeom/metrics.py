@@ -17,12 +17,15 @@ from .errors import DegeneratePoint, TorsionNonzero
 from .expr import (Rat, ZERO, add, compile_tape, differentiate,
                    is_zero_probabilistic, mul, num, substitute)
 from .expr.sampling import sample_points
+from .expr.zerotest import zero_verdicts
 from .forms import DifferentialForm, d, exterior_derivative, one_form, wedge
 from .invariants import fels_torsion
 from .jets import PairODE
 
 MIN_DET = 1e-8      # smallest |coframe det| at a sample point
 SIZE_CAP = 1e3      # largest |metric entry| at an Einstein sample point
+EINSTEIN_TOL = 1e-6  # largest residual |Ric - lambda g| and lambda spread
+CONFORMAL_TOL = 1e-8  # relative tolerance of g1 = f * g2 at a sample point
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,9 @@ class EinsteinReport:
     def lambda_spread(self):
         return max(self.lambdas) - min(self.lambdas) if self.lambdas else 0.0
 
-    def is_einstein(self, residual_tol=1e-6, lambda_tol=1e-6):
-        return self.max_residual < residual_tol and self.lambda_spread < lambda_tol
+    def is_einstein(self):
+        return (self.max_residual < EINSTEIN_TOL
+                and self.lambda_spread < EINSTEIN_TOL)
 
 
 def einstein_check(cm: CoframeMetric, points: int = 20,
@@ -199,7 +203,7 @@ class ConformalVerdict:
 
 
 def conformal_equiv_check(g1: CoframeMetric, g2: CoframeMetric, points: int = 20,
-                          seed: int = 0, rel_tol: float = 1e-8) -> ConformalVerdict:
+                          seed: int = 0) -> ConformalVerdict:
     """Pointwise proportionality test g1 = f * g2 at random points where both
     coframe determinants exceed MIN_DET in size."""
     if tuple(g1.chart) != tuple(g2.chart):
@@ -226,36 +230,45 @@ def conformal_equiv_check(g1: CoframeMetric, g2: CoframeMetric, points: int = 20
             raise DegeneratePoint("no admissible sample for conformal check")
         ref = np.unravel_index(np.argmax(np.abs(B)), B.shape)
         f = A[ref] / B[ref]
-        if not np.allclose(A, f * B, rtol=0, atol=rel_tol * max(1.0, np.max(np.abs(A)))):
+        if not np.allclose(A, f * B, rtol=0,
+                           atol=CONFORMAL_TOL * max(1.0, np.max(np.abs(A)))):
             return ConformalVerdict(False, factors, witness=dict(zip(chart, pt)))
         factors.append(float(f))
     return ConformalVerdict(True, factors)
 
 
-def closedness_check(form: DifferentialForm, trials: int = 20, seed: int = 0) -> bool:
-    """Identity test: is the exterior derivative identically zero."""
+def closedness_check(form: DifferentialForm, trials: int = 20,
+                     seed: int = 0) -> list:
+    """Identity test that the exterior derivative is identically zero: the
+    ZeroVerdicts of its coefficients up to the first nonzero one, all zero
+    iff the form is closed."""
     df = exterior_derivative(form)
-    return all(is_zero_probabilistic(c, trials=trials, seed=seed).is_zero
-               for c in df.comps.values())
+    return zero_verdicts(df.comps.values(), trials=trials, seed=seed)
 
 
-def null_planes_integrable(cm: CoframeMetric, trials: int = 20, seed: int = 0) -> bool:
-    """Frobenius integrability of the designated null 2-plane fields."""
+def null_planes_integrable(cm: CoframeMetric, trials: int = 20,
+                           seed: int = 0) -> list:
+    """Frobenius integrability of the designated null 2-plane fields: the
+    ZeroVerdicts computed up to the first nonzero one, all zero iff the
+    fields are integrable."""
     from .forms import frobenius_integrable
 
+    verdicts = []
     for kind, system in cm.null_plane_systems():
         if kind == "real":
-            if not frobenius_integrable(list(system), trials=trials, seed=seed):
-                return False
+            verdicts += frobenius_integrable(list(system), trials=trials,
+                                             seed=seed)
         else:
-            if not _complex_frobenius(system, trials=trials, seed=seed):
-                return False
-    return True
+            verdicts += _complex_frobenius(system, trials=trials, seed=seed)
+        if not all(verdicts):
+            break
+    return verdicts
 
 
 def _complex_frobenius(system, trials, seed):
     """Integrability of {a1 + i b1, a2 + i b2} via the real and imaginary
-    parts of d(theta) ^ theta1 ^ theta2."""
+    parts of d(theta) ^ theta1 ^ theta2: their coefficients' ZeroVerdicts up
+    to the first nonzero one."""
     (a1, b1), (a2, b2) = system
 
     def cwedge(re1, im1, re2, im2):
@@ -263,11 +276,8 @@ def _complex_frobenius(system, trials, seed):
                 wedge(re1, im2) + wedge(im1, re2))
 
     w12_re, w12_im = cwedge(a1, b1, a2, b2)
-    for (re, im) in ((a1, b1), (a2, b2)):
-        dre, dim = exterior_derivative(re), exterior_derivative(im)
-        top_re, top_im = cwedge(dre, dim, w12_re, w12_im)
-        for part in (top_re, top_im):
-            for c in part.comps.values():
-                if not is_zero_probabilistic(c, trials=trials, seed=seed).is_zero:
-                    return False
-    return True
+    coefficients = (c for re, im in ((a1, b1), (a2, b2))
+                    for part in cwedge(exterior_derivative(re),
+                                       exterior_derivative(im), w12_re, w12_im)
+                    for c in part.comps.values())
+    return zero_verdicts(coefficients, trials=trials, seed=seed)

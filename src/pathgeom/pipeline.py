@@ -23,18 +23,20 @@ from .errors import IllConditioned, SamplingExhausted, UnknownName
 from .expr import (add, compile_tape, is_zero_probabilistic, num, sub,
                    to_text)
 from .expr.sampling import sample_points
-from .expr.zerotest import MPF_PREC, MPF_REL_TOL
+from .expr.tape import MPF_PREC
+from .expr.zerotest import MPF_REL_TOL
 from .forms import chain_pair_via_rho, exterior_derivative, rho_chain, wedge
 from .invariants import (curvature_quartic, fels_invariants, scalar_invariants,
                          torsion_quadric)
 from .jets import PairODE, ScalarODE
-from .metrics import (CoframeMetric, closedness_check, einstein_check,
-                      null_planes_integrable)
+from .metrics import (EINSTEIN_TOL, CoframeMetric, closedness_check,
+                      einstein_check, null_planes_integrable)
 from .roots import admissibility, classify_quadric, classify_quartic
 
 DEFAULT_IDENTITY_TRIALS = 50
 DEFAULT_TYPE_SAMPLES = 20
 SAMPLE_BUDGET = 3000      # draws per pointwise classification
+PAIR_RESIDUAL_TOL = 1e-6  # largest pair residual along a dancing curve
 
 
 @dataclass
@@ -127,14 +129,13 @@ def resolve(doc: Document | None, name: str, kinds=None):
     return obj
 
 
-def _zero_matrix_check(name, entries, labels, trials, seed, constraints=()):
+def _zero_matrix_check(name, entries, labels, trials, seed):
     """Identity-test a family of expressions; pass iff all are zero."""
     witnesses = []
     values = {}
     verdicts = []
     for label, e in zip(labels, entries):
-        verdict = is_zero_probabilistic(e, constraints=constraints,
-                                        trials=trials, seed=seed)
+        verdict = is_zero_probabilistic(e, trials=trials, seed=seed)
         verdicts.append(verdict)
         values[label] = "0" if verdict.is_zero else \
             f"nonzero ({_expr_text(e, 120)})"
@@ -145,7 +146,7 @@ def _zero_matrix_check(name, entries, labels, trials, seed, constraints=()):
     return CheckRecord(name=name,
                        verdict="pass" if not witnesses else "fail",
                        tolerance=_identity_tolerance(verdicts, trials),
-                       witnesses=witnesses, details=values), not witnesses
+                       witnesses=witnesses, details=values)
 
 
 def _identity_tolerance(verdicts, trials):
@@ -258,7 +259,7 @@ def cmd_invariants(doc: Document | None, system_name: str,
             name="torsion", verdict="info",
             details={**{lbl: _expr_text(e) for lbl, e in zip(labels, entries)},
                      "torsion_zero": str(torsion_zero)}))
-        rec, _ = _zero_matrix_check(
+        rec = _zero_matrix_check(
             "torsion_trace_identity", [add(T[0][0], T[1][1])],
             ["T^1_1 + T^2_2"], trials, seed)
         checks.append(rec)
@@ -295,14 +296,14 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
         details={"F1": _expr_text(closed.rhs1), "F2": _expr_text(closed.rhs2),
                  "chart": " ".join(closed.chart)}))
     via = chain_pair_via_rho(sys)
-    rec, _ = _zero_matrix_check(
+    rec = _zero_matrix_check(
         "dual_derivation_equal",
         [sub(closed.rhs1, via.rhs1), sub(closed.rhs2, via.rhs2)],
         ["F1 difference", "F2 difference"], trials, seed)
     checks.append(rec)
     rho = rho_chain(sys)
     drho = exterior_derivative(rho)
-    rec, _ = _zero_matrix_check(
+    rec = _zero_matrix_check(
         "rho_closed", list(drho.comps.values()) or [],
         [f"d rho [{idx}]" for idx in drho.comps], trials, seed)
     if not drho.comps:
@@ -354,7 +355,7 @@ def cmd_verify_cr(doc: Document | None, pair_name: str,
                                         expected_quartic="D_c",
                                         skipped=skipped))
     T = fels_invariants(pair).torsion
-    rec, _ = _zero_matrix_check(
+    rec = _zero_matrix_check(
         "torsion_zero", [T[i][j] for i in range(2) for j in range(2)],
         [f"T^{i+1}_{j+1}" for i in range(2) for j in range(2)], trials, seed)
     if rec.verdict == "fail":
@@ -376,7 +377,7 @@ _DANCING_BUILTINS = {
 def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
                        anchor=None, span=None, samples: int = 120,
                        seed: int = 0, pair_name: str | None = None,
-                       csv_path=None, residual_tol: float = 1e-6) -> Report:
+                       csv_path=None) -> Report:
     """Generate a dancing curve from a solution function and check it against
     the declared pair (builtins: 'flat' checks the flat pair, 'sqrt' the
     radical example pair)."""
@@ -415,10 +416,10 @@ def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
         details={"max_residual": f"{res:.3e}", "samples": str(samples),
                  "anchor": str(curve.anchor), "span": str(tuple(span))}))
     r1, r2 = curve.pair_residuals(pair)
-    ok = max(r1, r2) < residual_tol
+    ok = max(r1, r2) < PAIR_RESIDUAL_TOL
     checks.append(CheckRecord(
         name="pair_residual", verdict="pass" if ok else "fail",
-        tolerance=f"{residual_tol:g}",
+        tolerance=f"{PAIR_RESIDUAL_TOL:g}",
         details={"first_equation": f"{r1:.3e}", "second_equation": f"{r2:.3e}",
                  "pair": pair_label}))
     if csv_path:
@@ -430,16 +431,14 @@ def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
 
 
 def cmd_metric(doc: Document | None, coframe_name: str, points: int = 20,
-               seed: int = 0, residual_tol: float = 1e-6,
-               lambda_tol: float = 1e-6,
-               trials: int = DEFAULT_IDENTITY_TRIALS) -> Report:
+               seed: int = 0, trials: int = DEFAULT_IDENTITY_TRIALS) -> Report:
     cm = resolve(doc, coframe_name, CoframeMetric)
     checks = []
     rep = einstein_check(cm, points=points, seed=seed)
     checks.append(CheckRecord(
         name="einstein",
-        verdict="pass" if rep.is_einstein(residual_tol, lambda_tol) else "fail",
-        tolerance=f"residual {residual_tol:g}, lambda spread {lambda_tol:g}",
+        verdict="pass" if rep.is_einstein() else "fail",
+        tolerance=f"residual {EINSTEIN_TOL:g}, lambda spread {EINSTEIN_TOL:g}",
         details={"lambda": f"{rep.lambdas[0]:.9g}",
                  "lambda_spread": f"{rep.lambda_spread:.3e}",
                  "max_residual": f"{rep.max_residual:.3e}",
@@ -447,13 +446,15 @@ def cmd_metric(doc: Document | None, coframe_name: str, points: int = 20,
                  "signature": str(rep.signature)}))
     closed = closedness_check(cm.fundamental_form(), trials=trials, seed=seed)
     checks.append(CheckRecord(
-        name="fundamental_form_closed", verdict="pass" if closed else "fail",
-        tolerance=f"exact identity, {trials} trials",
+        name="fundamental_form_closed",
+        verdict="pass" if all(closed) else "fail",
+        tolerance=_identity_tolerance(closed, trials),
         details={"pairing": cm.structure}))
     integrable = null_planes_integrable(cm, trials=trials, seed=seed)
     checks.append(CheckRecord(
-        name="null_planes_integrable", verdict="pass" if integrable else "fail",
-        tolerance=f"exact identity, {trials} trials"))
+        name="null_planes_integrable",
+        verdict="pass" if all(integrable) else "fail",
+        tolerance=_identity_tolerance(integrable, trials)))
     return Report(command=f"metric {coframe_name}", seed=seed,
                   fingerprint=_fingerprint(doc), checks=checks)
 

@@ -17,11 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IllConditioned
-from .expr import Rat
+from .expr.rational import rat_pow_exact
 
 INF = math.inf  # the projective root [1:0]
+HALF = Fraction(1, 2)
 
-_EXACT_TYPES = (int, Fraction, type(Rat(0)))
+_EXACT_TYPES = (int, Fraction)
 
 
 def _is_exact(values):
@@ -201,14 +202,14 @@ def _roots_of_squarefree(g):
         a, b, c = g
         disc = b * b - 4 * a * c
         if disc > 0:
-            s = _sqrt_exact(disc)
+            s = rat_pow_exact(disc, HALF)
             if s is not None:
                 return [((-b - s) / (2 * a), 1), ((-b + s) / (2 * a), 1)], []
             sf = math.sqrt(disc)
             return [(float((-b - sf) / (2 * a)), 1),
                     (float((-b + sf) / (2 * a)), 1)], []
         re = -b / (2 * a)
-        s = _sqrt_exact(-disc)
+        s = rat_pow_exact(-disc, HALF)
         im = s / (2 * abs(a)) if s is not None else math.sqrt(-disc) / (2 * abs(float(a)))
         return [], [((re, im), 1)]
     n_real = _sturm_real_count(g)
@@ -220,20 +221,8 @@ def _roots_of_squarefree(g):
     return real, pairs
 
 
-def _sqrt_exact(q):
-    q = Fraction(q)
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _classify_exact(coeffs, degree):
-    c = [Fraction(int(v.numerator), int(v.denominator)) if not isinstance(v, int)
-         else Fraction(v) for v in coeffs]
+    c = [Fraction(v) for v in coeffs]
     inf_mult = 0
     while c and c[0] == 0:
         inf_mult += 1

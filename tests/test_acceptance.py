@@ -292,8 +292,8 @@ def test_criterion_09_metric_claims():
             assert rep.lambda_spread < 1e-6
             assert abs(rep.lambdas[0] - lam) < 1e-6
             assert rep.lambdas[0] != 0
-            assert closedness_check(cm.fundamental_form(), trials=50)
-            assert null_planes_integrable(cm, trials=50)
+            assert all(closedness_check(cm.fundamental_form(), trials=50))
+            assert all(null_planes_integrable(cm, trials=50))
 
 
 def test_criterion_10_quartic_round_trip():

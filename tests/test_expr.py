@@ -12,6 +12,7 @@ from pathgeom.expr import (add, as_rat, compile_tape, differentiate, div,
                            evaluate, exprs_equal, is_zero_probabilistic, mul,
                            neg, node_count, num, pow_, sqrt_, sub, substitute,
                            to_text, var, variables)
+from pathgeom.expr.rational import rat_pow_exact
 from pathgeom.expr.tape import MODULUS, residue
 
 t, z, p, q, x, y = variables("t z p q x y")
@@ -141,6 +142,34 @@ class TestEvaluate:
     def test_mpf_precision(self):
         v = evaluate(sqrt_(x), {"x": 2}, "mpf")
         assert abs(float(v) - math.sqrt(2)) < 1e-15
+
+
+class TestExactRoots:
+    """Exact k-th roots of integers of any size (`rat_pow_exact`)."""
+
+    def test_square_root_beyond_float_range_folds(self):
+        assert sqrt_(num(10 ** 400)) is num(10 ** 200)
+
+    def test_cube_root_beyond_float_precision_folds(self):
+        assert pow_(num(2 ** 180), Fraction(1, 3)) is num(2 ** 60)
+
+    def test_exact_evaluation_of_a_large_square(self):
+        r = 10 ** 17 + 3
+        assert evaluate(sqrt_(x), {"x": r * r}, "exact") == r
+
+    @given(st.integers(2, 10 ** 60), st.integers(2, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_perfect_powers_and_their_neighbours(self, r, k):
+        root = Fraction(1, k)
+        assert rat_pow_exact(Fraction(r ** k), root) == r
+        assert rat_pow_exact(Fraction(r ** k + 1), root) is None
+        assert rat_pow_exact(Fraction(r ** k - 1), root) is None
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_small_integers_match_brute_force(self, k):
+        powers = {r ** k: r for r in range(72)}
+        for n in range(5000):
+            assert rat_pow_exact(Fraction(n), Fraction(1, k)) == powers.get(n)
 
 
 class TestBatchTape:

@@ -194,12 +194,12 @@ class TestChainPairViaRho:
 
 class TestFrobenius:
     def test_coordinate_plane_integrable(self):
-        assert frobenius_integrable([d(CH3, "x"), d(CH3, "z")])
+        assert all(frobenius_integrable([d(CH3, "x"), d(CH3, "z")]))
 
     def test_contact_form_not_integrable(self):
         ch = ("x", "z", "p")
         contact = one_form(ch, {"z": num(1), "x": mul(num(-1), var("p"))})
-        assert not frobenius_integrable([contact])
+        assert not all(frobenius_integrable([contact]))
 
     def test_dependent_generators(self):
         dx = d(CH3, "x")

@@ -134,8 +134,8 @@ class TestScalarInvariants:
     def test_sqrt_velocity(self):
         si = scalar_invariants(ScalarODE(sqrt_(p)))
         want = mul(num("-15/16"), pow_(p, num("-7/2").value))
-        assert exprs_equal(si.c1, want, trials=6,
-                           var_ranges={"p": (0.1, 4)}).is_zero
+        assert is_zero_probabilistic(sub(si.c1, want), trials=6,
+                                     var_ranges={"p": (0.1, 4)}).is_zero
 
     def test_linear_family_is_flat(self):
         # F = a(t) p + b(t) z + c(t) with quadratic coefficients

@@ -108,6 +108,22 @@ class TestReports:
         assert tol["dual_derivation_equal"] == mpf
         assert tol["torsion_iff_flat_scalar"] == mpf
 
+    def test_metric_identity_tolerance_names_mpf_arithmetic(self):
+        doc = parse("""
+coframe c { vars y p Y P;
+  eta 1 = y^(1/2)*d Y; eta 2 = 1*d P; eta 3 = 1*d y; eta 4 = 1*d p; }
+coframe n { vars y p Y P;
+  eta 1 = 1*d Y + p^(1/2)*d P; eta 2 = 1*d P; eta 3 = 1*d y; eta 4 = 1*d p; }
+""")
+        mpf = "mpf 256-bit, relative 1e-30, 8 trials"
+        tol = {c.name: c.tolerance
+               for c in cmd_metric(doc, "c", points=5, trials=8).checks}
+        assert tol["fundamental_form_closed"] == mpf
+        tol = {c.name: c.tolerance
+               for c in cmd_metric(doc, "n", points=5, trials=8).checks}
+        assert tol["fundamental_form_closed"] == "exact identity, 8 trials"
+        assert tol["null_planes_integrable"] == mpf
+
     def test_verify_chains_all_pass(self):
         rep = cmd_verify_chains(DOC, "flat", trials=12, samples=6, seed=0)
         assert rep.passed
@@ -178,6 +194,12 @@ class TestCli:
                          "--samples", "4")
         assert proc.returncode == 0, proc.stderr
         assert "arithmetic: exact" in proc.stdout
+
+    def test_square_root_beyond_float_range(self, tmp_path):
+        doc = tmp_path / "big.pg"
+        doc.write_text("scalar_ode s { vars t z p; F = sqrt(10^400)*p; }\n")
+        proc = self._run("invariants", str(doc), "--system", "s")
+        assert proc.returncode == 0, proc.stderr
 
     def test_exit_two_on_unknown_name(self):
         proc = self._run("classify", "--system", "missing_system")
