@@ -60,7 +60,7 @@ class DuplicateName(DslError):
 # -- root classification -----------------------------------------------------
 
 class IllConditioned(PathgeomError):
-    """Root clustering is ambiguous at the requested tolerance."""
+    """The root multiplicities found in mpf do not add up to the degree."""
 
 
 # -- forms / linear algebra --------------------------------------------------

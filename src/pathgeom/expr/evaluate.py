@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from ..errors import UnboundVariable
 from .nodes import Expr
-from .rational import as_rat
 from .tape import compile_tape
 
 
@@ -31,7 +30,7 @@ def evaluate(e: Expr, assignment, mode: str = "exact"):
     names, point = _ordered_point(e, assignment)
     tape = compile_tape(e, names)
     if mode == "exact":
-        return tape.eval_exact([as_rat(v) for v in point])
+        return tape.eval_exact(point)
     if mode == "floating":
         return tape.eval_f64([float(v) for v in point])
     if mode == "mpf":

@@ -8,8 +8,10 @@ range or, given None, over the default:
   * float -- `rng.uniform` over (lo, hi), by default over DEFAULT_BOX.
 
 `sample_points` evaluates one compiled sequence tape at successive draws
-from one seed (exact ones with bound EXACT_BOUND) and yields only the points
-where every output has a value (and, in float64, a finite one).  A point
+from one seed, in one arithmetic: "exact" and "mpf" evaluate exact draws
+(bound EXACT_BOUND) with `Tape.eval_exact` and `Tape.eval_mpf`, "float64"
+evaluates float draws with `Tape.eval_f64`.  It yields only the points where
+every output has a value (and, in float64, a finite one).  A point
 that raises DivisionByZero, DomainError or OverflowError is dropped, not
 fatal; the caller chooses the total number of draws and what to do when they
 run out.
@@ -64,21 +66,26 @@ def draw_float(rng: random.Random, ranges) -> list:
     return [rng.uniform(*(r or DEFAULT_BOX)) for r in ranges]
 
 
-def sample_points(tape, names, seed, budget: int, exact: bool = False):
+def sample_points(tape, names, seed, budget: int,
+                  arithmetic: str = "float64"):
     """Yield (point, values) at up to `budget` draws over the default box,
     where `point` holds a coordinate per name (the tape's variable order):
     a list of rationals, or a float64 array; `values` is the list of the
-    sequence tape's outputs there, exact or finite float64."""
+    sequence tape's outputs there in `arithmetic` ("exact", "mpf" or
+    "float64"; float64 values are finite)."""
+    evaluate = {"exact": tape.eval_exact,
+                "mpf": lambda point: tape.eval_mpf(point)[0],
+                "float64": tape.eval_f64}[arithmetic]
     rng = random.Random(seed)
     box = [None] * len(names)
     for _ in range(budget):
-        if exact:
-            point = draw_exact(rng, box, EXACT_BOUND)
-        else:
+        if arithmetic == "float64":
             point = np.array(draw_float(rng, box))
+        else:
+            point = draw_exact(rng, box, EXACT_BOUND)
         try:
-            values = tape.eval_exact(point) if exact else tape.eval_f64(point)
+            values = evaluate(point)
         except (DivisionByZero, DomainError, OverflowError):
             continue
-        if exact or all(math.isfinite(v) for v in values):
+        if arithmetic != "float64" or all(math.isfinite(v) for v in values):
             yield point, values

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..errors import DivisionByZero, DomainError, UnboundVariable
 from .nodes import Add, Expr, Mul, Num, Pow, Var
-from .rational import is_int, rat_pow_exact
+from .rational import as_rat, is_int, rat_pow_exact
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW_INT, OP_POW_FRAC = range(6)
 
@@ -94,7 +94,7 @@ class Tape:
     """
 
     __slots__ = ("var_names", "code", "outputs", "single", "consts_exact",
-                 "exps_exact", "_f64", "_consts_modp")
+                 "exps_exact", "_f64", "_mpf", "_consts_modp")
 
     def __init__(self, exprs, var_names):
         self.single = isinstance(exprs, Expr)
@@ -134,6 +134,7 @@ class Tape:
         self.consts_exact = consts
         self.exps_exact = exps
         self._f64 = None           # converted on first float evaluation
+        self._mpf = None           # converted on first mpf evaluation
         self._consts_modp = None   # reduced on first use
 
     def __len__(self):
@@ -183,8 +184,19 @@ class Tape:
                          [float(e) for e in self.exps_exact])
         return self._f64
 
+    def _mpfs(self):
+        """Constants and fractional exponents as MPF_PREC-bit mpf values,
+        converted on first use; call inside `mpmath.workprec(MPF_PREC)`."""
+        if self._mpf is None:
+            self._mpf = ([_to_mpf(c) for c in self.consts_exact],
+                         [_to_mpf(e) for e in self.exps_exact])
+        return self._mpf
+
     def eval_exact(self, point):
-        return self._result(self._run(point, self.consts_exact,
+        """The exact value at a point of ints and rationals, as rationals
+        (Fraction), also where an int point meets a negative power."""
+        inputs = [as_rat(v) for v in point]
+        return self._result(self._run(inputs, self.consts_exact,
                                       self.exps_exact, 0, 1, _pow_int,
                                       _exact_pow_frac))
 
@@ -242,17 +254,19 @@ class Tape:
 
         with mpmath.workprec(MPF_PREC):
             mpf = mpmath.mpf
-
-            def convert(q):
-                return mpf(int(q.numerator)) / int(q.denominator)
-
-            inputs = [convert(p) if hasattr(p, "numerator") else mpf(p)
+            inputs = [_to_mpf(p) if hasattr(p, "numerator") else mpf(p)
                       for p in point]
-            values = self._run(inputs, [convert(c) for c in self.consts_exact],
-                               [convert(e) for e in self.exps_exact],
-                               mpf(0), mpf(1), _pow_int, _mpf_pow_frac)
+            values = self._run(inputs, *self._mpfs(), mpf(0), mpf(1),
+                               _pow_int, _mpf_pow_frac)
             return (self._result(values),
                     max((abs(v) for v in values), default=mpf(0)))
+
+
+def _to_mpf(q):
+    """A rational (or int) as an mpf at the current working precision."""
+    import mpmath
+
+    return mpmath.mpf(int(q.numerator)) / int(q.denominator)
 
 
 # -- the domains' power functions ---------------------------------------------------

@@ -149,31 +149,38 @@ def _zero_matrix_check(name, entries, labels, trials, seed):
                        witnesses=witnesses, details=values)
 
 
+MPF_TOLERANCE = f"mpf {MPF_PREC}-bit, relative {MPF_REL_TOL:g}"
+
+
 def _identity_tolerance(verdicts, trials):
-    """Exact only if every verdict was decided exactly (or mod p), else mpf."""
+    """Exact only if every verdict was decided exactly (or mod p), else mpf;
+    "structural" when there was nothing to test."""
+    if not verdicts:
+        return "structural"
     if all(v.mode == "exact" for v in verdicts):
         return f"exact identity, {trials} trials"
-    return f"mpf {MPF_PREC}-bit, relative {MPF_REL_TOL:g}, {trials} trials"
+    return f"{MPF_TOLERANCE}, {trials} trials"
 
 
 def _classify_pair_pointwise(pair: PairODE, samples, seed):
-    """Quartic/quadric root profiles of a pair at sampled admissible points.
+    """Quartic/quadric root profiles of a pair at sampled admissible points,
+    with the arithmetic that decided them.
 
-    Exact rational evaluation and exact classification whenever the system is
-    radical-free; float evaluation otherwise.  Float samples too close to a
-    type-degeneration locus to classify at the tolerance are skipped and
-    counted (at most `samples` skips before giving up)."""
+    The points are exact; a radical-free system is evaluated and classified
+    exactly, a radical one in mpf.  An mpf point whose multiplicities do not
+    add up (IllConditioned) is skipped and counted (at most `samples` skips
+    before giving up)."""
     inv = fels_invariants(pair)
     quartic = curvature_quartic(inv).coefficients
     quadric = torsion_quadric(inv).coefficients
     exprs = list(quartic) + list(quadric)
-    exact = not any(e.has_radical for e in exprs)
+    arithmetic = "mpf" if any(e.has_radical for e in exprs) else "exact"
     names = sorted(set().union(*(e.free_variables for e in exprs)))
     tape = compile_tape(exprs, names)
     results = []
     skipped = 0
     for point, values in sample_points(tape, names, seed, SAMPLE_BUDGET,
-                                       exact=exact):
+                                       arithmetic):
         try:
             q4 = classify_quartic(values[:5])
             q2 = classify_quadric(values[5:])
@@ -188,10 +195,10 @@ def _classify_pair_pointwise(pair: PairODE, samples, seed):
     if len(results) < samples:
         raise SamplingExhausted(f"only {len(results)}/{samples} admissible "
                                 f"points classified")
-    return results, exact, skipped
+    return results, arithmetic, skipped
 
 
-def _uniform_type_records(results, exact, samples, expected_quartic=None,
+def _uniform_type_records(results, arithmetic, samples, expected_quartic=None,
                           skipped=0):
     def profile_key(p):
         return (p.zero_form, p.multiplicities(),
@@ -212,16 +219,16 @@ def _uniform_type_records(results, exact, samples, expected_quartic=None,
         "quartic_type": " | ".join(sorted(quartic_types)),
         "quadric_type": " | ".join(sorted(quadric_types)),
         "samples": str(samples),
-        "arithmetic": "exact" if exact else "float64",
+        "arithmetic": arithmetic,
     }
     if skipped:
         details["ill_conditioned_skipped"] = str(skipped)
     verdict = "pass" if uniform else "fail"
     if expected_quartic is not None and uniform:
         verdict = "pass" if quartic_types == {expected_quartic} else "fail"
+    tolerance = "exact" if arithmetic == "exact" else MPF_TOLERANCE
     rec = CheckRecord(name="uniform_quartic_type", verdict=verdict,
-                      tolerance="clustering 1e-08" if not exact else "exact",
-                      witnesses=witness, details=details)
+                      tolerance=tolerance, witnesses=witness, details=details)
     # a construction is admissible only if it is at every sampled point
     flags = [admissibility(q4, q2).as_dict() for _, q4, q2 in results]
     frec = CheckRecord(name="admissibility_flags", verdict="info",
@@ -278,8 +285,10 @@ def cmd_invariants(doc: Document | None, system_name: str,
 def cmd_classify(doc: Document | None, system_name: str,
                  samples: int = DEFAULT_TYPE_SAMPLES, seed: int = 0) -> Report:
     pair = resolve(doc, system_name, PairODE)
-    results, exact, skipped = _classify_pair_pointwise(pair, samples, seed)
-    checks = _uniform_type_records(results, exact, samples, skipped=skipped)
+    results, arithmetic, skipped = _classify_pair_pointwise(pair, samples,
+                                                            seed)
+    checks = _uniform_type_records(results, arithmetic, samples,
+                                   skipped=skipped)
     return Report(command=f"classify {system_name}", seed=seed,
                   fingerprint=_fingerprint(doc), checks=checks)
 
@@ -334,8 +343,9 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
         tolerance=_identity_tolerance(verdicts, trials),
         details={"scalar_invariants_zero": str(scalar_zero),
                  "chain_torsion_zero": str(torsion_zero)}))
-    results, exact, skipped = _classify_pair_pointwise(closed, samples, seed)
-    checks.extend(_uniform_type_records(results, exact, samples,
+    results, arithmetic, skipped = _classify_pair_pointwise(closed, samples,
+                                                            seed)
+    checks.extend(_uniform_type_records(results, arithmetic, samples,
                                         expected_quartic="D_r",
                                         skipped=skipped))
     return Report(command=f"verify-chains {scalar_name}", seed=seed,
@@ -350,8 +360,9 @@ def cmd_verify_cr(doc: Document | None, pair_name: str,
     candidate pair, plus the torsion report."""
     pair = resolve(doc, pair_name, PairODE)
     checks = []
-    results, exact, skipped = _classify_pair_pointwise(pair, samples, seed)
-    checks.extend(_uniform_type_records(results, exact, samples,
+    results, arithmetic, skipped = _classify_pair_pointwise(pair, samples,
+                                                            seed)
+    checks.extend(_uniform_type_records(results, arithmetic, samples,
                                         expected_quartic="D_c",
                                         skipped=skipped))
     T = fels_invariants(pair).torsion

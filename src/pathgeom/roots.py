@@ -1,11 +1,23 @@
 """Root-type classification of binary quadrics and quartics on the real
 projective line, and the pointwise admissibility predicates built on it.
 
-Exact rational coefficients take an exact path: square-free decomposition by
-gcd over Q gives multiplicities exactly, and only square-free factors of
-degree >= 3 fall back to numerics (their roots are simple, hence well
-conditioned).  Float coefficients use companion-matrix eigenvalues in the
-better-conditioned affine chart, reconciled against the other chart.
+One algorithm decides the root structure: Yun's square-free decomposition by
+gcd gives the multiplicities, and a Sturm sequence counts the real roots of
+each square-free factor; only factors of degree >= 3 get numeric root
+positions (their roots are simple, hence well conditioned).  It runs over two
+number domains:
+
+  * exact -- int or Fraction coefficients, decided exactly;
+  * mpf   -- mpmath floats, the values of a radical system
+             (`Tape.eval_mpf`), computed at `tape.MPF_PREC` bits.  A value
+             produced by a subtraction or a division step counts as zero
+             when it is at most `zerotest.MPF_REL_TOL` times the scale of
+             that operation: the largest |input entry| of a subtraction; the
+             largest |dividend entry| or |quotient x divisor entry| of a
+             division.  Root multiplicities that do not add up to the degree
+             raise IllConditioned.
+
+Float coefficients are refused with TypeError.
 """
 
 from __future__ import annotations
@@ -18,15 +30,13 @@ import numpy as np
 
 from .errors import IllConditioned
 from .expr.rational import rat_pow_exact
+from .expr.tape import MPF_PREC
+from .expr.zerotest import MPF_REL_TOL
 
 INF = math.inf  # the projective root [1:0]
 HALF = Fraction(1, 2)
 
 _EXACT_TYPES = (int, Fraction)
-
-
-def _is_exact(values):
-    return all(isinstance(v, _EXACT_TYPES) for v in values)
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,10 @@ class RootProfile:
         return ", ".join(parts) if parts else "no roots"
 
 
-# -- exact polynomial helpers (dense, descending coefficients, Fraction) ------
+# -- polynomial helpers (dense, descending coefficients) ------------------------
+#
+# `eps` is 0 for exact coefficients; for mpf ones it is the relative size
+# below which the result of a subtraction or a division step counts as zero.
 
 def _trim(c):
     k = 0
@@ -109,70 +122,82 @@ def _monic(c):
 
 def _deriv(c):
     n = _deg(c)
-    return _trim([c[i] * (n - i) for i in range(n)]) or [Fraction(0)]
+    return _trim([c[i] * (n - i) for i in range(n)]) or [0]
 
 
-def _divmod_poly(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+def _zeroed(values, threshold):
+    return [0 if abs(v) <= threshold else v for v in values]
+
+
+def _divmod_poly(a, b, eps):
+    dividend, a = a, list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
     for i in range(len(q)):
         f = a[i] / b[0]
         q[i] = f
         if f:
             for j in range(len(b)):
                 a[i + j] -= f * b[j]
-    rem = _trim(a[len(q):] if len(q) else a)
-    return q, (rem or [Fraction(0)])
+    rem = a[len(q):] if q else a
+    if eps:
+        scale = max(max(map(abs, dividend)),
+                    max(map(abs, q), default=0) * max(map(abs, b)))
+        rem = _zeroed(rem, eps * scale)
+    return q, (_trim(rem) or [0])
 
 
-def _gcd_poly(a, b):
-    a, b = _trim(a) or [Fraction(0)], _trim(b) or [Fraction(0)]
-    while b != [0] and b != [Fraction(0)]:
-        _, r = _divmod_poly(a, b)
+def _sub_poly(a, b, eps):
+    n = max(len(a), len(b))
+    a = [0] * (n - len(a)) + list(a)
+    b = [0] * (n - len(b)) + list(b)
+    diff = [x - y for x, y in zip(a, b)]
+    if eps:
+        diff = _zeroed(diff, eps * max(map(abs, a + b)))
+    return _trim(diff) or [0]
+
+
+def _gcd_poly(a, b, eps):
+    a, b = _trim(a) or [0], _trim(b) or [0]
+    while b != [0]:
+        _, r = _divmod_poly(a, b, eps)
         a, b = b, r
-    if a == [Fraction(0)]:
-        return [Fraction(1)]
+    if a == [0]:
+        return [1]
     return _monic(a)
 
 
-def _squarefree(c):
+def _squarefree(c, eps):
     """Yun's decomposition: list of (square-free factor, multiplicity)."""
     c = _monic(_trim(c))
-    if _deg(c) == 0:
+    n = _deg(c)
+    if n == 0:
         return []
     d = _deriv(c)
-    g = _gcd_poly(c, d)
+    g = _gcd_poly(c, d, eps)
     if _deg(g) == 0:
         return [(c, 1)]
-    w, _ = _divmod_poly(c, g)
-    y, _ = _divmod_poly(d, g)
-    z = _sub_poly(y, _deriv(w))
+    w, _ = _divmod_poly(c, g, eps)
+    y, _ = _divmod_poly(d, g, eps)
+    z = _sub_poly(y, _deriv(w), eps)
     out = []
     i = 1
-    while _deg(w) > 0:
-        gi = _gcd_poly(w, z)
+    while _deg(w) > 0 and i <= n:
+        gi = _gcd_poly(w, z, eps)
         if _deg(gi) > 0:
             out.append((gi, i))
-        w, _ = _divmod_poly(w, gi)
-        y, _ = _divmod_poly(z, gi)
-        z = _sub_poly(y, _deriv(w))
+        w, _ = _divmod_poly(w, gi, eps)
+        y, _ = _divmod_poly(z, gi, eps)
+        z = _sub_poly(y, _deriv(w), eps)
         i += 1
     return out
 
 
-def _sub_poly(a, b):
-    n = max(len(a), len(b))
-    a = [Fraction(0)] * (n - len(a)) + list(a)
-    b = [Fraction(0)] * (n - len(b)) + list(b)
-    return _trim([x - y for x, y in zip(a, b)]) or [Fraction(0)]
-
-
-def _sturm_real_count(c):
+def _sturm_real_count(c, eps):
     """Number of distinct real roots of a square-free polynomial."""
     chain = [list(c), _deriv(c)]
     while _deg(chain[-1]) > 0:
-        _, r = _divmod_poly(chain[-2], chain[-1])
-        if r == [Fraction(0)]:
+        _, r = _divmod_poly(chain[-2], chain[-1], eps)
+        if r == [0]:
             break
         chain.append([-x for x in r])
 
@@ -191,10 +216,11 @@ def _sturm_real_count(c):
     return variations(False) - variations(True)
 
 
-def _roots_of_squarefree(g):
-    """Roots of an exact square-free factor: ([(real position, 1)...],
-    [((re, im), 1)...]).  Degree <= 2 solved exactly; higher degrees get
-    exact real counts (Sturm) with numeric positions."""
+def _roots_of_squarefree(g, eps):
+    """Roots of a square-free factor: ([(real position, 1)...],
+    [((re, im), 1)...]).  Degree <= 2 solved exactly (rational or float
+    positions); higher degrees get a Sturm real count with numeric
+    positions."""
     n = _deg(g)
     if n == 1:
         return [(-g[1] / g[0], 1)], []
@@ -202,27 +228,32 @@ def _roots_of_squarefree(g):
         a, b, c = g
         disc = b * b - 4 * a * c
         if disc > 0:
-            s = rat_pow_exact(disc, HALF)
+            s = None if eps else rat_pow_exact(disc, HALF)
             if s is not None:
                 return [((-b - s) / (2 * a), 1), ((-b + s) / (2 * a), 1)], []
             sf = math.sqrt(disc)
             return [(float((-b - sf) / (2 * a)), 1),
                     (float((-b + sf) / (2 * a)), 1)], []
         re = -b / (2 * a)
-        s = rat_pow_exact(-disc, HALF)
+        s = None if eps else rat_pow_exact(-disc, HALF)
         im = s / (2 * abs(a)) if s is not None else math.sqrt(-disc) / (2 * abs(float(a)))
         return [], [((re, im), 1)]
-    n_real = _sturm_real_count(g)
-    roots = np.roots([float(x) for x in g])
-    order = np.argsort(np.abs(roots.imag))
-    real = [(float(roots[i].real), 1) for i in order[:n_real]]
-    complex_part = [roots[i] for i in order[n_real:] if roots[i].imag > 0]
-    pairs = [((float(r.real), float(r.imag)), 1) for r in complex_part]
+    n_real = _sturm_real_count(g, eps)
+    roots = sorted(np.roots([float(x) for x in g]), key=lambda r: abs(r.imag))
+    real = [(float(r.real), 1) for r in roots[:n_real]]
+    # the other roots are conjugate pairs, also where float64 rounds a
+    # pair's imaginary parts to zero
+    rest = sorted(roots[n_real:], key=lambda r: r.imag, reverse=True)
+    pairs = [((float(r.real), abs(float(r.imag))), 1)
+             for r in rest[:len(rest) // 2]]
     return real, pairs
 
 
-def _classify_exact(coeffs, degree):
-    c = [Fraction(v) for v in coeffs]
+def _classify(coeffs, degree, eps):
+    """Profile of the form with descending coefficients `coeffs`.  Raises
+    IllConditioned when the multiplicities found do not add up to the
+    degree, which exact arithmetic rules out."""
+    c = list(coeffs)
     inf_mult = 0
     while c and c[0] == 0:
         inf_mult += 1
@@ -231,147 +262,58 @@ def _classify_exact(coeffs, degree):
     if inf_mult:
         real.append((INF, inf_mult))
     if c and _deg(c) > 0:
-        for factor, mult in _squarefree(c):
-            r, cp = _roots_of_squarefree(factor)
+        for factor, mult in _squarefree(c, eps):
+            r, cp = _roots_of_squarefree(factor, eps)
             real.extend((pos, mult) for pos, _ in r)
             pairs.extend((z, mult) for z, _ in cp)
     real.sort(key=lambda rm: (math.inf if rm[0] == INF else float(rm[0])))
-    return RootProfile(degree=degree, zero_form=False,
+    prof = RootProfile(degree=degree, zero_form=False,
                        real_roots=tuple(real), complex_pairs=tuple(pairs))
-
-
-# -- numeric path --------------------------------------------------------------
-
-def _cluster(points, tol, scale):
-    """Union-find clustering of complex roots at relative threshold tol."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= tol * max(1.0, abs(points[i]),
-                                                       abs(points[j])):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(points[i])
-    return list(groups.values())
-
-
-def _profile_from_chart(coeffs, tol, degree):
-    """Numeric profile from one affine chart; coeffs descending, leading
-    entries may be ~0 (roots at infinity in this chart)."""
-    scale = max(abs(v) for v in coeffs)
-    inf_mult = 0
-    c = list(coeffs)
-    while c and abs(c[0]) < tol * scale:
-        inf_mult += 1
-        c = c[1:]
-    real, pairs = [], []
-    if inf_mult:
-        real.append((INF, inf_mult))
-    if len(c) > 1:
-        roots = list(np.roots(c))
-        rscale = max(1.0, max(abs(r) for r in roots))
-        clusters = _cluster(roots, tol, rscale)
-        centers = [(sum(g) / len(g), len(g)) for g in clusters]
-        used = [False] * len(centers)
-        for i, (z, m) in enumerate(centers):
-            if used[i]:
-                continue
-            if abs(z.imag) <= tol * max(1.0, abs(z)):
-                real.append((z.real, m))
-                used[i] = True
-                continue
-            mate = None
-            for j in range(len(centers)):
-                if j != i and not used[j] and \
-                        abs(centers[j][0] - z.conjugate()) <= tol * max(1.0, abs(z)) * 10:
-                    mate = j
-                    break
-            if mate is None or centers[mate][1] != m:
-                raise IllConditioned("unpaired complex roots at this tolerance")
-            used[i] = used[mate] = True
-            zz = z if z.imag > 0 else centers[mate][0]
-            pairs.append(((zz.real, abs(zz.imag)), m))
-    real.sort(key=lambda rm: (math.inf if rm[0] == INF else rm[0]))
-    return RootProfile(degree=degree, zero_form=False,
-                       real_roots=tuple(real), complex_pairs=tuple(pairs))
-
-
-def _classify_numeric(coeffs, tol, degree):
-    vals = [float(v) for v in coeffs]
-    primary_first = abs(vals[0]) >= abs(vals[-1])
-    primary = vals if primary_first else vals[::-1]
-    secondary = vals[::-1] if primary_first else vals
-
-    profiles = {}
-    for t in (tol, 10 * tol):
-        profiles[t] = _profile_from_chart(primary, t, degree)
-    if profiles[tol].multiplicities() != profiles[10 * tol].multiplicities():
-        raise IllConditioned(
-            f"clusterings at {tol:g} and {10 * tol:g} disagree: "
-            f"{profiles[tol].multiplicities()} vs {profiles[10 * tol].multiplicities()}")
-    prof = profiles[tol]
-    other = _profile_from_chart(secondary, tol, degree)
-    if prof.multiplicities() != other.multiplicities() or \
-            len(prof.real_roots) != len(other.real_roots):
-        raise IllConditioned("affine charts disagree on the root structure")
-    if not primary_first:
-        # positions were computed for the reversed variable: map r -> 1/r
-        real = []
-        for pos, m in prof.real_roots:
-            if pos == INF:
-                real.append((0.0, m))
-            elif pos == 0.0:
-                real.append((INF, m))
-            else:
-                real.append((1.0 / pos, m))
-        real.sort(key=lambda rm: (math.inf if rm[0] == INF else rm[0]))
-        pairs = []
-        for (re, im), m in prof.complex_pairs:
-            z = 1.0 / complex(re, im)
-            pairs.append(((z.real, abs(z.imag)), m))
-        prof = RootProfile(degree=degree, zero_form=False,
-                           real_roots=tuple(real), complex_pairs=tuple(pairs))
+    if sum(prof.multiplicities()) != degree:
+        raise IllConditioned(f"root multiplicities {prof.multiplicities()} "
+                             f"do not add up to degree {degree}")
     return prof
+
+
+def _classify_packed(packed, weights):
+    """Profile of sum_k weights[k] packed[k] x^(n-k) y^k, exact for int and
+    Fraction entries, in MPF_PREC-bit mpf when some entry is an mpf."""
+    degree = len(packed) - 1
+    exact = all(isinstance(v, _EXACT_TYPES) for v in packed)
+    if not exact:
+        import mpmath
+
+        if not all(isinstance(v, (int, mpmath.mpf)) for v in packed):
+            raise TypeError("coefficients must be exact rationals or mpf "
+                            "values")
+    if all(v == 0 for v in packed):
+        return RootProfile(degree=degree, zero_form=True)
+    if exact:
+        return _classify([Fraction(v) * k for v, k in zip(packed, weights)],
+                         degree, 0)
+    # the weights too are applied at MPF_PREC bits, not at the context's
+    with mpmath.workprec(MPF_PREC):
+        return _classify([mpmath.mpf(v) * k for v, k in zip(packed, weights)],
+                         degree, MPF_REL_TOL)
 
 
 # -- public API ----------------------------------------------------------------
 
-def classify_quartic(w, tol: float = 1e-8) -> RootProfile:
+def classify_quartic(w) -> RootProfile:
     """Root profile of W0 x^4 + 4 W1 x^3 y + 6 W2 x^2 y^2 + 4 W3 x y^3 + W4 y^4
     on RP^1 (the root [1:0] reported as INF)."""
     w = tuple(w)
     if len(w) != 5:
         raise ValueError("need the five quartic packaging coefficients")
-    if all(v == 0 for v in w):
-        return RootProfile(degree=4, zero_form=True)
-    coeffs = (w[0], 4 * w[1], 6 * w[2], 4 * w[3], w[4])
-    if _is_exact(w):
-        return _classify_exact(coeffs, 4)
-    return _classify_numeric(coeffs, tol, 4)
+    return _classify_packed(w, (1, 4, 6, 4, 1))
 
 
-def classify_quadric(a, tol: float = 1e-8) -> RootProfile:
+def classify_quadric(a) -> RootProfile:
     """Root profile of A0 x^2 + 2 A1 x y + A2 y^2 on RP^1."""
     a = tuple(a)
     if len(a) != 3:
         raise ValueError("need the three quadric packaging coefficients")
-    if all(v == 0 for v in a):
-        return RootProfile(degree=2, zero_form=True)
-    coeffs = (a[0], 2 * a[1], a[2])
-    if _is_exact(a):
-        return _classify_exact(coeffs, 2)
-    return _classify_numeric(coeffs, tol, 2)
+    return _classify_packed(a, (1, 2, 1))
 
 
 @dataclass(frozen=True)

@@ -362,6 +362,11 @@ class TestSequenceTape:
         assert tape.eval_f64_many([[1.0], [2.0]]) == []
         assert tape.eval_mpf([1.0])[0] == []
 
+    def test_exact_values_are_rationals_at_int_points(self):
+        values = compile_tape([div(num(1), x), x], ("x",)).eval_exact([2])
+        assert values == [Fraction(1, 2), 2]
+        assert all(type(v) is Fraction for v in values)
+
     def test_constant_beyond_float_range(self):
         # constants are converted to float on the first float evaluation
         tape = compile_tape([mul(num(10 ** 400), p), p], ("p",))

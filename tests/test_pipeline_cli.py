@@ -5,8 +5,6 @@ import sys
 
 import pytest
 
-from pathgeom import pipeline
-from pathgeom.constructions import chain_pair_from_scalar
 from pathgeom.dsl import parse
 from pathgeom.pipeline import (_classify_pair_pointwise, cmd_catalog,
                                cmd_classify, cmd_invariants, cmd_metric,
@@ -90,23 +88,27 @@ class TestReports:
         assert tol["dual_derivation_equal"] == "exact identity, 8 trials"
         assert tol["torsion_iff_flat_scalar"] == "exact identity, 8 trials"
 
-    def test_identity_tolerance_names_mpf_arithmetic(self, monkeypatch):
+    def test_identity_tolerance_names_mpf_arithmetic(self):
         mpf = "mpf 256-bit, relative 1e-30, 8 trials"
         rep = cmd_invariants(None, "dancing_sqrt_pair", trials=8)
         tol = {c.name: c.tolerance for c in rep.checks}
         assert tol["torsion_trace_identity"] == mpf
-        # the pointwise classification of a radical chain pair aborts (the
-        # float root clustering defect), so the flat chain pair's stands in
-        flat = chain_pair_from_scalar(DOC.get("flat"))
-        classify = pipeline._classify_pair_pointwise
-        monkeypatch.setattr(pipeline, "_classify_pair_pointwise",
-                            lambda pair, samples, seed:
-                            classify(flat, samples, seed))
         doc = parse("scalar_ode r { vars t z p; F = sqrt(p); }")
         rep = cmd_verify_chains(doc, "r", trials=8, samples=4)
         tol = {c.name: c.tolerance for c in rep.checks}
         assert tol["dual_derivation_equal"] == mpf
         assert tol["torsion_iff_flat_scalar"] == mpf
+        assert tol["uniform_quartic_type"] == "mpf 256-bit, relative 1e-30"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("rhs", ["sqrt(p)", "p^(3/2)", "sqrt(z + p^2)"])
+    def test_radical_chain_pairs_are_D_r(self, rhs, seed):
+        doc = parse(f"scalar_ode s {{ vars t z p; F = {rhs}; }}")
+        rep = cmd_verify_chains(doc, "s", trials=8, seed=seed)
+        assert rep.passed
+        details = {c.name: c.details for c in rep.checks}
+        assert details["uniform_quartic_type"]["quartic_type"] == "D_r"
+        assert details["uniform_quartic_type"]["arithmetic"] == "mpf"
 
     def test_metric_identity_tolerance_names_mpf_arithmetic(self):
         doc = parse("""
@@ -119,9 +121,12 @@ coframe n { vars y p Y P;
         tol = {c.name: c.tolerance
                for c in cmd_metric(doc, "c", points=5, trials=8).checks}
         assert tol["fundamental_form_closed"] == mpf
+        # the null planes of c are integrable with nothing left to test
+        assert tol["null_planes_integrable"] == "structural"
         tol = {c.name: c.tolerance
                for c in cmd_metric(doc, "n", points=5, trials=8).checks}
-        assert tol["fundamental_form_closed"] == "exact identity, 8 trials"
+        # d of the fundamental form of n has no component to test
+        assert tol["fundamental_form_closed"] == "structural"
         assert tol["null_planes_integrable"] == mpf
 
     def test_verify_chains_all_pass(self):

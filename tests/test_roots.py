@@ -2,9 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from pathgeom.errors import IllConditioned
+from pathgeom.expr.tape import MPF_PREC
 from pathgeom.roots import (INF, admissibility, classify_quadric,
                             classify_quartic)
 
@@ -96,6 +97,17 @@ class TestExactPath:
         assert abs(got[0] + math.sqrt(2)) < 1e-10
         assert abs(got[1] - math.sqrt(2)) < 1e-10
 
+    def test_complex_pair_closer_to_the_axis_than_float_resolution(self):
+        # (x - 1/2)^2 (x - 3) (x + 1) - 10^-20: the double root becomes a
+        # conjugate pair with imaginary parts ~1e-10, which float64 root
+        # positions round onto the real axis
+        w = list(expand_quartic([(Fraction(1, 2), 2), (3, 1), (-1, 1)], []))
+        w[4] -= Fraction(1, 10 ** 20)
+        for coeffs in (w, as_mpf(w)):
+            prof = classify_quartic(coeffs)
+            assert prof.distinct_real_count == 2
+            assert len(prof.complex_pairs) == 1
+
     def test_mixed_complex(self):
         w = expand_quartic([], [((Fraction(1, 2), Fraction(3, 2)), 1),
                                 ((0, 1), 1)])
@@ -104,32 +116,43 @@ class TestExactPath:
         assert not prof.real_roots
 
 
+def as_mpf(w):
+    """Rational coefficients as 256-bit mpf values, as `Tape.eval_mpf`
+    returns them (outside its precision context)."""
+    with mpmath.workprec(MPF_PREC):
+        return [mpmath.mpf(Fraction(v).numerator) / Fraction(v).denominator
+                for v in w]
+
+
 class TestNumericPath:
     def test_double_root_detected(self):
-        # eigenvalue splitting of a numeric double root is ~1e-8, so the
-        # clustering tolerance must sit above it
-        w = [float(v) for v in expand_quartic([(Fraction(1, 2), 2), (3, 1),
-                                               (-1, 1)], [])]
-        prof = classify_quartic(w, tol=1e-6)
+        w = as_mpf(expand_quartic([(Fraction(1, 2), 2), (3, 1), (-1, 1)], []))
+        prof = classify_quartic(w)
         assert prof.multiplicities() == (2, 1, 1)
-        assert any(abs(r - 0.5) < 1e-6 and m == 2 for r, m in prof.real_roots)
+        assert any(abs(r - 0.5) < 1e-20 and m == 2 for r, m in prof.real_roots)
 
     def test_complex_pairs(self):
-        prof = classify_quartic((1.0, 0.0, 5 / 6, 0.0, 4.0))
+        prof = classify_quartic(as_mpf((1, 0, Fraction(5, 6), 0, 4)))
         assert len(prof.complex_pairs) == 2
 
     def test_root_at_infinity_numeric(self):
-        w = [float(v) for v in expand_quartic([(2, 1), (5, 1)], [], inf_mult=2)]
+        w = as_mpf(expand_quartic([(2, 1), (5, 1)], [], inf_mult=2))
         prof = classify_quartic(w)
         assert any(r == INF and m == 2 for r, m in prof.real_roots)
 
-    def test_ill_conditioned_close_roots(self):
-        # roots split by ~3e-8 are ambiguous at tol 1e-8 vs 1e-7
-        w = [float(v) for v in
-             expand_quartic([(1, 1), (Fraction(10 ** 8 + 3, 10 ** 8), 1),
-                             (5, 1), (-3, 1)], [])]
-        with pytest.raises(IllConditioned):
-            classify_quartic(w)
+    def test_close_roots_stay_distinct(self):
+        # roots 3e-8 apart are far above the 1e-30 relative zero threshold
+        w = as_mpf(expand_quartic([(1, 1), (Fraction(10 ** 8 + 3, 10 ** 8), 1),
+                                   (5, 1), (-3, 1)], []))
+        prof = classify_quartic(w)
+        assert prof.multiplicities() == (1, 1, 1, 1)
+        assert prof.distinct_real_count == 4
+
+    def test_float_coefficients_refused(self):
+        with pytest.raises(TypeError):
+            classify_quartic((1.0, 0.0, 5 / 6, 0.0, 4.0))
+        with pytest.raises(TypeError):
+            classify_quadric((1.0, 0.0, -1.0))
 
 
 class TestProperties:
