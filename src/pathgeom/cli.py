@@ -1,18 +1,19 @@
 """Command-line entry point.
 
-    pg invariants file.pg --system NAME
-    pg classify file.pg --system NAME [--samples N] [--seed S]
-    pg verify-chains file.pg --system NAME
-    pg verify-cr file.pg --system NAME
+    pg invariants [file.pg] --system NAME [--trials N]
+    pg classify [file.pg] --system NAME [--samples N]
+    pg verify-chains [file.pg] --system NAME [--samples N] [--trials N]
+    pg verify-cr [file.pg] --system NAME [--samples N] [--trials N]
     pg verify-dancing [file.pg] --phi flat|sqrt|NAME [--anchor a,b,c,d]
-                      [--span t0,t1] [--system PAIR] [--csv PATH]
-    pg metric file.pg --system NAME [--samples N]
+                      [--span t0,t1] [--system PAIR] [--samples N] [--csv PATH]
+    pg metric [file.pg] --system NAME [--samples N] [--trials N]
     pg catalog [NAME]
 
-The file argument may be omitted (or '-' for stdin) when the system name is a
-catalog entry.  --json writes the machine-readable report; exit status is 0
-when all checks pass, 1 on any failed check, 2 on input errors, 3 on a
-numerical abort.
+Each command but catalog takes --seed S, each takes --json PATH, and none
+takes an option it does not read; --samples must be at least 1.  The file
+argument may be omitted (or '-' for stdin) when the system name is a catalog
+entry.  Exit status is 0 when all checks pass, 1 on any failed check, 2 on
+input errors, 3 on a numerical abort.
 """
 
 from __future__ import annotations
@@ -24,27 +25,29 @@ from .dsl import parse
 from .errors import (DslError, IllConditioned, NewtonDiverged, PathgeomError,
                      SamplingExhausted, SeedNotFound, StepUnderflow,
                      UnknownName)
-from .pipeline import (cmd_catalog, cmd_classify, cmd_invariants, cmd_metric,
-                       cmd_verify_chains, cmd_verify_cr, cmd_verify_dancing)
+from .pipeline import (DEFAULT_CURVE_SAMPLES, DEFAULT_IDENTITY_TRIALS,
+                       DEFAULT_SAMPLES, cmd_catalog, cmd_classify,
+                       cmd_invariants, cmd_metric, cmd_verify_chains,
+                       cmd_verify_cr, cmd_verify_dancing)
 
 _NUMERICAL_ABORTS = (StepUnderflow, NewtonDiverged, SeedNotFound,
                      SamplingExhausted, IllConditioned)
 
 
-def _add_common(p, needs_system=True):
+def _add_common(p, *reads):
+    """The document, --system, --seed, --json, and --samples/--trials if read."""
     p.add_argument("file", nargs="?", default=None,
                    help=".pg document ('-' for stdin); optional for catalog systems")
-    if needs_system:
-        p.add_argument("--system", required=True, help="declaration or catalog name")
-    p.add_argument("--samples", type=int, default=20,
-                   help="sample count for pointwise checks (default 20)")
-    p.add_argument("--trials", type=int, default=50,
-                   help="trials per identity test (default 50)")
+    p.add_argument("--system", required=True, help="declaration or catalog name")
+    if "samples" in reads:
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                       help=f"points sampled, at least 1 (default {DEFAULT_SAMPLES})")
+    if "trials" in reads:
+        p.add_argument("--trials", type=int, default=DEFAULT_IDENTITY_TRIALS,
+                       help=f"trials per identity test (default {DEFAULT_IDENTITY_TRIALS})")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--json", dest="json_path", default=None,
                    help="write the machine-readable report to this path")
-    p.add_argument("--csv", dest="csv_path", default=None,
-                   help="write sampled data (dancing curves) to this path")
 
 
 def _build_parser():
@@ -54,12 +57,14 @@ def _build_parser():
                     "3D path geometries given as pairs of 2nd-order ODEs")
     subs = ap.add_subparsers(dest="command", required=True)
 
-    _add_common(subs.add_parser("invariants", help="print fundamental invariants"))
-    _add_common(subs.add_parser("classify", help="pointwise root-type classification"))
-    _add_common(subs.add_parser("verify-chains",
-                                help="full chain pipeline for a scalar ODE"))
-    _add_common(subs.add_parser("verify-cr",
-                                help="CR-chain admissibility for a pair"))
+    for name, help_text, *reads in (
+            ("invariants", "print fundamental invariants", "trials"),
+            ("classify", "pointwise root-type classification", "samples"),
+            ("verify-chains", "full chain pipeline for a scalar ODE",
+             "samples", "trials"),
+            ("verify-cr", "CR-chain admissibility for a pair",
+             "samples", "trials")):
+        _add_common(subs.add_parser(name, help=help_text), *reads)
 
     pd = subs.add_parser("verify-dancing", help="dancing-curve residual checks")
     pd.add_argument("file", nargs="?", default=None)
@@ -70,13 +75,14 @@ def _build_parser():
     pd.add_argument("--span", default=None, help="t window 't0,t1'")
     pd.add_argument("--system", default=None,
                     help="pair to verify against (defaults per builtin)")
-    pd.add_argument("--samples", type=int, default=120)
+    pd.add_argument("--samples", type=int, default=DEFAULT_CURVE_SAMPLES)
     pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--json", dest="json_path", default=None)
     pd.add_argument("--csv", dest="csv_path", default=None)
 
     _add_common(subs.add_parser("metric", help="Einstein/closedness/integrability "
-                                               "for a coframe metric"))
+                                               "for a coframe metric"),
+                "samples", "trials")
 
     pc = subs.add_parser("catalog", help="list or print built-in examples")
     pc.add_argument("name", nargs="?", default=None)

@@ -190,8 +190,8 @@ def _cr_y3_pair():
 
 
 def _dancing_sqrt_pair():
-    # freestyling/dancing pair of z'' = sqrt(z'); real branch, sampled domains
-    # keep both radicands positive (t + b > 0)
+    # freestyling/dancing pair of z'' = sqrt(z'), real branch; no sampler
+    # keeps t + b > 0, draws where a radicand is negative are dropped
     t, b, Z, B = var("t"), var("b"), var("Z"), var("B")
     tb = add(t, b)
     rad = sub(mul(tb**2, B, add(B, num(1))), mul(num(4), Z, B))

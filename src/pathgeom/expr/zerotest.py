@@ -66,7 +66,6 @@ def _modp(tape, residues):
 
 
 def is_zero_probabilistic(e: Expr, trials: int = DEFAULT_TRIALS, seed=0,
-                          bound: int = DEFAULT_BOUND,
                           var_ranges: dict | None = None) -> ZeroVerdict:
     """Decide e == 0 by evaluation at `trials` random points where e has a
     value.
@@ -89,7 +88,7 @@ def is_zero_probabilistic(e: Expr, trials: int = DEFAULT_TRIALS, seed=0,
 
     for trial in range(trials):
         for _ in range(RESAMPLE_BUDGET):
-            point = draw_exact(rng, ranges, bound)
+            point = draw_exact(rng, ranges, DEFAULT_BOUND)
             try:
                 if mode == "exact":
                     # a zero residue counts as zero; otherwise the value
@@ -123,8 +122,8 @@ def is_zero_probabilistic(e: Expr, trials: int = DEFAULT_TRIALS, seed=0,
         # n/d -> n * d^-1 mod p keeps distinct draws apart while
         # 2 bound^2 < p, so a trial misses a nonzero value with probability
         # <= deg/bound, over Q and mod p alike unless p divides every
-        # coefficient of the cleared numerator
-        per = min(1.0, deg / bound)
+        # coefficient of the cleared numerator (bound = DEFAULT_BOUND)
+        per = min(1.0, deg / DEFAULT_BOUND)
         failure = per ** trials
     return ZeroVerdict(True, trials=trials, mode=mode, degree_bound=deg,
                        failure_bound=failure, constraints_rejected=rejected)

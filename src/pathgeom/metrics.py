@@ -114,6 +114,8 @@ def einstein_check(cm: CoframeMetric, points: int = 20,
     signature of g is verified to be (2,2) at every sample (DegeneratePoint
     otherwise).
     """
+    if points < 1:
+        raise ValueError("points must be >= 1")
     chart = cm.chart
     names = list(chart)
     coef = [c for row in cm.coefficient_rows() for c in row]

@@ -24,7 +24,7 @@ from .expr import (add, compile_tape, is_zero_probabilistic, num, sub,
                    to_text)
 from .expr.sampling import sample_points
 from .expr.tape import MPF_PREC
-from .expr.zerotest import MPF_REL_TOL
+from .expr.zerotest import MPF_REL_TOL, zero_verdicts
 from .forms import chain_pair_via_rho, exterior_derivative, rho_chain, wedge
 from .invariants import (curvature_quartic, fels_invariants, scalar_invariants,
                          torsion_quadric)
@@ -34,9 +34,11 @@ from .metrics import (EINSTEIN_TOL, CoframeMetric, closedness_check,
 from .roots import admissibility, classify_quadric, classify_quartic
 
 DEFAULT_IDENTITY_TRIALS = 50
-DEFAULT_TYPE_SAMPLES = 20
+DEFAULT_SAMPLES = 20      # sampled points per root-type or Einstein check
+DEFAULT_CURVE_SAMPLES = 120  # points along a dancing curve
 SAMPLE_BUDGET = 3000      # draws per pointwise classification
 PAIR_RESIDUAL_TOL = 1e-6  # largest pair residual along a dancing curve
+_TORSION_LABELS = [f"T^{i+1}_{j+1}" for i in range(2) for j in range(2)]
 
 
 @dataclass
@@ -162,22 +164,24 @@ def _identity_tolerance(verdicts, trials):
     return f"{MPF_TOLERANCE}, {trials} trials"
 
 
-def _classify_pair_pointwise(pair: PairODE, samples, seed):
-    """Quartic/quadric root profiles of a pair at sampled admissible points,
-    with the arithmetic that decided them.
+def _root_type_checks(inv, samples, seed):
+    """The `uniform_quartic_type` and `admissibility_flags` records of a pair,
+    given its Fels invariants, at `samples` exact sampled points.
 
-    The points are exact; a radical-free system is evaluated and classified
-    exactly, a radical one in mpf.  An mpf point whose multiplicities do not
-    add up (IllConditioned) is skipped and counted (at most `samples` skips
-    before giving up)."""
-    inv = fels_invariants(pair)
-    quartic = curvature_quartic(inv).coefficients
-    quadric = torsion_quadric(inv).coefficients
-    exprs = list(quartic) + list(quadric)
+    A radical-free pair is evaluated and classified exactly, a radical one in
+    mpf.  The type is uniform when every point's quartic has one describe();
+    the witness is the last point whose type differs from the first point's.
+    An mpf point whose multiplicities do not add up (IllConditioned) is
+    skipped and counted, at most `samples` times.  A construction is
+    admissible only if it is at every sampled point."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    exprs = (list(curvature_quartic(inv).coefficients)
+             + list(torsion_quadric(inv).coefficients))
     arithmetic = "mpf" if any(e.has_radical for e in exprs) else "exact"
     names = sorted(set().union(*(e.free_variables for e in exprs)))
     tape = compile_tape(exprs, names)
-    results = []
+    quartic_types, quadric_types, flags, witness = [], set(), [], []
     skipped = 0
     for point, values in sample_points(tape, names, seed, SAMPLE_BUDGET,
                                        arithmetic):
@@ -189,52 +193,37 @@ def _classify_pair_pointwise(pair: PairODE, samples, seed):
             if skipped > samples:
                 raise
             continue
-        results.append((dict(zip(names, point)), q4, q2))
-        if len(results) == samples:
-            break
-    if len(results) < samples:
-        raise SamplingExhausted(f"only {len(results)}/{samples} admissible "
-                                f"points classified")
-    return results, arithmetic, skipped
-
-
-def _uniform_type_records(results, arithmetic, samples, expected_quartic=None,
-                          skipped=0):
-    def profile_key(p):
-        return (p.zero_form, p.multiplicities(),
-                tuple(m for _, m in p.real_roots))
-
-    quartic_types = {results[0][1].describe()}
-    quadric_types = {results[0][2].describe()}
-    key0 = profile_key(results[0][1])
-    uniform = True
-    witness = []
-    for assignment, q4, q2 in results[1:]:
-        quartic_types.add(q4.describe())
+        quartic_types.append(q4.describe())
         quadric_types.add(q2.describe())
-        if profile_key(q4) != key0:
-            uniform = False
-            witness = _witness_str(assignment)
-    details = {
-        "quartic_type": " | ".join(sorted(quartic_types)),
-        "quadric_type": " | ".join(sorted(quadric_types)),
-        "samples": str(samples),
-        "arithmetic": arithmetic,
-    }
+        flags.append(admissibility(q4, q2).as_dict())
+        if quartic_types[-1] != quartic_types[0]:
+            witness = _witness_str(dict(zip(names, point)))
+        if len(flags) == samples:
+            break
+    if len(flags) < samples:
+        raise SamplingExhausted(f"only {len(flags)}/{samples} admissible "
+                                f"points classified")
+    details = {"quartic_type": " | ".join(sorted(set(quartic_types))),
+               "quadric_type": " | ".join(sorted(quadric_types)),
+               "samples": str(samples), "arithmetic": arithmetic}
     if skipped:
         details["ill_conditioned_skipped"] = str(skipped)
-    verdict = "pass" if uniform else "fail"
-    if expected_quartic is not None and uniform:
-        verdict = "pass" if quartic_types == {expected_quartic} else "fail"
-    tolerance = "exact" if arithmetic == "exact" else MPF_TOLERANCE
-    rec = CheckRecord(name="uniform_quartic_type", verdict=verdict,
-                      tolerance=tolerance, witnesses=witness, details=details)
-    # a construction is admissible only if it is at every sampled point
-    flags = [admissibility(q4, q2).as_dict() for _, q4, q2 in results]
+    rec = CheckRecord(name="uniform_quartic_type",
+                      verdict="fail" if witness else "pass",
+                      tolerance="exact" if arithmetic == "exact"
+                      else MPF_TOLERANCE,
+                      witnesses=witness, details=details)
     frec = CheckRecord(name="admissibility_flags", verdict="info",
                        details={k: str(all(f[k] for f in flags))
                                 for k in flags[0]})
     return [rec, frec]
+
+
+def _expect_type(records, quartic_type):
+    """Fail the uniform-type record unless every point's type is `quartic_type`."""
+    if records[0].details["quartic_type"] != quartic_type:
+        records[0].verdict = "fail"
+    return records
 
 
 # -- commands -------------------------------------------------------------------
@@ -257,19 +246,16 @@ def cmd_invariants(doc: Document | None, system_name: str,
     else:
         inv = fels_invariants(obj)
         T = inv.torsion
-        labels = [f"T^{i+1}_{j+1}" for i in range(2) for j in range(2)]
-        entries = [T[i][j] for i in range(2) for j in range(2)]
-        torsion_zero = all(
-            is_zero_probabilistic(e, trials=trials, seed=seed).is_zero
-            for e in entries)
+        entries = [e for row in T for e in row]
+        torsion_zero = all(zero_verdicts(entries, trials, seed))
         checks.append(CheckRecord(
             name="torsion", verdict="info",
-            details={**{lbl: _expr_text(e) for lbl, e in zip(labels, entries)},
+            details={**{lbl: _expr_text(e)
+                        for lbl, e in zip(_TORSION_LABELS, entries)},
                      "torsion_zero": str(torsion_zero)}))
-        rec = _zero_matrix_check(
+        checks.append(_zero_matrix_check(
             "torsion_trace_identity", [add(T[0][0], T[1][1])],
-            ["T^1_1 + T^2_2"], trials, seed)
-        checks.append(rec)
+            ["T^1_1 + T^2_2"], trials, seed))
         quart = curvature_quartic(inv)
         quad = torsion_quadric(inv)
         checks.append(CheckRecord(
@@ -283,19 +269,16 @@ def cmd_invariants(doc: Document | None, system_name: str,
 
 
 def cmd_classify(doc: Document | None, system_name: str,
-                 samples: int = DEFAULT_TYPE_SAMPLES, seed: int = 0) -> Report:
+                 samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Report:
     pair = resolve(doc, system_name, PairODE)
-    results, arithmetic, skipped = _classify_pair_pointwise(pair, samples,
-                                                            seed)
-    checks = _uniform_type_records(results, arithmetic, samples,
-                                   skipped=skipped)
+    checks = _root_type_checks(fels_invariants(pair), samples, seed)
     return Report(command=f"classify {system_name}", seed=seed,
                   fingerprint=_fingerprint(doc), checks=checks)
 
 
 def cmd_verify_chains(doc: Document | None, scalar_name: str,
                       trials: int = DEFAULT_IDENTITY_TRIALS,
-                      samples: int = DEFAULT_TYPE_SAMPLES,
+                      samples: int = DEFAULT_SAMPLES,
                       seed: int = 0) -> Report:
     sys = resolve(doc, scalar_name, ScalarODE)
     checks = []
@@ -305,70 +288,54 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
         details={"F1": _expr_text(closed.rhs1), "F2": _expr_text(closed.rhs2),
                  "chart": " ".join(closed.chart)}))
     via = chain_pair_via_rho(sys)
-    rec = _zero_matrix_check(
+    checks.append(_zero_matrix_check(
         "dual_derivation_equal",
         [sub(closed.rhs1, via.rhs1), sub(closed.rhs2, via.rhs2)],
-        ["F1 difference", "F2 difference"], trials, seed)
-    checks.append(rec)
+        ["F1 difference", "F2 difference"], trials, seed))
     rho = rho_chain(sys)
     drho = exterior_derivative(rho)
     rec = _zero_matrix_check(
-        "rho_closed", list(drho.comps.values()) or [],
+        "rho_closed", list(drho.comps.values()),
         [f"d rho [{idx}]" for idx in drho.comps], trials, seed)
     if not drho.comps:
-        rec = CheckRecord(name="rho_closed", verdict="pass",
-                          tolerance="structural", details={"d rho": "0"})
+        rec.details["d rho"] = "0"
     checks.append(rec)
-    rr = wedge(rho, rho)
-    nonzero = any(not is_zero_probabilistic(c, trials=max(8, trials // 4),
-                                            seed=seed).is_zero
-                  for c in rr.comps.values())
+    rr_trials = max(8, trials // 4)
+    nonzero = not all(zero_verdicts(wedge(rho, rho).comps.values(),
+                                    rr_trials, seed))
     checks.append(CheckRecord(
         name="rho_wedge_rho_nonzero", verdict="pass" if nonzero else "fail",
-        tolerance=f"nonzero witness, {max(8, trials // 4)} trials",
+        tolerance=f"nonzero witness, {rr_trials} trials",
         details={"rank": "4" if nonzero else "degenerate"}))
     si = scalar_invariants(sys)
-    verdicts = []
-
-    def is_zero(e):
-        verdicts.append(is_zero_probabilistic(e, trials=trials, seed=seed))
-        return verdicts[-1].is_zero
-
-    scalar_zero = is_zero(si.t1) and is_zero(si.c1)
-    T = fels_invariants(closed).torsion
-    torsion_zero = all(is_zero(T[i][j]) for i in range(2) for j in range(2))
+    scalar = zero_verdicts([si.t1, si.c1], trials, seed)
+    inv = fels_invariants(closed)
+    torsion = zero_verdicts([e for row in inv.torsion for e in row], trials,
+                            seed)
+    scalar_zero, torsion_zero = all(scalar), all(torsion)
     checks.append(CheckRecord(
         name="torsion_iff_flat_scalar",
         verdict="pass" if torsion_zero == scalar_zero else "fail",
-        tolerance=_identity_tolerance(verdicts, trials),
+        tolerance=_identity_tolerance(scalar + torsion, trials),
         details={"scalar_invariants_zero": str(scalar_zero),
                  "chain_torsion_zero": str(torsion_zero)}))
-    results, arithmetic, skipped = _classify_pair_pointwise(closed, samples,
-                                                            seed)
-    checks.extend(_uniform_type_records(results, arithmetic, samples,
-                                        expected_quartic="D_r",
-                                        skipped=skipped))
+    checks.extend(_expect_type(_root_type_checks(inv, samples, seed), "D_r"))
     return Report(command=f"verify-chains {scalar_name}", seed=seed,
                   fingerprint=_fingerprint(doc), checks=checks)
 
 
 def cmd_verify_cr(doc: Document | None, pair_name: str,
-                  samples: int = DEFAULT_TYPE_SAMPLES,
+                  samples: int = DEFAULT_SAMPLES,
                   trials: int = DEFAULT_IDENTITY_TRIALS,
                   seed: int = 0) -> Report:
     """CR-chain admissibility (condition 1: a D_c curvature quartic) for a
     candidate pair, plus the torsion report."""
     pair = resolve(doc, pair_name, PairODE)
-    checks = []
-    results, arithmetic, skipped = _classify_pair_pointwise(pair, samples,
-                                                            seed)
-    checks.extend(_uniform_type_records(results, arithmetic, samples,
-                                        expected_quartic="D_c",
-                                        skipped=skipped))
-    T = fels_invariants(pair).torsion
-    rec = _zero_matrix_check(
-        "torsion_zero", [T[i][j] for i in range(2) for j in range(2)],
-        [f"T^{i+1}_{j+1}" for i in range(2) for j in range(2)], trials, seed)
+    inv = fels_invariants(pair)
+    checks = _expect_type(_root_type_checks(inv, samples, seed), "D_c")
+    rec = _zero_matrix_check("torsion_zero",
+                             [e for row in inv.torsion for e in row],
+                             _TORSION_LABELS, trials, seed)
     if rec.verdict == "fail":
         rec.verdict = "info"
         rec.details["note"] = "nonzero torsion: CR structure is not flat"
@@ -386,7 +353,8 @@ _DANCING_BUILTINS = {
 
 
 def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
-                       anchor=None, span=None, samples: int = 120,
+                       anchor=None, span=None,
+                       samples: int = DEFAULT_CURVE_SAMPLES,
                        seed: int = 0, pair_name: str | None = None,
                        csv_path=None) -> Report:
     """Generate a dancing curve from a solution function and check it against
@@ -441,7 +409,8 @@ def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
                   fingerprint=_fingerprint(doc), checks=checks)
 
 
-def cmd_metric(doc: Document | None, coframe_name: str, points: int = 20,
+def cmd_metric(doc: Document | None, coframe_name: str,
+               points: int = DEFAULT_SAMPLES,
                seed: int = 0, trials: int = DEFAULT_IDENTITY_TRIALS) -> Report:
     cm = resolve(doc, coframe_name, CoframeMetric)
     checks = []

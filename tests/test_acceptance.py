@@ -25,7 +25,7 @@ from pathgeom.invariants import (fels_curvature, fels_torsion,
 from pathgeom.jets import PairODE, ScalarODE, prolong
 from pathgeom.metrics import (closedness_check, einstein_check,
                               null_planes_integrable)
-from pathgeom.pipeline import _classify_pair_pointwise
+from pathgeom.pipeline import cmd_classify
 from pathgeom.roots import classify_quartic
 
 t, z, p = variables("t z p")
@@ -177,24 +177,25 @@ def test_criterion_04_p_cubed_torsion_witness():
             "is torsion-free")
 
 
+def _quartic_type_at_20_points(pair_name):
+    """The quartic type of a catalog pair at 20 sampled points, asserting
+    that one type held at every point and was decided exactly."""
+    rep = cmd_classify(None, pair_name, samples=20, seed=0)
+    rec = {c.name: c for c in rep.checks}["uniform_quartic_type"]
+    assert rec.verdict == "pass"
+    assert rec.details["arithmetic"] == "exact"
+    return rec.details["quartic_type"]
+
+
 def test_criterion_05_type_classification():
     with _Timer(5, "root types of the three catalog systems", 30.0):
-        results, exact, _ = _classify_pair_pointwise(
-            catalog("flat_chain_pair"), 20, seed=0)
-        assert exact
-        assert all(q4.is_D_r for _, q4, _ in results)
+        assert _quartic_type_at_20_points("flat_chain_pair") == "D_r"
 
-        cr = catalog("cr_sphere_pair")
-        results, exact, _ = _classify_pair_pointwise(cr, 20, seed=0)
-        assert exact
-        assert all(q4.is_D_c for _, q4, _ in results)
-        assert _torsion_zero(cr, trials=30)
+        assert _quartic_type_at_20_points("cr_sphere_pair") == "D_c"
+        assert _torsion_zero(catalog("cr_sphere_pair"), trials=30)
 
-        y3 = catalog("cr_y3_pair")
-        results, exact, _ = _classify_pair_pointwise(y3, 20, seed=0)
-        assert exact
-        assert all(q4.is_D_c for _, q4, _ in results)
-        assert _torsion_witness(y3, trials=20) is not None
+        assert _quartic_type_at_20_points("cr_y3_pair") == "D_c"
+        assert _torsion_witness(catalog("cr_y3_pair"), trials=20) is not None
 
 
 def test_criterion_06_third_order_reductions():

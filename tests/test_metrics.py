@@ -33,6 +33,11 @@ class TestEinstein:
         assert rep.lambda_spread < 1e-6
         assert abs(rep.lambdas[0] + 12.0) < 1e-9
 
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_fewer_than_one_point_refused(self, points):
+        with pytest.raises(ValueError):
+            einstein_check(catalog("fubini_study_coframe"), points=points)
+
     def test_flat_coframe_is_ricci_flat(self):
         rep = einstein_check(_flat_coframe(), points=5, seed=0)
         assert rep.max_residual < 1e-12

@@ -5,12 +5,16 @@ import sys
 
 import pytest
 
+from pathgeom.cli import main
 from pathgeom.dsl import parse
-from pathgeom.pipeline import (_classify_pair_pointwise, cmd_catalog,
-                               cmd_classify, cmd_invariants, cmd_metric,
-                               cmd_verify_chains, cmd_verify_cr,
-                               cmd_verify_dancing)
-from pathgeom.roots import admissibility
+from pathgeom.expr import compile_tape
+from pathgeom.expr.sampling import sample_points
+from pathgeom.invariants import (curvature_quartic, fels_invariants,
+                                 torsion_quadric)
+from pathgeom.pipeline import (SAMPLE_BUDGET, cmd_catalog, cmd_classify,
+                               cmd_invariants, cmd_metric, cmd_verify_chains,
+                               cmd_verify_cr, cmd_verify_dancing)
+from pathgeom.roots import admissibility, classify_quadric, classify_quartic
 
 DOC = parse("""
 scalar_ode flat { vars t z p; F = 0; }
@@ -22,6 +26,23 @@ coframe flat4 {
   eta 1 = 1*d Y; eta 2 = 1*d P; eta 3 = 1*d y; eta 4 = 1*d p;
 }
 """)
+
+
+def _flags_at_sampled_points(pair, samples, seed):
+    """Admissibility flags at each of the exact points the pointwise
+    classification of a radical-free pair samples."""
+    inv = fels_invariants(pair)
+    exprs = (list(curvature_quartic(inv).coefficients)
+             + list(torsion_quadric(inv).coefficients))
+    names = sorted(set().union(*(e.free_variables for e in exprs)))
+    flags = []
+    for _, values in sample_points(compile_tape(exprs, names), names, seed,
+                                   SAMPLE_BUDGET, "exact"):
+        flags.append(admissibility(classify_quartic(values[:5]),
+                                   classify_quadric(values[5:])).as_dict())
+        if len(flags) == samples:
+            return flags
+    raise AssertionError("too few sampled points")
 
 
 class TestReports:
@@ -71,8 +92,7 @@ class TestReports:
         for seed in range(3):
             rep = cmd_classify(DOC, "mixed", samples=8, seed=seed)
             reported = {c.name: c for c in rep.checks}["admissibility_flags"]
-            results, _, _ = _classify_pair_pointwise(DOC.get("mixed"), 8, seed)
-            flags = [admissibility(q4, q2).as_dict() for _, q4, q2 in results]
+            flags = _flags_at_sampled_points(DOC.get("mixed"), 8, seed)
             assert reported.details == {k: str(all(f[k] for f in flags))
                                         for k in flags[0]}
             first_differs += reported.details != {k: str(v)
@@ -164,6 +184,39 @@ coframe n { vars y p Y P;
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--system", "cr_sphere_pair", "--csv", "{tmp}/x.csv"),
+        ("classify", "--system", "cr_sphere_pair", "--trials", "3"),
+        ("invariants", "--system", "cr_y3_pair", "--samples", "3"),
+        ("invariants", "--system", "cr_y3_pair", "--csv", "{tmp}/x.csv"),
+        ("verify-chains", "--system", "flat", "--csv", "{tmp}/x.csv"),
+        ("verify-cr", "--system", "cr_sphere_pair", "--csv", "{tmp}/x.csv"),
+        ("metric", "--system", "fubini_study_coframe", "--csv", "{tmp}/x.csv"),
+        ("verify-dancing", "--phi", "flat", "--trials", "3"),
+        ("catalog", "--seed", "1"),
+    ])
+    def test_option_not_read_by_the_command_exits_two(self, argv, tmp_path,
+                                                       capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--system", "flat_chain_pair"),
+        ("verify-chains", "{tmp}/d.pg", "--system", "flat", "--trials", "4"),
+        ("verify-cr", "--system", "cr_sphere_pair", "--trials", "4"),
+        ("metric", "--system", "fubini_study_coframe", "--trials", "4"),
+    ])
+    def test_samples_below_one_exit_two(self, argv, samples, tmp_path, capsys):
+        (tmp_path / "d.pg").write_text("scalar_ode flat { vars t z p; F = 0; }\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv + ["--samples", samples]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     def _run(self, *argv, stdin=None):
         proc = subprocess.run([sys.executable, "-m", "pathgeom.cli", *argv],
                               capture_output=True, text=True, input=stdin)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathgeom.expr.tape import MPF_PREC
 from pathgeom.roots import (INF, admissibility, classify_quadric,
@@ -262,6 +263,34 @@ def _random_factored_quartic(rng):
                                                  for _ in range(2)],
                          reverse=True))
     return mults, expand_quartic(real, cpx), real, cpx
+
+
+def _profile_key(profile):
+    """The multiplicity pattern of a profile: zero form, multiplicities, and
+    the real multiplicities in root order."""
+    return (profile.zero_form, profile.multiplicities(),
+            tuple(m for _, m in profile.real_roots))
+
+
+# a factored quartic (or, one time in ten, the zero form) moved by an
+# invertible integer substitution, so that roots also land at infinity
+_GL2 = st.tuples(*[st.integers(-3, 3)] * 4).filter(
+    lambda m: m[0] * m[3] != m[1] * m[2])
+_QUARTIC = st.tuples(st.integers(0, 2 ** 32), _GL2, st.integers(0, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_QUARTIC, min_size=2, max_size=10))
+def test_describe_equal_exactly_when_profile_key_equal(quartics):
+    profiles = []
+    for seed, gl2, zero in quartics:
+        w = _random_factored_quartic(random.Random(seed))[1]
+        profiles.append(classify_quartic(
+            (0,) * 5 if zero == 0 else _substitute_gl2(w, *gl2)))
+    for a in profiles:
+        for b in profiles:
+            assert (a.describe() == b.describe()) == \
+                (_profile_key(a) == _profile_key(b))
 
 
 class TestAdmissibility:
