@@ -368,6 +368,8 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     NewtonDiverged on continuation failure (after step halving down to 1e-9),
     SeedNotFound when no starting point on the curve can be located.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     tn, zn, an, bn = phi.chart
     that, zhat, ahat, bhat = (float(v) for v in anchor)
 

@@ -64,7 +64,7 @@ def rat_pow_exact(base: Rat, exp: Rat):
     if base < 0:
         if q % 2 == 0:
             raise DomainError("negative base under an even root")
-        sign = (-1) ** p
+        sign = -1 if p % 2 else 1
         base = -base
     num, den = base.numerator, base.denominator
     if p < 0:

@@ -4,13 +4,15 @@ A tape is the DAG in topological order as a list of `(op, a, b)`
 instructions, compiled once and evaluated at many points (an operation tape
 in the sense of Griewank & Walther, *Evaluating Derivatives*).  A tape
 compiled from a sequence of expressions runs the union of their DAGs, each
-shared node once, and returns a list with one value per expression.  One
-interpreter loop runs the instructions over a number domain; the domain
-supplies the constants, the point, and the integer and fractional power
-functions.  There are five domains:
+shared node once, and returns a list with one value per expression.  There
+are five number domains.  The exact domain has its own loop, on int
+numerator/denominator pairs kept in lowest terms; the other four share one
+interpreter loop, `Tape._run`, to which the domain supplies the constants,
+the point, and the integer and fractional power functions:
 
-  * exact           -- rationals (Fraction); a fractional power must come
-                       out rational (`rat_pow_exact`)
+  * exact           -- rationals, held as int pairs and returned as Fractions;
+                       a fractional power must come out rational
+                       (`rat_pow_exact`)
   * mod p           -- residues mod the prime p = 2^61 - 1 (`MODULUS`); sums
                        and products are reduced mod p, a negative power takes
                        the modular inverse, and a fractional power has no
@@ -36,6 +38,7 @@ the exact value nonzero; a zero residue does not prove it zero.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -194,11 +197,62 @@ class Tape:
 
     def eval_exact(self, point):
         """The exact value at a point of ints and rationals, as rationals
-        (Fraction), also where an int point meets a negative power."""
+        (Fraction), also where an int point meets a negative power.
+
+        Node k is the int pair nums[k] / dens[k] in lowest terms with
+        dens[k] > 0, as a Fraction would hold it; each sum and product
+        divides out one gcd, and a Fraction is built only for the outputs."""
         inputs = [as_rat(v) for v in point]
-        return self._result(self._run(inputs, self.consts_exact,
-                                      self.exps_exact, 0, 1, _pow_int,
-                                      _exact_pow_frac))
+        consts, exps = self.consts_exact, self.exps_exact
+        gcd = math.gcd
+        nums, dens = [], []
+        push_num, push_den = nums.append, dens.append
+        for op, a, b in self.code:
+            if op == OP_MUL:
+                n = d = 1
+                for j in a:
+                    n *= nums[j]
+                    d *= dens[j]
+                g = gcd(n, d)
+                if g != 1:
+                    n //= g
+                    d //= g
+            elif op == OP_ADD:
+                n, d = 0, 1
+                for j in a:
+                    dj = dens[j]
+                    if dj == d:
+                        n += nums[j]
+                    else:
+                        n = n * dj + nums[j] * d
+                        d *= dj
+                g = gcd(n, d)
+                if g != 1:
+                    n //= g
+                    d //= g
+            elif op == OP_CONST:
+                q = consts[a]
+                n, d = q.numerator, q.denominator
+            elif op == OP_VAR:
+                q = inputs[a]
+                n, d = q.numerator, q.denominator
+            elif op == OP_POW_INT:
+                n, d = nums[a], dens[a]
+                if b >= 0:
+                    n, d = n ** b, d ** b
+                elif n == 0:
+                    raise DivisionByZero("denominator evaluated to zero")
+                else:
+                    n, d = d ** -b, n ** -b
+                    if d < 0:
+                        n, d = -n, -d
+            else:
+                q = _exact_pow_frac(Fraction(nums[a], dens[a]), exps[b])
+                n, d = q.numerator, q.denominator
+            push_num(n)
+            push_den(d)
+        out = [Fraction(nums[k], dens[k]) for k in self.outputs]
+        return out[0] if self.single else out
 
     @property
     def reducible_mod_p(self) -> bool:
@@ -257,7 +311,7 @@ class Tape:
             inputs = [_to_mpf(p) if hasattr(p, "numerator") else mpf(p)
                       for p in point]
             values = self._run(inputs, *self._mpfs(), mpf(0), mpf(1),
-                               _pow_int, _mpf_pow_frac)
+                               _mpf_pow_int, _mpf_pow_frac)
             return (self._result(values),
                     max((abs(v) for v in values), default=mpf(0)))
 
@@ -271,8 +325,8 @@ def _to_mpf(q):
 
 # -- the domains' power functions ---------------------------------------------------
 
-def _pow_int(base, e: int):
-    """Integer power, exact or mpf."""
+def _mpf_pow_int(base, e: int):
+    """Integer power in mpf."""
     if base == 0 and e < 0:
         raise DivisionByZero("denominator evaluated to zero")
     return base ** e

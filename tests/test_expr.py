@@ -12,6 +12,7 @@ from pathgeom.expr import (add, as_rat, compile_tape, differentiate, div,
                            evaluate, exprs_equal, is_zero_probabilistic, mul,
                            neg, node_count, num, pow_, sqrt_, sub, substitute,
                            to_text, var, variables)
+from pathgeom.expr.nodes import Add, Mul, Num, Var
 from pathgeom.expr.rational import rat_pow_exact
 from pathgeom.expr.tape import MODULUS, residue
 
@@ -156,6 +157,11 @@ class TestExactRoots:
     def test_exact_evaluation_of_a_large_square(self):
         r = 10 ** 17 + 3
         assert evaluate(sqrt_(x), {"x": r * r}, "exact") == r
+
+    def test_odd_root_of_a_negative_base_to_a_negative_power(self):
+        assert rat_pow_exact(Fraction(-8), Fraction(-1, 3)) == Fraction(-1, 2)
+        assert rat_pow_exact(Fraction(-8), Fraction(-2, 3)) == Fraction(1, 4)
+        assert pow_(num(-8), Fraction(-1, 3)) is num(Fraction(-1, 2))
 
     @given(st.integers(2, 10 ** 60), st.integers(2, 7))
     @settings(max_examples=300, deadline=None)
@@ -444,6 +450,107 @@ class TestModpTape:
     def test_fractional_power_has_no_residue(self):
         tape = compile_tape(sqrt_(x), ("x",))
         assert not tape.reducible_mod_p
+
+
+_CONSTANTS = (1, -2, Fraction(-3, 7), Fraction(5, 4), 10 ** 400,
+              Fraction(1, MODULUS))
+
+
+def _fraction_value(roots, point):
+    """Plain recursive Fraction evaluation of the roots at {name: value}.
+
+    Children are visited last to first and roots first to last, the order
+    of a tape's instructions, so that where two nodes would raise, the one
+    that raises is the one the tape reaches first."""
+    memo = {}
+
+    def ev(node):
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, Num):
+            v = Fraction(node.value)
+        elif isinstance(node, Var):
+            v = Fraction(point[node.name])
+        elif isinstance(node, (Add, Mul)):
+            vals = [ev(a) for a in reversed(node.args)]
+            v = sum(vals, Fraction(0)) if isinstance(node, Add) else math.prod(vals)
+        else:
+            base, e = ev(node.base), node.exponent
+            if e.denominator == 1:
+                if base == 0 and e < 0:
+                    raise DivisionByZero("0 to a negative power")
+                v = base ** int(e)
+            else:
+                v = rat_pow_exact(base, e)
+                if v is None:
+                    raise DomainError("irrational power")
+        memo[id(node)] = v
+        return v
+
+    return [ev(r) for r in roots]
+
+
+@st.composite
+def _exact_dags(draw):
+    """One to three outputs of a random DAG over x, y, z whose nodes share
+    subterms: n-ary sums and products, integer powers of either sign,
+    rational constants, and fractional powers of perfect powers (plus plain
+    square roots, which may leave the rationals)."""
+    pool = [x, y, z]
+    for _ in range(draw(st.integers(2, 7))):
+        kind = draw(st.sampled_from(("add", "mul", "pow", "frac", "sqrt")))
+        if kind in ("add", "mul"):
+            args = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4))
+            args += [num(c) for c in draw(st.lists(st.sampled_from(_CONSTANTS),
+                                                   max_size=1))]
+        else:
+            base = draw(st.sampled_from(pool))
+        try:
+            if kind == "add":
+                node = add(*args)
+            elif kind == "mul":
+                node = mul(*args)
+            elif kind == "pow":
+                node = pow_(base, draw(st.sampled_from((-3, -2, -1, 2, 3))))
+            elif kind == "frac":
+                q = draw(st.sampled_from((2, 3)))
+                e = Fraction(draw(st.sampled_from((-3, -1, 1, 2, 5))), q)
+                node = pow_(pow_(base, q), e)
+            else:
+                node = sqrt_(base)
+        except (DivisionByZero, DomainError):
+            continue   # folded to a constant that has no value
+        pool.append(node)
+    return draw(st.lists(st.sampled_from(pool[-3:]), min_size=1, max_size=3))
+
+
+class TestExactTape:
+    """eval_exact against a recursive Fraction evaluator."""
+
+    @given(_exact_dags(), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, roots, int_point, data):
+        if int_point:
+            coords = st.integers(-4, 4)
+        else:
+            coords = st.fractions(-4, 4, max_denominator=12)
+        point = {n: data.draw(coords) for n in ("x", "y", "z")}
+        try:
+            want = _fraction_value(roots, point)
+        except (DivisionByZero, DomainError) as exc:
+            want = type(exc)
+        exprs = roots[0] if len(roots) == 1 else roots
+        tape = compile_tape(exprs, ("x", "y", "z"))
+        try:
+            got = tape.eval_exact([point[n] for n in ("x", "y", "z")])
+        except (DivisionByZero, DomainError) as exc:
+            got = type(exc)
+        if isinstance(want, type):
+            assert got is want
+            return
+        got = [got] if len(roots) == 1 else got
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
 
 
 class TestPrinting:

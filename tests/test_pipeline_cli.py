@@ -210,6 +210,7 @@ class TestCli:
         ("verify-chains", "{tmp}/d.pg", "--system", "flat", "--trials", "4"),
         ("verify-cr", "--system", "cr_sphere_pair", "--trials", "4"),
         ("metric", "--system", "fubini_study_coframe", "--trials", "4"),
+        ("verify-dancing", "--phi", "flat"),
     ])
     def test_samples_below_one_exit_two(self, argv, samples, tmp_path, capsys):
         (tmp_path / "d.pg").write_text("scalar_ode flat { vars t z p; F = 0; }\n")
