@@ -34,6 +34,5 @@ def evaluate(e: Expr, assignment, mode: str = "exact"):
     if mode == "floating":
         return tape.eval_f64([float(v) for v in point])
     if mode == "mpf":
-        value, _ = tape.eval_mpf(point)
-        return value
+        return tape.eval_mpf(point)
     raise ValueError(f"unknown mode {mode!r}")

@@ -74,7 +74,7 @@ def sample_points(tape, names, seed, budget: int,
     sequence tape's outputs there in `arithmetic` ("exact", "mpf" or
     "float64"; float64 values are finite)."""
     evaluate = {"exact": tape.eval_exact,
-                "mpf": lambda point: tape.eval_mpf(point)[0],
+                "mpf": tape.eval_mpf,
                 "float64": tape.eval_f64}[arithmetic]
     rng = random.Random(seed)
     box = [None] * len(names)

@@ -27,6 +27,11 @@ domain uses numpy's vectorised `power`, whose last bits can differ from
 libm `pow`: `eval_f64_many` agrees with per-row `eval_f64` to rounding, not
 bit for bit.
 
+Every domain with fractional powers takes the real branch of an odd root of
+a negative base, as `rat_pow_exact` does: at x = -8, x^(1/3) is -2,
+x^(-2/3) is 1/4 and x^(5/3) is -32.  A negative base under an even root
+raises DomainError.
+
 The mod-p domain is the exact one seen through the reduction map
 Z_(p) -> F_p, the rationals whose denominators p does not divide.  A point
 of such rationals, on a tape whose constants are such rationals, gives the
@@ -180,19 +185,23 @@ class Tape:
         return [values[k] for k in self.outputs]
 
     def _floats(self):
-        """Constants and fractional exponents as floats, converted on first
-        use, so a constant beyond float range raises only in float domains."""
+        """Constants as floats and fractional exponents as (float, real
+        branch sign) pairs (`_negative_base_sign`), converted on first use,
+        so a constant beyond float range raises only in float domains."""
         if self._f64 is None:
             self._f64 = ([float(c) for c in self.consts_exact],
-                         [float(e) for e in self.exps_exact])
+                         [(float(e), _negative_base_sign(e))
+                          for e in self.exps_exact])
         return self._f64
 
     def _mpfs(self):
-        """Constants and fractional exponents as MPF_PREC-bit mpf values,
-        converted on first use; call inside `mpmath.workprec(MPF_PREC)`."""
+        """Constants as MPF_PREC-bit mpf values and fractional exponents as
+        (mpf, real branch sign) pairs, converted on first use; call inside
+        `mpmath.workprec(MPF_PREC)`."""
         if self._mpf is None:
             self._mpf = ([_to_mpf(c) for c in self.consts_exact],
-                         [_to_mpf(e) for e in self.exps_exact])
+                         [(_to_mpf(e), _negative_base_sign(e))
+                          for e in self.exps_exact])
         return self._mpf
 
     def eval_exact(self, point):
@@ -300,10 +309,11 @@ class Tape:
             return self._result(self._run(columns, consts, exps, 0.0, 1.0,
                                           _column_pow_int, _column_pow_frac))
 
-    def eval_mpf(self, point):
-        """Returns (value, scale) at MPF_PREC bits, with the list of values of
-        a sequence tape: scale is the largest |value| of any node of the
-        tape, used for relative-tolerance zero decisions."""
+    def eval_mpf(self, point, with_scale=False):
+        """The value at MPF_PREC bits, or the list of values of a sequence
+        tape.  With `with_scale`, returns (value, scale): scale is the
+        largest |value| of any node of the tape, used for relative-tolerance
+        zero decisions."""
         import mpmath
 
         with mpmath.workprec(MPF_PREC):
@@ -312,6 +322,8 @@ class Tape:
                       for p in point]
             values = self._run(inputs, *self._mpfs(), mpf(0), mpf(1),
                                _mpf_pow_int, _mpf_pow_frac)
+            if not with_scale:
+                return self._result(values)
             return (self._result(values),
                     max((abs(v) for v in values), default=mpf(0)))
 
@@ -346,11 +358,23 @@ def _exact_pow_frac(base, e):
     return got
 
 
+def _negative_base_sign(e) -> int:
+    """The sign of base^e on the real branch at a negative base: (-1)^p for
+    an exponent p/q with q odd, as `rat_pow_exact` takes it; 0 for an even q,
+    where a negative base has no real value."""
+    if e.denominator % 2 == 0:
+        return 0
+    return -1 if e.numerator % 2 else 1
+
+
 def _mpf_pow_frac(base, e):
     import mpmath
 
+    e, sign = e
     if base < 0:
-        raise DomainError("negative base under a fractional power")
+        if not sign:
+            raise DomainError("negative base under an even root")
+        return sign * mpmath.power(-base, e)
     if base == 0 and e < 0:
         raise DivisionByZero("denominator evaluated to zero")
     return mpmath.power(base, e)
@@ -366,9 +390,12 @@ def _f64_pow_int(base: float, e: int) -> float:
         return math.copysign(math.inf, base) if e % 2 else math.inf
 
 
-def _f64_pow_frac(base: float, e: float) -> float:
+def _f64_pow_frac(base: float, e) -> float:
+    e, sign = e
     if base < 0.0:
-        raise DomainError("negative base under a fractional power")
+        if not sign:
+            raise DomainError("negative base under an even root")
+        return sign * math.pow(-base, e)
     if base == 0.0 and e < 0:
         raise DivisionByZero("denominator evaluated to zero")
     return math.pow(base, e)
@@ -380,14 +407,20 @@ def _column_pow_int(base: np.ndarray, e: int) -> np.ndarray:
     return base ** e
 
 
-def _column_pow_frac(base: np.ndarray, e: float) -> np.ndarray:
-    if (base < 0.0).any():
-        raise DomainError("negative base under a fractional power")
+def _column_pow_frac(base: np.ndarray, e) -> np.ndarray:
+    e, sign = e
+    negative = base < 0.0
+    if negative.any():
+        if not sign:
+            raise DomainError("negative base under an even root")
+        base = np.abs(base)
     if e < 0 and (base == 0.0).any():
         raise DivisionByZero("denominator evaluated to zero")
     v = np.power(base, e)
     if (np.isinf(v) & np.isfinite(base)).any():
         raise OverflowError("math range error")
+    if sign < 0 and negative.any():
+        v = np.where(negative, -v, v)
     return v
 
 

@@ -97,7 +97,7 @@ def is_zero_probabilistic(e: Expr, trials: int = DEFAULT_TRIALS, seed=0,
                     value = (0 if _modp(tape, residues) == 0
                              else tape.eval_exact(point))
                 else:
-                    value, scale = tape.eval_mpf(point)
+                    value, scale = tape.eval_mpf(point, with_scale=True)
             except (DivisionByZero, DomainError):
                 rejected += 1
                 continue

@@ -178,6 +178,36 @@ class TestExactRoots:
             assert rat_pow_exact(Fraction(n), Fraction(1, k)) == powers.get(n)
 
 
+class TestNegativeBase:
+    """An odd root of a negative base takes the real branch in every domain
+    with fractional powers, as constant folding does; an even root raises
+    DomainError in every domain."""
+
+    @pytest.mark.parametrize("e, want", [
+        ("1/3", -2), ("-2/3", Fraction(1, 4)), ("5/3", -32),
+        ("2/3", 4), ("-1/3", Fraction(-1, 2)),
+    ])
+    def test_odd_root_agrees_across_domains(self, e, want):
+        tape = compile_tape(pow_(x, as_rat(e)), ("x",))
+        assert pow_(num(-8), as_rat(e)) is num(want)
+        assert tape.eval_exact([-8]) == want
+        assert float(tape.eval_mpf([-8])) == pytest.approx(want, rel=1e-15)
+        assert tape.eval_f64([-8.0]) == pytest.approx(want, rel=1e-15)
+        column = tape.eval_f64_many([[-8.0], [8.0], [-8.0]])
+        w = float(want)
+        np.testing.assert_allclose(column, [w, abs(w), w], rtol=1e-15)
+
+    @pytest.mark.parametrize("e", ["1/2", "-3/2", "3/4"])
+    def test_even_root_raises_in_every_domain(self, e):
+        tape = compile_tape(pow_(x, as_rat(e)), ("x",))
+        for run in (lambda: tape.eval_exact([-8]),
+                    lambda: tape.eval_mpf([-8]),
+                    lambda: tape.eval_f64([-8.0]),
+                    lambda: tape.eval_f64_many([[8.0], [-8.0]])):
+            with pytest.raises(DomainError):
+                run()
+
+
 class TestBatchTape:
     """eval_f64_many runs each instruction over all rows; per-row eval_f64
     is the reference it must match."""
@@ -333,8 +363,9 @@ class TestSequenceTape:
                          for _ in chart]
                 if _raised(lambda: seq.eval_mpf(point)) is not None:
                     continue
-                values, scale = seq.eval_mpf(point)
-                got = [t.eval_mpf(point) for t in singles]
+                values, scale = seq.eval_mpf(point, with_scale=True)
+                assert seq.eval_mpf(point) == values
+                got = [t.eval_mpf(point, with_scale=True) for t in singles]
                 assert values == [v for v, _ in got]
                 # the scale runs over every node, so over all the outputs'
                 assert scale == max(s for _, s in got)
@@ -366,7 +397,7 @@ class TestSequenceTape:
         assert tape.eval_modp([1]) == []
         assert tape.eval_f64([1.0]) == []
         assert tape.eval_f64_many([[1.0], [2.0]]) == []
-        assert tape.eval_mpf([1.0])[0] == []
+        assert tape.eval_mpf([1.0]) == []
 
     def test_exact_values_are_rationals_at_int_points(self):
         values = compile_tape([div(num(1), x), x], ("x",)).eval_exact([2])

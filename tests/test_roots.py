@@ -109,6 +109,20 @@ class TestExactPath:
             assert prof.distinct_real_count == 2
             assert len(prof.complex_pairs) == 1
 
+    @pytest.mark.parametrize("w, n_real", [
+        ((1, 0, 0, 2, 0), 2),                   # x^4 + 8 x y^3
+        ((1, 0, 0, Fraction(1, 4), -1), 2),     # x^4 + x y^3 - y^4
+        ((1, 0, 0, Fraction(1, 4), 1), 0),      # x^4 + x y^3 + y^4
+        ((-1, 0, 0, Fraction(-1, 4), 1), 2),
+    ])
+    def test_sturm_chain_with_a_degree_gap(self, w, n_real):
+        # the chain of x^4 + b x + c drops from degree 3 to 1, so its next
+        # pseudo-remainder takes an odd power of a leading coefficient whose
+        # sign is -sign(b)
+        prof = classify_quartic(w)
+        assert prof.distinct_real_count == n_real
+        assert prof.multiplicities() == (1, 1, 1, 1)
+
     def test_mixed_complex(self):
         w = expand_quartic([], [((Fraction(1, 2), Fraction(3, 2)), 1),
                                 ((0, 1), 1)])
