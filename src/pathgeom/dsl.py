@@ -14,7 +14,8 @@ Numeric literals are exact rationals (integers, fractions 3/4, and decimal
 literals converted exactly); sqrt(e) is sugar for e^(1/2); '#' starts a line
 comment; no implicit multiplication.  Operator precedence: ^ binds tighter
 than unary minus, then * and /, then + and -; ^ is right-associative and its
-exponent must fold to an exact rational.
+exponent must fold to an exact rational.  A constant that folds to no value
+(1/0, 0^(-2), (-4)^(1/2)) is a DslSyntaxError at its operator.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DslSyntaxError, DuplicateName, UnknownVariable
+from .errors import (DivisionByZero, DomainError, DslSyntaxError,
+                     DuplicateName, UnknownVariable)
 from .expr import (Expr, add, div, mul, neg, num, pow_, sqrt_, sub, to_text,
                    var)
 from .forms import DifferentialForm, one_form
@@ -131,6 +133,14 @@ class _Parser:
             self.error(f"expected {text or kind}", expected={text or kind})
         return self.advance()
 
+    def fold(self, tok, build, *args) -> Expr:
+        """build(*args), with a constant that folds to no value reported at
+        the operator `tok`."""
+        try:
+            return build(*args)
+        except (DivisionByZero, DomainError) as exc:
+            raise DslSyntaxError(str(exc), tok.line, tok.column) from None
+
     # -- expressions -----------------------------------------------------
 
     def parse_expr(self) -> Expr:
@@ -144,9 +154,9 @@ class _Parser:
     def parse_term(self) -> Expr:
         out = self.parse_unary()
         while self.peek().text in ("*", "/"):
-            op = self.advance().text
+            op = self.advance()
             rhs = self.parse_unary()
-            out = mul(out, rhs) if op == "*" else div(out, rhs)
+            out = self.fold(op, mul if op.text == "*" else div, out, rhs)
         return out
 
     def parse_unary(self) -> Expr:
@@ -158,12 +168,12 @@ class _Parser:
     def parse_power(self) -> Expr:
         base = self.parse_atom()
         if self.peek().text == "^":
-            self.advance()
+            op = self.advance()
             exponent = self.parse_unary()   # right-associative
             from .expr import Num
             if not isinstance(exponent, Num):
                 self.error("exponent must fold to an exact rational")
-            return pow_(base, exponent.value)
+            return self.fold(op, pow_, base, exponent.value)
         return base
 
     def parse_atom(self) -> Expr:
@@ -177,7 +187,7 @@ class _Parser:
                 self.advance()
                 inner = self.parse_expr()
                 self.expect("punct", ")")
-                return sqrt_(inner)
+                return self.fold(tok, sqrt_, inner)
             return var(tok.text)
         if tok.text == "(":
             self.advance()
@@ -314,17 +324,16 @@ class _Parser:
     def parse_term_no_trailing_diff(self, chart, decl_name) -> Expr:
         """Product whose final '* d<var>' factor belongs to the caller."""
         out = None
-        op = "*"
         while True:
             if out is not None:
                 if self.peek().text not in ("*", "/"):
                     self.error("expected '*' before the differential")
-                op = self.advance().text
-                if op == "*" and self._peek_differential(chart):
+                op = self.advance()
+                if op.text == "*" and self._peek_differential(chart):
                     break
             factor = self.parse_unary()
             out = factor if out is None else \
-                (mul(out, factor) if op == "*" else div(out, factor))
+                self.fold(op, mul if op.text == "*" else div, out, factor)
         extra = out.free_variables - set(chart)
         if extra:
             raise UnknownVariable(sorted(extra)[0], decl_name)

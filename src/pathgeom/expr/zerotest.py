@@ -139,6 +139,8 @@ def zero_verdicts(exprs, trials: int, seed) -> list:
     """The verdicts of is_zero_probabilistic on the expressions in turn, up
     to and including the first nonzero one: every expression is zero iff
     all the verdicts are."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     verdicts = []
     for e in exprs:
         verdicts.append(is_zero_probabilistic(e, trials=trials, seed=seed))

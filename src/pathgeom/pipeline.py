@@ -133,6 +133,8 @@ def resolve(doc: Document | None, name: str, kinds=None):
 
 def _zero_matrix_check(name, entries, labels, trials, seed):
     """Identity-test a family of expressions; pass iff all are zero."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     witnesses = []
     values = {}
     verdicts = []

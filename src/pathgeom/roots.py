@@ -3,29 +3,28 @@ projective line, and the pointwise admissibility predicates built on it.
 
 One algorithm decides the root structure: Yun's square-free decomposition by
 gcd gives the multiplicities, and a Sturm sequence counts the real roots of
-each square-free factor; only factors of degree >= 3 get numeric root
-positions (their roots are simple, hence well conditioned).  It runs over two
-number domains:
+each square-free factor of degree >= 3.  It is written once; a number domain
+enters only through a table (`_Domain`) of its arithmetic and root placement:
 
-  * exact -- int or Fraction coefficients, scaled by the lcm of their
-             denominators to one vector of ints and decided over Z[x]
-             without rational arithmetic: gcds by primitive
-             pseudo-remainder sequences (Brown, J. ACM 18, 1971), exact
-             integer quotients, and Sturm chains of pseudo-remainders
-             multiplied by |lc|^(d+1), which keeps their signs.  Each
-             square-free factor becomes a monic Fraction polynomial only to
-             place its roots; monic factors are unique, so the positions are
-             those of the decomposition over Q;
-  * mpf   -- mpmath floats, the values of a radical system
-             (`Tape.eval_mpf`), computed at `tape.MPF_PREC` bits.  A value
-             produced by a subtraction or a division step counts as zero
-             when it is at most `zerotest.MPF_REL_TOL` times the scale of
-             that operation: the largest |input entry| of a subtraction; the
-             largest |dividend entry| or |quotient x divisor entry| of a
-             division.  Root multiplicities that do not add up to the degree
-             raise IllConditioned.
+  * `_Z`   -- int or Fraction coefficients, scaled by the lcm of their
+              denominators to one vector of ints and decided over Z[x]
+              without rational arithmetic: primitive normalisation, gcds by
+              primitive pseudo-remainder sequences (Brown, J. ACM 18, 1971),
+              exact integer quotients, and Sturm links -prem/content, whose
+              pseudo-remainders are multiplied by |lc|^(d+1) and so keep their
+              signs.  Degree-1 and degree-2 factors are solved from their
+              integer discriminant: one Fraction per rational position,
+              floats otherwise;
+  * `_MPF` -- mpmath floats, the values of a radical system
+              (`Tape.eval_mpf`), computed at `tape.MPF_PREC` bits: monic
+              normalisation, division and subtraction whose results count as
+              zero at most `zerotest.MPF_REL_TOL` times the scale of the
+              operation, and Sturm links -rem.  Root multiplicities that do
+              not add up to the degree raise IllConditioned.
 
-Float coefficients are refused with TypeError.
+Factors of degree >= 3 get numeric root positions in either domain (their
+roots are simple, hence well conditioned).  Float coefficients are refused
+with TypeError.
 """
 
 from __future__ import annotations
@@ -33,19 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import IllConditioned
-from .expr.rational import rat_pow_exact
 from .expr.tape import MPF_PREC
 from .expr.zerotest import MPF_REL_TOL
 
 INF = math.inf  # the projective root [1:0]
-HALF = Fraction(1, 2)
-
-_EXACT_TYPES = (int, Fraction)
-
 
 @dataclass(frozen=True)
 class RootProfile:
@@ -107,7 +102,19 @@ class RootProfile:
         return ", ".join(parts) if parts else "no roots"
 
 
-# -- polynomial helpers (dense, descending coefficients) ------------------------
+# -- the one algorithm (dense polynomials, descending coefficients) ------------
+#
+# The zero polynomial is [].  Each number domain supplies its arithmetic in a
+# `_Domain` table; the functions below run unchanged over either.
+
+class _Domain(NamedTuple):
+    normal: Callable  # (c) -> the canonical gcd or square-free factor of c
+    rem: Callable     # (a, b) -> the next remainder of a gcd sequence
+    quo: Callable     # (a, b) -> a / b, for b dividing a
+    sub: Callable     # (a, b) -> a - b
+    link: Callable    # (a, b) -> the Sturm chain entry after a, b
+    place: Callable   # (factor, n_real) -> (real roots, complex pairs)
+
 
 def _trim(c):
     k = 0
@@ -120,17 +127,54 @@ def _deg(c):
     return len(c) - 1
 
 
-def _sturm_count(chain):
-    """Distinct real roots of the first polynomial of a Sturm chain: the sign
-    variations at -inf minus those at +inf."""
+def _deriv(c):
+    n = _deg(c)
+    return [c[i] * (n - i) for i in range(n)]
+
+
+def _gcd(dom, a, b):
+    """The canonical gcd, by a remainder sequence."""
+    while b:
+        a, b = b, dom.rem(a, b)
+    return dom.normal(a)
+
+
+def _squarefree(dom, c):
+    """Yun's decomposition of a canonical c of degree >= 1: list of
+    (canonical square-free factor, multiplicity)."""
+    n = _deg(c)
+    d = _deriv(c)
+    g = _gcd(dom, c, d)
+    if _deg(g) == 0:
+        return [(c, 1)]
+    w = dom.quo(c, g)
+    z = dom.sub(dom.quo(d, g), _deriv(w))
+    out = []
+    i = 1
+    while _deg(w) > 0 and i <= n:
+        gi = _gcd(dom, w, z)
+        if _deg(gi) > 0:
+            out.append((gi, i))
+        w = dom.quo(w, gi)
+        z = dom.sub(dom.quo(z, gi), _deriv(w))
+        i += 1
+    return out
+
+
+def _sturm_real_count(dom, c):
+    """Number of distinct real roots of a square-free c: the sign variations
+    of its Sturm chain at -inf minus those at +inf."""
+    chain = [c, _deriv(c)]
+    while _deg(chain[-1]) > 0:
+        r = dom.link(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(r)
 
     def variations(at_plus_inf):
         signs = []
         for p in chain:
-            lead = p[0]
-            if lead == 0:
-                continue
-            s = 1 if lead > 0 else -1
+            s = 1 if p[0] > 0 else -1
             if not at_plus_inf and _deg(p) % 2 == 1:
                 s = -s
             signs.append(s)
@@ -139,26 +183,56 @@ def _sturm_count(chain):
     return variations(False) - variations(True)
 
 
+def _numeric_roots(coeffs, n_real):
+    """Roots of a square-free polynomial with float coefficients `coeffs`
+    and `n_real` real roots, by numpy; they are simple, hence well
+    conditioned."""
+    roots = sorted(np.roots(coeffs), key=lambda r: abs(r.imag))
+    real = [(float(r.real), 1) for r in roots[:n_real]]
+    # the other roots are conjugate pairs, also where float64 rounds a
+    # pair's imaginary parts to zero
+    rest = sorted(roots[n_real:], key=lambda r: r.imag, reverse=True)
+    pairs = [((float(r.real), abs(float(r.imag))), 1)
+             for r in rest[:len(rest) // 2]]
+    return real, pairs
+
+
+def _classify(coeffs, degree, dom):
+    """Profile of the form with descending coefficients `coeffs` in the
+    domain `dom`.  Raises IllConditioned when the multiplicities found do
+    not add up to the degree, which exact arithmetic rules out."""
+    c = _trim(coeffs)
+    real = [(INF, len(coeffs) - len(c))] if len(c) < len(coeffs) else []
+    pairs = []
+    factors = _squarefree(dom, dom.normal(c)) if _deg(c) >= 1 else []
+    for factor, mult in factors:
+        n_real = _sturm_real_count(dom, factor) if _deg(factor) >= 3 else None
+        r, cp = dom.place(factor, n_real)
+        real.extend((pos, mult) for pos, _ in r)
+        pairs.extend((z, mult) for z, _ in cp)
+    real.sort(key=lambda rm: (math.inf if rm[0] == INF else float(rm[0])))
+    prof = RootProfile(degree=degree, zero_form=False,
+                       real_roots=tuple(real), complex_pairs=tuple(pairs))
+    if sum(prof.multiplicities()) != degree:
+        raise IllConditioned(f"root multiplicities {prof.multiplicities()} "
+                             f"do not add up to degree {degree}")
+    return prof
+
+
 # -- the exact domain: polynomials over Z ----------------------------------------
 #
-# The zero polynomial is [].  A gcd or a square-free factor is primitive
-# (content 1, positive leading coefficient); it stands for the monic
-# polynomial over Q with the same roots, which is unique, so the factors and
-# multiplicities are those of the decomposition over Q.
+# A gcd or a square-free factor is primitive (content 1, positive leading
+# coefficient); it stands for the monic polynomial over Q with the same
+# roots, which is unique, so the factors and multiplicities are those of the
+# decomposition over Q.
 
 def _z_primitive(c):
-    c = _trim(c)
     if not c:
         return c
     g = math.gcd(*c)
     if c[0] < 0:
         g = -g
     return c if g == 1 else [x // g for x in c]
-
-
-def _z_deriv(c):
-    n = _deg(c)
-    return [c[i] * (n - i) for i in range(n)]
 
 
 def _z_sub(a, b):
@@ -203,73 +277,53 @@ def _z_quo(a, b):
     return q
 
 
-def _z_gcd(a, b):
-    """The primitive gcd, by a primitive pseudo-remainder sequence."""
-    while b:
-        a, b = b, _z_primitive(_z_prem(a, b))
-    return _z_primitive(a)
+def _z_sturm_link(a, b):
+    """Minus the pseudo-remainder over its (positive) content, which keeps
+    the sign of the remainder over Q."""
+    r = _z_prem(a, b)
+    g = math.gcd(*r)
+    return [-x // g for x in r]
 
 
-def _z_squarefree(c):
-    """Yun's decomposition of a primitive c of degree >= 1: list of
-    (primitive square-free factor, multiplicity)."""
-    n = _deg(c)
-    d = _z_deriv(c)
-    g = _z_gcd(c, d)
-    if _deg(g) == 0:
-        return [(c, 1)]
-    w = _z_quo(c, g)
-    z = _z_sub(_z_quo(d, g), _z_deriv(w))
-    out = []
-    i = 1
-    while _deg(w) > 0 and i <= n:
-        gi = _z_gcd(w, z)
-        if _deg(gi) > 0:
-            out.append((gi, i))
-        w = _z_quo(w, gi)
-        z = _z_sub(_z_quo(z, gi), _z_deriv(w))
-        i += 1
-    return out
+def _z_place(g, n_real):
+    """Roots of a primitive square-free factor: degrees 1 and 2 from its
+    integer discriminant, one Fraction per rational position and floats
+    rounded from the rational -b/a and disc/a^2; higher degrees numeric."""
+    n = _deg(g)
+    if n == 1:
+        return [(Fraction(-g[1], g[0]), 1)], []
+    if n == 2:
+        a, b, c = g
+        disc = b * b - 4 * a * c
+        r = math.isqrt(abs(disc))
+        if disc > 0:
+            if r * r == disc:
+                return [(Fraction(-b - r, 2 * a), 1),
+                        (Fraction(-b + r, 2 * a), 1)], []
+            re = -b / a
+            sf = math.sqrt(disc / (a * a))
+            return [((re - sf) / 2, 1), ((re + sf) / 2, 1)], []
+        im = (Fraction(r, 2 * a) if r * r == -disc
+              else math.sqrt(-disc / (a * a)) / 2)
+        return [], [((Fraction(-b, 2 * a), im), 1)]
+    return _numeric_roots([x / g[0] for x in g], n_real)
 
 
-def _z_sturm_real_count(c):
-    """Number of distinct real roots of a square-free c: each link of the
-    chain is minus a pseudo-remainder over its (positive) content."""
-    chain = [c, _z_deriv(c)]
-    while _deg(chain[-1]) > 0:
-        r = _z_prem(chain[-2], chain[-1])
-        if not r:
-            break
-        g = math.gcd(*r)
-        chain.append([-x // g for x in r])
-    return _sturm_count(chain)
-
-
-def _z_factors(c):
-    """(monic Fraction factor, multiplicity, real-root count or None below
-    degree 3) for each square-free factor of the integer polynomial c."""
-    if _deg(c) < 1:
-        return []
-    out = []
-    for g, mult in _z_squarefree(_z_primitive(c)):
-        n_real = _z_sturm_real_count(g) if _deg(g) >= 3 else None
-        out.append(([Fraction(x, g[0]) for x in g], mult, n_real))
-    return out
+_Z = _Domain(normal=_z_primitive,
+             rem=lambda a, b: _z_primitive(_z_prem(a, b)),
+             quo=_z_quo, sub=_z_sub, link=_z_sturm_link, place=_z_place)
 
 
 # -- the mpf domain --------------------------------------------------------------
 #
-# The result of a subtraction or a division step counts as zero when it is
-# at most MPF_REL_TOL times the scale of that operation.
+# A gcd or a square-free factor is monic.  The result of a subtraction or a
+# division step counts as zero when it is at most MPF_REL_TOL times the scale
+# of that operation: the largest |input entry| of a subtraction; the largest
+# |dividend entry| or |quotient x divisor entry| of a division.
 
 def _monic(c):
     lead = c[0]
     return [x / lead for x in c]
-
-
-def _deriv(c):
-    n = _deg(c)
-    return _trim([c[i] * (n - i) for i in range(n)]) or [0]
 
 
 def _zeroed(values, threshold):
@@ -286,83 +340,23 @@ def _divmod_poly(a, b):
             for j in range(len(b)):
                 a[i + j] -= f * b[j]
     rem = a[len(q):] if q else a
-    scale = max(max(map(abs, dividend)),
+    scale = max(max(map(abs, dividend), default=0),
                 max(map(abs, q), default=0) * max(map(abs, b)))
-    rem = _zeroed(rem, MPF_REL_TOL * scale)
-    return q, (_trim(rem) or [0])
+    return q, _trim(_zeroed(rem, MPF_REL_TOL * scale))
 
 
-def _sub_poly(a, b):
+def _mpf_sub(a, b):
     n = max(len(a), len(b))
     a = [0] * (n - len(a)) + list(a)
     b = [0] * (n - len(b)) + list(b)
     diff = _zeroed([x - y for x, y in zip(a, b)],
-                   MPF_REL_TOL * max(map(abs, a + b)))
-    return _trim(diff) or [0]
+                   MPF_REL_TOL * max(map(abs, a + b), default=0))
+    return _trim(diff)
 
 
-def _gcd_poly(a, b):
-    a, b = _trim(a) or [0], _trim(b) or [0]
-    while b != [0]:
-        _, r = _divmod_poly(a, b)
-        a, b = b, r
-    if a == [0]:
-        return [1]
-    return _monic(a)
-
-
-def _squarefree(c):
-    """Yun's decomposition: list of (monic square-free factor,
-    multiplicity)."""
-    c = _monic(_trim(c))
-    n = _deg(c)
-    if n == 0:
-        return []
-    d = _deriv(c)
-    g = _gcd_poly(c, d)
-    if _deg(g) == 0:
-        return [(c, 1)]
-    w, _ = _divmod_poly(c, g)
-    y, _ = _divmod_poly(d, g)
-    z = _sub_poly(y, _deriv(w))
-    out = []
-    i = 1
-    while _deg(w) > 0 and i <= n:
-        gi = _gcd_poly(w, z)
-        if _deg(gi) > 0:
-            out.append((gi, i))
-        w, _ = _divmod_poly(w, gi)
-        y, _ = _divmod_poly(z, gi)
-        z = _sub_poly(y, _deriv(w))
-        i += 1
-    return out
-
-
-def _sturm_real_count(c):
-    """Number of distinct real roots of a square-free polynomial."""
-    chain = [list(c), _deriv(c)]
-    while _deg(chain[-1]) > 0:
-        _, r = _divmod_poly(chain[-2], chain[-1])
-        if r == [0]:
-            break
-        chain.append([-x for x in r])
-    return _sturm_count(chain)
-
-
-def _mpf_factors(c):
-    """(monic factor, multiplicity, real-root count or None below degree 3)
-    for each square-free factor of the mpf polynomial c."""
-    return [(g, mult, _sturm_real_count(g) if _deg(g) >= 3 else None)
-            for g, mult in _squarefree(c)]
-
-
-# -- classification ----------------------------------------------------------------
-
-def _roots_of_squarefree(g, n_real, exact):
-    """Roots of a monic square-free factor with `n_real` real roots:
-    ([(real position, 1)...], [((re, im), 1)...]).  Degree <= 2 solved
-    exactly when `exact` (rational or float positions); higher degrees get
-    numeric positions."""
+def _mpf_place(g, n_real):
+    """Roots of a monic square-free factor: degree 1 as an mpf, degree 2 as
+    floats, higher degrees numeric."""
     n = _deg(g)
     if n == 1:
         return [(-g[1] / g[0], 1)], []
@@ -370,56 +364,29 @@ def _roots_of_squarefree(g, n_real, exact):
         a, b, c = g
         disc = b * b - 4 * a * c
         if disc > 0:
-            s = rat_pow_exact(disc, HALF) if exact else None
-            if s is not None:
-                return [((-b - s) / (2 * a), 1), ((-b + s) / (2 * a), 1)], []
             sf = math.sqrt(disc)
             return [(float((-b - sf) / (2 * a)), 1),
                     (float((-b + sf) / (2 * a)), 1)], []
-        re = -b / (2 * a)
-        s = rat_pow_exact(-disc, HALF) if exact else None
-        im = s / (2 * abs(a)) if s is not None else math.sqrt(-disc) / (2 * abs(float(a)))
-        return [], [((re, im), 1)]
-    roots = sorted(np.roots([float(x) for x in g]), key=lambda r: abs(r.imag))
-    real = [(float(r.real), 1) for r in roots[:n_real]]
-    # the other roots are conjugate pairs, also where float64 rounds a
-    # pair's imaginary parts to zero
-    rest = sorted(roots[n_real:], key=lambda r: r.imag, reverse=True)
-    pairs = [((float(r.real), abs(float(r.imag))), 1)
-             for r in rest[:len(rest) // 2]]
-    return real, pairs
+        im = math.sqrt(-disc) / (2 * abs(float(a)))
+        return [], [((-b / (2 * a), im), 1)]
+    return _numeric_roots([float(x) for x in g], n_real)
 
 
-def _classify(coeffs, degree, exact):
-    """Profile of the form with descending coefficients `coeffs`: ints when
-    `exact`, else mpf values.  Raises IllConditioned when the multiplicities
-    found do not add up to the degree, which exact arithmetic rules out."""
-    c = list(coeffs)
-    inf_mult = 0
-    while c and c[0] == 0:
-        inf_mult += 1
-        c = c[1:]
-    real, pairs = [], []
-    if inf_mult:
-        real.append((INF, inf_mult))
-    for factor, mult, n_real in (_z_factors if exact else _mpf_factors)(c):
-        r, cp = _roots_of_squarefree(factor, n_real, exact)
-        real.extend((pos, mult) for pos, _ in r)
-        pairs.extend((z, mult) for z, _ in cp)
-    real.sort(key=lambda rm: (math.inf if rm[0] == INF else float(rm[0])))
-    prof = RootProfile(degree=degree, zero_form=False,
-                       real_roots=tuple(real), complex_pairs=tuple(pairs))
-    if sum(prof.multiplicities()) != degree:
-        raise IllConditioned(f"root multiplicities {prof.multiplicities()} "
-                             f"do not add up to degree {degree}")
-    return prof
+_MPF = _Domain(normal=_monic,
+               rem=lambda a, b: _divmod_poly(a, b)[1],
+               quo=lambda a, b: _divmod_poly(a, b)[0],
+               sub=_mpf_sub,
+               link=lambda a, b: [-x for x in _divmod_poly(a, b)[1]],
+               place=_mpf_place)
 
+
+# -- classification ----------------------------------------------------------------
 
 def _classify_packed(packed, weights):
     """Profile of sum_k weights[k] packed[k] x^(n-k) y^k, exact for int and
     Fraction entries, in MPF_PREC-bit mpf when some entry is an mpf."""
     degree = len(packed) - 1
-    exact = all(isinstance(v, _EXACT_TYPES) for v in packed)
+    exact = all(isinstance(v, (int, Fraction)) for v in packed)
     if not exact:
         import mpmath
 
@@ -433,11 +400,11 @@ def _classify_packed(packed, weights):
         # their denominators
         scale = math.lcm(*(v.denominator for v in packed))
         return _classify([v.numerator * (scale // v.denominator) * k
-                          for v, k in zip(packed, weights)], degree, True)
+                          for v, k in zip(packed, weights)], degree, _Z)
     # the weights too are applied at MPF_PREC bits, not at the context's
     with mpmath.workprec(MPF_PREC):
         return _classify([mpmath.mpf(v) * k for v, k in zip(packed, weights)],
-                         degree, False)
+                         degree, _MPF)
 
 
 # -- public API ----------------------------------------------------------------

@@ -88,6 +88,14 @@ class TestPrecedence:
         with pytest.raises(DslSyntaxError):
             parse_expression("p^q")
 
+    @pytest.mark.parametrize("text, column", [
+        ("p + 1/0", 6), ("0^(-2)*p", 2), ("(-4)^(1/2)", 5), ("2*sqrt(-4)", 3)])
+    def test_constant_folding_to_an_undefined_value_is_a_syntax_error(
+            self, text, column):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_expression(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
+
 
 class TestRoundTrip:
     def _assert_round_trip(self, text):
@@ -104,7 +112,6 @@ class TestRoundTrip:
         """)
 
     def test_generated_documents_round_trip(self):
-        from pathgeom.errors import DivisionByZero
         rng = random.Random(0)
         vars5 = "x y p Y P".split()
         done = 0
@@ -115,7 +122,7 @@ class TestRoundTrip:
                     f"F1 = {e1}; F2 = {e2}; }}")
             try:
                 self._assert_round_trip(text)
-            except DivisionByZero:
+            except DslSyntaxError:
                 continue  # generator produced a division by a folded zero
             done += 1
 

@@ -218,6 +218,17 @@ class TestCli:
         assert main(argv + ["--samples", samples]) == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-7"])
+    def test_trials_below_one_exit_two_when_every_claim_is_structural(
+            self, trials, tmp_path, capsys):
+        # the flat coframe's identity families are all empty
+        (tmp_path / "flat.pg").write_text(
+            "coframe flat4 { vars y p Y P; eta 1 = 1*d Y; eta 2 = 1*d P;\n"
+            "                eta 3 = 1*d y; eta 4 = 1*d p; }\n")
+        assert main(["metric", str(tmp_path / "flat.pg"), "--system", "flat4",
+                     "--trials", trials]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+
     def _run(self, *argv, stdin=None):
         proc = subprocess.run([sys.executable, "-m", "pathgeom.cli", *argv],
                               capture_output=True, text=True, input=stdin)
@@ -243,6 +254,19 @@ class TestCli:
         proc = self._run("invariants", str(bad), "--system", "oops")
         assert proc.returncode == 2
         assert "input error" in proc.stderr
+
+    @pytest.mark.parametrize("body, column, message", [
+        ("1/0", 33, "division by the zero constant"),
+        ("0^(-2)*p", 33, "0 raised to a negative power"),
+        ("(-4)^(1/2)", 36, "negative base under an even root"),
+    ])
+    def test_constant_folding_to_an_undefined_value_exits_two(
+            self, body, column, message, tmp_path, capsys):
+        doc = tmp_path / "d.pg"
+        doc.write_text(f"scalar_ode s {{ vars t z p; F = {body}; }}\n")
+        assert main(["verify-chains", str(doc), "--system", "s"]) == 2
+        assert (f"input error: 1:{column}: {message}"
+                in capsys.readouterr().err)
 
     def test_constant_beyond_float_range_classifies_exactly(self, tmp_path):
         # 10^400 has no float value; a radical-free pair never needs one

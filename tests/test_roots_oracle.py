@@ -1,5 +1,6 @@
 """`classify_quartic` and `classify_quadric` against an independent oracle:
-sympy's square-free decomposition (`sqf_list`) and its real roots.
+sympy's square-free decomposition (`sqf_list`) and its real roots; and the
+exact (Z[x]) and mpf arithmetic of the classifier against each other.
 
 The forms are products of integer linear and quadratic factors, each to a
 power 1 to 4, times a power of y (roots at [1:0]).  A root of a square-free
@@ -7,12 +8,15 @@ factor of degree <= 2 that is rational must come back as that exact
 Fraction; every other position is compared in floating point.
 """
 
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from pathgeom.expr.tape import MPF_PREC
 from pathgeom.roots import INF, classify_quadric, classify_quartic
 
 X = sympy.Symbol("x")
@@ -83,30 +87,34 @@ def _same_position(got, want):
                                                            abs=1e-9)
 
 
-def _key(entry):
-    pos, _ = entry
-    if isinstance(pos, tuple):
-        return tuple(float(v) for v in pos)
-    return float(pos)
+def _same_pair(got, want):
+    return all(_same_position(a, b) for a, b in zip(got, want))
+
+
+def _match(got, want, same):
+    """Pair each got entry with a want entry of the same multiplicity whose
+    position it matches.  Sorting both sides by float position instead can
+    pair them crosswise: two complex pairs with one real part come back
+    from np.roots with real parts that differ in the last bits."""
+    assert len(got) == len(want), (got, want)
+    left = list(want)
+    for pos, mult in got:
+        hit = next((k for k, (w, m) in enumerate(left)
+                    if m == mult and same(pos, w)), None)
+        assert hit is not None, (got, want)
+        del left[hit]
 
 
 def _check(profile, real, pairs):
     assert not profile.zero_form
-    got_real = sorted(profile.real_roots, key=_key)
-    want_real = sorted(real, key=_key)
-    assert [m for _, m in got_real] == [m for _, m in want_real]
-    for (g, _), (w, _) in zip(got_real, want_real):
-        assert _same_position(g, w), (got_real, want_real)
-    got_pairs = sorted(profile.complex_pairs, key=_key)
-    want_pairs = sorted(pairs, key=_key)
-    assert [m for _, m in got_pairs] == [m for _, m in want_pairs]
-    for (g, _), (w, _) in zip(got_pairs, want_pairs):
-        assert all(_same_position(a, b) for a, b in zip(g, w)), \
-            (got_pairs, want_pairs)
+    _match(profile.real_roots, real, _same_position)
+    _match(profile.complex_pairs, pairs, _same_pair)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_factored_forms(4))
+# (x^2 + x + 1)(x^2 + x + 3): two complex pairs with real part -1/2
+@example((1, [((1, 1, 1), 1), ((1, 1, 3), 1)], 0))
 def test_quartic_against_sympy(form):
     dense, real, pairs = _oracle(*form)
     c0, c1, c2, c3, c4 = dense
@@ -120,3 +128,25 @@ def test_quadric_against_sympy(form):
     dense, real, pairs = _oracle(*form)
     c0, c1, c2 = dense
     _check(classify_quadric((c0, Fraction(c1, 2), c2)), real, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 4]).flatmap(_factored_forms))
+def test_exact_and_mpf_arithmetic_give_one_profile(form):
+    """One form classified from its int/Fraction packaging coefficients and
+    from the same values as MPF_PREC-bit mpf, as a radical system delivers
+    them: the root types, multiplicities and real roots in order agree."""
+    dense, _, _ = _oracle(*form)
+    n = len(dense) - 1
+    packed = [Fraction(c, math.comb(n, k)) for k, c in enumerate(dense)]
+    with mpmath.workprec(MPF_PREC):
+        as_mpf = [mpmath.mpf(v.numerator) / v.denominator for v in packed]
+    classify = classify_quartic if n == 4 else classify_quadric
+    exact, numeric = classify(packed), classify(as_mpf)
+    assert numeric.describe() == exact.describe()
+    assert numeric.multiplicities() == exact.multiplicities()
+    assert len(numeric.real_roots) == len(exact.real_roots)
+    for (g, gm), (w, wm) in zip(numeric.real_roots, exact.real_roots):
+        assert gm == wm
+        assert (g == w == INF) or float(g) == pytest.approx(
+            float(w), rel=1e-9, abs=1e-9), (numeric, exact)
