@@ -4,7 +4,7 @@
     pg classify [file.pg] --system NAME [--samples N]
     pg verify-chains [file.pg] --system NAME [--samples N] [--trials N]
     pg verify-cr [file.pg] --system NAME [--samples N] [--trials N]
-    pg verify-dancing [file.pg] --phi flat|sqrt|NAME [--anchor a,b,c,d]
+    pg verify-dancing [file.pg] --phi flat|sqrt|PHI [--anchor a,b,c,d]
                       [--span t0,t1] [--system PAIR] [--samples N] [--csv PATH]
     pg metric [file.pg] --system NAME [--samples N] [--trials N]
     pg catalog [NAME]
@@ -12,13 +12,16 @@
 Each command but catalog takes --seed S, each takes --json PATH, and none
 takes an option it does not read; --samples must be at least 1.  The file
 argument may be omitted (or '-' for stdin) when the system name is a catalog
-entry.  Exit status is 0 when all checks pass, 1 on any failed check, 2 on
-input errors, 3 on a numerical abort.
+entry.  PHI names a catalog solution function (flat_dancing_phi,
+sqrt_dancing_phi); a .pg document declares none.  Exit status is 0 when all
+checks pass, 1 on any failed check, 2 on input errors, 3 on a numerical
+abort.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .dsl import parse
@@ -50,7 +53,10 @@ def _add_common(p, *reads):
                    help="write the machine-readable report to this path")
 
 
+@functools.cache
 def _build_parser():
+    """The `pg` parser, built on the first call of `main` (not at import) and
+    shared by the later ones: parse_args keeps no state in it."""
     ap = argparse.ArgumentParser(
         prog="pg",
         description="invariants, root types, and verification pipelines for "
@@ -69,7 +75,8 @@ def _build_parser():
     pd = subs.add_parser("verify-dancing", help="dancing-curve residual checks")
     pd.add_argument("file", nargs="?", default=None)
     pd.add_argument("--phi", default="flat",
-                    help="'flat', 'sqrt', or a catalog/document name")
+                    help="'flat', 'sqrt', or a catalog solution function "
+                         "(flat_dancing_phi, sqrt_dancing_phi)")
     pd.add_argument("--anchor", default=None,
                     help="anchor point 'that,zhat,ahat,bhat'")
     pd.add_argument("--span", default=None, help="t window 't0,t1'")

@@ -14,7 +14,8 @@ Numeric literals are exact rationals (integers, fractions 3/4, and decimal
 literals converted exactly); sqrt(e) is sugar for e^(1/2); '#' starts a line
 comment; no implicit multiplication.  Operator precedence: ^ binds tighter
 than unary minus, then * and /, then + and -; ^ is right-associative and its
-exponent must fold to an exact rational.  A constant that folds to no value
+exponent must fold to an exact rational below 2^31 in absolute value (the
+tape compiles no larger integer power).  A constant that folds to no value
 (1/0, 0^(-2), (-4)^(1/2)) is a DslSyntaxError at its operator.
 """
 
@@ -28,6 +29,7 @@ from .errors import (DivisionByZero, DomainError, DslSyntaxError,
                      DuplicateName, UnknownVariable)
 from .expr import (Expr, add, div, mul, neg, num, pow_, sqrt_, sub, to_text,
                    var)
+from .expr.tape import MAX_INT_EXPONENT
 from .forms import DifferentialForm, one_form
 from .jets import CRGraph, PairODE, ScalarODE
 from .metrics import CoframeMetric
@@ -173,6 +175,10 @@ class _Parser:
             from .expr import Num
             if not isinstance(exponent, Num):
                 self.error("exponent must fold to an exact rational")
+            if abs(exponent.value) >= MAX_INT_EXPONENT:
+                raise DslSyntaxError(f"exponent {exponent.value} too large: "
+                                     "|exponent| must be below 2^31",
+                                     op.line, op.column)
             return self.fold(op, pow_, base, exponent.value)
         return base
 

@@ -15,7 +15,8 @@ import threading
 import weakref
 
 from ..errors import DivisionByZero
-from .rational import RONE, RZERO, Rat, as_rat, is_int, rat_pow_exact
+from .rational import (RONE, RZERO, Rat, as_rat, is_int, rat_pow_exact,
+                       real_branch_sign)
 
 _TABLE: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 _LOCK = threading.Lock()
@@ -332,8 +333,7 @@ def pow_(base, exponent) -> Expr:
         if base.value < 0:
             # odd root of a negative rational (even roots raise above):
             # take the real branch with the sign pulled out front
-            sign = -1 if e.numerator % 2 else 1
-            return mul(num(sign), _raw_pow(num(-base.value), e))
+            return mul(num(real_branch_sign(e)), _raw_pow(num(-base.value), e))
         return _raw_pow(base, e)  # symbolic radical constant, e.g. 2^(1/2)
     if isinstance(base, Pow):
         # (b^a)^e -> b^(a e): sound for integer e, and for non-integer a

@@ -1,5 +1,6 @@
-"""Exact rational arithmetic: `Rat` is the stdlib Fraction, and
-`rat_pow_exact` is the one exact-root routine."""
+"""Exact rational arithmetic: `Rat` is the stdlib Fraction, `rat_pow_exact`
+is the one exact-root routine, and `real_branch_sign` is the one real-branch
+rule for a fractional power of a negative base."""
 
 from __future__ import annotations
 
@@ -44,6 +45,15 @@ def is_int(q) -> bool:
     return q.denominator == 1
 
 
+def real_branch_sign(exp: Rat) -> int:
+    """The sign of base**exp on the real branch at a negative base, for an
+    exponent p/q in lowest terms: (-1)^p when q is odd, and 0 when q is even,
+    where a negative base has no real value."""
+    if exp.denominator % 2 == 0:
+        return 0
+    return -1 if exp.numerator % 2 else 1
+
+
 def rat_pow_exact(base: Rat, exp: Rat):
     """base**exp as an exact rational, or None when irrational.
 
@@ -62,9 +72,9 @@ def rat_pow_exact(base: Rat, exp: Rat):
         return RZERO
     sign = 1
     if base < 0:
-        if q % 2 == 0:
+        sign = real_branch_sign(exp)
+        if not sign:
             raise DomainError("negative base under an even root")
-        sign = -1 if p % 2 else 1
         base = -base
     num, den = base.numerator, base.denominator
     if p < 0:

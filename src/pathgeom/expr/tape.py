@@ -8,7 +8,10 @@ shared node once, and returns a list with one value per expression.  There
 are five number domains.  The exact domain has its own loop, on int
 numerator/denominator pairs kept in lowest terms; the other four share one
 interpreter loop, `Tape._run`, to which the domain supplies the constants,
-the point, and the integer and fractional power functions:
+the point, and the integer and fractional power functions.  The float64 and
+mpf domains differ only in their number type: they share one conversion of
+the constants and fractional exponents (`Tape._converted`) and one pair of
+power functions (`_pow_int`, `_pow_frac`), written with `**`:
 
   * exact           -- rationals, held as int pairs and returned as Fractions;
                        a fractional power must come out rational
@@ -28,9 +31,9 @@ libm `pow`: `eval_f64_many` agrees with per-row `eval_f64` to rounding, not
 bit for bit.
 
 Every domain with fractional powers takes the real branch of an odd root of
-a negative base, as `rat_pow_exact` does: at x = -8, x^(1/3) is -2,
-x^(-2/3) is 1/4 and x^(5/3) is -32.  A negative base under an even root
-raises DomainError.
+a negative base, with the sign `real_branch_sign` gives `rat_pow_exact`: at
+x = -8, x^(1/3) is -2, x^(-2/3) is 1/4 and x^(5/3) is -32.  A negative base
+under an even root raises DomainError.
 
 The mod-p domain is the exact one seen through the reduction map
 Z_(p) -> F_p, the rationals whose denominators p does not divide.  A point
@@ -49,12 +52,13 @@ import numpy as np
 
 from ..errors import DivisionByZero, DomainError, UnboundVariable
 from .nodes import Add, Expr, Mul, Num, Pow, Var
-from .rational import as_rat, is_int, rat_pow_exact
+from .rational import as_rat, is_int, rat_pow_exact, real_branch_sign
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW_INT, OP_POW_FRAC = range(6)
 
 MODULUS = 2 ** 61 - 1   # a Mersenne prime
 MPF_PREC = 256          # bits of every mpf evaluation
+MAX_INT_EXPONENT = 2 ** 31  # a compiled integer power has |exponent| below it
 
 
 def residue(q):
@@ -102,7 +106,7 @@ class Tape:
     """
 
     __slots__ = ("var_names", "code", "outputs", "single", "consts_exact",
-                 "exps_exact", "_f64", "_mpf", "_consts_modp")
+                 "exps_exact", "_numeric", "_consts_modp")
 
     def __init__(self, exprs, var_names):
         self.single = isinstance(exprs, Expr)
@@ -130,9 +134,9 @@ class Tape:
                 e = node.exponent
                 base = index[id(node.base)]
                 if is_int(e):
-                    if abs(int(e)) >= 2 ** 31:
-                        raise OverflowError("integer exponent too large to "
-                                            "compile")
+                    if abs(int(e)) >= MAX_INT_EXPONENT:
+                        raise ValueError(f"integer exponent {e} too large to "
+                                         "compile")
                     code.append((OP_POW_INT, base, int(e)))
                 else:
                     code.append((OP_POW_FRAC, base, len(exps)))
@@ -141,8 +145,7 @@ class Tape:
         self.outputs = tuple(index[id(r)] for r in roots)
         self.consts_exact = consts
         self.exps_exact = exps
-        self._f64 = None           # converted on first float evaluation
-        self._mpf = None           # converted on first mpf evaluation
+        self._numeric = {}         # converter -> converted on first use
         self._consts_modp = None   # reduced on first use
 
     def __len__(self):
@@ -184,25 +187,18 @@ class Tape:
             return values[self.outputs[0]]
         return [values[k] for k in self.outputs]
 
-    def _floats(self):
-        """Constants as floats and fractional exponents as (float, real
-        branch sign) pairs (`_negative_base_sign`), converted on first use,
-        so a constant beyond float range raises only in float domains."""
-        if self._f64 is None:
-            self._f64 = ([float(c) for c in self.consts_exact],
-                         [(float(e), _negative_base_sign(e))
-                          for e in self.exps_exact])
-        return self._f64
-
-    def _mpfs(self):
-        """Constants as MPF_PREC-bit mpf values and fractional exponents as
-        (mpf, real branch sign) pairs, converted on first use; call inside
+    def _converted(self, to):
+        """Constants as `to(c)` and fractional exponents as (`to(e)`, real
+        branch sign) pairs (`real_branch_sign`), converted on first use, so
+        a constant beyond float range raises only in float domains.  `to`
+        is `float` or `_to_mpf`; call the latter inside
         `mpmath.workprec(MPF_PREC)`."""
-        if self._mpf is None:
-            self._mpf = ([_to_mpf(c) for c in self.consts_exact],
-                         [(_to_mpf(e), _negative_base_sign(e))
-                          for e in self.exps_exact])
-        return self._mpf
+        got = self._numeric.get(to)
+        if got is None:
+            got = self._numeric[to] = (
+                [to(c) for c in self.consts_exact],
+                [(to(e), real_branch_sign(e)) for e in self.exps_exact])
+        return got
 
     def eval_exact(self, point):
         """The exact value at a point of ints and rationals, as rationals
@@ -290,8 +286,8 @@ class Tape:
 
     def eval_f64(self, point):
         inputs = np.asarray(point, dtype=np.float64).tolist()
-        return self._result(self._run(inputs, *self._floats(), 0.0, 1.0,
-                                      _f64_pow_int, _f64_pow_frac))
+        return self._result(self._run(inputs, *self._converted(float), 0.0,
+                                      1.0, _pow_int, _pow_frac))
 
     def eval_f64_many(self, points):
         """Evaluate at an (m, nvars) array of points; returns a length-m
@@ -301,7 +297,7 @@ class Tape:
         m = len(points)
         if m == 0:
             return self._result([np.zeros(0, dtype=np.float64)] * len(self))
-        consts, exps = self._floats()
+        consts, exps = self._converted(float)
         columns = list(np.array(points, dtype=np.float64).T.copy())
         consts = [np.full(m, c) for c in consts]
         # overflow gives inf and inf - inf gives nan silently, as with floats
@@ -320,8 +316,8 @@ class Tape:
             mpf = mpmath.mpf
             inputs = [_to_mpf(p) if hasattr(p, "numerator") else mpf(p)
                       for p in point]
-            values = self._run(inputs, *self._mpfs(), mpf(0), mpf(1),
-                               _mpf_pow_int, _mpf_pow_frac)
+            values = self._run(inputs, *self._converted(_to_mpf), mpf(0),
+                               mpf(1), _pow_int, _pow_frac)
             if not with_scale:
                 return self._result(values)
             return (self._result(values),
@@ -337,8 +333,25 @@ def _to_mpf(q):
 
 # -- the domains' power functions ---------------------------------------------------
 
-def _mpf_pow_int(base, e: int):
-    """Integer power in mpf."""
+def _pow_int(base, e: int):
+    """Integer power of a float or an mpf."""
+    if base == 0 and e < 0:
+        raise DivisionByZero("denominator evaluated to zero")
+    try:
+        return base ** e
+    except OverflowError:
+        # an overflowing float power is infinite, as in numpy
+        return math.copysign(math.inf, base) if e % 2 else math.inf
+
+
+def _pow_frac(base, e):
+    """Fractional power of a float or an mpf, for e an (exponent, real
+    branch sign) pair; on the real branch at a negative base."""
+    e, sign = e
+    if base < 0:
+        if not sign:
+            raise DomainError("negative base under an even root")
+        return sign * (-base) ** e
     if base == 0 and e < 0:
         raise DivisionByZero("denominator evaluated to zero")
     return base ** e
@@ -356,49 +369,6 @@ def _exact_pow_frac(base, e):
         raise DomainError("not a perfect rational power; "
                           "use floating evaluation")
     return got
-
-
-def _negative_base_sign(e) -> int:
-    """The sign of base^e on the real branch at a negative base: (-1)^p for
-    an exponent p/q with q odd, as `rat_pow_exact` takes it; 0 for an even q,
-    where a negative base has no real value."""
-    if e.denominator % 2 == 0:
-        return 0
-    return -1 if e.numerator % 2 else 1
-
-
-def _mpf_pow_frac(base, e):
-    import mpmath
-
-    e, sign = e
-    if base < 0:
-        if not sign:
-            raise DomainError("negative base under an even root")
-        return sign * mpmath.power(-base, e)
-    if base == 0 and e < 0:
-        raise DivisionByZero("denominator evaluated to zero")
-    return mpmath.power(base, e)
-
-
-def _f64_pow_int(base: float, e: int) -> float:
-    if base == 0.0 and e < 0:
-        raise DivisionByZero("denominator evaluated to zero")
-    try:
-        return base ** e
-    except OverflowError:
-        # an overflowing integer power is infinite, as in numpy
-        return math.copysign(math.inf, base) if e % 2 else math.inf
-
-
-def _f64_pow_frac(base: float, e) -> float:
-    e, sign = e
-    if base < 0.0:
-        if not sign:
-            raise DomainError("negative base under an even root")
-        return sign * math.pow(-base, e)
-    if base == 0.0 and e < 0:
-        raise DivisionByZero("denominator evaluated to zero")
-    return math.pow(base, e)
 
 
 def _column_pow_int(base: np.ndarray, e: int) -> np.ndarray:

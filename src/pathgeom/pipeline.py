@@ -3,7 +3,14 @@
 Every command returns a Report whose machine-readable rendering is a single
 JSON object {tool_version, command, seed, fingerprint, checks: [...]}; the
 same document and seed produce byte-identical output.  Each check carries its
-tolerance and sample provenance, and every failure names a witness.
+tolerance and sample provenance.  A failing identity claim (the checks built
+by `_zero_matrix_check`, `fundamental_form_closed` and
+`null_planes_integrable`) names the sampled points where an entry is
+nonzero, and a failing `uniform_quartic_type` names a point of the wrong
+type.  The other failures name none: a failing "nonzero" claim
+(`rho_wedge_rho_nonzero`) has no witness point, `torsion_iff_flat_scalar`
+compares two claims, and the numeric checks (`einstein`,
+`constraint_residual`, `pair_residual`) report their residuals instead.
 """
 
 from __future__ import annotations
@@ -106,6 +113,17 @@ def _witness_str(witness):
     return [", ".join(f"{k} = {v}" for k, v in sorted(witness.items()))]
 
 
+def _witnesses(verdicts):
+    """The distinct witnesses of the nonzero ZeroVerdicts, in order."""
+    witnesses = []
+    for verdict in verdicts:
+        if not verdict.is_zero:
+            for w in _witness_str(verdict.witness):
+                if w not in witnesses:
+                    witnesses.append(w)
+    return witnesses
+
+
 def _expr_text(e, limit=300):
     """Expression text for reports; large expressions are elided (they stay
     available programmatically)."""
@@ -135,7 +153,6 @@ def _zero_matrix_check(name, entries, labels, trials, seed):
     """Identity-test a family of expressions; pass iff all are zero."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    witnesses = []
     values = {}
     verdicts = []
     for label, e in zip(labels, entries):
@@ -143,10 +160,7 @@ def _zero_matrix_check(name, entries, labels, trials, seed):
         verdicts.append(verdict)
         values[label] = "0" if verdict.is_zero else \
             f"nonzero ({_expr_text(e, 120)})"
-        if not verdict.is_zero:
-            for w in _witness_str(verdict.witness):
-                if w not in witnesses:
-                    witnesses.append(w)
+    witnesses = _witnesses(verdicts)
     return CheckRecord(name=name,
                        verdict="pass" if not witnesses else "fail",
                        tolerance=_identity_tolerance(verdicts, trials),
@@ -166,13 +180,15 @@ def _identity_tolerance(verdicts, trials):
     return f"{MPF_TOLERANCE}, {trials} trials"
 
 
-def _root_type_checks(inv, samples, seed):
+def _root_type_checks(inv, samples, seed, expect=None):
     """The `uniform_quartic_type` and `admissibility_flags` records of a pair,
     given its Fels invariants, at `samples` exact sampled points.
 
     A radical-free pair is evaluated and classified exactly, a radical one in
     mpf.  The type is uniform when every point's quartic has one describe();
     the witness is the last point whose type differs from the first point's.
+    With `expect`, a uniform type other than `expect` fails too, with the
+    first point as its witness.
     An mpf point whose multiplicities do not add up (IllConditioned) is
     skipped and counted, at most `samples` times.  A construction is
     admissible only if it is at every sampled point."""
@@ -195,6 +211,8 @@ def _root_type_checks(inv, samples, seed):
             if skipped > samples:
                 raise
             continue
+        if not flags:
+            first = point
         quartic_types.append(q4.describe())
         quadric_types.add(q2.describe())
         flags.append(admissibility(q4, q2).as_dict())
@@ -205,7 +223,10 @@ def _root_type_checks(inv, samples, seed):
     if len(flags) < samples:
         raise SamplingExhausted(f"only {len(flags)}/{samples} admissible "
                                 f"points classified")
-    details = {"quartic_type": " | ".join(sorted(set(quartic_types))),
+    quartic_type = " | ".join(sorted(set(quartic_types)))
+    if not witness and expect not in (None, quartic_type):
+        witness = _witness_str(dict(zip(names, first)))
+    details = {"quartic_type": quartic_type,
                "quadric_type": " | ".join(sorted(quadric_types)),
                "samples": str(samples), "arithmetic": arithmetic}
     if skipped:
@@ -219,13 +240,6 @@ def _root_type_checks(inv, samples, seed):
                        details={k: str(all(f[k] for f in flags))
                                 for k in flags[0]})
     return [rec, frec]
-
-
-def _expect_type(records, quartic_type):
-    """Fail the uniform-type record unless every point's type is `quartic_type`."""
-    if records[0].details["quartic_type"] != quartic_type:
-        records[0].verdict = "fail"
-    return records
 
 
 # -- commands -------------------------------------------------------------------
@@ -321,7 +335,7 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
         tolerance=_identity_tolerance(scalar + torsion, trials),
         details={"scalar_invariants_zero": str(scalar_zero),
                  "chain_torsion_zero": str(torsion_zero)}))
-    checks.extend(_expect_type(_root_type_checks(inv, samples, seed), "D_r"))
+    checks.extend(_root_type_checks(inv, samples, seed, expect="D_r"))
     return Report(command=f"verify-chains {scalar_name}", seed=seed,
                   fingerprint=_fingerprint(doc), checks=checks)
 
@@ -334,7 +348,7 @@ def cmd_verify_cr(doc: Document | None, pair_name: str,
     candidate pair, plus the torsion report."""
     pair = resolve(doc, pair_name, PairODE)
     inv = fels_invariants(pair)
-    checks = _expect_type(_root_type_checks(inv, samples, seed), "D_c")
+    checks = _root_type_checks(inv, samples, seed, expect="D_c")
     rec = _zero_matrix_check("torsion_zero",
                              [e for row in inv.torsion for e in row],
                              _TORSION_LABELS, trials, seed)
@@ -431,12 +445,13 @@ def cmd_metric(doc: Document | None, coframe_name: str,
         name="fundamental_form_closed",
         verdict="pass" if all(closed) else "fail",
         tolerance=_identity_tolerance(closed, trials),
-        details={"pairing": cm.structure}))
+        witnesses=_witnesses(closed), details={"pairing": cm.structure}))
     integrable = null_planes_integrable(cm, trials=trials, seed=seed)
     checks.append(CheckRecord(
         name="null_planes_integrable",
         verdict="pass" if all(integrable) else "fail",
-        tolerance=_identity_tolerance(integrable, trials)))
+        tolerance=_identity_tolerance(integrable, trials),
+        witnesses=_witnesses(integrable)))
     return Report(command=f"metric {coframe_name}", seed=seed,
                   fingerprint=_fingerprint(doc), checks=checks)
 

@@ -3,9 +3,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pathgeom.errors import DivisionByZero, DomainError, UnboundVariable
 from pathgeom.expr import (add, as_rat, compile_tape, differentiate, div,
@@ -206,6 +207,51 @@ class TestNegativeBase:
                     lambda: tape.eval_f64_many([[8.0], [-8.0]])):
             with pytest.raises(DomainError):
                 run()
+
+    @given(base=st.one_of(
+               st.just(Fraction(0)),
+               st.builds(lambda sign, r, k: sign * r ** k,
+                         st.sampled_from((-1, 1)),
+                         st.fractions(min_value=Fraction(1, 8), max_value=5,
+                                      max_denominator=8),
+                         st.sampled_from((1, 2, 3, 6)))),
+           p=st.integers(-9, 9), q=st.integers(2, 6))
+    @example(base=Fraction(-8), p=-2, q=3)
+    @example(base=Fraction(-2), p=2, q=6)
+    @example(base=Fraction(-2), p=1, q=2)
+    @example(base=Fraction(0), p=-5, q=3)
+    @settings(max_examples=300, deadline=None)
+    def test_real_branch_in_every_domain(self, base, p, q):
+        # a perfect power base = r**k has a rational root when e's
+        # denominator divides k; the oracle for an irrational root is the
+        # root of |base| raised to the power, with the sign (-1)^p of an odd
+        # root of a negative base, for e = p/q in lowest terms
+        e = Fraction(p, q)
+        assume(e.denominator != 1)
+        p, q = e.numerator, e.denominator
+        tape = compile_tape(pow_(x, e), ("x",))
+        runs = {"f64": lambda: tape.eval_f64([float(base)]),
+                "mpf": lambda: tape.eval_mpf([base]),
+                "column": lambda: tape.eval_f64_many([[float(base)]])[0]}
+        try:
+            want = rat_pow_exact(base, e)
+        except (DivisionByZero, DomainError) as exc:
+            for run in runs.values():
+                with pytest.raises(type(exc)):
+                    run()
+            return
+        with mpmath.workprec(400):
+            if want is None:
+                sign = (-1) ** p if base < 0 else 1
+                size = mpmath.mpf(abs(base.numerator)) / base.denominator
+                want = sign * mpmath.root(size, q) ** p
+            else:
+                want = mpmath.mpf(want.numerator) / want.denominator
+            got = runs["mpf"]()
+            assert abs(got - want) <= mpmath.mpf("1e-60") * abs(want)
+        for name in ("f64", "column"):
+            assert math.isclose(runs[name](), float(want), rel_tol=1e-12,
+                                abs_tol=0), name
 
 
 class TestBatchTape:

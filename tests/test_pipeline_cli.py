@@ -6,11 +6,13 @@ import sys
 import pytest
 
 from pathgeom.cli import main
+from pathgeom.constructions import catalog
 from pathgeom.dsl import parse
 from pathgeom.expr import compile_tape
 from pathgeom.expr.sampling import sample_points
 from pathgeom.invariants import (curvature_quartic, fels_invariants,
                                  torsion_quadric)
+from pathgeom.metrics import closedness_check, null_planes_integrable
 from pathgeom.pipeline import (SAMPLE_BUDGET, cmd_catalog, cmd_classify,
                                cmd_invariants, cmd_metric, cmd_verify_chains,
                                cmd_verify_cr, cmd_verify_dancing)
@@ -65,6 +67,42 @@ class TestReports:
         failing = [c for c in rep.checks if c.verdict == "fail"]
         assert failing
         assert failing[0].name == "uniform_quartic_type"
+
+    def test_wrong_uniform_type_names_the_first_sampled_point(self):
+        # flat_chain_pair is D_r at every point, so its D_c claim fails at
+        # the first one
+        rep = cmd_verify_cr(None, "flat_chain_pair", samples=6, trials=8)
+        rec = rep.checks[0]
+        assert (rec.name, rec.verdict) == ("uniform_quartic_type", "fail")
+        assert rec.details["quartic_type"] == "D_r"
+        inv = fels_invariants(catalog("flat_chain_pair"))
+        exprs = (list(curvature_quartic(inv).coefficients)
+                 + list(torsion_quadric(inv).coefficients))
+        names = sorted(set().union(*(e.free_variables for e in exprs)))
+        point, values = next(sample_points(compile_tape(exprs, names), names,
+                                           0, SAMPLE_BUDGET, "exact"))
+        assert rec.witnesses == [", ".join(f"{n} = {v}"
+                                           for n, v in zip(names, point))]
+        assert classify_quartic(values[:5]).describe() == "D_r"
+
+    def test_failing_identity_claims_of_a_metric_name_their_witness(self):
+        doc = parse("coframe c { vars y p Y P; eta 1 = y*d Y; eta 2 = d P; "
+                    "eta 3 = d y; eta 4 = p*d p + Y*d y; }")
+        cm = doc.get("c").to_metric()
+        rep = cmd_metric(doc, "c", trials=50, seed=0)
+        byname = {c.name: c for c in rep.checks}
+        for name, verdicts in (
+                ("fundamental_form_closed",
+                 closedness_check(cm.fundamental_form(), trials=50, seed=0)),
+                ("null_planes_integrable",
+                 null_planes_integrable(cm, trials=50, seed=0))):
+            witness = next(v.witness for v in verdicts if not v.is_zero)
+            assert byname[name].verdict == "fail"
+            assert byname[name].witnesses == [", ".join(
+                f"{n} = {v}" for n, v in sorted(witness.items()))]
+        # a numeric check reports its residual, not a witness
+        assert byname["einstein"].verdict == "fail"
+        assert byname["einstein"].witnesses == []
 
     def test_invariants_scalar(self):
         rep = cmd_invariants(DOC, "quartic", trials=8)
@@ -228,6 +266,28 @@ class TestCli:
         assert main(["metric", str(tmp_path / "flat.pg"), "--system", "flat4",
                      "--trials", trials]) == 2
         assert "trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["invariants", "classify"])
+    @pytest.mark.parametrize("f1, message", [
+        # the parser sees the exponent: an error at its '^'
+        ("q1^3000000000", "input error: 1:41: exponent 3000000000 too large"),
+        # folded to q1^4000000000: too large for the tape
+        ("(q1^2)^2000000000", "input error: integer exponent"),
+    ])
+    def test_integer_exponent_beyond_the_tape_exits_two(
+            self, command, f1, message, tmp_path, capsys):
+        doc = tmp_path / "d.pg"
+        doc.write_text(f"pair_ode g {{ vars t u1 u2 q1 q2; F1 = {f1}; "
+                       "F2 = 0; }\n")
+        assert main([command, str(doc), "--system", "g"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_consecutive_calls_share_no_parsed_options(self, capsys):
+        argv = ["classify", "--system", "flat_chain_pair"]
+        assert main(argv + ["--samples", "3"]) == 0
+        assert "samples: 3\n" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "samples: 20\n" in capsys.readouterr().out
 
     def _run(self, *argv, stdin=None):
         proc = subprocess.run([sys.executable, "-m", "pathgeom.cli", *argv],
