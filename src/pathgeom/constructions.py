@@ -16,6 +16,7 @@ from .expr import (Expr, Rat, add, compile_tape, differentiate, div,
                    is_zero_probabilistic, mul, num, rename_variables,
                    sqrt_, sub, substitute, var)
 from .expr.sampling import draw_float
+from .expr.zerotest import zero_verdicts
 from .forms import CHAIN_PAIR_CHART, DifferentialForm, d, one_form
 from .jets import CRGraph, PairODE, ScalarODE
 from .metrics import CoframeMetric
@@ -154,8 +155,7 @@ class SolutionFunction:
                              f"outside chart {self.chart}")
         da = differentiate(self.phi, self.chart[2])
         db = differentiate(self.phi, self.chart[3])
-        if is_zero_probabilistic(da, trials=8).is_zero and \
-                is_zero_probabilistic(db, trials=8).is_zero:
+        if all(zero_verdicts([da, db], 8, 0)):
             raise ValueError("solution function is independent of both constants")
 
 

@@ -16,7 +16,8 @@ comment; no implicit multiplication.  Operator precedence: ^ binds tighter
 than unary minus, then * and /, then + and -; ^ is right-associative and its
 exponent must fold to an exact rational below 2^31 in absolute value (the
 tape compiles no larger integer power).  A constant that folds to no value
-(1/0, 0^(-2), (-4)^(1/2)) is a DslSyntaxError at its operator.
+(1/0, 0^(-2), (-4)^(1/2)), or to a power beyond 2^MAX_FOLD_BITS
+(3^2000000000, (3*p)^2000000000), is a DslSyntaxError at its operator.
 """
 
 from __future__ import annotations
@@ -136,11 +137,12 @@ class _Parser:
         return self.advance()
 
     def fold(self, tok, build, *args) -> Expr:
-        """build(*args), with a constant that folds to no value reported at
-        the operator `tok`."""
+        """build(*args), with a constant that folds to no value or to an
+        oversized power (ValueError from `rat_pow_exact`) reported at the
+        operator `tok`."""
         try:
             return build(*args)
-        except (DivisionByZero, DomainError) as exc:
+        except (DivisionByZero, DomainError, ValueError) as exc:
             raise DslSyntaxError(str(exc), tok.line, tok.column) from None
 
     # -- expressions -----------------------------------------------------

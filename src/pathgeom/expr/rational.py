@@ -1,6 +1,11 @@
 """Exact rational arithmetic: `Rat` is the stdlib Fraction, `rat_pow_exact`
 is the one exact-root routine, and `real_branch_sign` is the one real-branch
-rule for a fractional power of a negative base."""
+rule for a fractional power of a negative base.
+
+Two limits keep exact powers finite: a compiled integer power has an
+exponent below MAX_INT_EXPONENT in absolute value, and `rat_pow_exact`
+refuses a power whose value could exceed 2^MAX_FOLD_BITS (so a folded
+constant such as 10^400 stays cheap to build and to print)."""
 
 from __future__ import annotations
 
@@ -12,6 +17,9 @@ from ..errors import DivisionByZero, DomainError
 Rat = Fraction
 RZERO = Rat(0)
 RONE = Rat(1)
+
+MAX_INT_EXPONENT = 2 ** 31  # a compiled integer power has |exponent| below it
+MAX_FOLD_BITS = 2 ** 13     # bits of the largest exact constant power
 
 
 def _int_nth_root(n: int, k: int):
@@ -59,7 +67,14 @@ def rat_pow_exact(base: Rat, exp: Rat):
 
     Raises DivisionByZero for 0**negative and DomainError for an even root
     of a negative base.  Odd roots of negatives take the real branch.
+    Raises ValueError, before any arithmetic, when the numerator or the
+    denominator of |base|^|exp| could exceed 2^MAX_FOLD_BITS: with m the
+    larger of |numerator| and denominator, log2 m <= (m - 1).bit_length().
     """
+    size = max(abs(base.numerator), base.denominator) - 1
+    if abs(exp) * size.bit_length() > MAX_FOLD_BITS:
+        raise ValueError(f"constant power ({base})^({exp}) too large: "
+                         f"beyond 2^{MAX_FOLD_BITS}")
     if is_int(exp):
         e = int(exp)
         if base == 0 and e < 0:

@@ -4,7 +4,9 @@ A point is drawn one coordinate per variable, each over its own (lo, hi)
 range or, given None, over the default:
 
   * exact -- a rational n/d with d uniform over [1, bound] and n uniform
-             over [-bound, bound] (or over the n with lo < n/d <= hi);
+             over [-bound, bound] (or over the n with lo < n/d <= hi),
+             drawn as the int pair (n, d) (`draw_pairs`) and made a
+             rational only where the caller needs one (`draw_exact`);
   * float -- `rng.uniform` over (lo, hi), by default over DEFAULT_BOX.
 
 `sample_points` evaluates one compiled sequence tape at successive draws
@@ -32,16 +34,16 @@ EXACT_BOUND = 40          # exact draws of sample_points
 RESAMPLE_BUDGET = 100
 
 
-def _sample_rational(rng: random.Random, lo, hi, bound):
-    """Random rational n/d with d uniform over [1, bound] and n uniform over
-    [-bound, bound], or, given an interval, over the n with lo < n/d <= hi.
+def _sample_pair(rng: random.Random, lo, hi, bound):
+    """Random rational n/d, as the int pair (n, d) with d > 0, not reduced:
+    d uniform over [1, bound] and n uniform over [-bound, bound], or, given
+    an interval, over the n with lo < n/d <= hi.
 
     A denominator with no such numerator is redrawn; an interval that none
     of RESAMPLE_BUDGET denominators fits is sampled at its midpoint."""
     den = rng.randint(1, bound)
     if lo is None:
-        numer = rng.randint(-bound, bound)
-        return Rat(numer, den)
+        return rng.randint(-bound, bound), den
     lo, hi = Rat(lo), Rat(hi)
     if lo > hi:
         raise ValueError(f"empty sampling interval ({lo}, {hi})")
@@ -49,15 +51,21 @@ def _sample_rational(rng: random.Random, lo, hi, bound):
         lo_n = math.floor(lo * den) + 1
         hi_n = math.floor(hi * den)
         if lo_n <= hi_n:
-            return Rat(rng.randint(lo_n, hi_n), den)
+            return rng.randint(lo_n, hi_n), den
         den = rng.randint(1, bound)
-    return (lo + hi) / 2
+    mid = (lo + hi) / 2
+    return mid.numerator, mid.denominator
+
+
+def draw_pairs(rng: random.Random, ranges, bound: int) -> list:
+    """One exact point, a coordinate per entry of `ranges` ((lo, hi) or
+    None), each as its int pair (numerator, denominator > 0), not reduced."""
+    return [_sample_pair(rng, *(r or (None, None)), bound) for r in ranges]
 
 
 def draw_exact(rng: random.Random, ranges, bound: int) -> list:
-    """One exact point, a coordinate per entry of `ranges` ((lo, hi) or
-    None)."""
-    return [_sample_rational(rng, *(r or (None, None)), bound) for r in ranges]
+    """The point of `draw_pairs` as rationals."""
+    return [Rat(n, d) for n, d in draw_pairs(rng, ranges, bound)]
 
 
 def draw_float(rng: random.Random, ranges) -> list:

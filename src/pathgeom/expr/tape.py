@@ -52,22 +52,27 @@ import numpy as np
 
 from ..errors import DivisionByZero, DomainError, UnboundVariable
 from .nodes import Add, Expr, Mul, Num, Pow, Var
-from .rational import as_rat, is_int, rat_pow_exact, real_branch_sign
+from .rational import (MAX_INT_EXPONENT, as_rat, is_int, rat_pow_exact,
+                       real_branch_sign)
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW_INT, OP_POW_FRAC = range(6)
 
 MODULUS = 2 ** 61 - 1   # a Mersenne prime
 MPF_PREC = 256          # bits of every mpf evaluation
-MAX_INT_EXPONENT = 2 ** 31  # a compiled integer power has |exponent| below it
 
 
 def residue(q):
     """q mod MODULUS for an int or rational q, or None when MODULUS divides
     the denominator of q."""
-    den = int(q.denominator) % MODULUS
+    return pair_residue(int(q.numerator), int(q.denominator))
+
+
+def pair_residue(num: int, den: int):
+    """num/den mod MODULUS for ints num and den > 0, or None when MODULUS
+    divides den."""
+    den %= MODULUS
     if den == 0:
         return None
-    num = int(q.numerator)
     if den == 1:
         return num % MODULUS
     return num * pow(den, -1, MODULUS) % MODULUS

@@ -1,4 +1,4 @@
-"""Randomized zero testing of expressions.
+"""Randomized zero testing of expressions, one claim at a time.
 
 Rational-function expressions are tested at random rational points
 (Schwartz-Zippel); expressions containing radicals fall back to 256-bit
@@ -15,6 +15,20 @@ are those of exact arithmetic.  An expression whose tape has no mod-p value
 (a fractional power, or a nonzero constant that is 0 or undefined mod p:
 `Tape.reducible_mod_p`) is evaluated exactly throughout, as is a point with
 a coordinate undefined mod p.
+
+A claim is a sequence of expressions, its entries (`zero_verdicts`).  Its
+radical-free entries over one sorted free-variable chart form a group that
+shares one multi-output tape and one draw stream: each draw comes from
+`random.Random(seed)` once, as int pairs with their residues, all the
+group's outputs are evaluated mod p in one pass, and an output's first
+nonzero residue is its witness, confirmed by one exact evaluation.  Every
+entry sees the draws it would see alone, so its verdict is the one-entry
+verdict (`is_zero_probabilistic`) field by field.  That holds while a draw
+has residues and is no pole mod p on a tape that is `reducible_mod_p`: the
+first draw or tape that is not ends the group's run, and its undecided
+entries are then run alone, where a rejected draw moves only their own
+stream.  An entry with a radical is always run alone: its mpf tolerance is
+relative to the largest value on its own tape.
 """
 
 from __future__ import annotations
@@ -24,8 +38,9 @@ from dataclasses import dataclass
 
 from ..errors import DivisionByZero, DomainError, SamplingExhausted
 from .nodes import Expr, sub
-from .sampling import RESAMPLE_BUDGET, draw_exact
-from .tape import compile_tape, residue
+from .rational import Rat
+from .sampling import RESAMPLE_BUDGET, draw_pairs
+from .tape import compile_tape, pair_residue
 
 DEFAULT_BOUND = 10 ** 6
 DEFAULT_TRIALS = 20
@@ -47,14 +62,15 @@ class ZeroVerdict:
         return self.is_zero
 
 
-def _residues(point):
-    """The residues of a point's coordinates, or None when one has none."""
-    residues = [residue(q) for q in point]
+def _residues(pairs):
+    """The residues of a point's (numerator, denominator) coordinates, or
+    None when one has none."""
+    residues = [pair_residue(n, d) for n, d in pairs]
     return None if None in residues else residues
 
 
 def _modp(tape, residues):
-    """The value mod p at a point given by its residues, or None when there
+    """The values mod p at a point given by its residues, or None when there
     are no residues or the point is a pole mod p (which may not be one over
     Q)."""
     if residues is None:
@@ -63,6 +79,93 @@ def _modp(tape, residues):
         return tape.eval_modp(residues)
     except DivisionByZero:
         return None
+
+
+def _failure_bound(deg, trials):
+    """Schwartz-Zippel: a draw from the default box takes any one value with
+    probability at most 1/(2 bound + 1) <= 1/bound, and n/d -> n * d^-1 mod
+    p keeps distinct draws apart while 2 bound^2 < p, so a trial misses a
+    nonzero value with probability <= deg/bound, over Q and mod p alike
+    unless p divides every coefficient of the cleared numerator (bound =
+    DEFAULT_BOUND)."""
+    return min(1.0, deg / DEFAULT_BOUND) ** trials
+
+
+def _run(exprs, names, trials, seed, ranges, every):
+    """The verdicts of the entries `exprs` over the chart `names`, from one
+    tape and one draw stream per `ranges` (a (lo, hi) or None per name): a
+    list in entry order, None where an entry is left undecided.
+
+    One entry is always decided.  Several entries share each draw while it
+    has residues and no pole mod p; the first draw that does not, or a tape
+    that is not `reducible_mod_p` or does not compile, ends the run with
+    the open entries undecided.  Unless `every`, an entry found nonzero
+    closes the entries after it, which the claim never reaches."""
+    single = len(exprs) == 1
+    verdicts = [None] * len(exprs)
+    try:
+        tape = compile_tape(exprs, names)
+    except ValueError:
+        if single:
+            raise
+        return verdicts
+    mpf = single and exprs[0].has_radical
+    mode = "mpf" if mpf else "exact"
+    modular = not mpf and tape.reducible_mod_p
+    if not (single or modular):
+        return verdicts
+    rng = random.Random(seed)
+    open_ = list(range(len(exprs)))
+    rejected = 0
+    for trial in range(trials):
+        for _ in range(RESAMPLE_BUDGET):
+            pairs = draw_pairs(rng, ranges, DEFAULT_BOUND)
+            point = None
+            # a zero residue counts as zero; otherwise the value (a nonzero
+            # verdict's witness value) is exact
+            values = _modp(tape, _residues(pairs) if modular else None)
+            if values is None:
+                if not single:
+                    return verdicts
+                point = [Rat(n, d) for n, d in pairs]
+                try:
+                    if mpf:
+                        (value,), scale = tape.eval_mpf(point, with_scale=True)
+                        values = [value if abs(value) > MPF_REL_TOL
+                                  * max(1, scale) else 0]
+                    else:
+                        values = tape.eval_exact(point)
+                except (DivisionByZero, DomainError):
+                    rejected += 1
+                    continue
+            break
+        else:
+            raise SamplingExhausted(
+                f"no sample point with a value in {RESAMPLE_BUDGET} attempts")
+        hits = [i for i in open_ if values[i]]
+        if not hits:
+            continue
+        if point is None:
+            point = [Rat(n, d) for n, d in pairs]
+            values = tape.eval_exact(point)
+        for i in hits:
+            verdicts[i] = ZeroVerdict(
+                False, witness=dict(zip(names, point)),
+                witness_value=values[i], trials=trial + 1, mode=mode,
+                degree_bound=exprs[i].degree_bound,
+                constraints_rejected=rejected)
+        open_ = [i for i in open_
+                 if verdicts[i] is None and (every or i < hits[0])]
+        if not open_:
+            return verdicts
+    for i in open_:
+        deg = exprs[i].degree_bound
+        verdicts[i] = ZeroVerdict(
+            True, trials=trials, mode=mode, degree_bound=deg,
+            failure_bound=(None if mpf or deg is None
+                           else _failure_bound(deg, trials)),
+            constraints_rejected=rejected)
+    return verdicts
 
 
 def is_zero_probabilistic(e: Expr, trials: int = DEFAULT_TRIALS, seed=0,
@@ -78,55 +181,9 @@ def is_zero_probabilistic(e: Expr, trials: int = DEFAULT_TRIALS, seed=0,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
     names = sorted(e.free_variables)
-    mode = "mpf" if e.has_radical else "exact"
-    tape = compile_tape(e, names)
     ranges = [(var_ranges or {}).get(n) for n in names]
-    rejected = 0
-    modular = mode == "exact" and tape.reducible_mod_p
-
-    for trial in range(trials):
-        for _ in range(RESAMPLE_BUDGET):
-            point = draw_exact(rng, ranges, DEFAULT_BOUND)
-            try:
-                if mode == "exact":
-                    # a zero residue counts as zero; otherwise the value
-                    # (a nonzero verdict's witness value) is exact
-                    residues = _residues(point) if modular else None
-                    value = (0 if _modp(tape, residues) == 0
-                             else tape.eval_exact(point))
-                else:
-                    value, scale = tape.eval_mpf(point, with_scale=True)
-            except (DivisionByZero, DomainError):
-                rejected += 1
-                continue
-            break
-        else:
-            raise SamplingExhausted(
-                f"no sample point with a value in {RESAMPLE_BUDGET} attempts")
-        if mode == "exact":
-            nonzero = value != 0
-        else:
-            nonzero = abs(value) > MPF_REL_TOL * max(1, scale)
-        if nonzero:
-            return ZeroVerdict(False, witness=dict(zip(names, point)),
-                               witness_value=value, trials=trial + 1, mode=mode,
-                               degree_bound=e.degree_bound,
-                               constraints_rejected=rejected)
-    deg = e.degree_bound
-    failure = None
-    if mode == "exact" and deg is not None:
-        # Schwartz-Zippel: a draw from the default box takes any one value
-        # with probability at most 1/(2 bound + 1) <= 1/bound, and
-        # n/d -> n * d^-1 mod p keeps distinct draws apart while
-        # 2 bound^2 < p, so a trial misses a nonzero value with probability
-        # <= deg/bound, over Q and mod p alike unless p divides every
-        # coefficient of the cleared numerator (bound = DEFAULT_BOUND)
-        per = min(1.0, deg / DEFAULT_BOUND)
-        failure = per ** trials
-    return ZeroVerdict(True, trials=trials, mode=mode, degree_bound=deg,
-                       failure_bound=failure, constraints_rejected=rejected)
+    return _run([e], names, trials, seed, ranges, True)[0]
 
 
 def exprs_equal(a: Expr, b: Expr, trials: int = DEFAULT_TRIALS,
@@ -135,15 +192,41 @@ def exprs_equal(a: Expr, b: Expr, trials: int = DEFAULT_TRIALS,
     return is_zero_probabilistic(sub(a, b), trials=trials, seed=seed)
 
 
-def zero_verdicts(exprs, trials: int, seed) -> list:
-    """The verdicts of is_zero_probabilistic on the expressions in turn, up
-    to and including the first nonzero one: every expression is zero iff
-    all the verdicts are."""
+def zero_verdicts(exprs, trials: int, seed, _every=False) -> list:
+    """The verdicts of the claim that every expression of `exprs` is zero,
+    each equal to its `is_zero_probabilistic` verdict: up to and including
+    the first nonzero one in claim order (every expression is zero iff all
+    the verdicts are), or with `_every` one per expression.
+
+    The expressions are decided in groups (see the module docstring); a
+    group runs when the claim reaches its first entry."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    verdicts = []
-    for e in exprs:
-        verdicts.append(is_zero_probabilistic(e, trials=trials, seed=seed))
-        if not verdicts[-1].is_zero:
+    exprs = list(exprs)
+    charts = [tuple(sorted(e.free_variables)) for e in exprs]
+    keys = [i if e.has_radical else chart
+            for i, (e, chart) in enumerate(zip(exprs, charts))]
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    verdicts = [None] * len(exprs)
+    end = len(exprs)
+    for i in range(len(exprs)):
+        if i >= end:
             break
-    return verdicts
+        members = groups.pop(keys[i], ())
+        if members:
+            members = [j for j in members if j < end]
+            got = _run([exprs[j] for j in members], charts[i], trials, seed,
+                       [None] * len(charts[i]), _every)
+            for j, v in zip(members, got):
+                verdicts[j] = v
+                if not (_every or v is None or v.is_zero):
+                    end = min(end, j + 1)
+        if verdicts[i] is None:
+            # left undecided by its group: the entry runs alone
+            verdicts[i] = _run([exprs[i]], charts[i], trials, seed,
+                               [None] * len(charts[i]), True)[0]
+            if not (_every or verdicts[i].is_zero):
+                end = i + 1
+    return verdicts[:end]

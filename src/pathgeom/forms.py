@@ -374,11 +374,12 @@ def chain_pair_via_rho(sys: ScalarODE) -> PairODE:
     vx = v[0]
     if is_zero_probabilistic(vx, trials=RHO_CHECK_TRIALS).is_zero:
         raise RankDeficient("characteristic field is tangent to x = const")
-    for comp, expect, label in ((v[1], Y, "dy/dx"), (v[2], P, "dp/dx")):
-        claim = sub(comp, mul(expect, vx))
-        if not is_zero_probabilistic(claim, trials=RHO_CHECK_TRIALS).is_zero:
-            raise RankDeficient(f"characteristic field has {label} != "
-                                "the expected jet coordinate")
+    verdicts = zero_verdicts([sub(v[1], mul(Y, vx)), sub(v[2], mul(P, vx))],
+                             RHO_CHECK_TRIALS, 0)
+    if not verdicts[-1].is_zero:
+        label = ("dy/dx", "dp/dx")[len(verdicts) - 1]
+        raise RankDeficient(f"characteristic field has {label} != "
+                            "the expected jet coordinate")
     return PairODE(div(v[3], vx), div(v[4], vx), chart=chart)
 
 

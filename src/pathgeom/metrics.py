@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePoint, TorsionNonzero
-from .expr import (Rat, ZERO, add, compile_tape, differentiate,
-                   is_zero_probabilistic, mul, num, substitute)
+from .expr import (Rat, ZERO, add, compile_tape, differentiate, mul, num,
+                   substitute)
 from .expr.sampling import sample_points
 from .expr.zerotest import zero_verdicts
 from .forms import DifferentialForm, d, exterior_derivative, one_form, wedge
@@ -174,10 +174,10 @@ def conformal_from_pair(pair: PairODE, x_value=0, trials: int = 12,
         eta3 = dy, eta4 = dp,
     with (F, G) the right-hand sides in the chart (x, y, p, Y, P)."""
     T = fels_torsion(pair)
-    for i in range(2):
-        for j in range(2):
-            if not is_zero_probabilistic(T[i][j], trials=trials, seed=seed).is_zero:
-                raise TorsionNonzero(f"torsion component T^{i+1}_{j+1} is nonzero")
+    verdicts = zero_verdicts([e for row in T for e in row], trials, seed)
+    if not verdicts[-1].is_zero:
+        i, j = divmod(len(verdicts) - 1, 2)
+        raise TorsionNonzero(f"torsion component T^{i+1}_{j+1} is nonzero")
     xn, yn, pn, Yn, Pn = pair.chart
     chart = (yn, pn, Yn, Pn)
     half = num(Rat(1, 2))

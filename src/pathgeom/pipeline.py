@@ -27,8 +27,9 @@ from .constructions import (SolutionFunction, catalog, catalog_names,
                             freestyle_pair)
 from .dsl import CoframeDecl, Document
 from .errors import IllConditioned, SamplingExhausted, UnknownName
-from .expr import (add, compile_tape, is_zero_probabilistic, num, sub,
-                   to_text)
+from .expr import add, compile_tape, num, sub, to_text
+# unused here; pgbench's tracer test calls the zero tester through this module
+from .expr import is_zero_probabilistic  # noqa: F401
 from .expr.sampling import sample_points
 from .expr.tape import MPF_PREC
 from .expr.zerotest import MPF_REL_TOL, zero_verdicts
@@ -150,16 +151,12 @@ def resolve(doc: Document | None, name: str, kinds=None):
 
 
 def _zero_matrix_check(name, entries, labels, trials, seed):
-    """Identity-test a family of expressions; pass iff all are zero."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    values = {}
-    verdicts = []
-    for label, e in zip(labels, entries):
-        verdict = is_zero_probabilistic(e, trials=trials, seed=seed)
-        verdicts.append(verdict)
-        values[label] = "0" if verdict.is_zero else \
-            f"nonzero ({_expr_text(e, 120)})"
+    """Identity-test a family of expressions, every entry decided; pass iff
+    all are zero."""
+    verdicts = zero_verdicts(entries, trials, seed, _every=True)
+    values = {label: "0" if verdict.is_zero else
+              f"nonzero ({_expr_text(e, 120)})"
+              for label, e, verdict in zip(labels, entries, verdicts)}
     witnesses = _witnesses(verdicts)
     return CheckRecord(name=name,
                        verdict="pass" if not witnesses else "fail",
@@ -250,8 +247,7 @@ def cmd_invariants(doc: Document | None, system_name: str,
     checks = []
     if isinstance(obj, ScalarODE):
         si = scalar_invariants(obj)
-        z1 = is_zero_probabilistic(si.t1, trials=trials, seed=seed)
-        z2 = is_zero_probabilistic(si.c1, trials=trials, seed=seed)
+        z1, z2 = zero_verdicts([si.t1, si.c1], trials, seed, _every=True)
         checks.append(CheckRecord(
             name="scalar_invariants", verdict="info",
             details={"T1": _expr_text(si.t1), "C1": _expr_text(si.c1),

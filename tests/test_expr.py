@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,7 @@ from pathgeom.expr import (add, as_rat, compile_tape, differentiate, div,
                            neg, node_count, num, pow_, sqrt_, sub, substitute,
                            to_text, var, variables)
 from pathgeom.expr.nodes import Add, Mul, Num, Var
+from pathgeom.expr import rational
 from pathgeom.expr.rational import rat_pow_exact
 from pathgeom.expr.tape import MODULUS, residue
 
@@ -163,6 +165,30 @@ class TestExactRoots:
         assert rat_pow_exact(Fraction(-8), Fraction(-1, 3)) == Fraction(-1, 2)
         assert rat_pow_exact(Fraction(-8), Fraction(-2, 3)) == Fraction(1, 4)
         assert pow_(num(-8), Fraction(-1, 3)) is num(Fraction(-1, 2))
+
+    # exponents small enough that folding them takes seconds, not hours
+    @pytest.mark.parametrize("base, exponent", [
+        (3, 10 ** 7), (Fraction(1, 3), -10 ** 7), (-7, 10 ** 7 + 1),
+        (2, Fraction(10 ** 7 + 1, 2)), (5, 10 ** 4)])
+    def test_oversized_constant_power_raises_at_once(self, base, exponent):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too large"):
+            pow_(num(base), exponent)
+        assert time.perf_counter() - start < 0.5
+
+    def test_oversized_power_of_a_constant_factor_raises_at_once(self):
+        # (c*x)^n folds c^n
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too large"):
+            pow_(mul(num(3), x), 10 ** 7)
+        assert time.perf_counter() - start < 0.5
+
+    def test_large_constant_powers_within_the_bound_fold(self):
+        assert pow_(num(10), 400) is num(10 ** 400)
+        bits = rational.MAX_FOLD_BITS
+        assert pow_(num(2), bits) is num(2 ** bits)
+        assert pow_(num(-1), 2000000001) is num(-1)
+        assert pow_(num(1), Fraction(-1999999999, 3)) is num(1)
 
     @given(st.integers(2, 10 ** 60), st.integers(2, 7))
     @settings(max_examples=300, deadline=None)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -281,6 +282,25 @@ class TestCli:
                        "F2 = 0; }\n")
         assert main([command, str(doc), "--system", "g"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("f1, column", [
+        ("3^2000000000*q1", 40), ("(3*q1)^2000000000", 45),
+        ("2^(1000000001/2)*q1", 40)])
+    def test_oversized_constant_power_exits_two_at_once(
+            self, f1, column, tmp_path):
+        doc = tmp_path / "d.pg"
+        doc.write_text(f"pair_ode g {{ vars t u1 u2 q1 q2; F1 = {f1}; "
+                       "F2 = 0; }\n")
+        # in a child first: folding such a power would take hours
+        proc = subprocess.run([sys.executable, "-m", "pathgeom.cli",
+                               "classify", str(doc), "--system", "g"],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert f"input error: 1:{column}: constant power" in proc.stderr
+        assert "too large" in proc.stderr
+        start = time.perf_counter()
+        assert main(["classify", str(doc), "--system", "g"]) == 2
+        assert time.perf_counter() - start < 1
 
     def test_consecutive_calls_share_no_parsed_options(self, capsys):
         argv = ["classify", "--system", "flat_chain_pair"]

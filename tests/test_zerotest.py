@@ -1,17 +1,19 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pathgeom.errors import DivisionByZero, SamplingExhausted
+from pathgeom.errors import DivisionByZero, DomainError, SamplingExhausted
 from pathgeom.expr import (compile_tape, div, is_zero_probabilistic, mul, num,
                            pow_, sqrt_, sub, variables)
 from pathgeom.expr import zerotest
-from pathgeom.expr.sampling import _sample_rational
+from pathgeom.expr.sampling import _sample_pair
 from pathgeom.expr.tape import MODULUS
 from pathgeom.expr.zerotest import (DEFAULT_BOUND, DEFAULT_TRIALS,
-                                    RESAMPLE_BUDGET)
+                                    MPF_REL_TOL, RESAMPLE_BUDGET, ZeroVerdict,
+                                    zero_verdicts)
 
 p, q, y = variables("p q y")
 
@@ -98,14 +100,15 @@ def test_interval_draws_stay_in_interval(interval, bound, seed):
     lo, hi = interval
     rng = random.Random(seed)
     for _ in range(40):
-        x = _sample_rational(rng, lo, hi, bound)
+        x = Fraction(*_sample_pair(rng, lo, hi, bound))
         assert Fraction(lo) <= x <= Fraction(hi)
 
 
 def _fraction_reference(e, trials=DEFAULT_TRIALS, seed=0, bound=DEFAULT_BOUND,
                         var_ranges=None):
-    """The exact-mode zero test in Fraction arithmetic over the same draws:
-    (witness, witness value, trials, draws rejected at poles)."""
+    """The exact-mode zero test in Fraction arithmetic over the same draws
+    (for an expression with a radical, the mpf test): (witness, witness
+    value, trials, draws rejected at poles or outside the real domain)."""
     rng = random.Random(seed)
     names = sorted(e.free_variables)
     tape = compile_tape(e, names)
@@ -113,11 +116,17 @@ def _fraction_reference(e, trials=DEFAULT_TRIALS, seed=0, bound=DEFAULT_BOUND,
     rejected = 0
     for trial in range(trials):
         for _ in range(RESAMPLE_BUDGET):
-            point = [_sample_rational(rng, *ranges.get(n, (None, None)), bound)
+            point = [Fraction(*_sample_pair(rng, *ranges.get(n, (None, None)),
+                                            bound))
                      for n in names]
             try:
-                value = tape.eval_exact(point)
-            except DivisionByZero:
+                if e.has_radical:
+                    value, scale = tape.eval_mpf(point, with_scale=True)
+                    if abs(value) <= MPF_REL_TOL * max(1, scale):
+                        value = 0
+                else:
+                    value = tape.eval_exact(point)
+            except (DivisionByZero, DomainError):
                 rejected += 1
                 continue
             break
@@ -175,6 +184,109 @@ def test_same_draws_cases_reach_every_branch():
     for case in ("zero", "pole_with_constraint_zero"):
         assert all(run(case, s)[0] is None for s in range(8))
     assert all(run("var_ranges", s)[0] is not None for s in range(8))
+
+
+def _reference_verdict(e, trials, seed, bound):
+    """The one-output verdict of e, from `_fraction_reference`."""
+    witness, value, used, rejected = _fraction_reference(e, trials, seed,
+                                                         bound)
+    mode = "mpf" if e.has_radical else "exact"
+    deg = e.degree_bound
+    if witness is not None:
+        return ZeroVerdict(False, witness=witness, witness_value=value,
+                           trials=used, mode=mode, degree_bound=deg,
+                           constraints_rejected=rejected)
+    failure = None if deg is None else min(1.0, deg / bound) ** trials
+    return ZeroVerdict(True, trials=trials, mode=mode, degree_bound=deg,
+                       failure_bound=failure, constraints_rejected=rejected)
+
+
+_IDENTITY = (p + q) ** 2 - p ** 2 - 2 * p * q - q ** 2
+_IDENTITY_PY = div(p * p - y * y, q * (p - y)) - div(p + y, q)
+
+# claims: (entries, draw bound)
+_CLAIM_CASES = {
+    # a small bound makes draws at poles likely: the union tape meets a pole
+    # mod p and its undecided entries run alone
+    "poles": ([_IDENTITY_PY, div(p, q) + div(num(1), p - y) - p * y,
+               div(q * q - q, q) - (q - 1), div(num(1), q) - p], 3),
+    # two charts: each entry draws over its own chart, (p, q) or (q, y)
+    "two_charts": ([_IDENTITY, sub(q, y), (q + y) ** 2 - q ** 2 - 2 * q * y
+                    - y ** 2, sub(p, q) * (p + 1), mul(q, y) - mul(y, q)
+                    + q * y * (y - 1)], 2),
+    # MODULUS * (p - q) is 0 mod p: the union tape is not reducible mod p
+    "constant_zero_mod_p": ([_IDENTITY, num(MODULUS) * p - num(MODULUS) * q,
+                             sub(p, q) * q], DEFAULT_BOUND),
+    # a radical entry runs alone in mpf, between exact entries of its chart
+    "radical": ([_IDENTITY, sqrt_(p * p) - p, sqrt_(p ** 4) - p ** 2,
+                 sqrt_(q) * sqrt_(q + 1) - sqrt_(q * q + q), sub(p, q)], 5),
+    "constants": ([num(0), _IDENTITY, num(Fraction(3, 7)), sub(p, q)],
+                  DEFAULT_BOUND),
+    # the nonzero entry comes first: zero_verdicts stops there
+    "nonzero_first": ([sub(p, q) * (p - 1), _IDENTITY, _IDENTITY_PY,
+                       (p - q) * y], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLAIM_CASES))
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("every", [False, True])
+def test_claim_verdicts_equal_one_output_references(case, seed, every,
+                                                    monkeypatch):
+    entries, bound = _CLAIM_CASES[case]
+    monkeypatch.setattr(zerotest, "DEFAULT_BOUND", bound)
+    trials = 12
+    got = zero_verdicts(entries, trials, seed, _every=every)
+    want = []
+    for e in entries:
+        want.append(_reference_verdict(e, trials, seed, bound))
+        if not (every or want[-1].is_zero):
+            break
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert dataclasses.asdict(g) == dataclasses.asdict(w), (case, k)
+        assert type(g.witness_value) is type(w.witness_value)
+
+
+def test_claim_cases_reach_every_branch():
+    # the claims above hold pole rejections, zero and nonzero entries, mpf
+    # verdicts and entries whose witness comes after a zero value
+    verdicts = {case: [_reference_verdict(e, 12, s, bound)
+                       for s in range(6) for e in entries]
+                for case, (entries, bound) in _CLAIM_CASES.items()}
+    assert any(v.constraints_rejected for v in verdicts["poles"])
+    assert any(v.mode == "mpf" and v.is_zero for v in verdicts["radical"])
+    assert any(v.mode == "mpf" and not v.is_zero for v in verdicts["radical"])
+    assert any(v.trials > 1 and not v.is_zero
+               for case in ("two_charts", "nonzero_first")
+               for v in verdicts[case])
+    for case, vs in verdicts.items():
+        assert {v.is_zero for v in vs} == {True, False}, case
+
+
+def test_claim_of_one_chart_compiles_one_tape(monkeypatch):
+    compiled = []
+    real = zerotest.compile_tape
+    monkeypatch.setattr(zerotest, "compile_tape",
+                        lambda exprs, names: compiled.append(len(exprs))
+                        or real(exprs, names))
+    entries = [_IDENTITY, _IDENTITY * p, sub(p, q), _IDENTITY - q]
+    verdicts = zero_verdicts(entries, 10, 0, _every=True)
+    assert [v.is_zero for v in verdicts] == [True, True, False, False]
+    assert compiled == [4]
+    compiled.clear()
+    # the claim stops at its first nonzero entry, before the other chart
+    assert len(zero_verdicts([sub(p, q), _IDENTITY, sub(q, y)], 10, 0)) == 1
+    assert compiled == [2]
+
+
+def test_an_entry_the_claim_never_reaches_is_never_compiled():
+    # the tape compiles no power of 2^31: the claim stops before that entry,
+    # as it does one entry at a time
+    huge = pow_(p, 2 ** 31) - q
+    assert len(zero_verdicts([sub(p, q), huge], 5, 0)) == 1
+    with pytest.raises(ValueError, match="too large to compile"):
+        zero_verdicts([sub(p, q), huge], 5, 0, _every=True)
 
 
 def test_constant_with_p_in_denominator_is_tested_exactly():
