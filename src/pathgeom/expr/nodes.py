@@ -1,24 +1,35 @@
 """Immutable symbolic expressions over named variables with exact rational
 constants, n-ary sums/products, and rational powers.
 
-Nodes are hash-consed: structurally equal expressions are the same object, so
-equality is an identity check and every tree is really a DAG with shared
-subterms.  Simplification is deliberately shallow -- constant folding,
-flattening, like-term collection, and power-law merging -- because semantic
-equality downstream is settled by randomized identity testing, not by
-canonical forms.
+Nodes are hash-consed: structurally equal expressions are the same object
+(Filliatre & Conchon, "Type-safe modular hash-consing", ML Workshop 2006), so
+every tree is really a DAG with shared subterms, and equality and hashing are
+`object`'s own identity comparison and identity hash, which run in C.  The
+intern table is a plain dict from a node's structural key to a keyed weak
+reference: one dict lookup and one weak-reference call find a node, and a
+node that nothing else holds is dropped, its entry removed atomically
+(`_remove_dead_weakref`) so that a key re-interned meanwhile keeps its node.
+
+A constant's value and a power's exponent are held as `int` when integral
+and as `Fraction` otherwise (`_canon`), so the common integral case hashes
+and compares at C speed; both forms of one rational are the same key.
+
+Simplification is deliberately shallow -- constant folding, flattening,
+like-term collection, and power-law merging -- because semantic equality
+downstream is settled by randomized identity testing, not by canonical forms.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 
 from ..errors import DivisionByZero
-from .rational import (RONE, RZERO, Rat, as_rat, is_int, rat_pow_exact,
-                       real_branch_sign)
+from .rational import Rat, as_rat, rat_pow_exact, real_branch_sign
 
-_TABLE: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+# structural key -> weakref.KeyedRef to the node
+_TABLE: dict = {}
 _LOCK = threading.Lock()
 
 
@@ -26,17 +37,7 @@ class Expr:
     """Base node. Instances are interned; do not construct subclasses directly,
     use num/var/add/mul/pow_ and the arithmetic operators."""
 
-    __slots__ = ("_hash", "_free", "_radical", "_degree", "_dcache", "__weakref__")
-
-    def __hash__(self):
-        return self._hash
-
-    # interning makes structural equality an identity check
-    def __eq__(self, other):
-        return self is other
-
-    def __ne__(self, other):
-        return self is not other
+    __slots__ = ("_free", "_radical", "_degree", "_dcache", "__weakref__")
 
     @property
     def free_variables(self) -> frozenset:
@@ -113,23 +114,38 @@ def _coerce(value):
     return num(value)
 
 
+def _canon(value):
+    """An exact rational as an int when integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    q = as_rat(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _forget(ref, _remove=_remove_dead_weakref, _table=_TABLE):
+    # deletes the entry only while it still holds this dead reference
+    _remove(_table, ref.key)
+
+
 def _intern(key, build):
-    node = _TABLE.get(key)
-    if node is not None:
-        return node
+    ref = _TABLE.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
     with _LOCK:
-        node = _TABLE.get(key)
+        ref = _TABLE.get(key)
+        node = None if ref is None else ref()
         if node is None:
             node = build()
-            node._hash = hash(key)
             node._dcache = None
-            _TABLE[key] = node
+            _TABLE[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
 
 def num(value) -> Expr:
-    """Exact rational constant (int, Fraction, mpq, or exact decimal string)."""
-    q = as_rat(value)
+    """Exact rational constant (int, Fraction or exact decimal string)."""
+    q = _canon(value)
     key = ("n", q)
 
     def build():
@@ -185,7 +201,7 @@ def _split_coefficient(term):
         rest = term.args[1:]
         core = rest[0] if len(rest) == 1 else _raw_mul(rest)
         return term.args[0].value, core
-    return RONE, term
+    return 1, term
 
 
 def _raw_add(args):
@@ -225,11 +241,12 @@ def _raw_pow(base, exponent):
         node.base = base
         node.exponent = exponent
         node._free = base._free
-        node._radical = base._radical or not is_int(exponent)
-        if base._degree is None or not is_int(exponent):
+        integral = type(exponent) is int
+        node._radical = base._radical or not integral
+        if base._degree is None or not integral:
             node._degree = None
         else:
-            node._degree = base._degree * abs(int(exponent))
+            node._degree = base._degree * abs(exponent)
         return node
 
     return _intern(key, build)
@@ -237,10 +254,10 @@ def _raw_pow(base, exponent):
 
 def add(*terms) -> Expr:
     """Flattening sum; folds constants and collects like terms."""
-    const = RZERO
+    const = 0
     coeffs: dict = {}
     order: list = []
-    stack = list(reversed([_coerce(t) for t in terms]))
+    stack = [_coerce(t) for t in reversed(terms)]
     while stack:
         t = stack.pop()
         if isinstance(t, Add):
@@ -271,41 +288,45 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     """Flattening product; folds constants and merges powers of equal bases."""
-    coeff = RONE
+    coeff = None
     exps: dict = {}
     order: list = []
-    stack = list(reversed([_coerce(f) for f in factors]))
+    stack = [_coerce(f) for f in reversed(factors)]
     while stack:
         f = stack.pop()
         if isinstance(f, Mul):
             stack.extend(reversed(f.args))
         elif isinstance(f, Num):
-            coeff *= f.value
+            coeff = f.value if coeff is None else coeff * f.value
         else:
             if isinstance(f, Pow):
                 base, e = f.base, f.exponent
             else:
-                base, e = f, RONE
+                base, e = f, 1
             if base in exps:
                 exps[base] += e
             else:
                 exps[base] = e
                 order.append(base)
-    if coeff == 0:
+    if coeff is None:
+        coeff = 1
+    elif coeff == 0:
         return ZERO
     out = []
+    reflatten = False
     for base in order:
         e = exps[base]
         if e == 0:
             continue
-        piece = pow_(base, e)
+        piece = base if e == 1 else pow_(base, e)
         if isinstance(piece, Num):
             coeff *= piece.value
         else:
+            reflatten = reflatten or isinstance(piece, Mul)
             out.append(piece)
     if coeff == 0:
         return ZERO
-    if any(isinstance(p, (Mul, Num)) for p in out):
+    if reflatten:
         # power merging produced a product (e.g. (2x)^2 -> 4x^2): re-flatten
         return mul(num(coeff), *out)
     if not out:
@@ -321,11 +342,13 @@ def pow_(base, exponent) -> Expr:
     """base raised to an exact rational exponent (the exponent is data,
     not a sub-expression)."""
     base = _coerce(base)
-    e = as_rat(exponent)
-    if e == 0:
-        return ONE
-    if e == 1:
-        return base
+    e = _canon(exponent)
+    integral = type(e) is int
+    if integral:
+        if e == 0:
+            return ONE
+        if e == 1:
+            return base
     if isinstance(base, Num):
         folded = rat_pow_exact(base.value, e)
         if folded is not None:
@@ -338,9 +361,9 @@ def pow_(base, exponent) -> Expr:
     if isinstance(base, Pow):
         # (b^a)^e -> b^(a e): sound for integer e, and for non-integer a
         # (where the real domain already forces b >= 0)
-        if is_int(e) or not is_int(base.exponent):
+        if integral or type(base.exponent) is not int:
             return pow_(base.base, base.exponent * e)
-    if isinstance(base, Mul) and isinstance(base.args[0], Num) and is_int(e):
+    if isinstance(base, Mul) and isinstance(base.args[0], Num) and integral:
         # (c*x)^n -> c^n * x^n keeps constants out front
         c = rat_pow_exact(base.args[0].value, e)
         rest = base.args[1:]
@@ -404,7 +427,7 @@ def _wrap(text, prec, context):
 
 def _pow_text(base, e, context):
     btext = _text(base, _PREC_ATOM)
-    etext = _rat_text(e) if (is_int(e) and e > 0) else f"({_rat_text(e)})"
+    etext = _rat_text(e) if (type(e) is int and e > 0) else f"({_rat_text(e)})"
     return _wrap(f"{btext}^{etext}", _PREC_POW, context)
 
 
@@ -433,7 +456,7 @@ def _text(e, context=0) -> str:
         return _pow_text(e.base, e.exponent, context)
     if isinstance(e, Mul):
         # factors keep their stored order so printing reparses to this node
-        coeff = RONE
+        coeff = 1
         args = e.args
         if isinstance(args[0], Num):
             coeff, args = args[0].value, args[1:]

@@ -1,11 +1,16 @@
-"""Exact rational arithmetic: `Rat` is the stdlib Fraction, `rat_pow_exact`
-is the one exact-root routine, and `real_branch_sign` is the one real-branch
-rule for a fractional power of a negative base.
+"""Exact rational arithmetic on ints and `Rat`, the stdlib Fraction (an
+expression constant is an int when integral): `rat_pow_exact` is the one
+exact-root routine, and `real_branch_sign` is the one real-branch rule for a
+fractional power of a negative base.
 
-Two limits keep exact powers finite: a compiled integer power has an
-exponent below MAX_INT_EXPONENT in absolute value, and `rat_pow_exact`
-refuses a power whose value could exceed 2^MAX_FOLD_BITS (so a folded
-constant such as 10^400 stays cheap to build and to print)."""
+Three limits keep exact powers finite: a compiled integer power has an
+exponent below MAX_INT_EXPONENT in absolute value; `rat_pow_exact` refuses
+a power whose value could exceed 2^MAX_FOLD_BITS (so a folded constant such
+as 10^400 stays cheap to build and to print); and `Tape.eval_exact` refuses
+an integer power n^b of a value n/d when |b| * (bits of n + bits of d)
+exceeds MAX_POWER_BITS, the size of the power's numerator and denominator
+together, before computing it (so q^3000000 at a sampled point fails at
+once instead of building a multi-megabit integer)."""
 
 from __future__ import annotations
 
@@ -15,11 +20,10 @@ from fractions import Fraction
 from ..errors import DivisionByZero, DomainError
 
 Rat = Fraction
-RZERO = Rat(0)
-RONE = Rat(1)
 
 MAX_INT_EXPONENT = 2 ** 31  # a compiled integer power has |exponent| below it
 MAX_FOLD_BITS = 2 ** 13     # bits of the largest exact constant power
+MAX_POWER_BITS = 2 ** 16    # bits of the largest integer power at evaluation
 
 
 def _int_nth_root(n: int, k: int):
@@ -63,7 +67,8 @@ def real_branch_sign(exp: Rat) -> int:
 
 
 def rat_pow_exact(base: Rat, exp: Rat):
-    """base**exp as an exact rational, or None when irrational.
+    """base**exp as an exact rational (an int or a Fraction), or None when
+    irrational; base and exp may be ints or Fractions.
 
     Raises DivisionByZero for 0**negative and DomainError for an even root
     of a negative base.  Odd roots of negatives take the real branch.
@@ -77,14 +82,17 @@ def rat_pow_exact(base: Rat, exp: Rat):
                          f"beyond 2^{MAX_FOLD_BITS}")
     if is_int(exp):
         e = int(exp)
-        if base == 0 and e < 0:
-            raise DivisionByZero("0 raised to a negative power")
+        if e < 0:
+            if base == 0:
+                raise DivisionByZero("0 raised to a negative power")
+            # an int base to a negative power would give a float
+            return Rat(base) ** e
         return base ** e
     p, q = exp.numerator, exp.denominator
     if base == 0:
         if p < 0:
             raise DivisionByZero("0 raised to a negative power")
-        return RZERO
+        return 0
     sign = 1
     if base < 0:
         sign = real_branch_sign(exp)

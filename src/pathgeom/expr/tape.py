@@ -52,8 +52,8 @@ import numpy as np
 
 from ..errors import DivisionByZero, DomainError, UnboundVariable
 from .nodes import Add, Expr, Mul, Num, Pow, Var
-from .rational import (MAX_INT_EXPONENT, as_rat, is_int, rat_pow_exact,
-                       real_branch_sign)
+from .rational import (MAX_INT_EXPONENT, MAX_POWER_BITS, as_rat, is_int,
+                       rat_pow_exact, real_branch_sign)
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW_INT, OP_POW_FRAC = range(6)
 
@@ -211,7 +211,10 @@ class Tape:
 
         Node k is the int pair nums[k] / dens[k] in lowest terms with
         dens[k] > 0, as a Fraction would hold it; each sum and product
-        divides out one gcd, and a Fraction is built only for the outputs."""
+        divides out one gcd, and a Fraction is built only for the outputs.
+
+        Raises ValueError, before computing it, for an integer power whose
+        numerator and denominator together could exceed MAX_POWER_BITS."""
         inputs = [as_rat(v) for v in point]
         consts, exps = self.consts_exact, self.exps_exact
         gcd = math.gcd
@@ -248,6 +251,11 @@ class Tape:
                 n, d = q.numerator, q.denominator
             elif op == OP_POW_INT:
                 n, d = nums[a], dens[a]
+                if abs(b) * (n.bit_length() + d.bit_length()) > MAX_POWER_BITS:
+                    raise ValueError(f"integer power ^{b} of a "
+                                     f"{n.bit_length() + d.bit_length()}-bit "
+                                     f"value too large: beyond "
+                                     f"{MAX_POWER_BITS} bits")
                 if b >= 0:
                     n, d = n ** b, d ** b
                 elif n == 0:

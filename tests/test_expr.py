@@ -1,6 +1,9 @@
 import functools
+import gc
 import math
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -15,7 +18,7 @@ from pathgeom.expr import (add, as_rat, compile_tape, differentiate, div,
                            neg, node_count, num, pow_, sqrt_, sub, substitute,
                            to_text, var, variables)
 from pathgeom.expr.nodes import Add, Mul, Num, Var
-from pathgeom.expr import rational
+from pathgeom.expr import nodes, rational
 from pathgeom.expr.rational import rat_pow_exact
 from pathgeom.expr.tape import MODULUS, residue
 
@@ -61,6 +64,74 @@ class TestConstruction:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             p + 0.5
+
+
+class TestRepresentation:
+    """Integral constants and exponents are ints, other rationals Fractions;
+    the intern table holds its nodes weakly, one node per key."""
+
+    def test_integral_constants_and_exponents_are_ints(self):
+        assert type(num(3).value) is int
+        assert type(num(Fraction(6, 2)).value) is int
+        assert type(num("4/2").value) is int
+        assert type(num(Fraction(1, 2)).value) is Fraction
+        assert type(pow_(x, Fraction(4, 2)).exponent) is int
+        assert type(sqrt_(x).exponent) is Fraction
+        assert type(add(num(Fraction(1, 2)), num(Fraction(1, 2))).value) is int
+
+    def test_one_node_per_rational(self):
+        assert num(Fraction(6, 2)) is num(3)
+        assert num("3") is num(3)
+        assert pow_(x, Fraction(4, 2)) is pow_(x, 2)
+        assert mul(num(Fraction(1, 2)), num(2), x) is x
+
+    def test_negative_integer_power_of_an_int_stays_exact(self):
+        assert pow_(num(2), -3) is num(Fraction(1, 8))
+        got = rat_pow_exact(2, -3)
+        assert type(got) is Fraction and got == Fraction(1, 8)
+        assert type(rat_pow_exact(2, 3)) is int
+
+    def test_interning_stays_weak(self):
+        gc.collect()
+        before = len(nodes._TABLE)
+        w = var("w_weak")
+        throwaway = [add(w, num(10 ** 12 + k)) for k in range(10_000)]
+        assert len(nodes._TABLE) >= before + 20_000
+        del throwaway
+        gc.collect()
+        assert len(nodes._TABLE) <= before + 10
+
+    def test_threads_interning_one_key_get_one_node(self):
+        # nodes die and are re-interned while other threads look them up;
+        # a removal that is not atomic would let one key reach two nodes
+        keys = range(300)
+        w = var("w_thread")
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                kept = [None] * 8
+
+                def work(slot):
+                    got = []
+                    for k in random.Random(slot).sample(keys, len(keys)):
+                        mul(num(k + 2), w, w)   # built and dropped at once
+                        got.append((k, mul(num(k + 2), w, w)))
+                    kept[slot] = dict(got)
+
+                threads = [threading.Thread(target=work, args=(i,))
+                           for i in range(8)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                    assert not th.is_alive()
+                assert all(got is not None for got in kept)
+                for k in keys:
+                    assert len({id(got[k]) for got in kept}) == 1
+                del kept
+        finally:
+            sys.setswitchinterval(saved)
 
 
 class TestDifferentiate:

@@ -9,7 +9,7 @@ import pytest
 from pathgeom.cli import main
 from pathgeom.constructions import catalog
 from pathgeom.dsl import parse
-from pathgeom.expr import compile_tape
+from pathgeom.expr import compile_tape, rational
 from pathgeom.expr.sampling import sample_points
 from pathgeom.invariants import (curvature_quartic, fels_invariants,
                                  torsion_quadric)
@@ -301,6 +301,22 @@ class TestCli:
         start = time.perf_counter()
         assert main(["classify", str(doc), "--system", "g"]) == 2
         assert time.perf_counter() - start < 1
+
+    def test_oversized_power_at_a_sampled_point_exits_two_at_once(
+            self, tmp_path, capsys):
+        doc = tmp_path / "d.pg"
+        doc.write_text("pair_ode g { vars t u1 u2 q1 q2; F1 = q1^3000000; "
+                       "F2 = 0; }\n")
+        argv = ["classify", str(doc), "--system", "g", "--samples", "2"]
+        # in a child first: evaluating such a power exactly takes minutes
+        proc = subprocess.run([sys.executable, "-m", "pathgeom.cli", *argv],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert "input error: integer power" in proc.stderr
+        assert f"beyond {rational.MAX_POWER_BITS} bits" in proc.stderr
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 5
 
     def test_consecutive_calls_share_no_parsed_options(self, capsys):
         argv = ["classify", "--system", "flat_chain_pair"]
