@@ -18,6 +18,11 @@ exponent must fold to an exact rational below 2^31 in absolute value (the
 tape compiles no larger integer power).  A constant that folds to no value
 (1/0, 0^(-2), (-4)^(1/2)), or to a power beyond 2^MAX_FOLD_BITS
 (3^2000000000, (3*p)^2000000000), is a DslSyntaxError at its operator.
+
+A declaration is checked as it is parsed, with DslSyntaxErrors at their
+token: a chart of the wrong size at 'vars' (a coframe takes 4 variables), a
+repeated chart variable where it repeats, and a structure other than 'para'
+or 'complex' at its value.  A coframe parses to a CoframeMetric.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .expr import (Expr, add, div, mul, neg, num, pow_, sqrt_, sub, to_text,
 from .expr.tape import MAX_INT_EXPONENT
 from .forms import DifferentialForm, one_form
 from .jets import CRGraph, PairODE, ScalarODE
-from .metrics import CoframeMetric
+from .metrics import STRUCTURES, CoframeMetric
 
 KINDS = ("scalar_ode", "pair_ode", "cr_graph", "coframe")
 
@@ -75,19 +80,6 @@ def _lex(text: str):
         pos = m.end()
     tokens.append(Token("eof", "", line, col))
     return tokens
-
-
-@dataclass(frozen=True)
-class CoframeDecl:
-    chart: tuple
-    etas: tuple      # four DifferentialForms, indices 1..4
-    structure: str = "para"
-
-    def to_metric(self) -> CoframeMetric:
-        if len(self.chart) != 4:
-            raise ValueError("a metric coframe needs exactly 4 chart variables")
-        return CoframeMetric(chart=self.chart, etas=self.etas,
-                             structure=self.structure)
 
 
 class Document:
@@ -225,16 +217,22 @@ class _Parser:
             decls.append((kind_tok.text, name, obj))
         return Document(decls, source=source)
 
-    def parse_vars(self, count=None):
-        self.expect("ident", "vars")
+    def parse_vars(self, count):
+        """The chart of `count` distinct variables; a wrong count is reported
+        at 'vars', a repeated name where it repeats."""
+        vars_tok = self.expect("ident", "vars")
         names = []
         while self.peek().kind == "ident":
-            names.append(self.advance().text)
+            tok = self.advance()
+            if tok.text in names:
+                raise DslSyntaxError(f"chart variable {tok.text!r} repeated",
+                                     tok.line, tok.column)
+            names.append(tok.text)
         self.expect("punct", ";")
-        if count is not None and len(names) != count:
-            self.error(f"expected {count} chart variables, found {len(names)}")
-        if len(set(names)) != len(names):
-            self.error("chart variables must be distinct")
+        if len(names) != count:
+            raise DslSyntaxError(f"expected {count} chart variables, found "
+                                 f"{len(names)}", vars_tok.line,
+                                 vars_tok.column)
         return tuple(names)
 
     def _named_expr(self, label, chart, decl_name) -> Expr:
@@ -261,15 +259,21 @@ class _Parser:
         chart = self.parse_vars(3)
         return CRGraph(self._named_expr("F", chart, name), chart=chart)
 
-    def parse_coframe_body(self, name) -> CoframeDecl:
-        chart = self.parse_vars()
+    def parse_coframe_body(self, name) -> CoframeMetric:
+        chart = self.parse_vars(4)
         etas = {}
         structure = "para"
         while self.peek().text in ("eta", "structure"):
             if self.peek().text == "structure":
                 self.advance()
                 self.expect("punct", "=")
-                structure = self.expect("ident").text
+                tok = self.expect("ident")
+                if tok.text not in STRUCTURES:
+                    raise DslSyntaxError(
+                        f"structure must be one of {', '.join(STRUCTURES)}, "
+                        f"got {tok.text!r}", tok.line, tok.column,
+                        set(STRUCTURES))
+                structure = tok.text
                 self.expect("punct", ";")
                 continue
             self.advance()
@@ -282,8 +286,9 @@ class _Parser:
             self.expect("punct", ";")
         if sorted(etas) != [1, 2, 3, 4]:
             self.error("coframe needs eta 1 through eta 4")
-        return CoframeDecl(chart=chart, etas=tuple(etas[i] for i in (1, 2, 3, 4)),
-                           structure=structure)
+        return CoframeMetric(chart=chart,
+                             etas=tuple(etas[i] for i in (1, 2, 3, 4)),
+                             structure=structure)
 
     def parse_oneform(self, chart, decl_name) -> DifferentialForm:
         coeffs: dict = {}

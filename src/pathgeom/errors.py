@@ -70,7 +70,7 @@ class RankDeficient(PathgeomError):
 
 
 class DependentGenerators(PathgeomError):
-    """Generators of a Pfaffian system are pointwise dependent."""
+    """The wedge of a Pfaffian system's generators vanishes identically."""
 
 
 # -- constructions -----------------------------------------------------------

@@ -1,30 +1,32 @@
 """Exterior calculus over coordinate charts with symbolic coefficients, the
-quasi-symplectic 2-form cutting out chains of a 2D path geometry, and
-characteristic/kernel extraction.
+quasi-symplectic 2-form cutting out chains of a 2D path geometry, and the
+characteristic direction of a 2-form.
 
 Forms are stored sparsely over strictly increasing index tuples; the chart
-order fixes the sign conventions once.
+order fixes the sign conventions once.  Structural facts are decided
+symbolically, with no float linear algebra: the kernel of a 2-form on an odd
+chart is the vector of Pfaffian cofactors of its coefficient matrix
+(`kernel_field`), and the generators of a Pfaffian system are independent
+when their wedge is not identically zero, an identity claim decided by the
+zero tester (`frobenius_integrable`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ChartMismatch, DependentGenerators, RankDeficient
+from .errors import (ChartMismatch, DependentGenerators, RankDeficient,
+                     UnboundVariable)
 from .expr import (Expr, Rat, ZERO, add, compile_tape, differentiate, div,
                    is_zero_probabilistic, mul, num, rename_variables, sub,
                    substitute, var)
-from .expr.sampling import sample_points
 from .expr.zerotest import zero_verdicts
 from .jets import PairODE, ScalarODE
 
 CHAIN_RHO_CHART = ("x", "y", "p", "b1", "b2")
 CHAIN_PAIR_CHART = ("x", "y", "p", "Y", "P")
-KERNEL_TOL = 1e-10        # relative singular value counted as 0 (floats)
-RHO_CHECK_TRIALS = 8      # trials of chain_pair_via_rho's identity checks
-INDEPENDENCE_POINTS = 10  # draws of _check_independent
+KERNEL_TOL = 1e-10     # relative size of a float kernel counted as 0
+RHO_CHECK_TRIALS = 8   # trials of chain_pair_via_rho's identity checks
 
 
 def _sort_index(idx):
@@ -258,24 +260,32 @@ def coefficient_matrix(a: DifferentialForm):
     return M
 
 
-def _pfaffian4(M, rows):
-    a, b, c, e = rows
-    return add(mul(M[a][b], M[c][e]),
-               mul(num(-1), M[a][c], M[b][e]),
-               mul(M[a][e], M[b][c]))
+def _pfaffian(M, rows):
+    """Pfaffian of the principal submatrix of M on `rows` (an even number of
+    indices), expanded along its first row."""
+    if not rows:
+        return num(1)
+    first, rest = rows[0], rows[1:]
+    terms = []
+    for k, r in enumerate(rest):
+        minor = _pfaffian(M, rest[:k] + rest[k + 1:])
+        terms.append(mul(M[first][r], minor) if k % 2 == 0
+                     else mul(num(-1), M[first][r], minor))
+    return add(*terms)
 
 
-def kernel_field_5(a: DifferentialForm):
-    """Symbolic kernel of a 2-form on a 5-chart via Pfaffian cofactors:
+def kernel_field(a: DifferentialForm):
+    """Symbolic kernel of a 2-form on an odd chart via Pfaffian cofactors:
     v_i = (-1)^i Pf(M with row/column i removed).  Mv = 0 identically, and
-    v != 0 exactly where the matrix has rank 4."""
-    if len(a.chart) != 5 or a.degree != 2:
-        raise ValueError("expected a 2-form on a 5-dimensional chart")
+    v != 0 exactly where the matrix has corank 1."""
+    n = len(a.chart)
+    if n % 2 == 0 or a.degree != 2:
+        raise ValueError("expected a 2-form on an odd-dimensional chart")
     M = coefficient_matrix(a)
+    rows = tuple(range(n))
     comps = []
-    for i in range(5):
-        rows = [r for r in range(5) if r != i]
-        pf = _pfaffian4(M, rows)
+    for i in rows:
+        pf = _pfaffian(M, rows[:i] + rows[i + 1:])
         comps.append(pf if i % 2 == 0 else mul(num(-1), pf))
     return comps
 
@@ -288,70 +298,40 @@ class VectorFieldValue:
 
 def characteristic_direction(a: DifferentialForm,
                              point: dict) -> VectorFieldValue:
-    """Kernel direction of a degree-2 form at a point on an odd chart,
-    normalized so its first nonzero component is 1.  The coefficient matrix
-    must have corank exactly 1 (else RankDeficient)."""
+    """The kernel direction of a degree-2 form at a point on an odd chart:
+    `kernel_field` evaluated on one tape, normalized so its first nonzero
+    component is 1.
+
+    The point needs a value for each variable the form uses.  At a rational
+    point of a radical-free form the evaluation is exact, and the kernel is
+    the zero vector (RankDeficient) exactly where the corank exceeds 1.
+    Otherwise it is float64, and a kernel with max|v| <= KERNEL_TOL *
+    max|M_ij|^((n-1)/2) counts as zero: the cofactors are homogeneous of
+    that degree in the entries, so the test does not depend on the form's
+    scale."""
     n = len(a.chart)
     if n % 2 == 0 or a.degree != 2:
         raise ValueError("expected a 2-form on an odd-dimensional chart")
-    from .expr import evaluate
-
-    exact = all(not isinstance(v, float) for v in point.values()) \
-        and not any(c.has_radical for c in a.comps.values())
-    M = [[None] * n for _ in range(n)]
-    symbolic = coefficient_matrix(a)
-    mode = "exact" if exact else "floating"
-    for i in range(n):
-        for j in range(n):
-            M[i][j] = evaluate(symbolic[i][j], point, mode) if symbolic[i][j] is not ZERO \
-                else (Rat(0) if exact else 0.0)
-    if exact:
-        kernel = _exact_kernel(M, n)
+    entries = list(a.comps.values())
+    names = sorted(set().union(*(c.free_variables for c in entries)))
+    missing = [name for name in names if name not in point]
+    if missing:
+        raise UnboundVariable(f"variable {missing[0]!r} is unbound")
+    values = [point[name] for name in names]
+    tape = compile_tape(kernel_field(a) + entries, names)
+    if any(isinstance(v, float) for v in values) \
+            or any(c.has_radical for c in entries):
+        out = tape.eval_f64([float(v) for v in values])
+        size = max((abs(m) for m in out[n:]), default=0.0)
+        cutoff = KERNEL_TOL * size ** ((n - 1) / 2)
     else:
-        kernel = _float_kernel(M, n)
-    first = next((k for k, v in enumerate(kernel) if v != 0), None)
-    if first is None:
-        raise RankDeficient("kernel extraction returned the zero vector")
-    scale = kernel[first]
+        out = tape.eval_exact(values)
+        cutoff = 0
+    kernel = out[:n]
+    if max(abs(v) for v in kernel) <= cutoff:
+        raise RankDeficient("the Pfaffian cofactors vanish: corank above 1")
+    scale = next(v for v in kernel if v != 0)
     return VectorFieldValue(a.chart, tuple(v / scale for v in kernel))
-
-
-def _exact_kernel(M, n):
-    rows = [list(r) + [Rat(0)] for r in M]
-    piv_cols = []
-    r = 0
-    for col in range(n):
-        pivot = next((k for k in range(r, n) if rows[k][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for k in range(n):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        piv_cols.append(col)
-        r += 1
-    if n - r != 1:
-        raise RankDeficient(f"corank is {n - r}, expected 1")
-    free = next(c for c in range(n) if c not in piv_cols)
-    kernel = [Rat(0)] * n
-    kernel[free] = Rat(1)
-    for row, col in zip(range(r), piv_cols):
-        kernel[col] = -rows[row][free]
-    return kernel
-
-
-def _float_kernel(M, n):
-    A = np.asarray(M, dtype=np.float64)
-    _, s, vt = np.linalg.svd(A)
-    scale = s[0] if s[0] > 0 else 1.0
-    corank = int(np.sum(s <= KERNEL_TOL * scale))
-    if corank != 1:
-        raise RankDeficient(f"corank is {corank} at tolerance {KERNEL_TOL}, "
-                            "expected 1")
-    return list(vt[-1])
 
 
 def chain_pair_via_rho(sys: ScalarODE) -> PairODE:
@@ -370,7 +350,7 @@ def chain_pair_via_rho(sys: ScalarODE) -> PairODE:
     inv_delta = div(num(1), sub(Y, p))
     bmap = {"b1": inv_delta, "b2": mul(sub(F, P), inv_delta)}
     pulled = pullback(rho, chart, bmap)
-    v = kernel_field_5(pulled)
+    v = kernel_field(pulled)
     vx = v[0]
     if is_zero_probabilistic(vx, trials=RHO_CHECK_TRIALS).is_zero:
         raise RankDeficient("characteristic field is tangent to x = const")
@@ -387,7 +367,11 @@ def frobenius_integrable(generators, trials: int = 20, seed=0) -> list:
     """Frobenius test for the Pfaffian system spanned by the given 1-forms:
     integrable iff d(theta) ^ theta_1 ^ ... ^ theta_k == 0 for every
     generator theta.  Returns the ZeroVerdicts of the coefficients up to the
-    first nonzero one, all zero iff the system is integrable."""
+    first nonzero one, all zero iff the system is integrable.
+
+    The generators must be independent: DependentGenerators when every
+    coefficient of theta_1 ^ ... ^ theta_k is decided zero, at once when
+    the wedge is structurally zero."""
     gens = list(generators)
     if not gens:
         raise DependentGenerators("no generators")
@@ -395,21 +379,10 @@ def frobenius_integrable(generators, trials: int = 20, seed=0) -> list:
     for g in gens:
         if g.degree != 1 or g.chart != chart:
             raise ChartMismatch("generators must be 1-forms on a common chart")
-    _check_independent(gens, seed=seed)
     span = wedge_all(*gens)
+    if all(zero_verdicts(span.comps.values(), trials=trials, seed=seed)):
+        raise DependentGenerators("the wedge of the generators vanishes "
+                                  "identically")
     coefficients = (c for g in gens
                     for c in wedge(exterior_derivative(g), span).comps.values())
     return zero_verdicts(coefficients, trials=trials, seed=seed)
-
-
-def _check_independent(gens, seed=0):
-    """Raise DependentGenerators unless the generators have full rank at one
-    of INDEPENDENCE_POINTS random points."""
-    chart = gens[0].chart
-    tape = compile_tape([g.comps.get((i,), ZERO) for g in gens
-                         for i in range(len(chart))], chart)
-    for _, values in sample_points(tape, chart, seed, INDEPENDENCE_POINTS):
-        rows = np.array(values).reshape(len(gens), len(chart))
-        if np.linalg.matrix_rank(rows, tol=1e-8) == len(gens):
-            return
-    raise DependentGenerators("generators pointwise dependent on the sampled domain")

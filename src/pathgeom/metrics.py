@@ -1,21 +1,25 @@
 """Coframe metrics on 4-charts: Einstein verification, conformal structures
 induced by torsion-free pairs, conformal equivalence, and closedness checks.
 
-Curvature is never finite-differenced: the metric components and their first
-and second derivatives are differentiated symbolically, and numerics enter
-only when evaluating at sample points (the Christoffel/Ricci assembly at a
-point is plain linear algebra).
+Conformal equivalence, closedness of the fundamental form and integrability
+of the null planes are identity claims, decided by the zero tester.  Only
+the Einstein check samples float points: curvature is never
+finite-differenced, the metric components and their first and second
+derivatives are differentiated symbolically, and numerics enter only when
+evaluating at sample points (the Christoffel/Ricci assembly at a point is
+plain linear algebra).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .errors import DegeneratePoint, TorsionNonzero
-from .expr import (Rat, ZERO, add, compile_tape, differentiate, mul, num,
-                   substitute)
+from .errors import DegeneratePoint, DependentGenerators, TorsionNonzero
+from .expr import (Rat, ZERO, add, compile_tape, differentiate, div, mul, num,
+                   sub, substitute)
 from .expr.sampling import sample_points
 from .expr.zerotest import zero_verdicts
 from .forms import DifferentialForm, d, exterior_derivative, one_form, wedge
@@ -25,7 +29,7 @@ from .jets import PairODE
 MIN_DET = 1e-8      # smallest |coframe det| at a sample point
 SIZE_CAP = 1e3      # largest |metric entry| at an Einstein sample point
 EINSTEIN_TOL = 1e-6  # largest residual |Ric - lambda g| and lambda spread
-CONFORMAL_TOL = 1e-8  # relative tolerance of g1 = f * g2 at a sample point
+STRUCTURES = ("para", "complex")
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class CoframeMetric:
         for e in self.etas:
             if e.degree != 1 or e.chart != tuple(self.chart):
                 raise ValueError("coframe entries must be 1-forms on the chart")
-        if self.structure not in ("para", "complex"):
+        if self.structure not in STRUCTURES:
             raise ValueError("structure must be 'para' or 'complex'")
 
     def coefficient_rows(self):
@@ -197,46 +201,34 @@ def conformal_from_pair(pair: PairODE, x_value=0, trials: int = 12,
 @dataclass
 class ConformalVerdict:
     equivalent: bool
-    factors: list
-    witness: object = None
+    factor: object = None    # f with g1 = f * g2, when equivalent
+    witness: object = None   # a point where a cross minor is nonzero
 
     def __bool__(self):
         return self.equivalent
 
 
-def conformal_equiv_check(g1: CoframeMetric, g2: CoframeMetric, points: int = 20,
-                          seed: int = 0) -> ConformalVerdict:
-    """Pointwise proportionality test g1 = f * g2 at random points where both
-    coframe determinants exceed MIN_DET in size."""
+def conformal_equiv_check(g1: CoframeMetric, g2: CoframeMetric,
+                          trials: int = 20, seed: int = 0) -> ConformalVerdict:
+    """Identity test that g1 = f * g2 for a function f: the 45 cross minors
+    g1_a g2_b - g1_b g2_a of the 10 entries a, b = (i, j) with i <= j
+    vanish identically (`zero_verdicts`).  When they do, `factor` is the
+    exact quotient g1_ij / g2_ij at the first entry of g2 that is not
+    structurally zero; otherwise `witness` is a point where a minor is
+    nonzero.  Raises ValueError when g2 is structurally zero."""
     if tuple(g1.chart) != tuple(g2.chart):
         raise ValueError(f"charts differ: {g1.chart} vs {g2.chart}")
-    chart = g1.chart
-    names = list(chart)
-    tape = compile_tape(
-        [c for m in (g1, g2) for row in m.coefficient_rows() for c in row]
-        + [e for m in (g1, g2) for row in m.metric_components() for e in row],
-        names)
-
-    def admissible():
-        for pt, vals in sample_points(tape, names, seed, 200 * points):
-            c1, c2, A, B = np.array(vals).reshape(4, 4, 4)
-            if abs(np.linalg.det(c1)) > MIN_DET \
-                    and abs(np.linalg.det(c2)) > MIN_DET:
-                yield pt, A, B
-
-    samples = admissible()
-    factors = []
-    for _ in range(points):
-        pt, A, B = next(samples, (None,) * 3)
-        if pt is None:
-            raise DegeneratePoint("no admissible sample for conformal check")
-        ref = np.unravel_index(np.argmax(np.abs(B)), B.shape)
-        f = A[ref] / B[ref]
-        if not np.allclose(A, f * B, rtol=0,
-                           atol=CONFORMAL_TOL * max(1.0, np.max(np.abs(A)))):
-            return ConformalVerdict(False, factors, witness=dict(zip(chart, pt)))
-        factors.append(float(f))
-    return ConformalVerdict(True, factors)
+    m1, m2 = g1.metric_components(), g2.metric_components()
+    entries = [(m1[i][j], m2[i][j]) for i in range(4) for j in range(i, 4)]
+    ref = next((e for e in entries if e[1] is not ZERO), None)
+    if ref is None:
+        raise ValueError("g2 is the zero metric")
+    minors = [sub(mul(a1, b2), mul(b1, a2))
+              for (a1, a2), (b1, b2) in combinations(entries, 2)]
+    verdicts = zero_verdicts(minors, trials, seed)
+    if not verdicts[-1].is_zero:
+        return ConformalVerdict(False, witness=verdicts[-1].witness)
+    return ConformalVerdict(True, factor=div(*ref))
 
 
 def closedness_check(form: DifferentialForm, trials: int = 20,
@@ -270,7 +262,9 @@ def null_planes_integrable(cm: CoframeMetric, trials: int = 20,
 def _complex_frobenius(system, trials, seed):
     """Integrability of {a1 + i b1, a2 + i b2} via the real and imaginary
     parts of d(theta) ^ theta1 ^ theta2: their coefficients' ZeroVerdicts up
-    to the first nonzero one."""
+    to the first nonzero one.  As in `frobenius_integrable`, the generators
+    must be independent: DependentGenerators when theta1 ^ theta2 is decided
+    zero."""
     (a1, b1), (a2, b2) = system
 
     def cwedge(re1, im1, re2, im2):
@@ -278,6 +272,10 @@ def _complex_frobenius(system, trials, seed):
                 wedge(re1, im2) + wedge(im1, re2))
 
     w12_re, w12_im = cwedge(a1, b1, a2, b2)
+    span = [*w12_re.comps.values(), *w12_im.comps.values()]
+    if all(zero_verdicts(span, trials=trials, seed=seed)):
+        raise DependentGenerators("the wedge of the generators vanishes "
+                                  "identically")
     coefficients = (c for re, im in ((a1, b1), (a2, b2))
                     for part in cwedge(exterior_derivative(re),
                                        exterior_derivative(im), w12_re, w12_im)

@@ -25,7 +25,7 @@ from . import __version__
 from .constructions import (SolutionFunction, catalog, catalog_names,
                             chain_pair_from_scalar, dancing_curve_numeric,
                             freestyle_pair)
-from .dsl import CoframeDecl, Document
+from .dsl import Document
 from .errors import IllConditioned, SamplingExhausted, UnknownName
 from .expr import add, compile_tape, num, sub, to_text
 # unused here; pgbench's tracer test calls the zero tester through this module
@@ -141,8 +141,6 @@ def resolve(doc: Document | None, name: str, kinds=None):
         obj = doc.get(name)
     else:
         obj = catalog(name)   # raises UnknownName
-    if isinstance(obj, CoframeDecl):
-        obj = obj.to_metric()
     if kinds is not None and not isinstance(obj, kinds):
         want = ", ".join(k.__name__ for k in (kinds if isinstance(kinds, tuple)
                                               else (kinds,)))

@@ -7,6 +7,7 @@ from pathgeom.dsl import Document, parse, parse_expression, serialize
 from pathgeom.errors import DslSyntaxError, DuplicateName, UnknownVariable
 from pathgeom.expr import as_rat, exprs_equal, num, pow_, var
 from pathgeom.jets import CRGraph, ScalarODE
+from pathgeom.metrics import CoframeMetric
 
 FLAT = "scalar_ode flat { vars t z p; F = 0; }"
 CR_SPHERE = """
@@ -48,6 +49,23 @@ class TestParseExamples:
             parse("scalar_ode a { vars t z p; F = (p; }")
         assert exc.value.line == 1
         assert exc.value.column > 0
+
+    @pytest.mark.parametrize("text, column, message", [
+        ("scalar_ode a { vars t z; F = 0; }", 16,
+         "expected 3 chart variables, found 2"),
+        ("pair_ode g { vars x y p Y y; F1 = 0; F2 = 0; }", 27,
+         "chart variable 'y' repeated"),
+        ("coframe c { vars y p Y P; structure = bogus; eta 1 = d Y; "
+         "eta 2 = d P; eta 3 = d y; eta 4 = d p; }", 39,
+         "structure must be one of para, complex, got 'bogus'"),
+        ("coframe c { vars y p Y; eta 1 = d Y; eta 2 = d p; eta 3 = d y; "
+         "eta 4 = d p; }", 13, "expected 4 chart variables, found 3")])
+    def test_declaration_errors_point_at_their_token(self, text, column,
+                                                     message):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
+        assert str(exc.value) == f"1:{column}: {message}"
 
     def test_cr_graph(self):
         doc = parse("cr_graph g { vars x y p; F = (x^2+y^2)/4; }")
@@ -144,7 +162,7 @@ class TestRoundTrip:
                     "eta 1 = 1*d Y; eta 2 = 1*d P; eta 3 = 1*d y;"
                     "eta 4 = 1*d p; }")
         assert doc.get("c").structure == "complex"
-        assert doc.get("c").to_metric().structure == "complex"
+        assert isinstance(doc.get("c"), CoframeMetric)
 
 
 def _random_expr_text(rng, names):

@@ -653,6 +653,9 @@ def _fraction_value(roots, point):
             if e.denominator == 1:
                 if base == 0 and e < 0:
                     raise DivisionByZero("0 to a negative power")
+                bits = base.numerator.bit_length() + base.denominator.bit_length()
+                if abs(e) * bits > rational.MAX_POWER_BITS:
+                    raise ValueError("integer power too large")
                 v = base ** int(e)
             else:
                 v = rat_pow_exact(base, e)
@@ -694,6 +697,8 @@ def _exact_dags(draw):
                 node = sqrt_(base)
         except (DivisionByZero, DomainError):
             continue   # folded to a constant that has no value
+        except ValueError:
+            continue   # a constant power beyond MAX_FOLD_BITS is refused
         pool.append(node)
     return draw(st.lists(st.sampled_from(pool[-3:]), min_size=1, max_size=3))
 
@@ -711,13 +716,13 @@ class TestExactTape:
         point = {n: data.draw(coords) for n in ("x", "y", "z")}
         try:
             want = _fraction_value(roots, point)
-        except (DivisionByZero, DomainError) as exc:
+        except (DivisionByZero, DomainError, ValueError) as exc:
             want = type(exc)
         exprs = roots[0] if len(roots) == 1 else roots
         tape = compile_tape(exprs, ("x", "y", "z"))
         try:
             got = tape.eval_exact([point[n] for n in ("x", "y", "z")])
-        except (DivisionByZero, DomainError) as exc:
+        except (DivisionByZero, DomainError, ValueError) as exc:
             got = type(exc)
         if isinstance(want, type):
             assert got is want

@@ -1,16 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from pathgeom.constructions import chain_pair_from_scalar
 from pathgeom.errors import ChartMismatch, DependentGenerators, RankDeficient
-from pathgeom.expr import (div, exprs_equal, is_zero_probabilistic, mul, num,
+from pathgeom.expr import (Rat, add, div, evaluate, exprs_equal,
+                           is_zero_probabilistic, mul, num, rename_variables,
                            sub, var, variables)
-from pathgeom.forms import (DifferentialForm, characteristic_direction,
-                            chain_pair_via_rho, coefficient_matrix, d,
-                            exterior_derivative, frobenius_integrable,
-                            interior_product, kernel_field_5, one_form,
-                            pullback, rho_chain, wedge)
+from pathgeom.expr.zerotest import zero_verdicts
+from pathgeom.forms import (CHAIN_PAIR_CHART, DifferentialForm,
+                            characteristic_direction, chain_pair_via_rho,
+                            coefficient_matrix, d, exterior_derivative,
+                            frobenius_integrable, interior_product,
+                            kernel_field, one_form, pullback, rho_chain, wedge)
 from pathgeom.jets import ScalarODE
 
 t, z, p = variables("t z p")
@@ -151,6 +154,25 @@ class TestCharacteristicDirection:
         v = characteristic_direction(two, {"x": 0.3, "y": 1.0, "z": -2.0})
         assert v.components == (0, 0, 1)
 
+    def test_scale_leaves_the_direction_at_an_exact_point(self):
+        rho = rho_chain(ScalarODE(z + p ** 2))
+        point = {"x": Rat(1, 3), "y": -2, "p": Rat(5, 7), "b1": 3,
+                 "b2": Rat(-1, 2)}
+        assert characteristic_direction(rho.scale(Rat(1, 10 ** 9)), point) \
+            == characteristic_direction(rho, point)
+
+    def test_scale_leaves_the_direction_at_a_float_point(self):
+        # the float rank cutoff is relative to the size of the entries
+        rho = rho_chain(ScalarODE(z + p ** 2))
+        point = {"x": 0.3, "y": -1.25, "p": 0.7, "b1": 1.5, "b2": -0.5}
+        got = characteristic_direction(rho.scale(Rat(1, 10 ** 9)), point)
+        want = characteristic_direction(rho, point)
+        assert got.components == pytest.approx(want.components, rel=1e-12)
+
+    def test_point_needs_only_the_variables_of_the_form(self):
+        two = wedge(d(CH3, "x"), d(CH3, "y")).scale(var("z"))
+        assert characteristic_direction(two, {"z": 2}).components == (0, 0, 1)
+
     def test_rank_deficient_on_5_chart(self):
         ch5 = ("x", "y", "p", "b1", "b2")
         two = wedge(d(ch5, "x"), d(ch5, "y"))
@@ -176,20 +198,56 @@ class TestChainPairViaRho:
     @pytest.mark.parametrize("F", [num(0), p ** 2, t * p + z])
     def test_kernel_annihilates_rho(self, F):
         # X .| rho == 0 identically for the Pfaffian-cofactor kernel
-        from pathgeom.forms import CHAIN_PAIR_CHART
-        sys = ScalarODE(F)
-        rho = rho_chain(sys)
-        from pathgeom.expr import substitute
-        Fxy = substitute(F, {"t": var("x"), "z": var("y")})
-        Y, P, pv = var("Y"), var("P"), var("p")
-        inv_delta = div(num(1), sub(Y, pv))
-        pulled = pullback(rho, CHAIN_PAIR_CHART,
-                          {"b1": inv_delta,
-                           "b2": mul(sub(Fxy, P), inv_delta)})
-        v = kernel_field_5(pulled)
-        contracted = interior_product(v, pulled)
+        pulled = _pulled_rho(ScalarODE(F))
+        contracted = interior_product(kernel_field(pulled), pulled)
         for c in contracted.comps.values():
             assert is_zero_probabilistic(c, trials=6).is_zero
+
+
+class TestKernelField:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_kernel_annihilates_random_forms(self, n):
+        rng = random.Random(n)
+        for _ in range(4):
+            a = _random_two_form(rng, n)
+            v = kernel_field(a)
+            assert any(c is not num(0) for c in v)
+            contracted = interior_product(v, a)
+            assert all(zero_verdicts(contracted.comps.values(), 8, 0))
+
+    def test_direction_matches_gauss_jordan(self):
+        rng = random.Random(11)
+        compared = 0
+        for n in (3, 5, 7):
+            for _ in range(2):
+                a = _random_two_form(rng, n)
+                for _ in range(25):
+                    point = {name: Fraction(rng.randint(-9, 9),
+                                            rng.randint(1, 5))
+                             for name in a.chart}
+                    assert _direction_or_none(a, point) == \
+                        _gauss_jordan_direction(a, point)
+                    compared += 1
+        assert compared >= 150
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_corank_above_one_raises_like_gauss_jordan(self, n):
+        rng = random.Random(100 + n)
+        a = wedge(_random_one_form_on(rng, n), _random_one_form_on(rng, n))
+        for _ in range(10):
+            point = {name: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for name in a.chart}
+            assert _gauss_jordan_direction(a, point) is None
+            with pytest.raises(RankDeficient):
+                characteristic_direction(a, point)
+
+    @pytest.mark.parametrize("F", [num(0), z, p ** 2, t * p + z,
+                                   p ** 3 + t * z, z ** 2 * p, p ** 4 - t])
+    def test_five_chart_nodes_are_the_first_row_expansion(self, F):
+        sys = ScalarODE(F)
+        for form in (rho_chain(sys), _pulled_rho(sys)):
+            assert all(got is want for got, want in
+                       zip(kernel_field(form), _kernel_field_5(form)))
 
 
 class TestFrobenius:
@@ -205,6 +263,104 @@ class TestFrobenius:
         dx = d(CH3, "x")
         with pytest.raises(DependentGenerators):
             frobenius_integrable([dx, dx.scale(2)])
+
+    def test_small_generator_is_independent(self):
+        # independence does not depend on the scale of a generator
+        gens = [d(CH3, "x").scale(Rat(1, 10 ** 9)), d(CH3, "y")]
+        assert all(frobenius_integrable(gens))
+
+    def test_function_multiple_is_dependent(self):
+        # a function multiple is dependent however large the coefficients
+        theta = one_form(CH3, {"x": num(10 ** 8), "y": 10 ** 8 * var("z"),
+                               "z": 10 ** 8 * y})
+        with pytest.raises(DependentGenerators):
+            frobenius_integrable([theta, theta.scale(x + y)])
+
+
+def _pulled_rho(sys):
+    """rho_chain pulled back to the chain-pair chart, as in
+    chain_pair_via_rho."""
+    F = rename_variables(sys.rhs, {"t": "x", "z": "y"})
+    Y, P, pv = var("Y"), var("P"), var("p")
+    inv_delta = div(num(1), sub(Y, pv))
+    return pullback(rho_chain(sys), CHAIN_PAIR_CHART,
+                    {"b1": inv_delta, "b2": mul(sub(F, P), inv_delta)})
+
+
+def _kernel_field_5(a):
+    """The 5-chart Pfaffian-cofactor formula with each 4x4 Pfaffian written
+    out, as the kernel was built before it covered every odd chart."""
+    M = coefficient_matrix(a)
+    comps = []
+    for i in range(5):
+        r0, r1, r2, r3 = [r for r in range(5) if r != i]
+        pf = add(mul(M[r0][r1], M[r2][r3]),
+                 mul(num(-1), M[r0][r2], M[r1][r3]),
+                 mul(M[r0][r3], M[r1][r2]))
+        comps.append(pf if i % 2 == 0 else mul(num(-1), pf))
+    return comps
+
+
+def _direction_or_none(a, point):
+    try:
+        return characteristic_direction(a, point).components
+    except RankDeficient:
+        return None
+
+
+def _gauss_jordan_direction(a, point):
+    """The kernel direction by exact Gauss-Jordan elimination, normalized
+    so its first nonzero component is 1; None unless the corank is 1."""
+    n = len(a.chart)
+    rows = [[evaluate(c, point) if c is not num(0) else Fraction(0)
+             for c in row] for row in coefficient_matrix(a)]
+    piv_cols = []
+    r = 0
+    for col in range(n):
+        pivot = next((k for k in range(r, n) if rows[k][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][col]
+        rows[r] = [v / pv for v in rows[r]]
+        for k in range(n):
+            if k != r and rows[k][col] != 0:
+                f = rows[k][col]
+                rows[k] = [u - f * w for u, w in zip(rows[k], rows[r])]
+        piv_cols.append(col)
+        r += 1
+    if n - r != 1:
+        return None
+    free = next(c for c in range(n) if c not in piv_cols)
+    kernel = [Fraction(0)] * n
+    kernel[free] = Fraction(1)
+    for row, col in zip(range(r), piv_cols):
+        kernel[col] = -rows[row][free]
+    first = next(v for v in kernel if v != 0)
+    return tuple(v / first for v in kernel)
+
+
+def _chart(n):
+    return tuple(f"u{k}" for k in range(n))
+
+
+def _random_poly(rng, chart):
+    e = num(rng.randint(-3, 3))
+    for _ in range(2):
+        e = e + rng.randint(-3, 3) * var(rng.choice(chart)) ** rng.randint(1, 2)
+    return e
+
+
+def _random_two_form(rng, n):
+    chart = _chart(n)
+    return DifferentialForm(chart, 2, {(i, j): _random_poly(rng, chart)
+                                       for i in range(n)
+                                       for j in range(i + 1, n)})
+
+
+def _random_one_form_on(rng, n):
+    chart = _chart(n)
+    return one_form(chart, {name: _random_poly(rng, chart) for name in chart})
 
 
 def _zero_ch3(deg):

@@ -1,8 +1,8 @@
 import pytest
 
 from pathgeom.constructions import catalog, chain_pair_from_scalar
-from pathgeom.errors import TorsionNonzero
-from pathgeom.expr import num, var
+from pathgeom.errors import DependentGenerators, TorsionNonzero
+from pathgeom.expr import Rat, exprs_equal, num, var
 from pathgeom.forms import d, one_form, wedge
 from pathgeom.jets import ScalarODE
 from pathgeom.metrics import (CoframeMetric, closedness_check,
@@ -59,13 +59,13 @@ class TestConformalFromPair:
     def test_flat_chain_pair_matches_dancing_metric(self):
         cm = conformal_from_pair(catalog("flat_chain_pair"))
         verdict = conformal_equiv_check(cm, catalog("dancing_metric_coframe"),
-                                        points=12, seed=1)
+                                        trials=12, seed=1)
         assert verdict.equivalent
 
     def test_cr_sphere_matches_fubini_study(self):
         cm = conformal_from_pair(catalog("cr_sphere_pair"), x_value=0)
         verdict = conformal_equiv_check(cm, catalog("fubini_study_coframe"),
-                                        points=12, seed=1)
+                                        trials=12, seed=1)
         assert verdict.equivalent
 
     def test_torsion_pair_rejected(self):
@@ -81,9 +81,9 @@ class TestConformalEquivalence:
         scaled = CoframeMetric(cm.chart,
                                (cm.etas[0].scale(7), cm.etas[1].scale(7),
                                 cm.etas[2], cm.etas[3]), "para")
-        verdict = conformal_equiv_check(cm, scaled, points=8, seed=2)
+        verdict = conformal_equiv_check(cm, scaled, trials=8, seed=2)
         assert verdict.equivalent
-        assert all(abs(f - 1 / 7) < 1e-10 for f in verdict.factors)
+        assert exprs_equal(verdict.factor, num(Rat(1, 7)), trials=8).is_zero
 
     def test_function_rescaling(self):
         cm = catalog("dancing_metric_coframe")
@@ -93,11 +93,29 @@ class TestConformalEquivalence:
                                (cm.etas[0].scale(factor),
                                 cm.etas[1].scale(factor),
                                 cm.etas[2], cm.etas[3]), "para")
-        assert conformal_equiv_check(scaled, cm, points=8, seed=2).equivalent
+        verdict = conformal_equiv_check(scaled, cm, trials=8, seed=2)
+        assert verdict.equivalent
+        assert exprs_equal(verdict.factor, factor, trials=8).is_zero
+
+    def test_small_coframe_is_equivalent(self):
+        # a coframe determinant of 10^-12 is no degeneracy of the claim
+        flat = _flat_coframe()
+        small = CoframeMetric(CH4, tuple(e.scale(Rat(1, 10 ** 3))
+                                         for e in flat.etas), "para")
+        verdict = conformal_equiv_check(small, flat)
+        assert verdict.equivalent
+        assert verdict.factor is num(Rat(1, 10 ** 6))
+        assert conformal_equiv_check(flat, small).factor is num(10 ** 6)
+
+    def test_zero_metric_refused(self):
+        zero = CoframeMetric(CH4, tuple(e.scale(0)
+                                        for e in _flat_coframe().etas), "para")
+        with pytest.raises(ValueError):
+            conformal_equiv_check(_flat_coframe(), zero)
 
     def test_inequivalent_metrics(self):
         verdict = conformal_equiv_check(catalog("dancing_metric_coframe"),
-                                        _flat_coframe(), points=8, seed=2)
+                                        _flat_coframe(), trials=8, seed=2)
         assert not verdict.equivalent
         assert verdict.witness is not None
 
@@ -133,3 +151,10 @@ class TestNullPlanes:
         cm = CoframeMetric(ch, (e1, d(ch, "y"), d(ch, "P"), d(ch, "p")),
                            "para")
         assert not all(null_planes_integrable(cm))
+
+    @pytest.mark.parametrize("structure", ["para", "complex"])
+    def test_dependent_null_plane_generators_raise(self, structure):
+        e1, e2 = one_form(CH4, {"Y": var("p")}), d(CH4, "P")
+        cm = CoframeMetric(CH4, (e1, e2, e1, e2), structure)
+        with pytest.raises(DependentGenerators):
+            null_planes_integrable(cm)

@@ -89,7 +89,7 @@ class TestReports:
     def test_failing_identity_claims_of_a_metric_name_their_witness(self):
         doc = parse("coframe c { vars y p Y P; eta 1 = y*d Y; eta 2 = d P; "
                     "eta 3 = d y; eta 4 = p*d p + Y*d y; }")
-        cm = doc.get("c").to_metric()
+        cm = doc.get("c")
         rep = cmd_metric(doc, "c", trials=50, seed=0)
         byname = {c.name: c for c in rep.checks}
         for name, verdicts in (
