@@ -7,8 +7,8 @@
       F2 = ((Y^2+1)*(P*Y-y*Y-x))/(Y*x+P-y);
     }
     cr_graph quadric { vars x y p; F = (x^2+y^2)/4; }
-    coframe flat4 { vars y p Y P; eta 1 = 1*d Y; eta 2 = 1*d P;
-                    eta 3 = 1*d y; eta 4 = 1*d p; }
+    coframe cf { vars y p Y P; eta 1 = d Y; eta 2 = dP;
+                 eta 3 = 2*dy/3; eta 4 = (Y-p)^2*d p; }
 
 Numeric literals are exact rationals (integers, fractions 3/4, and decimal
 literals converted exactly); sqrt(e) is sugar for e^(1/2); '#' starts a line
@@ -23,6 +23,15 @@ A declaration is checked as it is parsed, with DslSyntaxErrors at their
 token: a chart of the wrong size at 'vars' (a coframe takes 4 variables), a
 repeated chart variable where it repeats, and a structure other than 'para'
 or 'complex' at its value.  A coframe parses to a CoframeMetric.
+
+A coframe's eta is a one-form, parsed by the expression grammar above: for a
+chart variable x, 'd x' and 'dx' read as a differential variable (named
+"d x", which no identifier spells), and the form must be linear in the
+differentials.  The coefficient of dx is the derivative by that variable.
+A coefficient that still holds a differential, or a term without one, is a
+DslSyntaxError at the form's first token; a coefficient variable outside the
+chart is an UnknownVariable.  One table (`_DECLARATIONS`) gives each kind's
+class, chart size and labelled fields, for both `parse` and `serialize`.
 """
 
 from __future__ import annotations
@@ -33,14 +42,22 @@ from fractions import Fraction
 
 from .errors import (DivisionByZero, DomainError, DslSyntaxError,
                      DuplicateName, UnknownVariable)
-from .expr import (Expr, add, div, mul, neg, num, pow_, sqrt_, sub, to_text,
-                   var)
+from .expr import (ZERO, Expr, add, differentiate, div, mul, neg, num, pow_,
+                   sqrt_, sub, substitute, to_text, var)
 from .expr.tape import MAX_INT_EXPONENT
 from .forms import DifferentialForm, one_form
 from .jets import CRGraph, PairODE, ScalarODE
 from .metrics import STRUCTURES, CoframeMetric
 
-KINDS = ("scalar_ode", "pair_ode", "cr_graph", "coframe")
+# kind -> (class, chart size, ((label, attribute), ...)); a coframe's body
+# (structure and eta lines) has its own parser and printer
+_DECLARATIONS = {
+    "scalar_ode": (ScalarODE, 3, (("F", "rhs"),)),
+    "pair_ode": (PairODE, 5, (("F1", "rhs1"), ("F2", "rhs2"))),
+    "cr_graph": (CRGraph, 3, (("F", "rhs"),)),
+    "coframe": (CoframeMetric, 4, None),
+}
+KINDS = tuple(_DECLARATIONS)
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r\n]+)
@@ -107,6 +124,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.chart = ()     # the chart of the one-form being parsed, if any
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -183,6 +201,10 @@ class _Parser:
             return num(Fraction(tok.text))
         if tok.kind == "ident":
             self.advance()
+            if self.chart:
+                name = self._differential(tok)
+                if name is not None:
+                    return var("d " + name)
             if tok.text == "sqrt" and self.peek().text == "(":
                 self.advance()
                 inner = self.parse_expr()
@@ -212,7 +234,13 @@ class _Parser:
                 raise DuplicateName(name)
             seen.add(name)
             self.expect("punct", "{")
-            obj = getattr(self, f"parse_{kind_tok.text}_body")(name)
+            cls, size, fields = _DECLARATIONS[kind_tok.text]
+            chart = self.parse_vars(size)
+            if fields is None:
+                obj = self.parse_coframe_body(chart, name)
+            else:
+                obj = cls(*(self._named_expr(label, chart, name)
+                            for label, _ in fields), chart=chart)
             self.expect("punct", "}")
             decls.append((kind_tok.text, name, obj))
         return Document(decls, source=source)
@@ -240,27 +268,10 @@ class _Parser:
         self.expect("punct", "=")
         e = self.parse_expr()
         self.expect("punct", ";")
-        extra = e.free_variables - set(chart)
-        if extra:
-            raise UnknownVariable(sorted(extra)[0], decl_name)
+        _check_chart(e.free_variables, chart, decl_name)
         return e
 
-    def parse_scalar_ode_body(self, name) -> ScalarODE:
-        chart = self.parse_vars(3)
-        return ScalarODE(self._named_expr("F", chart, name), chart=chart)
-
-    def parse_pair_ode_body(self, name) -> PairODE:
-        chart = self.parse_vars(5)
-        f1 = self._named_expr("F1", chart, name)
-        f2 = self._named_expr("F2", chart, name)
-        return PairODE(f1, f2, chart=chart)
-
-    def parse_cr_graph_body(self, name) -> CRGraph:
-        chart = self.parse_vars(3)
-        return CRGraph(self._named_expr("F", chart, name), chart=chart)
-
-    def parse_coframe_body(self, name) -> CoframeMetric:
-        chart = self.parse_vars(4)
+    def parse_coframe_body(self, chart, name) -> CoframeMetric:
         etas = {}
         structure = "para"
         while self.peek().text in ("eta", "structure"):
@@ -291,72 +302,32 @@ class _Parser:
                              structure=structure)
 
     def parse_oneform(self, chart, decl_name) -> DifferentialForm:
-        coeffs: dict = {}
-        sign = 1
-        if self.peek().text == "-":
-            self.advance()
-            sign = -1
-        while True:
-            coeff, varname = self.parse_oneform_term(chart, decl_name)
-            if sign == -1:
-                coeff = neg(coeff)
-            prev = coeffs.get(varname)
-            coeffs[varname] = add(prev, coeff) if prev is not None else coeff
-            if self.peek().text in ("+", "-"):
-                sign = 1 if self.advance().text == "+" else -1
-                continue
-            break
+        """An expression linear in the chart's differentials; the coefficient
+        of d x is the partial derivative by the differential variable."""
+        first = self.peek()
+        self.chart = chart
+        e = self.parse_expr()
+        self.chart = ()
+        dvars = {"d " + x: x for x in chart}
+        coeffs = {x: differentiate(e, dx) for dx, x in dvars.items()}
+        if any(c.free_variables.intersection(dvars) for c in coeffs.values()):
+            raise DslSyntaxError("one-form is not linear in the differentials",
+                                 first.line, first.column)
+        if self.fold(first, substitute, e, dict.fromkeys(dvars, 0)) is not ZERO:
+            raise DslSyntaxError("a term of the one-form has no differential",
+                                 first.line, first.column)
+        _check_chart(e.free_variables.difference(dvars), chart, decl_name)
         return one_form(chart, coeffs)
 
-    def parse_oneform_term(self, chart, decl_name):
-        """term := expr '*' 'd' IDENT | expr '*' dIDENT | 'd' IDENT | dIDENT"""
-        start = self.pos
-        diff_var = self._try_differential(chart)
-        if diff_var is not None:
-            return num(1), diff_var
-        self.pos = start
-        coeff = self.parse_term_no_trailing_diff(chart, decl_name)
-        diff_var = self._try_differential(chart)
-        if diff_var is None:
-            self.error("expected a differential 'd <var>' to end the term")
-        return coeff, diff_var
-
-    def _try_differential(self, chart):
-        tok = self.peek()
-        if tok.kind != "ident":
-            return None
-        if tok.text == "d" and self.tokens[self.pos + 1].kind == "ident" \
-                and self.tokens[self.pos + 1].text in chart:
+    def _differential(self, tok):
+        """The chart variable x when `tok` starts 'd x' or is 'dx'."""
+        nxt = self.peek()
+        if tok.text == "d" and nxt.kind == "ident" and nxt.text in self.chart:
             self.advance()
-            return self.advance().text
-        if tok.text.startswith("d") and len(tok.text) > 1 and tok.text[1:] in chart:
-            self.advance()
+            return nxt.text
+        if tok.text[0] == "d" and tok.text[1:] in self.chart:
             return tok.text[1:]
         return None
-
-    def parse_term_no_trailing_diff(self, chart, decl_name) -> Expr:
-        """Product whose final '* d<var>' factor belongs to the caller."""
-        out = None
-        while True:
-            if out is not None:
-                if self.peek().text not in ("*", "/"):
-                    self.error("expected '*' before the differential")
-                op = self.advance()
-                if op.text == "*" and self._peek_differential(chart):
-                    break
-            factor = self.parse_unary()
-            out = factor if out is None else \
-                self.fold(op, mul if op.text == "*" else div, out, factor)
-        extra = out.free_variables - set(chart)
-        if extra:
-            raise UnknownVariable(sorted(extra)[0], decl_name)
-        return out
-
-    def _peek_differential(self, chart):
-        save = self.pos
-        got = self._try_differential(chart)
-        self.pos = save
-        return got is not None
 
 
 def parse(text: str) -> Document:
@@ -372,10 +343,14 @@ def parse_expression(text: str, chart=None) -> Expr:
     if parser.peek().kind != "eof":
         parser.error("trailing input after expression")
     if chart is not None:
-        extra = e.free_variables - set(chart)
-        if extra:
-            raise UnknownVariable(sorted(extra)[0], "<expression>")
+        _check_chart(e.free_variables, chart, "<expression>")
     return e
+
+
+def _check_chart(free, chart, decl_name):
+    extra = free - set(chart)
+    if extra:
+        raise UnknownVariable(sorted(extra)[0], decl_name)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -397,21 +372,15 @@ def serialize(doc: Document) -> str:
     out = []
     for kind, name, obj in doc.decls:
         out.append(f"{kind} {name} {{")
-        if kind == "scalar_ode":
-            out.append(f"  vars {' '.join(obj.chart)};")
-            out.append(f"  F = {to_text(obj.rhs)};")
-        elif kind == "pair_ode":
-            out.append(f"  vars {' '.join(obj.chart)};")
-            out.append(f"  F1 = {to_text(obj.rhs1)};")
-            out.append(f"  F2 = {to_text(obj.rhs2)};")
-        elif kind == "cr_graph":
-            out.append(f"  vars {' '.join(obj.chart)};")
-            out.append(f"  F = {to_text(obj.rhs)};")
-        elif kind == "coframe":
-            out.append(f"  vars {' '.join(obj.chart)};")
+        out.append(f"  vars {' '.join(obj.chart)};")
+        fields = _DECLARATIONS[kind][2]
+        if fields is None:
             if obj.structure != "para":
                 out.append(f"  structure = {obj.structure};")
             for k, eta in enumerate(obj.etas, start=1):
                 out.append(f"  eta {k} = {_serialize_oneform(eta)};")
+        else:
+            for label, attr in fields:
+                out.append(f"  {label} = {to_text(getattr(obj, attr))};")
         out.append("}")
     return "\n".join(out) + "\n"

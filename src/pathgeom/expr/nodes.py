@@ -382,11 +382,15 @@ def sub(a, b) -> Expr:
 
 
 def div(a, b) -> Expr:
-    """Quotient, stored as a product with a negative power."""
+    """Quotient, stored as a product with a negative power; a/a is 1, as
+    `mul` already cancels x*x^-1."""
     b = _coerce(b)
     if isinstance(b, Num) and b.value == 0:
         raise DivisionByZero("division by the zero constant")
-    return mul(_coerce(a), pow_(b, -1))
+    a = _coerce(a)
+    if a is b:
+        return ONE
+    return mul(a, pow_(b, -1))
 
 
 def sqrt_(e) -> Expr:

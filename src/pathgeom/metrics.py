@@ -26,8 +26,7 @@ from .forms import DifferentialForm, d, exterior_derivative, one_form, wedge
 from .invariants import fels_torsion
 from .jets import PairODE
 
-MIN_DET = 1e-8      # smallest |coframe det| at a sample point
-SIZE_CAP = 1e3      # largest |metric entry| at an Einstein sample point
+MIN_DET = 1e-8      # smallest |coframe det| / max|coefficient|^4 at a sample
 EINSTEIN_TOL = 1e-6  # largest residual |Ric - lambda g| and lambda spread
 STRUCTURES = ("para", "complex")
 
@@ -111,12 +110,17 @@ def einstein_check(cm: CoframeMetric, points: int = 20,
                    seed: int = 0) -> EinsteinReport:
     """Evaluate Ric - lambda*g at random admissible points.
 
-    A point is admissible where |coframe det| > MIN_DET and every metric
-    entry is at most SIZE_CAP in size, so that float64 curvature assembly
-    keeps full accuracy away from blow-up loci.  Per point, lambda is the
-    trace Ric:g/4 and the residual is the max-norm of Ric - lambda*g; the
-    signature of g is verified to be (2,2) at every sample (DegeneratePoint
-    otherwise).
+    A point is admissible where the coframe matrix C (row a = eta^a) has
+    |det C| > MIN_DET * max|C_ij|^4.  The determinant has degree 4 in the
+    entries, so the test does not depend on the scale of the coframe, and
+    it keeps float64 curvature assembly away from the blow-up loci.  Per
+    point, lambda is the trace Ric:g/4 and the residual is the max-norm of
+    Ric - lambda*g.
+
+    The signature is (2, 2) by construction, not by a test: g = C^T J C
+    with J = (eta1 eta4 + eta4 eta1 - eta2 eta3 - eta3 eta2)/2, whose
+    eigenvalues are 1/2, 1/2, -1/2, -1/2, so by Sylvester's law of inertia
+    g has signature (2, 2) wherever det C != 0, at every admissible point.
     """
     if points < 1:
         raise ValueError("points must be >= 1")
@@ -131,25 +135,20 @@ def einstein_check(cm: CoframeMetric, points: int = 20,
     def admissible():
         for pt, vals in sample_points(tape, names, seed, 500 * points):
             c, G, dG, ddG = np.split(np.array(vals), [16, 32, 96])
-            if abs(np.linalg.det(c.reshape(4, 4))) > MIN_DET \
-                    and np.max(np.abs(G)) <= SIZE_CAP:
+            if abs(np.linalg.det(c.reshape(4, 4))) \
+                    > MIN_DET * np.max(np.abs(c)) ** 4:
                 yield (pt, G.reshape(4, 4), dG.reshape(4, 4, 4),
                        ddG.reshape(4, 4, 4, 4))
 
     samples = admissible()
     lambdas = []
     max_res = 0.0
-    signature = None
     for _ in range(points):
         pt, G, dG, ddG = next(samples, (None,) * 4)
         if pt is None:
             raise DegeneratePoint(f"no {points} samples with |coframe det| > "
-                                  f"{MIN_DET} in {500 * points} draws")
-        eig = np.linalg.eigvalsh(G)
-        sig = (int(np.sum(eig > 0)), int(np.sum(eig < 0)))
-        if sig != (2, 2):
-            raise DegeneratePoint(f"metric signature {sig} != (2, 2) at {pt}")
-        signature = sig
+                                  f"{MIN_DET} max|coefficient|^4 in "
+                                  f"{500 * points} draws")
         Ginv = np.linalg.inv(G)
         # S_{ijl} = d_i g_{jl} + d_j g_{il} - d_l g_{ij}; Gamma^k_ij = g^{kl} S_{ijl}/2
         S = dG + dG.transpose(1, 0, 2) - dG.transpose(1, 2, 0)
@@ -167,7 +166,7 @@ def einstein_check(cm: CoframeMetric, points: int = 20,
         lambdas.append(lam)
         max_res = max(max_res, res)
     return EinsteinReport(lambdas=lambdas, max_residual=max_res, points=points,
-                          seed=seed, signature=signature)
+                          seed=seed, signature=(2, 2))
 
 
 def conformal_from_pair(pair: PairODE, x_value=0, trials: int = 12,

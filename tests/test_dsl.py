@@ -6,6 +6,7 @@ from pathgeom.constructions import catalog
 from pathgeom.dsl import Document, parse, parse_expression, serialize
 from pathgeom.errors import DslSyntaxError, DuplicateName, UnknownVariable
 from pathgeom.expr import as_rat, exprs_equal, num, pow_, var
+from pathgeom.forms import one_form
 from pathgeom.jets import CRGraph, ScalarODE
 from pathgeom.metrics import CoframeMetric
 
@@ -143,6 +144,23 @@ class TestRoundTrip:
             except DslSyntaxError:
                 continue  # generator produced a division by a folded zero
             done += 1
+        chart = "y p Y P".split()
+        done = 0
+        while done < 25:
+            etas = " ".join(f"eta {k} = {_random_oneform_text(rng, chart)};"
+                            for k in (1, 2, 3, 4))
+            text = f"coframe c{done} {{ vars y p Y P; {etas} }}"
+            try:
+                self._assert_round_trip(text)
+            except DslSyntaxError:
+                continue
+            done += 1
+
+    @pytest.mark.parametrize("name", ["dancing_metric_coframe",
+                                      "fubini_study_coframe"])
+    def test_catalog_coframes_round_trip_to_identical_nodes(self, name):
+        doc = Document([("coframe", name, catalog(name))])
+        assert parse(serialize(doc)) == doc
 
     def test_catalog_pairs_round_trip_through_serializer(self):
         decls = []
@@ -163,6 +181,73 @@ class TestRoundTrip:
                     "eta 4 = 1*d p; }")
         assert doc.get("c").structure == "complex"
         assert isinstance(doc.get("c"), CoframeMetric)
+
+
+class TestOneForms:
+    CHART = ("y", "p", "Y", "P")
+
+    def _eta1(self, text):
+        doc = parse(f"coframe c {{ vars y p Y P; eta 1 = {text}; "
+                    "eta 2 = dP; eta 3 = dy; eta 4 = dp; }")
+        return doc.get("c").etas[0]
+
+    @pytest.mark.parametrize("text, coeffs", [
+        ("dY*p", {"Y": "p"}),
+        ("(p*dY + dP)*2", {"Y": "2*p", "P": "2"}),
+        ("dp/(Y-p)^2", {"p": "1/(Y-p)^2"}),
+        ("d Y - y*dY", {"Y": "1 - y"}),
+        ("0*dy", {})])
+    def test_linear_expressions_in_the_differentials(self, text, coeffs):
+        want = one_form(self.CHART, {x: parse_expression(c)
+                                     for x, c in coeffs.items()})
+        assert self._eta1(text) == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("p + dY", "a term of the one-form has no differential"),
+        ("dY*dP", "one-form is not linear in the differentials"),
+        ("p/dY", "one-form is not linear in the differentials"),
+        ("sqrt(dY)", "one-form is not linear in the differentials"),
+        # linear by its derivative, yet a pole where the differentials vanish
+        ("1/(dY*(p+1) - dY*p - dY)", "0 raised to a negative power")])
+    def test_nonlinear_forms_are_syntax_errors(self, text, message):
+        with pytest.raises(DslSyntaxError) as exc:
+            self._eta1(text)
+        assert str(exc.value) == f"1:35: {message}"
+
+    def test_coefficient_outside_the_chart(self):
+        with pytest.raises(UnknownVariable) as exc:
+            self._eta1("q*dY")
+        assert exc.value.name == "q"
+
+    def test_differential_is_read_only_inside_a_one_form(self):
+        doc = parse("scalar_ode s { vars t z dz; F = dz*z; }")
+        assert doc.get("s").rhs is var("dz") * var("z")
+
+    def test_dancing_coframe_written_as_one_forms(self):
+        doc = parse("""coframe dancing { vars y p Y P;
+          eta 1 = dY;
+          eta 2 = -P/(Y-p)^3*dY + dP/(Y-p)^2 - P^2/(Y-p)^4*dy
+                  + 2*P/(Y-p)^3*dp;
+          eta 3 = dy;
+          eta 4 = -P/(Y-p)^3*dy + dp/(Y-p)^2; }""")
+        got = doc.get("dancing").coefficient_rows()
+        want = catalog("dancing_metric_coframe").coefficient_rows()
+        for a, b in zip(sum(got, ()), sum(want, ())):
+            assert exprs_equal(a, b, trials=4).is_zero
+
+
+def _random_oneform_text(rng, chart):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        x = rng.choice(chart)
+        dx = rng.choice([f"d {x}", f"d{x}"])
+        coeff = _random_expr_text(rng, chart)
+        shape = rng.choice(["{c}*{d}", "{d}*{c}", "{d}/{c}", "{d}"])
+        terms.append(shape.format(c=coeff, d=dx))
+    text = rng.choice(["-", ""]) + " + ".join(terms)
+    if rng.random() < 0.3:
+        text = f"({text})*{_random_expr_text(rng, chart)}"
+    return text
 
 
 def _random_expr_text(rng, names):

@@ -1,7 +1,8 @@
 import pytest
 
 from pathgeom.constructions import catalog, chain_pair_from_scalar
-from pathgeom.errors import DependentGenerators, TorsionNonzero
+from pathgeom.errors import (DegeneratePoint, DependentGenerators,
+                             TorsionNonzero)
 from pathgeom.expr import Rat, exprs_equal, num, var
 from pathgeom.forms import d, one_form, wedge
 from pathgeom.jets import ScalarODE
@@ -55,6 +56,26 @@ class TestEinstein:
         assert abs(a.lambdas[0] - b.lambdas[0]) < 1e-9
 
 
+    @pytest.mark.parametrize("name, lam", [("dancing_metric_coframe", 6.0),
+                                           ("fubini_study_coframe", -12.0)])
+    def test_admissibility_does_not_depend_on_scale(self, name, lam):
+        # g scales by 10^-6, so lambda scales by 10^6; an absolute det
+        # filter kept only draws near the poles of the scaled coframe
+        cm = catalog(name)
+        small = CoframeMetric(cm.chart, tuple(e.scale(Rat(1, 1000))
+                                              for e in cm.etas), cm.structure)
+        for seed in range(6):
+            rep = einstein_check(small, points=20, seed=seed)
+            assert rep.is_einstein()
+            assert abs(rep.lambdas[0] / 1e6 - lam) < 1e-9
+
+    def test_dependent_etas_have_no_admissible_point(self):
+        e1, _, e3, e4 = _flat_coframe().etas
+        with pytest.raises(DegeneratePoint):
+            einstein_check(CoframeMetric(CH4, (e1, e1, e3, e4), "para"),
+                           points=2, seed=0)
+
+
 class TestConformalFromPair:
     def test_flat_chain_pair_matches_dancing_metric(self):
         cm = conformal_from_pair(catalog("flat_chain_pair"))
@@ -106,6 +127,10 @@ class TestConformalEquivalence:
         assert verdict.equivalent
         assert verdict.factor is num(Rat(1, 10 ** 6))
         assert conformal_equiv_check(flat, small).factor is num(10 ** 6)
+
+    def test_self_equivalence_factor_is_one(self):
+        cm = catalog("dancing_metric_coframe")
+        assert conformal_equiv_check(cm, cm).factor is num(1)
 
     def test_zero_metric_refused(self):
         zero = CoframeMetric(CH4, tuple(e.scale(0)
