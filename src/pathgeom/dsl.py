@@ -17,21 +17,27 @@ than unary minus, then * and /, then + and -; ^ is right-associative and its
 exponent must fold to an exact rational below 2^31 in absolute value (the
 tape compiles no larger integer power).  A constant that folds to no value
 (1/0, 0^(-2), (-4)^(1/2)), or to a power beyond 2^MAX_FOLD_BITS
-(3^2000000000, (3*p)^2000000000), is a DslSyntaxError at its operator.
+(3^2000000000, (3*p)^2000000000), is a DslSyntaxError at its operator.  An
+expression nested more than MAX_NESTING levels deep (parentheses, unary
+minus signs, exponents) is a DslSyntaxError at the first token of the
+level beyond the bound.
 
 A declaration is checked as it is parsed, with DslSyntaxErrors at their
 token: a chart of the wrong size at 'vars' (a coframe takes 4 variables), a
 repeated chart variable where it repeats, and a structure other than 'para'
-or 'complex' at its value.  A coframe parses to a CoframeMetric.
+or 'complex' at its value.  A variable outside the chart is an
+UnknownVariable at its first token in the declaration, and a repeated
+declaration name is a DuplicateName at the repeat; both carry the line and
+column too.  A coframe parses to a CoframeMetric.
 
 A coframe's eta is a one-form, parsed by the expression grammar above: for a
 chart variable x, 'd x' and 'dx' read as a differential variable (named
 "d x", which no identifier spells), and the form must be linear in the
 differentials.  The coefficient of dx is the derivative by that variable.
 A coefficient that still holds a differential, or a term without one, is a
-DslSyntaxError at the form's first token; a coefficient variable outside the
-chart is an UnknownVariable.  One table (`_DECLARATIONS`) gives each kind's
-class, chart size and labelled fields, for both `parse` and `serialize`.
+DslSyntaxError at the form's first token.  One table (`_DECLARATIONS`) gives
+each kind's class, chart size and labelled fields, for both `parse` and
+`serialize`.
 """
 
 from __future__ import annotations
@@ -58,6 +64,12 @@ _DECLARATIONS = {
     "coframe": (CoframeMetric, 4, None),
 }
 KINDS = tuple(_DECLARATIONS)
+
+# deepest nesting of parentheses, unary minus signs and exponents in one
+# expression: the parser and the kernel's differentiate, substitute and
+# to_text recurse once per level, so the bound keeps them within Python's
+# recursion limit
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r\n]+)
@@ -125,6 +137,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.chart = ()     # the chart of the one-form being parsed, if any
+        self.depth = 0      # the nesting level of the expression being parsed
+        self.first_use = {}  # name -> its first token in the declaration
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -174,10 +188,19 @@ class _Parser:
         return out
 
     def parse_unary(self) -> Expr:
+        # every nesting level (parentheses, unary minus, an exponent) passes
+        # here; an error aborts the parse, so only a return steps back out
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"expression nested more than {MAX_NESTING} levels "
+                       "deep")
         if self.peek().text == "-":
             self.advance()
-            return neg(self.parse_unary())
-        return self.parse_power()
+            out = neg(self.parse_unary())
+        else:
+            out = self.parse_power()
+        self.depth -= 1
+        return out
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
@@ -210,6 +233,7 @@ class _Parser:
                 inner = self.parse_expr()
                 self.expect("punct", ")")
                 return self.fold(tok, sqrt_, inner)
+            self.first_use.setdefault(tok.text, tok)
             return var(tok.text)
         if tok.text == "(":
             self.advance()
@@ -229,10 +253,12 @@ class _Parser:
                 self.error("expected a declaration kind "
                            f"({', '.join(KINDS)})", expected=set(KINDS))
             self.advance()
-            name = self.expect("ident").text
+            name_tok = self.expect("ident")
+            name = name_tok.text
             if name in seen:
-                raise DuplicateName(name)
+                raise DuplicateName(name, name_tok.line, name_tok.column)
             seen.add(name)
+            self.first_use = {}
             self.expect("punct", "{")
             cls, size, fields = _DECLARATIONS[kind_tok.text]
             chart = self.parse_vars(size)
@@ -268,7 +294,7 @@ class _Parser:
         self.expect("punct", "=")
         e = self.parse_expr()
         self.expect("punct", ";")
-        _check_chart(e.free_variables, chart, decl_name)
+        self.check_chart(e.free_variables, chart, decl_name)
         return e
 
     def parse_coframe_body(self, chart, name) -> CoframeMetric:
@@ -316,7 +342,7 @@ class _Parser:
         if self.fold(first, substitute, e, dict.fromkeys(dvars, 0)) is not ZERO:
             raise DslSyntaxError("a term of the one-form has no differential",
                                  first.line, first.column)
-        _check_chart(e.free_variables.difference(dvars), chart, decl_name)
+        self.check_chart(e.free_variables.difference(dvars), chart, decl_name)
         return one_form(chart, coeffs)
 
     def _differential(self, tok):
@@ -328,6 +354,15 @@ class _Parser:
         if tok.text[0] == "d" and tok.text[1:] in self.chart:
             return tok.text[1:]
         return None
+
+    def check_chart(self, free, chart, decl_name):
+        """UnknownVariable at the first token of a variable outside the
+        chart, the one that comes first in the text."""
+        extra = free - set(chart)
+        if extra:
+            tok = min((self.first_use[name] for name in extra),
+                      key=lambda t: (t.line, t.column))
+            raise UnknownVariable(tok.text, decl_name, tok.line, tok.column)
 
 
 def parse(text: str) -> Document:
@@ -343,14 +378,8 @@ def parse_expression(text: str, chart=None) -> Expr:
     if parser.peek().kind != "eof":
         parser.error("trailing input after expression")
     if chart is not None:
-        _check_chart(e.free_variables, chart, "<expression>")
+        parser.check_chart(e.free_variables, chart, "<expression>")
     return e
-
-
-def _check_chart(free, chart, decl_name):
-    extra = free - set(chart)
-    if extra:
-        raise UnknownVariable(sorted(extra)[0], decl_name)
 
 
 # -- serialization ---------------------------------------------------------------

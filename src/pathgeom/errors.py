@@ -33,27 +33,31 @@ class ChartMismatch(PathgeomError):
 # -- DSL ---------------------------------------------------------------------
 
 class DslError(PathgeomError):
-    pass
+    """An error in .pg text, at the line:column of its token."""
+
+    def __init__(self, message, line, column):
+        super().__init__(f"{line}:{column}: {message}")
+        self.line = line
+        self.column = column
 
 
 class DslSyntaxError(DslError):
     def __init__(self, message, line, column, expected=()):
-        super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
+        super().__init__(message, line, column)
         self.expected = frozenset(expected)
 
 
 class UnknownVariable(DslError):
-    def __init__(self, name, declaration):
-        super().__init__(f"unknown variable {name!r} in declaration {declaration!r}")
+    def __init__(self, name, declaration, line, column):
+        super().__init__(f"unknown variable {name!r} in declaration "
+                         f"{declaration!r}", line, column)
         self.name = name
         self.declaration = declaration
 
 
 class DuplicateName(DslError):
-    def __init__(self, name):
-        super().__init__(f"duplicate declaration name {name!r}")
+    def __init__(self, name, line, column):
+        super().__init__(f"duplicate declaration name {name!r}", line, column)
         self.name = name
 
 

@@ -397,20 +397,30 @@ def sqrt_(e) -> Expr:
     return pow_(e, Rat(1, 2))
 
 
+def postorder(roots) -> list:
+    """The distinct nodes of the DAGs under `roots`, each after its
+    children (a topological order), found by one iterative walk."""
+    order, seen = [], set()
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in seen:
+            continue
+        if expanded:
+            seen.add(id(node))
+            order.append(node)
+            continue
+        stack.append((node, True))
+        if isinstance(node, (Add, Mul)):
+            stack.extend((a, False) for a in node.args)
+        elif isinstance(node, Pow):
+            stack.append((node.base, False))
+    return order
+
+
 def node_count(e: Expr) -> int:
     """Number of distinct nodes in the DAG."""
-    seen = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if isinstance(n, (Add, Mul)):
-            stack.extend(n.args)
-        elif isinstance(n, Pow):
-            stack.append(n.base)
-    return len(seen)
+    return len(postorder((e,)))
 
 
 # -- printing ----------------------------------------------------------------

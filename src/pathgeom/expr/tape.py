@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import DivisionByZero, DomainError, UnboundVariable
-from .nodes import Add, Expr, Mul, Num, Pow, Var
+from .nodes import Add, Expr, Mul, Num, Var, postorder
 from .rational import (MAX_INT_EXPONENT, MAX_POWER_BITS, as_rat, is_int,
                        rat_pow_exact, real_branch_sign)
 
@@ -78,25 +78,6 @@ def pair_residue(num: int, den: int):
     return num * pow(den, -1, MODULUS) % MODULUS
 
 
-def _toposort(roots):
-    order, seen = [], set()
-    stack = [(root, False) for root in reversed(roots)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in seen:
-            continue
-        if expanded:
-            seen.add(id(node))
-            order.append(node)
-            continue
-        stack.append((node, True))
-        if isinstance(node, (Add, Mul)):
-            stack.extend((a, False) for a in node.args)
-        elif isinstance(node, Pow):
-            stack.append((node.base, False))
-    return order
-
-
 class Tape:
     """Compiled form of one expression, or of a sequence of expressions, over
     an ordered variable chart.
@@ -121,7 +102,7 @@ class Tape:
         missing = set().union(*(r.free_variables for r in roots)) - set(slot)
         if missing:
             raise UnboundVariable(f"no slot for variable(s) {sorted(missing)}")
-        order = _toposort(roots)
+        order = postorder(roots)
         index = {id(n): k for k, n in enumerate(order)}
         code: list = []
         consts: list = []

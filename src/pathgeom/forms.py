@@ -8,7 +8,9 @@ symbolically, with no float linear algebra: the kernel of a 2-form on an odd
 chart is the vector of Pfaffian cofactors of its coefficient matrix
 (`kernel_field`), and the generators of a Pfaffian system are independent
 when their wedge is not identically zero, an identity claim decided by the
-zero tester (`frobenius_integrable`).
+zero tester (`frobenius_integrable`).  That test takes a complex generator
+as its (re, im) pair of real 1-forms and wedges every generator as a
+complex form, a real one with imaginary part 0.
 """
 
 from __future__ import annotations
@@ -363,11 +365,22 @@ def chain_pair_via_rho(sys: ScalarODE) -> PairODE:
     return PairODE(div(v[3], vx), div(v[4], vx), chart=chart)
 
 
+def _complex_wedge(a, b):
+    """The wedge of two complex forms, each given as its (re, im) pair of
+    real forms, as the (re, im) pair of the product."""
+    (a_re, a_im), (b_re, b_im) = a, b
+    return (wedge(a_re, b_re) - wedge(a_im, b_im),
+            wedge(a_re, b_im) + wedge(a_im, b_re))
+
+
 def frobenius_integrable(generators, trials: int = 20, seed=0) -> list:
     """Frobenius test for the Pfaffian system spanned by the given 1-forms:
     integrable iff d(theta) ^ theta_1 ^ ... ^ theta_k == 0 for every
-    generator theta.  Returns the ZeroVerdicts of the coefficients up to the
-    first nonzero one, all zero iff the system is integrable.
+    generator theta.  A generator is a real 1-form, or a complex one given
+    as its (re, im) pair of real 1-forms; a real generator g counts as
+    (g, 0).  Returns the ZeroVerdicts of the coefficients (of the real, then
+    the imaginary part of each wedge) up to the first nonzero one, all zero
+    iff the system is integrable.
 
     The generators must be independent: DependentGenerators when every
     coefficient of theta_1 ^ ... ^ theta_k is decided zero, at once when
@@ -375,14 +388,22 @@ def frobenius_integrable(generators, trials: int = 20, seed=0) -> list:
     gens = list(generators)
     if not gens:
         raise DependentGenerators("no generators")
-    chart = gens[0].chart
-    for g in gens:
-        if g.degree != 1 or g.chart != chart:
+    first = gens[0] if isinstance(gens[0], DifferentialForm) else gens[0][0]
+    zero = zero_form(first.chart, 1)
+    gens = [(g, zero) if isinstance(g, DifferentialForm) else tuple(g)
+            for g in gens]
+    for re, im in gens:
+        if any(f.degree != 1 or f.chart != first.chart for f in (re, im)):
             raise ChartMismatch("generators must be 1-forms on a common chart")
-    span = wedge_all(*gens)
-    if all(zero_verdicts(span.comps.values(), trials=trials, seed=seed)):
+    span = gens[0]
+    for g in gens[1:]:
+        span = _complex_wedge(span, g)
+    if all(zero_verdicts([c for part in span for c in part.comps.values()],
+                         trials=trials, seed=seed)):
         raise DependentGenerators("the wedge of the generators vanishes "
                                   "identically")
-    coefficients = (c for g in gens
-                    for c in wedge(exterior_derivative(g), span).comps.values())
+    coefficients = (c for re, im in gens
+                    for part in _complex_wedge((exterior_derivative(re),
+                                                exterior_derivative(im)), span)
+                    for c in part.comps.values())
     return zero_verdicts(coefficients, trials=trials, seed=seed)

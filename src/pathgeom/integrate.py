@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import (DivisionByZero, DomainError, EliminationInvalid,
                      SingularEncounter, StepUnderflow)
-from .expr import (Add, Expr, Mul, Pow, add, compile_tape, differentiate,
-                   div, exprs_equal, is_zero_probabilistic, mul, sub,
-                   substitute, var)
-from .jets import PairODE
+from .expr import (Expr, Pow, compile_tape, differentiate, div, exprs_equal,
+                   is_zero_probabilistic, mul, sub, substitute, var)
+from .expr.nodes import postorder
+from .jets import PairODE, _total_derivative
 from .constructions import ThirdOrderODE
 
 _DP_A = (
@@ -52,21 +52,8 @@ MAX_STEPS = 200_000
 
 def denominator_bases(e: Expr):
     """Sub-expressions appearing with negative exponents (syntactic poles)."""
-    out = []
-    seen = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if isinstance(n, Pow):
-            if n.exponent < 0:
-                out.append(n.base)
-            stack.append(n.base)
-        elif isinstance(n, (Add, Mul)):
-            stack.extend(n.args)
-    return out
+    return [n.base for n in postorder((e,))
+            if isinstance(n, Pow) and n.exponent < 0]
 
 
 def _near_singular(min_denominator, t, y):
@@ -274,11 +261,8 @@ def third_order_reduction_check(pair: PairODE, solve_for: str, elim: Expr,
                                  "derivative")
     # total derivative of solved_var = elim on the third-order jet of dep:
     # d(dep)=dep1, d(dep1)=w, d(w)=v, d(other_dep)=solved_var=elim
-    DE = add(differentiate(elim, tn),
-             mul(var(dep1), differentiate(elim, dep)),
-             mul(var(w), differentiate(elim, dep1)),
-             mul(var(v), dE_dw),
-             mul(elim, differentiate(elim, other_dep)))
+    DE = _total_derivative(elim, (tn, dep, dep1, w, other_dep),
+                           (var(dep1), var(w), var(v), elim))
     lhs = substitute(remaining, {solved_var: elim})
     derived = div(sub(lhs, sub(DE, mul(var(v), dE_dw))), dE_dw)
     tgt = substitute(target.rhs, {target.chart[0]: var(tn),

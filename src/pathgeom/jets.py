@@ -80,29 +80,28 @@ class CRGraph:
         _check_chart(self.chart, (self.rhs,), "CRGraph")
 
 
+def _total_derivative(e: Expr, chart, rates) -> Expr:
+    """d/dt e + sum of rate * d/dx e, with t = chart[0] and x running over
+    chart[1:] in order, paired with `rates`."""
+    extra = e.free_variables - set(chart)
+    if extra:
+        raise ChartMismatch(f"expression uses {sorted(extra)} outside chart {chart}")
+    return add(differentiate(e, chart[0]),
+               *(mul(rate, differentiate(e, x))
+                 for x, rate in zip(chart[1:], rates)))
+
+
 def total_derivative(e: Expr, sys: PairODE) -> Expr:
     """d/dt along solutions of the pair:
     dt e + q1*du1 e + q2*du2 e + F1*dq1 e + F2*dq2 e."""
-    t, u1, u2, q1, q2 = sys.chart
-    extra = e.free_variables - set(sys.chart)
-    if extra:
-        raise ChartMismatch(f"expression uses {sorted(extra)} outside chart {sys.chart}")
-    return add(differentiate(e, t),
-               mul(var(q1), differentiate(e, u1)),
-               mul(var(q2), differentiate(e, u2)),
-               mul(sys.rhs1, differentiate(e, q1)),
-               mul(sys.rhs2, differentiate(e, q2)))
+    q1, q2 = sys.chart[3:]
+    return _total_derivative(e, sys.chart,
+                             (var(q1), var(q2), sys.rhs1, sys.rhs2))
 
 
 def total_derivative_scalar(e: Expr, sys: ScalarODE) -> Expr:
     """d/dt along solutions of the scalar equation."""
-    t, z, p = sys.chart
-    extra = e.free_variables - set(sys.chart)
-    if extra:
-        raise ChartMismatch(f"expression uses {sorted(extra)} outside chart {sys.chart}")
-    return add(differentiate(e, t),
-               mul(var(p), differentiate(e, z)),
-               mul(sys.rhs, differentiate(e, p)))
+    return _total_derivative(e, sys.chart, (var(sys.chart[2]), sys.rhs))
 
 
 def prolong(sys: PairODE, e: Expr, order: int) -> Expr:

@@ -2,7 +2,9 @@
 induced by torsion-free pairs, conformal equivalence, and closedness checks.
 
 Conformal equivalence, closedness of the fundamental form and integrability
-of the null planes are identity claims, decided by the zero tester.  Only
+of the null planes are identity claims, decided by the zero tester; the null
+planes of both structures go through the one Frobenius test
+`forms.frobenius_integrable`, the complex structure's as (re, im) pairs.  Only
 the Einstein check samples float points: curvature is never
 finite-differenced, the metric components and their first and second
 derivatives are differentiated symbolically, and numerics enter only when
@@ -17,12 +19,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegeneratePoint, DependentGenerators, TorsionNonzero
+from .errors import DegeneratePoint, TorsionNonzero
 from .expr import (Rat, ZERO, add, compile_tape, differentiate, div, mul, num,
                    sub, substitute)
 from .expr.sampling import sample_points
 from .expr.zerotest import zero_verdicts
-from .forms import DifferentialForm, d, exterior_derivative, one_form, wedge
+from .forms import (DifferentialForm, d, exterior_derivative,
+                    frobenius_integrable, one_form, wedge)
 from .invariants import fels_torsion
 from .jets import PairODE
 
@@ -80,13 +83,14 @@ class CoframeMetric:
         return wedge(e1, e3) + wedge(e2, e4)
 
     def null_plane_systems(self):
-        """Generators of the designated null 2-plane fields: two real Pfaffian
-        systems for 'para', one complex system (as (re, im) pairs) for
-        'complex'."""
+        """Generators of the designated null 2-plane fields, one list per
+        Pfaffian system: two real systems for 'para', one complex system
+        for 'complex', whose generators eta1 + i eta2 and eta3 + i eta4 are
+        (re, im) pairs."""
         e1, e2, e3, e4 = self.etas
         if self.structure == "para":
-            return [("real", (e1, e3)), ("real", (e2, e4))]
-        return [("complex", ((e1, e2), (e3, e4)))]
+            return [[e1, e3], [e2, e4]]
+        return [[(e1, e2), (e3, e4)]]
 
 
 @dataclass
@@ -244,39 +248,9 @@ def null_planes_integrable(cm: CoframeMetric, trials: int = 20,
     """Frobenius integrability of the designated null 2-plane fields: the
     ZeroVerdicts computed up to the first nonzero one, all zero iff the
     fields are integrable."""
-    from .forms import frobenius_integrable
-
     verdicts = []
-    for kind, system in cm.null_plane_systems():
-        if kind == "real":
-            verdicts += frobenius_integrable(list(system), trials=trials,
-                                             seed=seed)
-        else:
-            verdicts += _complex_frobenius(system, trials=trials, seed=seed)
+    for system in cm.null_plane_systems():
+        verdicts += frobenius_integrable(system, trials=trials, seed=seed)
         if not all(verdicts):
             break
     return verdicts
-
-
-def _complex_frobenius(system, trials, seed):
-    """Integrability of {a1 + i b1, a2 + i b2} via the real and imaginary
-    parts of d(theta) ^ theta1 ^ theta2: their coefficients' ZeroVerdicts up
-    to the first nonzero one.  As in `frobenius_integrable`, the generators
-    must be independent: DependentGenerators when theta1 ^ theta2 is decided
-    zero."""
-    (a1, b1), (a2, b2) = system
-
-    def cwedge(re1, im1, re2, im2):
-        return (wedge(re1, re2) - wedge(im1, im2),
-                wedge(re1, im2) + wedge(im1, re2))
-
-    w12_re, w12_im = cwedge(a1, b1, a2, b2)
-    span = [*w12_re.comps.values(), *w12_im.comps.values()]
-    if all(zero_verdicts(span, trials=trials, seed=seed)):
-        raise DependentGenerators("the wedge of the generators vanishes "
-                                  "identically")
-    coefficients = (c for re, im in ((a1, b1), (a2, b2))
-                    for part in cwedge(exterior_derivative(re),
-                                       exterior_derivative(im), w12_re, w12_im)
-                    for c in part.comps.values())
-    return zero_verdicts(coefficients, trials=trials, seed=seed)

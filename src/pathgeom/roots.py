@@ -90,15 +90,20 @@ class RootProfile:
                 and self.complex_pairs[0][1] == 2)
 
     def describe(self):
+        """The root type, read from the multiplicities alone (each kind in
+        descending order): the positions, and so their order, depend on
+        the chart."""
         if self.zero_form:
             return "zero form"
         if self.is_D_r:
             return "D_r"
         if self.is_D_c:
             return "D_c"
-        parts = [f"real x{m}" if m > 1 else "real" for _, m in self.real_roots]
+        real = sorted((m for _, m in self.real_roots), reverse=True)
+        pairs = sorted((m for _, m in self.complex_pairs), reverse=True)
+        parts = [f"real x{m}" if m > 1 else "real" for m in real]
         parts += [f"complex pair x{m}" if m > 1 else "complex pair"
-                  for _, m in self.complex_pairs]
+                  for m in pairs]
         return ", ".join(parts) if parts else "no roots"
 
 

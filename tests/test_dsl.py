@@ -41,9 +41,22 @@ class TestParseExamples:
         assert exc.value.name == "q"
         assert exc.value.declaration == "bad"
 
+    def test_unknown_variable_at_its_first_use_in_the_declaration(self):
+        # q is a chart variable of the first declaration, unknown in the
+        # second: the position is that of its first use in the second
+        with pytest.raises(UnknownVariable) as exc:
+            parse("scalar_ode a { vars t z q; F = q; }\n"
+                  "pair_ode g { vars t u1 u2 q1 q2; F1 = 0;\n"
+                  "  F2 = u1 + q*q; }")
+        assert (exc.value.line, exc.value.column) == (3, 13)
+        assert str(exc.value) == "3:13: unknown variable 'q' in declaration 'g'"
+
     def test_duplicate_name(self):
-        with pytest.raises(DuplicateName):
+        with pytest.raises(DuplicateName) as exc:
             parse(FLAT + "\n" + FLAT)
+        assert exc.value.name == "flat"
+        assert (exc.value.line, exc.value.column) == (2, 12)
+        assert str(exc.value) == "2:12: duplicate declaration name 'flat'"
 
     def test_syntax_error_position(self):
         with pytest.raises(DslSyntaxError) as exc:
@@ -218,6 +231,7 @@ class TestOneForms:
         with pytest.raises(UnknownVariable) as exc:
             self._eta1("q*dY")
         assert exc.value.name == "q"
+        assert str(exc.value) == "1:35: unknown variable 'q' in declaration 'c'"
 
     def test_differential_is_read_only_inside_a_one_form(self):
         doc = parse("scalar_ode s { vars t z dz; F = dz*z; }")

@@ -7,12 +7,13 @@ import time
 import pytest
 
 from pathgeom.cli import main
-from pathgeom.constructions import catalog
-from pathgeom.dsl import parse
+from pathgeom.constructions import catalog, freestyle_pair
+from pathgeom.dsl import MAX_NESTING, Document, parse, parse_expression
 from pathgeom.expr import compile_tape, rational
 from pathgeom.expr.sampling import sample_points
 from pathgeom.invariants import (curvature_quartic, fels_invariants,
                                  torsion_quadric)
+from pathgeom.jets import ScalarODE
 from pathgeom.metrics import closedness_check, null_planes_integrable
 from pathgeom.pipeline import (SAMPLE_BUDGET, cmd_catalog, cmd_classify,
                                cmd_invariants, cmd_metric, cmd_verify_chains,
@@ -168,6 +169,17 @@ class TestReports:
         details = {c.name: c.details for c in rep.checks}
         assert details["uniform_quartic_type"]["quartic_type"] == "D_r"
         assert details["uniform_quartic_type"]["arithmetic"] == "mpf"
+
+    @pytest.mark.parametrize("rhs", ["t*p^3 + z", "z*p^2 + t", "p^3", "p^4"])
+    def test_freestyle_root_type_does_not_depend_on_root_order(self, rhs):
+        # the double root of the quartic falls before, between or after the
+        # simple ones from point to point; the type is the same
+        scalar = ScalarODE(parse_expression(rhs, ("t", "z", "p")))
+        doc = Document([("pair_ode", "g", freestyle_pair(scalar))])
+        rep = cmd_classify(doc, "g", seed=0)
+        check = {c.name: c for c in rep.checks}["uniform_quartic_type"]
+        assert check.verdict == "pass"
+        assert check.details["quartic_type"] == "real x2, real, real"
 
     def test_metric_identity_tolerance_names_mpf_arithmetic(self):
         doc = parse("""
@@ -363,6 +375,23 @@ class TestCli:
         assert main(["verify-chains", str(doc), "--system", "s"]) == 2
         assert (f"input error: 1:{column}: {message}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("body, column, got", [
+        ("(" * 200 + "p" + ")" * 200, 132, "'('"),
+        ("-" * 1200 + "p", 132, "'-'"),
+        ("p" + "^1" * 1200, 232, "'1'"),
+    ], ids=["parentheses", "unary-minus", "power-chain"])
+    def test_deep_nesting_exits_two(self, body, column, got, tmp_path,
+                                    capsys):
+        # the parser and the kernel recurse once per level: beyond
+        # MAX_NESTING levels the text is an input error, not a RecursionError
+        doc = tmp_path / "d.pg"
+        doc.write_text(f"scalar_ode s {{ vars t z p; F = {body}; }}\n")
+        assert main(["invariants", str(doc), "--system", "s"]) == 2
+        err = capsys.readouterr().err
+        assert (f"input error: 1:{column}: expression nested more than "
+                f"{MAX_NESTING} levels deep, got {got}") in err
+        assert "Traceback" not in err
 
     def test_constant_beyond_float_range_classifies_exactly(self, tmp_path):
         # 10^400 has no float value; a radical-free pair never needs one

@@ -55,6 +55,16 @@ class TestQuarticExamples:
     def test_zero_form(self):
         assert classify_quartic((0, 0, 0, 0, 0)).zero_form
 
+    @pytest.mark.parametrize("real, inf_mult", [
+        ([(-1, 2), (0, 1), (1, 1)], 0),
+        ([(-1, 1), (0, 2), (1, 1)], 0),
+        ([(-1, 1), (0, 1), (1, 2)], 0),
+        ([(-1, 1), (1, 1)], 2)])   # the double root at [1:0]
+    def test_type_does_not_depend_on_which_root_is_double(self, real,
+                                                          inf_mult):
+        w = expand_quartic(real, [], inf_mult=inf_mult)
+        assert classify_quartic(w).describe() == "real x2, real, real"
+
 
 class TestQuadricExamples:
     def test_two_distinct_real(self):
@@ -280,10 +290,11 @@ def _random_factored_quartic(rng):
 
 
 def _profile_key(profile):
-    """The multiplicity pattern of a profile: zero form, multiplicities, and
-    the real multiplicities in root order."""
-    return (profile.zero_form, profile.multiplicities(),
-            tuple(m for _, m in profile.real_roots))
+    """The root type of a profile: zero form, and the sorted real and
+    complex multiplicities (root positions depend on the chart)."""
+    return (profile.zero_form,
+            tuple(sorted(m for _, m in profile.real_roots)),
+            tuple(sorted(m for _, m in profile.complex_pairs)))
 
 
 # a factored quartic (or, one time in ten, the zero form) moved by an
