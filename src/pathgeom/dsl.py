@@ -26,9 +26,9 @@ A declaration is checked as it is parsed, with DslSyntaxErrors at their
 token: a chart of the wrong size at 'vars' (a coframe takes 4 variables), a
 repeated chart variable where it repeats, and a structure other than 'para'
 or 'complex' at its value.  A variable outside the chart is an
-UnknownVariable at its first token in the declaration, and a repeated
-declaration name is a DuplicateName at the repeat; both carry the line and
-column too.  A coframe parses to a CoframeMetric.
+UnknownVariable at its first token in the expression that holds it, and a
+repeated declaration name is a DuplicateName at the repeat; both carry the
+line and column too.  A coframe parses to a CoframeMetric.
 
 A coframe's eta is a one-form, parsed by the expression grammar above: for a
 chart variable x, 'd x' and 'dx' read as a differential variable (named
@@ -66,9 +66,10 @@ _DECLARATIONS = {
 KINDS = tuple(_DECLARATIONS)
 
 # deepest nesting of parentheses, unary minus signs and exponents in one
-# expression: the parser and the kernel's differentiate, substitute and
-# to_text recurse once per level, so the bound keeps them within Python's
-# recursion limit
+# expression: the parser recurses five frames per level, and the kernel's
+# differentiate, substitute and to_text once per DAG level (about two per
+# text level), so the bound keeps them within Python's recursion limit; an
+# unfolded expression at the bound runs `pg invariants` under a limit of 600
 MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"""
@@ -138,7 +139,6 @@ class _Parser:
         self.pos = 0
         self.chart = ()     # the chart of the one-form being parsed, if any
         self.depth = 0      # the nesting level of the expression being parsed
-        self.first_use = {}  # name -> its first token in the declaration
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -233,7 +233,6 @@ class _Parser:
                 inner = self.parse_expr()
                 self.expect("punct", ")")
                 return self.fold(tok, sqrt_, inner)
-            self.first_use.setdefault(tok.text, tok)
             return var(tok.text)
         if tok.text == "(":
             self.advance()
@@ -258,7 +257,6 @@ class _Parser:
             if name in seen:
                 raise DuplicateName(name, name_tok.line, name_tok.column)
             seen.add(name)
-            self.first_use = {}
             self.expect("punct", "{")
             cls, size, fields = _DECLARATIONS[kind_tok.text]
             chart = self.parse_vars(size)
@@ -292,9 +290,10 @@ class _Parser:
     def _named_expr(self, label, chart, decl_name) -> Expr:
         self.expect("ident", label)
         self.expect("punct", "=")
+        start = self.pos
         e = self.parse_expr()
         self.expect("punct", ";")
-        self.check_chart(e.free_variables, chart, decl_name)
+        self.check_chart(start, e.free_variables, chart, decl_name)
         return e
 
     def parse_coframe_body(self, chart, name) -> CoframeMetric:
@@ -330,6 +329,7 @@ class _Parser:
     def parse_oneform(self, chart, decl_name) -> DifferentialForm:
         """An expression linear in the chart's differentials; the coefficient
         of d x is the partial derivative by the differential variable."""
+        start = self.pos
         first = self.peek()
         self.chart = chart
         e = self.parse_expr()
@@ -342,7 +342,8 @@ class _Parser:
         if self.fold(first, substitute, e, dict.fromkeys(dvars, 0)) is not ZERO:
             raise DslSyntaxError("a term of the one-form has no differential",
                                  first.line, first.column)
-        self.check_chart(e.free_variables.difference(dvars), chart, decl_name)
+        self.check_chart(start, e.free_variables.difference(dvars), chart,
+                         decl_name)
         return one_form(chart, coeffs)
 
     def _differential(self, tok):
@@ -355,14 +356,21 @@ class _Parser:
             return tok.text[1:]
         return None
 
-    def check_chart(self, free, chart, decl_name):
-        """UnknownVariable at the first token of a variable outside the
-        chart, the one that comes first in the text."""
+    def check_chart(self, start, free, chart, decl_name):
+        """UnknownVariable at the first variable outside the chart among the
+        tokens from `start` to the parser's position (the expression just
+        parsed); the 'd' of a differential and the name of sqrt( are not
+        variables."""
         extra = free - set(chart)
-        if extra:
-            tok = min((self.first_use[name] for name in extra),
-                      key=lambda t: (t.line, t.column))
-            raise UnknownVariable(tok.text, decl_name, tok.line, tok.column)
+        if not extra:
+            return
+        for tok, nxt in zip(self.tokens[start:self.pos],
+                            self.tokens[start + 1:]):
+            if (tok.kind == "ident" and tok.text in extra
+                    and not (tok.text == "d" and nxt.text in chart)
+                    and not (tok.text == "sqrt" and nxt.text == "(")):
+                raise UnknownVariable(tok.text, decl_name, tok.line,
+                                      tok.column)
 
 
 def parse(text: str) -> Document:
@@ -378,7 +386,7 @@ def parse_expression(text: str, chart=None) -> Expr:
     if parser.peek().kind != "eof":
         parser.error("trailing input after expression")
     if chart is not None:
-        parser.check_chart(e.free_variables, chart, "<expression>")
+        parser.check_chart(0, e.free_variables, chart, "<expression>")
     return e
 
 

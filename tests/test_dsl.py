@@ -51,6 +51,26 @@ class TestParseExamples:
         assert (exc.value.line, exc.value.column) == (3, 13)
         assert str(exc.value) == "3:13: unknown variable 'q' in declaration 'g'"
 
+    def test_unknown_variable_at_its_use_in_the_failing_field(self):
+        # r folds away in F1, which is accepted; the error is where F2
+        # uses it
+        for f1 in ("0*r", "r - r"):
+            with pytest.raises(UnknownVariable) as exc:
+                parse("pair_ode g { vars t u1 u2 q1 q2; "
+                      f"F1 = {f1};\n  F2 = q1 + r; }}")
+            assert (exc.value.line, exc.value.column) == (2, 13)
+
+    def test_unknown_variable_d_or_sqrt_skips_their_other_use(self):
+        # 'd Y' is a differential and 'sqrt(' the function: the unknown
+        # variable is the later bare 'd' or 'sqrt'
+        with pytest.raises(UnknownVariable) as exc:
+            parse("coframe c { vars y p Y P; eta 1 = d Y + d*dY; "
+                  "eta 2 = dp; eta 3 = dy; eta 4 = dP; }")
+        assert (exc.value.name, exc.value.column) == ("d", 41)
+        with pytest.raises(UnknownVariable) as exc:
+            parse("scalar_ode s { vars t z p; F = sqrt(p) + sqrt; }")
+        assert (exc.value.name, exc.value.column) == ("sqrt", 42)
+
     def test_duplicate_name(self):
         with pytest.raises(DuplicateName) as exc:
             parse(FLAT + "\n" + FLAT)

@@ -9,6 +9,7 @@ import pytest
 from pathgeom.cli import main
 from pathgeom.constructions import catalog, freestyle_pair
 from pathgeom.dsl import MAX_NESTING, Document, parse, parse_expression
+from pathgeom.errors import DslSyntaxError
 from pathgeom.expr import compile_tape, rational
 from pathgeom.expr.sampling import sample_points
 from pathgeom.invariants import (curvature_quartic, fels_invariants,
@@ -392,6 +393,26 @@ class TestCli:
         assert (f"input error: 1:{column}: expression nested more than "
                 f"{MAX_NESTING} levels deep, got {got}") in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, decl", [
+        ("invariants", "scalar_ode s {{ vars t z p; F = {}; }}"),
+        ("invariants", "pair_ode s {{ vars t u1 u2 q1 q2; F1 = {}; F2 = 0; }}"),
+        ("classify", "pair_ode s {{ vars t u1 u2 q1 q2; F1 = {}; F2 = 0; }}"),
+    ], ids=["scalar-invariants", "pair-invariants", "pair-classify"])
+    def test_nesting_at_the_bound_runs_through_the_kernel(self, command, decl,
+                                                          tmp_path, capsys):
+        # MAX_NESTING levels that do not fold: a DAG about twice as deep,
+        # which the derivatives, the tape and the printer all walk
+        x, y = ("p", "z") if decl.startswith("scalar") else ("q1", "u1")
+        body = x
+        for _ in range(MAX_NESTING - 1):
+            body = f"({body}*{y}+t)"
+        doc = tmp_path / "deep.pg"
+        doc.write_text(decl.format(body) + "\n")
+        assert main([command, str(doc), "--system", "s"]) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        with pytest.raises(DslSyntaxError, match="nested more than"):
+            parse(decl.format(f"({body})"))
 
     def test_constant_beyond_float_range_classifies_exactly(self, tmp_path):
         # 10^400 has no float value; a radical-free pair never needs one
