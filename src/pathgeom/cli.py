@@ -9,7 +9,8 @@
     pg metric [file.pg] --system NAME [--samples N] [--trials N]
     pg catalog [NAME]
 
-Each command but catalog takes --seed S, each takes --json PATH, and none
+Each command but catalog takes --seed S, each takes --json PATH ('--json -'
+prints the JSON report to stdout in place of the text report), and none
 takes an option it does not read; --samples must be at least 1.  The file
 argument may be omitted (or '-' for stdin) when the system name is a catalog
 entry.  PHI names a catalog solution function (flat_dancing_phi,
@@ -50,7 +51,8 @@ def _add_common(p, *reads):
                        help=f"trials per identity test (default {DEFAULT_IDENTITY_TRIALS})")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--json", dest="json_path", default=None,
-                   help="write the machine-readable report to this path")
+                   help="write the machine-readable report to this path "
+                        "('-': to stdout, in place of the text report)")
 
 
 @functools.cache
@@ -155,10 +157,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    sys.stdout.write(report.render_text())
-    if getattr(args, "json_path", None):
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+    if args.json_path == "-":
+        sys.stdout.write(report.to_json())
+    else:
+        sys.stdout.write(report.render_text())
+        if args.json_path:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
     return 0 if report.passed else 1
 
 

@@ -11,7 +11,9 @@
                  eta 3 = 2*dy/3; eta 4 = (Y-p)^2*d p; }
 
 Numeric literals are exact rationals (integers, fractions 3/4, and decimal
-literals converted exactly); sqrt(e) is sugar for e^(1/2); '#' starts a line
+literals converted exactly); a literal beyond Python's limit on the digits
+of an int conversion (4,300 by default) is a DslSyntaxError at its token;
+sqrt(e) is sugar for e^(1/2); '#' starts a line
 comment; no implicit multiplication.  Operator precedence: ^ binds tighter
 than unary minus, then * and /, then + and -; ^ is right-associative and its
 exponent must fold to an exact rational below 2^31 in absolute value (the
@@ -43,8 +45,8 @@ each kind's class, chart size and labelled fields, for both `parse` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (DivisionByZero, DomainError, DslSyntaxError,
                      DuplicateName, UnknownVariable)
@@ -66,10 +68,8 @@ _DECLARATIONS = {
 KINDS = tuple(_DECLARATIONS)
 
 # deepest nesting of parentheses, unary minus signs and exponents in one
-# expression: the parser recurses five frames per level, and the kernel's
-# differentiate, substitute and to_text once per DAG level (about two per
-# text level), so the bound keeps them within Python's recursion limit; an
-# unfolded expression at the bound runs `pg invariants` under a limit of 600
+# expression: the parser recurses five frames per level, so the bound keeps
+# it within Python's recursion limit (the kernel's walks use explicit stacks)
 MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"""
@@ -78,11 +78,11 @@ _TOKEN_RE = re.compile(r"""
   | (?P<number>\d+\.\d+|\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[{};=()^*/+\-])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str       # 'number' | 'ident' | 'punct' | 'eof'
     text: str
     line: int
@@ -90,25 +90,24 @@ class Token:
 
 
 def _lex(text: str):
+    """The tokens of `text`, found by one scan of the token pattern; a
+    column counts from the start of its line."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "ws":
+            newlines = m.group().count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + m.group().rfind("\n") + 1
+        elif kind == "bad":
+            raise DslSyntaxError(f"unexpected character {m.group()!r}", line,
+                                 m.start() - line_start + 1)
+        elif kind != "comment":
+            tokens.append(Token(kind, m.group(), line,
+                                m.start() - line_start + 1))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -159,6 +158,16 @@ class _Parser:
         if tok.kind != kind or (text is not None and tok.text != text):
             self.error(f"expected {text or kind}", expected={text or kind})
         return self.advance()
+
+    def literal(self, tok):
+        """The exact value of a number token: an int, or a Fraction for a
+        decimal; a literal beyond Python's limit on the digits of an int
+        conversion is reported at the token."""
+        try:
+            return int(tok.text) if "." not in tok.text else Fraction(tok.text)
+        except ValueError:
+            raise DslSyntaxError(f"number literal too long ({len(tok.text)} "
+                                 "characters)", tok.line, tok.column) from None
 
     def fold(self, tok, build, *args) -> Expr:
         """build(*args), with a constant that folds to no value or to an
@@ -221,7 +230,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return num(Fraction(tok.text))
+            return num(self.literal(tok))
         if tok.kind == "ident":
             self.advance()
             if self.chart:
@@ -314,7 +323,7 @@ class _Parser:
                 continue
             self.advance()
             index_tok = self.expect("number")
-            index = int(index_tok.text)
+            index = self.literal(index_tok)
             if index in etas:
                 self.error(f"eta {index} declared twice")
             self.expect("punct", "=")

@@ -7,7 +7,8 @@ tree size.
 
 from __future__ import annotations
 
-from .nodes import Add, Expr, Mul, Pow, Var, ZERO, ONE, add, mul, num, pow_, var
+from .nodes import (Add, Expr, Mul, Pow, Var, ZERO, ONE, add, mul, num,
+                    postorder, pow_, var)
 
 
 def differentiate(e: Expr, v) -> Expr:
@@ -23,33 +24,46 @@ def differentiate(e: Expr, v) -> Expr:
 
 
 def _diff(e: Expr, name: str) -> Expr:
-    if name not in e._free:
-        return ZERO
-    cache = e._dcache
-    if cache is not None:
-        hit = cache.get(name)
-        if hit is not None:
-            return hit
+    """The derivative by `name`, cached in each node's `_dcache`: one walk
+    (`postorder`) finds the nodes that hold the variable and have no cached
+    derivative, and each is differentiated after its children, so the depth
+    of the DAG is not bounded by recursion."""
+
+    def pending(node):
+        return name in node._free and (node._dcache is None
+                                       or name not in node._dcache)
+
+    if pending(e):
+        for node in postorder((e,), pending):
+            if node._dcache is None:
+                node._dcache = {}
+            node._dcache[name] = _rule(node, name)
+    return _known(e, name)
+
+
+def _known(e: Expr, name: str) -> Expr:
+    """The derivative of a node that is cached or holds no `name`."""
+    return e._dcache[name] if name in e._free else ZERO
+
+
+def _rule(e: Expr, name: str) -> Expr:
+    """The derivative of e from its children's derivatives."""
     if isinstance(e, Var):
-        out = ONE
-    elif isinstance(e, Add):
-        out = add(*[_diff(a, name) for a in e.args])
-    elif isinstance(e, Mul):
+        return ONE
+    if isinstance(e, Add):
+        return add(*[_known(a, name) for a in e.args])
+    if isinstance(e, Mul):
         terms = []
         for i, a in enumerate(e.args):
             if name not in a._free:
                 continue
             rest = e.args[:i] + e.args[i + 1:]
-            terms.append(mul(_diff(a, name), *rest))
-        out = add(*terms)
-    elif isinstance(e, Pow):
-        out = mul(num(e.exponent), pow_(e.base, e.exponent - 1), _diff(e.base, name))
-    else:
-        raise TypeError(f"cannot differentiate {e!r}")
-    if e._dcache is None:
-        e._dcache = {}
-    e._dcache[name] = out
-    return out
+            terms.append(mul(a._dcache[name], *rest))
+        return add(*terms)
+    if isinstance(e, Pow):
+        return mul(num(e.exponent), pow_(e.base, e.exponent - 1),
+                   e.base._dcache[name])
+    raise TypeError(f"cannot differentiate {e!r}")
 
 
 def substitute(e: Expr, bindings) -> Expr:
@@ -57,37 +71,35 @@ def substitute(e: Expr, bindings) -> Expr:
 
     Keys are variable names (or Var nodes); values are expressions or exact
     rationals.  Rebuilding goes through the constructors, so the usual shallow
-    simplification applies to the result.
+    simplification applies to the result.  One walk (`postorder`) finds the
+    nodes that hold a bound variable, and each is rebuilt after its
+    children.
     """
     table = {}
     for k, val in bindings.items():
         k = k.name if isinstance(k, Var) else k
         table[k] = val if isinstance(val, Expr) else num(val)
-    if not table:
-        return e
     names = frozenset(table)
-    memo: dict = {}
 
-    def walk(node: Expr) -> Expr:
-        if not (node._free & names):
-            return node
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
+    def bound(node):
+        return node._free & names
+
+    if not bound(e):
+        return e
+    image: dict = {}    # node -> its rebuilt node (nodes hash by identity)
+    for node in postorder((e,), bound):
         if isinstance(node, Var):
             out = table.get(node.name, node)
         elif isinstance(node, Add):
-            out = add(*[walk(a) for a in node.args])
+            out = add(*[image.get(a, a) for a in node.args])
         elif isinstance(node, Mul):
-            out = mul(*[walk(a) for a in node.args])
+            out = mul(*[image.get(a, a) for a in node.args])
         elif isinstance(node, Pow):
-            out = pow_(walk(node.base), node.exponent)
+            out = pow_(image.get(node.base, node.base), node.exponent)
         else:
             raise TypeError(f"cannot substitute into {node!r}")
-        memo[id(node)] = out
-        return out
-
-    return walk(e)
+        image[node] = out
+    return image[e]
 
 
 def rename_variables(e: Expr, mapping) -> Expr:

@@ -11,8 +11,10 @@ node that nothing else holds is dropped, its entry removed atomically
 (`_remove_dead_weakref`) so that a key re-interned meanwhile keeps its node.
 
 A constant's value and a power's exponent are held as `int` when integral
-and as `Fraction` otherwise (`_canon`), so the common integral case hashes
-and compares at C speed; both forms of one rational are the same key.
+and as `Fraction` otherwise (`_canon`); a key holds the int, or a
+Fraction's numerator and denominator, so every key hashes and compares at C
+speed, and both forms of one rational are the same key.  Each node type has
+one module-level builder, which `_intern` calls only on a miss.
 
 Simplification is deliberately shallow -- constant folding, flattening,
 like-term collection, and power-law merging -- because semantic equality
@@ -31,6 +33,7 @@ from .rational import Rat, as_rat, rat_pow_exact, real_branch_sign
 # structural key -> weakref.KeyedRef to the node
 _TABLE: dict = {}
 _LOCK = threading.Lock()
+_NO_NAMES = frozenset()
 
 
 class Expr:
@@ -127,7 +130,8 @@ def _forget(ref, _remove=_remove_dead_weakref, _table=_TABLE):
     _remove(_table, ref.key)
 
 
-def _intern(key, build):
+def _intern(key, build, *args):
+    """The node under `key`, made by build(*args) when there is none."""
     ref = _TABLE.get(key)
     if ref is not None:
         node = ref()
@@ -137,42 +141,75 @@ def _intern(key, build):
         ref = _TABLE.get(key)
         node = None if ref is None else ref()
         if node is None:
-            node = build()
+            node = build(*args)
             node._dcache = None
             _TABLE[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
 
+def _build_num(q):
+    node = Num.__new__(Num)
+    node.value = q
+    node._free = _NO_NAMES
+    node._radical = False
+    node._degree = 0
+    return node
+
+
+def _build_var(name):
+    node = Var.__new__(Var)
+    node.name = name
+    node._free = frozenset((name,))
+    node._radical = False
+    node._degree = 1
+    return node
+
+
+def _build_add(args):
+    node = Add.__new__(Add)
+    node.args = args
+    node._free = _NO_NAMES.union(*(a._free for a in args))
+    node._radical = any(a._radical for a in args)
+    degs = [a._degree for a in args]
+    node._degree = None if None in degs else max(degs)
+    return node
+
+
+def _build_mul(args):
+    node = Mul.__new__(Mul)
+    node.args = args
+    node._free = _NO_NAMES.union(*(a._free for a in args))
+    node._radical = any(a._radical for a in args)
+    node._degree = _degree_sum(args)
+    return node
+
+
+def _build_pow(base, exponent):
+    node = Pow.__new__(Pow)
+    node.base = base
+    node.exponent = exponent
+    node._free = base._free
+    integral = type(exponent) is int
+    node._radical = base._radical or not integral
+    if base._degree is None or not integral:
+        node._degree = None
+    else:
+        node._degree = base._degree * abs(exponent)
+    return node
+
+
 def num(value) -> Expr:
     """Exact rational constant (int, Fraction or exact decimal string)."""
     q = _canon(value)
-    key = ("n", q)
-
-    def build():
-        node = Num.__new__(Num)
-        node.value = q
-        node._free = frozenset()
-        node._radical = False
-        node._degree = 0
-        return node
-
-    return _intern(key, build)
+    # a Fraction is keyed by its ints: Fraction.__hash__ runs in Python
+    key = ("n", q) if type(q) is int else ("n", q.numerator, q.denominator)
+    return _intern(key, _build_num, q)
 
 
 def var(name: str) -> Expr:
     if not name or not isinstance(name, str):
         raise ValueError(f"bad variable name {name!r}")
-    key = ("v", name)
-
-    def build():
-        node = Var.__new__(Var)
-        node.name = name
-        node._free = frozenset((name,))
-        node._radical = False
-        node._degree = 1
-        return node
-
-    return _intern(key, build)
+    return _intern(("v", name), _build_var, name)
 
 
 def variables(names) -> tuple:
@@ -205,58 +242,23 @@ def _split_coefficient(term):
 
 
 def _raw_add(args):
-    key = ("a", args)
-
-    def build():
-        node = Add.__new__(Add)
-        node.args = args
-        node._free = frozenset().union(*(a._free for a in args))
-        node._radical = any(a._radical for a in args)
-        degs = [a._degree for a in args]
-        node._degree = None if any(d is None for d in degs) else max(degs)
-        return node
-
-    return _intern(key, build)
+    return _intern(("a", args), _build_add, args)
 
 
 def _raw_mul(args):
-    key = ("m", args)
-
-    def build():
-        node = Mul.__new__(Mul)
-        node.args = args
-        node._free = frozenset().union(*(a._free for a in args))
-        node._radical = any(a._radical for a in args)
-        node._degree = _degree_sum(args)
-        return node
-
-    return _intern(key, build)
+    return _intern(("m", args), _build_mul, args)
 
 
 def _raw_pow(base, exponent):
-    key = ("p", base, exponent)
-
-    def build():
-        node = Pow.__new__(Pow)
-        node.base = base
-        node.exponent = exponent
-        node._free = base._free
-        integral = type(exponent) is int
-        node._radical = base._radical or not integral
-        if base._degree is None or not integral:
-            node._degree = None
-        else:
-            node._degree = base._degree * abs(exponent)
-        return node
-
-    return _intern(key, build)
+    key = (("p", base, exponent) if type(exponent) is int
+           else ("p", base, exponent.numerator, exponent.denominator))
+    return _intern(key, _build_pow, base, exponent)
 
 
 def add(*terms) -> Expr:
     """Flattening sum; folds constants and collects like terms."""
     const = 0
-    coeffs: dict = {}
-    order: list = []
+    coeffs: dict = {}   # core -> coefficient, in order of first appearance
     stack = [_coerce(t) for t in reversed(terms)]
     while stack:
         t = stack.pop()
@@ -266,17 +268,18 @@ def add(*terms) -> Expr:
             const += t.value
         else:
             c, core = _split_coefficient(t)
-            if core in coeffs:
-                coeffs[core] += c
-            else:
-                coeffs[core] = c
-                order.append(core)
+            coeffs[core] = coeffs.get(core, 0) + c
     out = []
-    for core in order:
-        c = coeffs[core]
+    for core, c in coeffs.items():
         if c == 0:
             continue
-        out.append(core if c == 1 else mul(num(c), core))
+        if c == 1:
+            out.append(core)
+        else:
+            # core is a canonical non-constant term, so c*core is already
+            # the product `mul(num(c), core)` would build
+            out.append(_raw_mul((num(c),) + core.args if isinstance(core, Mul)
+                                else (num(c), core)))
     if const != 0:
         out.append(num(const))
     if not out:
@@ -289,8 +292,7 @@ def add(*terms) -> Expr:
 def mul(*factors) -> Expr:
     """Flattening product; folds constants and merges powers of equal bases."""
     coeff = None
-    exps: dict = {}
-    order: list = []
+    exps: dict = {}     # base -> exponent, in order of first appearance
     stack = [_coerce(f) for f in reversed(factors)]
     while stack:
         f = stack.pop()
@@ -303,19 +305,14 @@ def mul(*factors) -> Expr:
                 base, e = f.base, f.exponent
             else:
                 base, e = f, 1
-            if base in exps:
-                exps[base] += e
-            else:
-                exps[base] = e
-                order.append(base)
+            exps[base] = exps.get(base, 0) + e
     if coeff is None:
         coeff = 1
     elif coeff == 0:
         return ZERO
     out = []
     reflatten = False
-    for base in order:
-        e = exps[base]
+    for base, e in exps.items():
         if e == 0:
             continue
         piece = base if e == 1 else pow_(base, e)
@@ -397,24 +394,40 @@ def sqrt_(e) -> Expr:
     return pow_(e, Rat(1, 2))
 
 
-def postorder(roots) -> list:
+def _children(node):
+    if isinstance(node, (Add, Mul)):
+        return node.args
+    if isinstance(node, Pow):
+        return (node.base,)
+    return ()
+
+
+def postorder(roots, follow=None) -> list:
     """The distinct nodes of the DAGs under `roots`, each after its
-    children (a topological order), found by one iterative walk."""
+    children (a topological order), found by one iterative depth-first walk
+    that enters children left to right, as a recursive walk would.  With
+    `follow`, the walk enters only the children for which follow(child) is
+    true."""
     order, seen = [], set()
-    stack = [(root, False) for root in reversed(roots)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in seen:
+    for root in roots:
+        if id(root) in seen:
             continue
-        if expanded:
-            seen.add(id(node))
-            order.append(node)
-            continue
-        stack.append((node, True))
-        if isinstance(node, (Add, Mul)):
-            stack.extend((a, False) for a in node.args)
-        elif isinstance(node, Pow):
-            stack.append((node.base, False))
+        seen.add(id(root))
+        stack = [(root, iter(_children(root)))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                if id(child) in seen or not (follow is None or follow(child)):
+                    continue
+                seen.add(id(child))
+                grandchildren = _children(child)
+                if grandchildren:
+                    stack.append((child, iter(grandchildren)))
+                    break
+                order.append(child)     # a leaf is done at once
+            else:
+                stack.pop()
+                order.append(node)
     return order
 
 
@@ -435,53 +448,57 @@ def _rat_text(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _wrap(text, prec, context):
+def _slot(texts, node, context):
+    """A node's text, parenthesised in a slot of precedence `context`."""
+    text, prec = texts[node]
     return f"({text})" if prec < context else text
 
 
-def _pow_text(base, e, context):
-    btext = _text(base, _PREC_ATOM)
+def _pow_text(texts, base, e) -> str:
     etext = _rat_text(e) if (type(e) is int and e > 0) else f"({_rat_text(e)})"
-    return _wrap(f"{btext}^{etext}", _PREC_POW, context)
+    return f"{_slot(texts, base, _PREC_ATOM)}^{etext}"
 
 
-def _factor_text(f, context):
+def _factor_text(texts, f) -> str:
+    """A factor of a product or a denominator; a power prints as b^e."""
     if isinstance(f, Pow):
-        return _pow_text(f.base, f.exponent, context)
-    return _text(f, context)
+        return _pow_text(texts, f.base, f.exponent)
+    return _slot(texts, f, _PREC_POW)
 
 
-def _text(e, context=0) -> str:
+def _denominator_text(texts, f) -> str:
+    """The denominator b^k of a negative power f = b^-k (b when k = 1)."""
+    inv = -f.exponent
+    if inv == 1:
+        return _factor_text(texts, f.base)
+    return _pow_text(texts, f.base, inv)
+
+
+def _node_text(e, texts):
+    """(text, precedence) of a node, from the texts of its descendants."""
     if isinstance(e, Num):
         q = e.value
         text = _rat_text(q)
         if q < 0:
-            return _wrap(text, _PREC_NEG, context)
+            return text, _PREC_NEG
         if q.denominator != 1:
-            return _wrap(text, _PREC_MUL, context)
-        return text
+            return text, _PREC_MUL
+        return text, _PREC_ATOM
     if isinstance(e, Var):
-        return e.name
+        return e.name, _PREC_ATOM
     if isinstance(e, Pow):
         if e.exponent < 0:
-            den = _factor_text(_raw_pow(e.base, -e.exponent) if -e.exponent != 1 else e.base,
-                               _PREC_POW)
-            return _wrap(f"1/{den}", _PREC_MUL, context)
-        return _pow_text(e.base, e.exponent, context)
+            return f"1/{_denominator_text(texts, e)}", _PREC_MUL
+        return _pow_text(texts, e.base, e.exponent), _PREC_POW
     if isinstance(e, Mul):
         # factors keep their stored order so printing reparses to this node
         coeff = 1
         args = e.args
         if isinstance(args[0], Num):
             coeff, args = args[0].value, args[1:]
-        parts = []
-        for f in args:
-            if isinstance(f, Pow) and f.exponent < 0:
-                inv = -f.exponent
-                base = f.base if inv == 1 else _raw_pow(f.base, inv)
-                parts.append(("/", _factor_text(base, _PREC_POW)))
-            else:
-                parts.append(("*", _factor_text(f, _PREC_POW)))
+        parts = [("/", _denominator_text(texts, f))
+                 if isinstance(f, Pow) and f.exponent < 0
+                 else ("*", _factor_text(texts, f)) for f in args]
         sign = ""
         if coeff < 0:
             sign, coeff = "-", -coeff
@@ -494,21 +511,26 @@ def _text(e, context=0) -> str:
         for op, sub_text in parts:
             text += op + sub_text
         if sign:
-            return _wrap(sign + text, _PREC_NEG, context)
-        return _wrap(text, _PREC_MUL, context)
+            return sign + text, _PREC_NEG
+        return text, _PREC_MUL
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(e.args):
-            ttext = _text(t, _PREC_ADD)
+            ttext = _slot(texts, t, _PREC_ADD)
             if i == 0:
                 parts.append(ttext)
             elif ttext.startswith("-"):
                 parts.append(f" - {ttext[1:]}")
             else:
                 parts.append(f" + {ttext}")
-        return _wrap("".join(parts), _PREC_ADD, context)
+        return "".join(parts), _PREC_ADD
     raise TypeError(f"not an Expr: {e!r}")
 
 
 def to_text(e: Expr) -> str:
-    return _text(e, 0)
+    """The text of e: each node's text is built once, after its children's
+    (`postorder`), so the depth of the DAG is not bounded by recursion."""
+    texts = {}
+    for node in postorder((e,)):
+        texts[node] = _node_text(node, texts)
+    return texts[e][0]

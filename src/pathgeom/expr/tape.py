@@ -301,9 +301,9 @@ class Tape:
 
     def eval_mpf(self, point, with_scale=False):
         """The value at MPF_PREC bits, or the list of values of a sequence
-        tape.  With `with_scale`, returns (value, scale): scale is the
+        tape.  With `with_scale`, returns (value, scale): scale() is the
         largest |value| of any node of the tape, used for relative-tolerance
-        zero decisions."""
+        zero decisions and computed only when called."""
         import mpmath
 
         with mpmath.workprec(MPF_PREC):
@@ -314,8 +314,12 @@ class Tape:
                                mpf(1), _pow_int, _pow_frac)
             if not with_scale:
                 return self._result(values)
-            return (self._result(values),
-                    max((abs(v) for v in values), default=mpf(0)))
+
+        def scale():
+            with mpmath.workprec(MPF_PREC):
+                return max((abs(v) for v in values), default=mpf(0))
+
+        return self._result(values), scale
 
 
 def _to_mpf(q):

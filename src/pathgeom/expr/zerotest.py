@@ -131,8 +131,11 @@ def _run(exprs, names, trials, seed, ranges, every):
                 try:
                     if mpf:
                         (value,), scale = tape.eval_mpf(point, with_scale=True)
-                        values = [value if abs(value) > MPF_REL_TOL
-                                  * max(1, scale) else 0]
+                        # the threshold is at least MPF_REL_TOL, so a value
+                        # below it is zero without the scale
+                        size = abs(value)
+                        values = [value if size > MPF_REL_TOL and size
+                                  > MPF_REL_TOL * max(1, scale()) else 0]
                     else:
                         values = tape.eval_exact(point)
                 except (DivisionByZero, DomainError):

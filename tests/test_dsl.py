@@ -101,6 +101,15 @@ class TestParseExamples:
         assert (exc.value.line, exc.value.column) == (1, column)
         assert str(exc.value) == f"1:{column}: {message}"
 
+    @pytest.mark.parametrize("literal", ["7" * 5000, "1." + "5" * 5000],
+                             ids=["integer", "decimal"])
+    def test_oversized_literal_is_reported_at_its_token(self, literal):
+        # beyond Python's limit on the digits of an int conversion
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(f"scalar_ode a {{ vars t z p;\n  F = p + {literal}; }}")
+        assert (exc.value.line, exc.value.column) == (2, 11)
+        assert "number literal too long" in str(exc.value)
+
     def test_cr_graph(self):
         doc = parse("cr_graph g { vars x y p; F = (x^2+y^2)/4; }")
         assert isinstance(doc.get("g"), CRGraph)
@@ -128,6 +137,8 @@ class TestPrecedence:
     def test_decimal_literals_exact(self):
         assert parse_expression("0.25") is num(as_rat("1/4"))
         assert parse_expression("1.5*p") is (num(as_rat("3/2")) * var("p"))
+        assert parse_expression("3.0") is parse_expression("3") is num(3)
+        assert type(parse_expression("12").value) is int
 
     def test_fraction_literal(self):
         assert parse_expression("3/4") is num(as_rat("3/4"))

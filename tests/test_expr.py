@@ -17,7 +17,7 @@ from pathgeom.expr import (add, as_rat, compile_tape, differentiate, div,
                            evaluate, exprs_equal, is_zero_probabilistic, mul,
                            neg, node_count, num, pow_, sqrt_, sub, substitute,
                            to_text, var, variables)
-from pathgeom.expr.nodes import Add, Mul, Num, Var
+from pathgeom.expr.nodes import Add, Mul, Num, Var, postorder
 from pathgeom.expr import nodes, rational
 from pathgeom.expr.rational import rat_pow_exact
 from pathgeom.expr.tape import MODULUS, residue
@@ -64,6 +64,113 @@ class TestConstruction:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             p + 0.5
+
+
+def _combine(op, a, b):
+    """A random DAG's inner node; a constant that folds to no value keeps a."""
+    try:
+        return op(a, b)
+    except (DivisionByZero, DomainError):
+        return a
+
+
+_EXPONENTS = [2, 3, -1, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3)]
+_DAG_LEAVES = (st.sampled_from([t, z, p, q])
+               | st.integers(-4, 4).map(num)
+               | st.fractions(-3, 3, max_denominator=4).map(num))
+# sums, products, quotients and rational powers (radicals, negative powers
+# and constants under radicals among them) of smaller random DAGs
+_DAGS = st.recursive(_DAG_LEAVES, lambda kids: st.one_of(
+    st.tuples(kids, kids).map(lambda ab: _combine(add, *ab)),
+    st.tuples(kids, kids).map(lambda ab: _combine(mul, *ab)),
+    st.tuples(kids, kids).map(lambda ab: _combine(sub, *ab)),
+    st.tuples(kids, kids).map(lambda ab: _combine(div, *ab)),
+    st.tuples(kids, st.sampled_from(_EXPONENTS)).map(
+        lambda be: _combine(pow_, *be))), max_leaves=16)
+
+
+class TestCanonicalNodes:
+    """`add` builds a collected term c*core directly from its canonical
+    core; that shortcut holds only while every product and sum is a fixed
+    point of its constructor."""
+
+    @given(_DAGS)
+    @settings(max_examples=300, deadline=None)
+    def test_products_and_sums_are_fixed_points(self, e):
+        for node in postorder((e, differentiate(e, "p"))):
+            if isinstance(node, Mul):
+                assert mul(*node.args) is node
+            elif isinstance(node, Add):
+                assert add(*node.args) is node
+
+    @pytest.mark.parametrize("terms, coefficient, core", [
+        ((x * y, 2 * x * y), 3, x * y),
+        ((sqrt_(p) * q, sqrt_(p) * q), 2, sqrt_(p) * q),
+        ((sqrt_(num(2)), sqrt_(num(2))), 2, sqrt_(num(2))),
+        ((pow_(num(2), Fraction(1, 3)) * x, -pow_(num(2), Fraction(1, 3)) * x
+          / 3), Fraction(2, 3), pow_(num(2), Fraction(1, 3)) * x),
+        ((div(num(1), p ** 2), div(num(1), p ** 2)), 2, pow_(p, -2)),
+        ((div(x, y), div(3 * x, 2 * y)), Fraction(5, 2), div(x, y)),
+        ((x / (y - 3) ** 2, -3 * x / (y - 3) ** 2), -2, x / (y - 3) ** 2),
+        ((p ** 2, p ** 2, p ** 2), 3, p ** 2),
+    ])
+    def test_collected_coefficient_is_the_product_mul_builds(
+            self, terms, coefficient, core):
+        assert add(*terms) is mul(num(coefficient), core)
+
+    @given(_DAGS, st.fractions(-3, 3, max_denominator=4))
+    @example(-(t + z), Fraction(-2))
+    @example(x * y, Fraction(-1))
+    @settings(max_examples=200, deadline=None)
+    def test_collected_coefficient_property(self, e, k):
+        assume(not isinstance(e, (Add, Num)))
+        c, core = nodes._split_coefficient(e)
+        # k*e is the bare sum `core` when k*c = 1, and a sum is flattened
+        assume(k * c != 1 or not isinstance(core, Add))
+        total = c * (1 + k)
+        want = (num(0) if total == 0 else core if total == 1
+                else mul(num(total), core))
+        assert add(e, mul(num(k), e)) is want
+
+
+class TestDeepDag:
+    """The kernel's walks use explicit stacks: a DAG far deeper than
+    Python's recursion limit differentiates, substitutes and prints."""
+
+    DEPTH = 1000
+
+    @staticmethod
+    def _deep(depth):
+        """e_(k+1) = z*(e_k + 1) or p*e_k + z alternately from e_0 = z, with
+        its text, and its value and z-derivative at z = 2, p = -1."""
+        e, text, value, slope = z, "z", 2, 1
+        for k in range(depth):
+            if k % 2 == 0:
+                e = mul(z, add(e, 1))
+                text = f"z*({text} + 1)"
+                value, slope = 2 * (value + 1), value + 1 + 2 * slope
+            else:
+                e = add(mul(p, e), z)
+                text = f"p*{text} + z"
+                value, slope = -value + 2, -slope + 1
+        return e, text, value, slope
+
+    def test_deeper_than_the_recursion_limit(self):
+        assert self.DEPTH >= sys.getrecursionlimit()
+        e, text, value, slope = self._deep(self.DEPTH)
+        assert to_text(e) == text
+        point = {"z": 2, "p": -1}
+        assert substitute(e, point) is num(value)
+        d = differentiate(e, "z")
+        assert substitute(d, point) is num(slope)
+        assert evaluate(d, point, "exact") == slope
+        assert differentiate(e, "z") is d   # cached on the nodes
+
+    def test_shallow_text_reparses(self):
+        from pathgeom.dsl import parse_expression
+        e, text, _, _ = self._deep(40)
+        assert to_text(e) == text
+        assert parse_expression(text) is e
 
 
 class TestRepresentation:
@@ -511,7 +618,7 @@ class TestSequenceTape:
                 got = [t.eval_mpf(point, with_scale=True) for t in singles]
                 assert values == [v for v, _ in got]
                 # the scale runs over every node, so over all the outputs'
-                assert scale == max(s for _, s in got)
+                assert scale() == max(s() for _, s in got)
                 compared += 1
         assert compared >= 5
 

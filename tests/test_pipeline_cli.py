@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -454,6 +455,25 @@ class TestCli:
         assert payload["command"] == "classify flat_chain_pair"
         assert all(set(c) >= {"name", "verdict", "tolerance", "witnesses"}
                    for c in payload["checks"])
+
+    @pytest.mark.parametrize("argv", [
+        ("catalog",),
+        ("classify", "--system", "flat_chain_pair", "--samples", "4"),
+        ("invariants", "-", "--system", "flat")])
+    def test_json_dash_prints_the_report_and_writes_no_file(
+            self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        doc = "scalar_ode flat { vars t z p; F = 0; }\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        assert main([*argv, "--json", "r.json"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        assert main([*argv, "--json", "-"]) == 0
+        printed = capsys.readouterr().out
+        # the JSON report in place of the text report, byte for byte
+        assert printed == (tmp_path / "r.json").read_text()
+        assert json.loads(printed)["checks"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["r.json"]
 
     def test_cross_process_determinism(self, tmp_path):
         doc = tmp_path / "d.pg"

@@ -122,7 +122,7 @@ def _fraction_reference(e, trials=DEFAULT_TRIALS, seed=0, bound=DEFAULT_BOUND,
             try:
                 if e.has_radical:
                     value, scale = tape.eval_mpf(point, with_scale=True)
-                    if abs(value) <= MPF_REL_TOL * max(1, scale):
+                    if abs(value) <= MPF_REL_TOL * max(1, scale()):
                         value = 0
                 else:
                     value = tape.eval_exact(point)
