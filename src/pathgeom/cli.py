@@ -15,8 +15,8 @@ takes an option it does not read; --samples must be at least 1.  The file
 argument may be omitted (or '-' for stdin) when the system name is a catalog
 entry.  PHI names a catalog solution function (flat_dancing_phi,
 sqrt_dancing_phi); a .pg document declares none.  Exit status is 0 when all
-checks pass, 1 on any failed check, 2 on input errors, 3 on a numerical
-abort.
+checks pass, 1 on any failed check, 2 on input errors (an unwritable --json
+PATH among them), 3 on a numerical abort.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .dsl import parse
 from .errors import (DslError, IllConditioned, NewtonDiverged, PathgeomError,
                      SamplingExhausted, SeedNotFound, StepUnderflow,
                      UnknownName)
+from .expr.zerotest import MAX_TRIALS, TARGET_BITS
 from .pipeline import (DEFAULT_CURVE_SAMPLES, DEFAULT_IDENTITY_TRIALS,
                        DEFAULT_SAMPLES, cmd_catalog, cmd_classify,
                        cmd_invariants, cmd_metric, cmd_verify_chains,
@@ -48,7 +49,9 @@ def _add_common(p, *reads):
                        help=f"points sampled, at least 1 (default {DEFAULT_SAMPLES})")
     if "trials" in reads:
         p.add_argument("--trials", type=int, default=DEFAULT_IDENTITY_TRIALS,
-                       help=f"trials per identity test (default {DEFAULT_IDENTITY_TRIALS})")
+                       help="trials per entry of an identity test (default: "
+                            f"enough for a 2^-{TARGET_BITS} failure bound, "
+                            f"at most {MAX_TRIALS})")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--json", dest="json_path", default=None,
                    help="write the machine-readable report to this path "
@@ -147,6 +150,9 @@ def main(argv=None) -> int:
                                     seed=args.seed, trials=args.trials)
             else:  # pragma: no cover
                 raise UnknownName(args.command)
+        if args.json_path not in (None, "-"):
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
     except _NUMERICAL_ABORTS as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
@@ -157,13 +163,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    if args.json_path == "-":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.render_text())
-        if args.json_path:
-            with open(args.json_path, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
+    sys.stdout.write(report.to_json() if args.json_path == "-"
+                     else report.render_text())
     return 0 if report.passed else 1
 
 

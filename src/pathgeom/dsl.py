@@ -18,11 +18,11 @@ comment; no implicit multiplication.  Operator precedence: ^ binds tighter
 than unary minus, then * and /, then + and -; ^ is right-associative and its
 exponent must fold to an exact rational below 2^31 in absolute value (the
 tape compiles no larger integer power).  A constant that folds to no value
-(1/0, 0^(-2), (-4)^(1/2)), or to a power beyond 2^MAX_FOLD_BITS
-(3^2000000000, (3*p)^2000000000), is a DslSyntaxError at its operator.  An
-expression nested more than MAX_NESTING levels deep (parentheses, unary
-minus signs, exponents) is a DslSyntaxError at the first token of the
-level beyond the bound.
+(1/0, 0^(-2), (-4)^(1/2)), or to a numerator or denominator beyond
+2^MAX_FOLD_BITS (3^2000000000, (3*p)^2000000000, 10^2000*10^2000*p), is a
+DslSyntaxError at its operator.  An expression nested more than MAX_NESTING
+levels deep (parentheses, unary minus signs, exponents) is a DslSyntaxError
+at the first token of the level beyond the bound.
 
 A declaration is checked as it is parsed, with DslSyntaxErrors at their
 token: a chart of the wrong size at 'vars' (a coframe takes 4 variables), a
@@ -50,12 +50,15 @@ from typing import NamedTuple
 
 from .errors import (DivisionByZero, DomainError, DslSyntaxError,
                      DuplicateName, UnknownVariable)
-from .expr import (ZERO, Expr, add, differentiate, div, mul, neg, num, pow_,
-                   sqrt_, sub, substitute, to_text, var)
+from .expr import (ZERO, Expr, Mul, Num, add, differentiate, div, mul, neg,
+                   num, pow_, sqrt_, sub, substitute, to_text, var)
+from .expr.rational import MAX_FOLD_BITS
 from .expr.tape import MAX_INT_EXPONENT
 from .forms import DifferentialForm, one_form
 from .jets import CRGraph, PairODE, ScalarODE
 from .metrics import STRUCTURES, CoframeMetric
+
+_FOLD_LIMIT = 1 << MAX_FOLD_BITS   # largest numerator or denominator folded
 
 # kind -> (class, chart size, ((label, attribute), ...)); a coframe's body
 # (structure and eta lines) has its own parser and printer
@@ -170,13 +173,20 @@ class _Parser:
                                  "characters)", tok.line, tok.column) from None
 
     def fold(self, tok, build, *args) -> Expr:
-        """build(*args), with a constant that folds to no value or to an
-        oversized power (ValueError from `rat_pow_exact`) reported at the
-        operator `tok`."""
+        """build(*args), with a constant that folds to no value, to an
+        oversized power (ValueError from `rat_pow_exact`), or to a numerator
+        or denominator beyond 2^MAX_FOLD_BITS (a constant, or a product's
+        leading constant) reported at the operator `tok`."""
         try:
-            return build(*args)
+            out = build(*args)
         except (DivisionByZero, DomainError, ValueError) as exc:
             raise DslSyntaxError(str(exc), tok.line, tok.column) from None
+        c = out.args[0] if isinstance(out, Mul) else out
+        if isinstance(c, Num) and max(abs(c.value.numerator),
+                                      c.value.denominator) > _FOLD_LIMIT:
+            raise DslSyntaxError(f"folded constant beyond 2^{MAX_FOLD_BITS}",
+                                 tok.line, tok.column)
+        return out
 
     # -- expressions -----------------------------------------------------
 
@@ -216,7 +226,6 @@ class _Parser:
         if self.peek().text == "^":
             op = self.advance()
             exponent = self.parse_unary()   # right-associative
-            from .expr import Num
             if not isinstance(exponent, Num):
                 self.error("exponent must fold to an exact rational")
             if abs(exponent.value) >= MAX_INT_EXPONENT:

@@ -527,10 +527,17 @@ def _node_text(e, texts):
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def to_text(e: Expr) -> str:
+def to_text(e: Expr, limit=None) -> str:
     """The text of e: each node's text is built once, after its children's
-    (`postorder`), so the depth of the DAG is not bounded by recursion."""
+    (`postorder`), so the depth of the DAG is not bounded by recursion.
+
+    With `limit`, the first limit + 1 characters of that text: each node
+    keeps only the first limit + 1 characters of its own.  That is exact,
+    because a node's text joins its children's texts with fixed strings in
+    between, and an Add drops no more than one leading "-" of a term, so
+    the cut falls beyond limit + 1 characters of the parent's text."""
     texts = {}
     for node in postorder((e,)):
-        texts[node] = _node_text(node, texts)
+        text, prec = _node_text(node, texts)
+        texts[node] = (text if limit is None else text[:limit + 1]), prec
     return texts[e][0]

@@ -29,11 +29,20 @@ first draw or tape that is not ends the group's run, and its undecided
 entries are then run alone, where a rejected draw moves only their own
 stream.  An entry with a radical is always run alone: its mpf tolerance is
 relative to the largest value on its own tape.
+
+Without a trial count (`trials=None`), each entry draws its own allotment
+(`target_trials`): the fewest trials whose Schwartz-Zippel bound reaches
+2^-TARGET_BITS at its degree bound, at most MAX_TRIALS, and MAX_TRIALS for
+an entry decided in mpf.  In a group an entry closes as zero after its own
+allotment and the run ends once no entry is open, so each verdict is still
+the one-entry verdict.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ..errors import DivisionByZero, DomainError, SamplingExhausted
@@ -45,6 +54,8 @@ from .tape import compile_tape, pair_residue
 DEFAULT_BOUND = 10 ** 6
 DEFAULT_TRIALS = 20
 MPF_REL_TOL = 1e-30
+TARGET_BITS = 100       # an entry's default failure bound is 2^-TARGET_BITS
+MAX_TRIALS = 50         # at most this many default trials per entry
 
 
 @dataclass
@@ -91,10 +102,39 @@ def _failure_bound(deg, trials):
     return min(1.0, deg / DEFAULT_BOUND) ** trials
 
 
+@functools.cache
+def _degree_limits(bound):
+    """For n = 1 .. MAX_TRIALS, the largest deg with (deg/bound)^n <=
+    2^-TARGET_BITS, i.e. deg^n <= bound^n / 2^TARGET_BITS (nondecreasing
+    in n, found in ints by bisection)."""
+    limits = []
+    for n in range(1, MAX_TRIALS + 1):
+        top = bound ** n >> TARGET_BITS
+        lo, hi = 0, bound
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if mid ** n <= top:
+                lo = mid
+            else:
+                hi = mid - 1
+        limits.append(lo)
+    return tuple(limits)
+
+
+def target_trials(deg):
+    """The fewest trials n with (deg/DEFAULT_BOUND)^n <= 2^-TARGET_BITS, or
+    None when deg is None or more than MAX_TRIALS would be needed."""
+    if deg is None:
+        return None
+    n = bisect_left(_degree_limits(DEFAULT_BOUND), deg) + 1
+    return n if n <= MAX_TRIALS else None
+
+
 def _run(exprs, names, trials, seed, ranges, every):
     """The verdicts of the entries `exprs` over the chart `names`, from one
     tape and one draw stream per `ranges` (a (lo, hi) or None per name): a
-    list in entry order, None where an entry is left undecided.
+    list in entry order, None where an entry is left undecided.  Each entry
+    draws `trials` trials, or with None its own allotment (module docstring).
 
     One entry is always decided.  Several entries share each draw while it
     has residues and no pole mod p; the first draw that does not, or a tape
@@ -114,10 +154,12 @@ def _run(exprs, names, trials, seed, ranges, every):
     modular = not mpf and tape.reducible_mod_p
     if not (single or modular):
         return verdicts
+    allotted = [trials or (None if mpf else target_trials(e.degree_bound))
+                or MAX_TRIALS for e in exprs]
     rng = random.Random(seed)
     open_ = list(range(len(exprs)))
     rejected = 0
-    for trial in range(trials):
+    for trial in range(1, max(allotted) + 1):
         for _ in range(RESAMPLE_BUDGET):
             pairs = draw_pairs(rng, ranges, DEFAULT_BOUND)
             point = None
@@ -146,28 +188,29 @@ def _run(exprs, names, trials, seed, ranges, every):
             raise SamplingExhausted(
                 f"no sample point with a value in {RESAMPLE_BUDGET} attempts")
         hits = [i for i in open_ if values[i]]
-        if not hits:
-            continue
-        if point is None:
-            point = [Rat(n, d) for n, d in pairs]
-            values = tape.eval_exact(point)
-        for i in hits:
-            verdicts[i] = ZeroVerdict(
-                False, witness=dict(zip(names, point)),
-                witness_value=values[i], trials=trial + 1, mode=mode,
-                degree_bound=exprs[i].degree_bound,
-                constraints_rejected=rejected)
-        open_ = [i for i in open_
-                 if verdicts[i] is None and (every or i < hits[0])]
+        if hits:
+            if point is None:
+                point = [Rat(n, d) for n, d in pairs]
+                values = tape.eval_exact(point)
+            for i in hits:
+                verdicts[i] = ZeroVerdict(
+                    False, witness=dict(zip(names, point)),
+                    witness_value=values[i], trials=trial, mode=mode,
+                    degree_bound=exprs[i].degree_bound,
+                    constraints_rejected=rejected)
+            open_ = [i for i in open_
+                     if verdicts[i] is None and (every or i < hits[0])]
+        for i in open_:
+            if allotted[i] == trial:
+                deg = exprs[i].degree_bound
+                verdicts[i] = ZeroVerdict(
+                    True, trials=trial, mode=mode, degree_bound=deg,
+                    failure_bound=(None if mpf or deg is None
+                                   else _failure_bound(deg, trial)),
+                    constraints_rejected=rejected)
+        open_ = [i for i in open_ if verdicts[i] is None]
         if not open_:
-            return verdicts
-    for i in open_:
-        deg = exprs[i].degree_bound
-        verdicts[i] = ZeroVerdict(
-            True, trials=trials, mode=mode, degree_bound=deg,
-            failure_bound=(None if mpf or deg is None
-                           else _failure_bound(deg, trials)),
-            constraints_rejected=rejected)
+            break
     return verdicts
 
 
@@ -195,15 +238,16 @@ def exprs_equal(a: Expr, b: Expr, trials: int = DEFAULT_TRIALS,
     return is_zero_probabilistic(sub(a, b), trials=trials, seed=seed)
 
 
-def zero_verdicts(exprs, trials: int, seed, _every=False) -> list:
+def zero_verdicts(exprs, trials: int | None, seed, _every=False) -> list:
     """The verdicts of the claim that every expression of `exprs` is zero,
-    each equal to its `is_zero_probabilistic` verdict: up to and including
-    the first nonzero one in claim order (every expression is zero iff all
-    the verdicts are), or with `_every` one per expression.
+    each equal to its one-entry verdict: up to and including the first
+    nonzero one in claim order (every expression is zero iff all the
+    verdicts are), or with `_every` one per expression.
 
-    The expressions are decided in groups (see the module docstring); a
-    group runs when the claim reaches its first entry."""
-    if trials < 1:
+    Each entry draws `trials` trials, or with None its own allotment.  The
+    expressions are decided in groups (see the module docstring); a group
+    runs when the claim reaches its first entry."""
+    if trials is not None and trials < 1:
         raise ValueError("trials must be >= 1")
     exprs = list(exprs)
     charts = [tuple(sorted(e.free_variables)) for e in exprs]

@@ -32,7 +32,8 @@ from .expr import add, compile_tape, num, sub, to_text
 from .expr import is_zero_probabilistic  # noqa: F401
 from .expr.sampling import sample_points
 from .expr.tape import MPF_PREC
-from .expr.zerotest import MPF_REL_TOL, zero_verdicts
+from .expr.zerotest import (MAX_TRIALS, MPF_REL_TOL, TARGET_BITS,
+                             target_trials, zero_verdicts)
 from .forms import chain_pair_via_rho, exterior_derivative, rho_chain, wedge
 from .invariants import (curvature_quartic, fels_invariants, scalar_invariants,
                          torsion_quadric)
@@ -41,7 +42,7 @@ from .metrics import (EINSTEIN_TOL, CoframeMetric, closedness_check,
                       einstein_check, null_planes_integrable)
 from .roots import admissibility, classify_quadric, classify_quartic
 
-DEFAULT_IDENTITY_TRIALS = 50
+DEFAULT_IDENTITY_TRIALS = None   # per entry, from the target bound
 DEFAULT_SAMPLES = 20      # sampled points per root-type or Einstein check
 DEFAULT_CURVE_SAMPLES = 120  # points along a dancing curve
 SAMPLE_BUDGET = 3000      # draws per pointwise classification
@@ -127,8 +128,8 @@ def _witnesses(verdicts):
 
 def _expr_text(e, limit=300):
     """Expression text for reports; large expressions are elided (they stay
-    available programmatically)."""
-    text = to_text(e)
+    available programmatically), and only the text shown is built."""
+    text = to_text(e, limit)
     if len(text) <= limit:
         return text
     from .expr import node_count
@@ -167,12 +168,19 @@ MPF_TOLERANCE = f"mpf {MPF_PREC}-bit, relative {MPF_REL_TOL:g}"
 
 def _identity_tolerance(verdicts, trials):
     """Exact only if every verdict was decided exactly (or mod p), else mpf;
-    "structural" when there was nothing to test."""
+    "structural" when there was nothing to test.  Without a trial count, an
+    exact claim names its largest per-entry allotment and, when every entry
+    reaches it, the target bound."""
     if not verdicts:
         return "structural"
-    if all(v.mode == "exact" for v in verdicts):
+    if any(v.mode != "exact" for v in verdicts):
+        return f"{MPF_TOLERANCE}, {trials or MAX_TRIALS} trials"
+    if trials is not None:
         return f"exact identity, {trials} trials"
-    return f"{MPF_TOLERANCE}, {trials} trials"
+    needed = [target_trials(v.degree_bound) for v in verdicts]
+    if None in needed:
+        return f"exact identity, {MAX_TRIALS} trials"
+    return f"exact identity, {max(needed)} trials, bound 2^-{TARGET_BITS}"
 
 
 def _root_type_checks(inv, samples, seed, expect=None):
@@ -240,7 +248,8 @@ def _root_type_checks(inv, samples, seed, expect=None):
 # -- commands -------------------------------------------------------------------
 
 def cmd_invariants(doc: Document | None, system_name: str,
-                   trials: int = DEFAULT_IDENTITY_TRIALS, seed: int = 0) -> Report:
+                   trials: int | None = DEFAULT_IDENTITY_TRIALS,
+                   seed: int = 0) -> Report:
     obj = resolve(doc, system_name, (PairODE, ScalarODE))
     checks = []
     if isinstance(obj, ScalarODE):
@@ -287,7 +296,7 @@ def cmd_classify(doc: Document | None, system_name: str,
 
 
 def cmd_verify_chains(doc: Document | None, scalar_name: str,
-                      trials: int = DEFAULT_IDENTITY_TRIALS,
+                      trials: int | None = DEFAULT_IDENTITY_TRIALS,
                       samples: int = DEFAULT_SAMPLES,
                       seed: int = 0) -> Report:
     sys = resolve(doc, scalar_name, ScalarODE)
@@ -310,7 +319,7 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
     if not drho.comps:
         rec.details["d rho"] = "0"
     checks.append(rec)
-    rr_trials = max(8, trials // 4)
+    rr_trials = max(8, (trials or MAX_TRIALS) // 4)
     nonzero = not all(zero_verdicts(wedge(rho, rho).comps.values(),
                                     rr_trials, seed))
     checks.append(CheckRecord(
@@ -336,7 +345,7 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
 
 def cmd_verify_cr(doc: Document | None, pair_name: str,
                   samples: int = DEFAULT_SAMPLES,
-                  trials: int = DEFAULT_IDENTITY_TRIALS,
+                  trials: int | None = DEFAULT_IDENTITY_TRIALS,
                   seed: int = 0) -> Report:
     """CR-chain admissibility (condition 1: a D_c curvature quartic) for a
     candidate pair, plus the torsion report."""
@@ -421,7 +430,8 @@ def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
 
 def cmd_metric(doc: Document | None, coframe_name: str,
                points: int = DEFAULT_SAMPLES,
-               seed: int = 0, trials: int = DEFAULT_IDENTITY_TRIALS) -> Report:
+               seed: int = 0,
+               trials: int | None = DEFAULT_IDENTITY_TRIALS) -> Report:
     cm = resolve(doc, coframe_name, CoframeMetric)
     checks = []
     rep = einstein_check(cm, points=points, seed=seed)

@@ -160,6 +160,27 @@ class TestPrecedence:
         assert (exc.value.line, exc.value.column) == (1, column)
 
 
+    @pytest.mark.parametrize("text, column", [
+        ("10^2000*10^2000*10^2000*q^3", 8),
+        ("q^3/10^2000/10^2000", 12),
+        ("(2*q)*10^2000*10^2000", 14),
+        ("10^2000*q*10^2000", 10),
+    ])
+    def test_oversized_folded_constant_is_a_syntax_error(self, text, column):
+        # a product or quotient of constants beyond 2^MAX_FOLD_BITS could not
+        # be printed: refused at the operator that folds it
+        with pytest.raises(DslSyntaxError, match="folded constant beyond") \
+                as exc:
+            parse_expression(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
+
+    def test_folded_constants_up_to_the_bound_fold(self):
+        assert parse_expression("2^4096*2^4096*q") is (
+            num(2 ** 8192) * var("q"))
+        assert parse_expression("q/2^8192") is (
+            num(as_rat(f"1/{2 ** 8192}")) * var("q"))
+
+
 class TestRoundTrip:
     def _assert_round_trip(self, text):
         doc = parse(text)

@@ -854,6 +854,14 @@ class TestPrinting:
         from pathgeom.dsl import parse_expression
         assert parse_expression(to_text(e)) is e
 
+    @given(_DAGS, st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_limited_text_is_a_prefix_of_the_text(self, e, limit):
+        # each node keeps limit + 1 characters of its text; the root's are
+        # those of the whole text, also where a sum drops a term's "-"
+        for node in (e, differentiate(e, "p"), neg(e)):
+            assert to_text(node, limit) == to_text(node)[:limit + 1]
+
 
 def _random_rational_expr(rng, depth):
     leaves = [t, z, p, q, num(rng.randint(-4, 4)),

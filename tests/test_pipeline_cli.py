@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,13 +14,15 @@ from pathgeom.dsl import MAX_NESTING, Document, parse, parse_expression
 from pathgeom.errors import DslSyntaxError
 from pathgeom.expr import compile_tape, rational
 from pathgeom.expr.sampling import sample_points
+from pathgeom.expr.zerotest import ZeroVerdict
 from pathgeom.invariants import (curvature_quartic, fels_invariants,
                                  torsion_quadric)
 from pathgeom.jets import ScalarODE
 from pathgeom.metrics import closedness_check, null_planes_integrable
-from pathgeom.pipeline import (SAMPLE_BUDGET, cmd_catalog, cmd_classify,
-                               cmd_invariants, cmd_metric, cmd_verify_chains,
-                               cmd_verify_cr, cmd_verify_dancing)
+from pathgeom.pipeline import (SAMPLE_BUDGET, _identity_tolerance, cmd_catalog,
+                               cmd_classify, cmd_invariants, cmd_metric,
+                               cmd_verify_chains, cmd_verify_cr,
+                               cmd_verify_dancing)
 from pathgeom.roots import admissibility, classify_quadric, classify_quartic
 
 DOC = parse("""
@@ -149,6 +152,30 @@ class TestReports:
         tol = {c.name: c.tolerance for c in rep.checks}
         assert tol["dual_derivation_equal"] == "exact identity, 8 trials"
         assert tol["torsion_iff_flat_scalar"] == "exact identity, 8 trials"
+
+    def test_default_identity_tolerance_names_allotment_and_bound(self):
+        # without a trial count an exact claim names its largest per-entry
+        # allotment and the target bound; mpf claims keep 50 trials
+        rep = cmd_invariants(None, "cr_sphere_pair")
+        tol = {c.name: c.tolerance for c in rep.checks}
+        assert tol["torsion_trace_identity"] == (
+            "exact identity, 7 trials, bound 2^-100")
+        rep = cmd_verify_chains(DOC, "flat", samples=4)
+        tol = {c.name: c.tolerance for c in rep.checks}
+        assert tol["rho_wedge_rho_nonzero"] == "nonzero witness, 12 trials"
+        assert re.fullmatch(r"exact identity, \d trials, bound 2\^-100",
+                            tol["dual_derivation_equal"])
+        rep = cmd_invariants(None, "dancing_sqrt_pair")
+        tol = {c.name: c.tolerance for c in rep.checks}
+        assert tol["torsion_trace_identity"] == (
+            "mpf 256-bit, relative 1e-30, 50 trials")
+        # an entry whose degree bound needs more than 50 trials for the
+        # target bound draws 50, and the tolerance names no bound
+        deep = [ZeroVerdict(True, trials=50, degree_bound=250001),
+                ZeroVerdict(True, trials=6, degree_bound=9)]
+        assert _identity_tolerance(deep, None) == "exact identity, 50 trials"
+        assert _identity_tolerance(deep[1:], None) == (
+            "exact identity, 6 trials, bound 2^-100")
 
     def test_identity_tolerance_names_mpf_arithmetic(self):
         mpf = "mpf 256-bit, relative 1e-30, 8 trials"
@@ -474,6 +501,15 @@ class TestCli:
         assert printed == (tmp_path / "r.json").read_text()
         assert json.loads(printed)["checks"]
         assert sorted(f.name for f in tmp_path.iterdir()) == ["r.json"]
+
+    def test_unwritable_json_path_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        assert main(["catalog", "--json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not path.parent.exists()
 
     def test_cross_process_determinism(self, tmp_path):
         doc = tmp_path / "d.pg"

@@ -304,3 +304,70 @@ def test_multiple_of_p_is_not_zero():
     # MODULUS * p is 0 mod p at every point; such a constant is tested exactly
     verdict = is_zero_probabilistic(num(MODULUS) * p - num(MODULUS) * q)
     assert not verdict.is_zero
+
+
+# -- trials from the target failure bound (trials=None) -------------------------
+
+def test_target_trials_is_the_least_count_reaching_the_bound():
+    # brute force in ints over every degree up to the draw bound: n grows
+    # with deg, so a sweep finds the least n with deg^n 2^T <= bound^n
+    tops = [None] + [DEFAULT_BOUND ** n >> zerotest.TARGET_BITS
+                     for n in range(1, zerotest.MAX_TRIALS + 1)]
+    n = 1
+    for deg in range(DEFAULT_BOUND + 1):
+        while n <= zerotest.MAX_TRIALS and deg ** n > tops[n]:
+            n += 1
+        want = n if n <= zerotest.MAX_TRIALS else None
+        assert zerotest.target_trials(deg) == want, deg
+        # the float bound a zero verdict reports reaches the target too
+        assert want is None or (zerotest._failure_bound(deg, want)
+                                <= 2.0 ** -zerotest.TARGET_BITS), deg
+    assert zerotest.target_trials(None) is None
+    assert [zerotest.target_trials(d) for d in (0, 1, 9, 10, 50, 51)] == [
+        1, 6, 6, 7, 7, 8]
+
+
+def _zero_of_degree(a, b, k):
+    """((a+1)(b+1))^k - (ab+a+b+1)^k: zero, with degree bound 4k."""
+    return pow_(mul(a + 1, b + 1), k) - pow_(a * b + a + b + 1, k)
+
+
+@st.composite
+def _default_claims(draw):
+    """Claims over the charts (p, q) and (q, y) whose zero entries have
+    degree bounds from 4 to 160, so their allotments differ, with nonzero
+    entries, poles and radical (mpf) entries among them."""
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = draw(st.sampled_from([(p, q), (q, y)]))
+        zero = _zero_of_degree(a, b, draw(st.integers(1, 40)))
+        kind = draw(st.sampled_from(["zero", "nonzero", "pole", "radical"]))
+        if kind == "nonzero":
+            zero = zero + num(draw(st.integers(1, 3))) * a ** draw(
+                st.integers(1, 3)) - b
+        elif kind == "pole":
+            zero = div(zero, a - b) + div(a * a - b * b, a - b) - (a + b)
+        elif kind == "radical":
+            zero = zero + sqrt_(a ** 4) - a ** 2
+        entries.append(zero)
+    return entries
+
+
+@given(_default_claims(), st.integers(0, 2 ** 16),
+       st.sampled_from([DEFAULT_BOUND, 7]))
+@settings(max_examples=60, deadline=None)
+def test_default_claim_verdicts_equal_one_entry_verdicts(entries, seed, bound):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zerotest, "DEFAULT_BOUND", bound)
+        got = zero_verdicts(entries, None, seed, _every=True)
+        want = [zero_verdicts([e], None, seed)[0] for e in entries]
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert dataclasses.asdict(g) == dataclasses.asdict(w), k
+        assert type(g.witness_value) is type(w.witness_value)
+        if g.mode == "mpf" or bound != DEFAULT_BOUND:
+            continue
+        assert g.trials <= zerotest.MAX_TRIALS
+        if g.is_zero:
+            assert g.trials == zerotest.target_trials(g.degree_bound)
+            assert g.failure_bound <= 2.0 ** -zerotest.TARGET_BITS
