@@ -1,5 +1,7 @@
 """The `--json` report of each command below, at seed 0, is pinned by its
-sha256, together with the exit code.
+sha256, together with the exit code.  The identity records of `pg metric`
+are pinned field by field (its `einstein` record holds float residuals,
+whose last digits are not portable).
 
 A change to the arithmetic that must not change any number (a faster
 evaluation path, say) keeps every digest; a change that is meant to alter a
@@ -7,6 +9,7 @@ report updates the table in the same commit and says why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -123,3 +126,59 @@ def test_report_bytes_pinned(doc_key, argv, tmp_path, capsys):
         print(f"command: pg {' '.join(argv)} (document {doc_key})")
         print(report.decode())
     assert got == PINNED[(doc_key, argv)]
+
+
+# a coframe whose 2-form is not closed and whose null planes are not
+# integrable
+FAILING_COFRAME = ("coframe c { vars y p Y P; eta 1 = y*d Y; eta 2 = d P; "
+                   "eta 3 = d y; eta 4 = p*d p + Y*d y; }")
+
+# (coframe, --trials or None) -> the `fundamental_form_closed` and
+# `null_planes_integrable` records, as (verdict, tolerance, witnesses,
+# details)
+METRIC_PINNED = {
+    ("dancing_metric_coframe", None): (
+        ("pass", "structural", [], {"pairing": "para"}),
+        ("pass", "exact identity, 7 trials, bound 2^-100", [], {})),
+    ("dancing_metric_coframe", "50"): (
+        ("pass", "structural", [], {"pairing": "para"}),
+        ("pass", "exact identity, 50 trials", [], {})),
+    ("fubini_study_coframe", None): (
+        ("pass", "exact identity, 6 trials, bound 2^-100", [],
+         {"pairing": "complex"}),
+        ("pass", "exact identity, 6 trials, bound 2^-100", [], {})),
+    ("fubini_study_coframe", "50"): (
+        ("pass", "exact identity, 50 trials", [], {"pairing": "complex"}),
+        ("pass", "exact identity, 50 trials", [], {})),
+    ("c", None): (
+        ("fail", "exact identity, 6 trials, bound 2^-100",
+         ["p = -192083/885441"], {"pairing": "para"}),
+        ("fail", "exact identity, 6 trials, bound 2^-100",
+         ["p = -192083/885441"], {})),
+    ("c", "50"): (
+        ("fail", "exact identity, 50 trials", ["p = -192083/885441"],
+         {"pairing": "para"}),
+        ("fail", "exact identity, 50 trials", ["p = -192083/885441"], {})),
+}
+
+
+@pytest.mark.parametrize("coframe,trials", list(METRIC_PINNED),
+                         ids=[f"{c}:{t or 'default'}"
+                              for c, t in METRIC_PINNED])
+def test_metric_identity_records_pinned(coframe, trials, tmp_path, capsys):
+    args = ["metric", "--system", coframe, "--seed", "0"]
+    if coframe == "c":
+        path = tmp_path / "c.pg"
+        path.write_text(FAILING_COFRAME)
+        args.insert(1, str(path))
+    if trials is not None:
+        args += ["--trials", trials]
+    out = tmp_path / "report.json"
+    main(args + ["--json", str(out)])
+    capsys.readouterr()
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    got = tuple((checks[name]["verdict"], checks[name]["tolerance"],
+                 checks[name]["witnesses"], checks[name]["details"])
+                for name in ("fundamental_form_closed",
+                             "null_planes_integrable"))
+    assert got == METRIC_PINNED[(coframe, trials)]
