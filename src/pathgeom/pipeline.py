@@ -3,13 +3,15 @@
 Every command returns a Report whose machine-readable rendering is a single
 JSON object {tool_version, command, seed, fingerprint, checks: [...]}; the
 same document and seed produce byte-identical output.  Each check carries its
-tolerance and sample provenance.  A failing identity claim (the checks built
-by `_zero_matrix_check`, `fundamental_form_closed` and
-`null_planes_integrable`) names the sampled points where an entry is
-nonzero, and a failing `uniform_quartic_type` names a point of the wrong
-type.  The other failures name none: a failing "nonzero" claim
-(`rho_wedge_rho_nonzero`) has no witness point, `torsion_iff_flat_scalar`
-compares two claims, and the numeric checks (`einstein`,
+tolerance and sample provenance.
+
+An identity claim is decided by `zero_verdicts` and becomes a record in one
+place, `_claim`.  A "zero" claim holds when every entry vanishes; when it
+fails, it names the sampled points where an entry is nonzero.  A "nonzero"
+claim (`rho_wedge_rho_nonzero`) holds when some entry does not vanish; when
+it fails there is no witness point.  `torsion_iff_flat_scalar` compares two
+zero claims and names no witness either.  A failing `uniform_quartic_type`
+names a point of the wrong type, and the numeric checks (`einstein`,
 `constraint_residual`, `pair_residual`) report their residuals instead.
 """
 
@@ -115,17 +117,6 @@ def _witness_str(witness):
     return [", ".join(f"{k} = {v}" for k, v in sorted(witness.items()))]
 
 
-def _witnesses(verdicts):
-    """The distinct witnesses of the nonzero ZeroVerdicts, in order."""
-    witnesses = []
-    for verdict in verdicts:
-        if not verdict.is_zero:
-            for w in _witness_str(verdict.witness):
-                if w not in witnesses:
-                    witnesses.append(w)
-    return witnesses
-
-
 def _expr_text(e, limit=300):
     """Expression text for reports; large expressions are elided (they stay
     available programmatically), and only the text shown is built."""
@@ -149,38 +140,50 @@ def resolve(doc: Document | None, name: str, kinds=None):
     return obj
 
 
-def _zero_matrix_check(name, entries, labels, trials, seed):
-    """Identity-test a family of expressions, every entry decided; pass iff
-    all are zero."""
-    verdicts = zero_verdicts(entries, trials, seed, _every=True)
-    values = {label: "0" if verdict.is_zero else
-              f"nonzero ({_expr_text(e, 120)})"
-              for label, e, verdict in zip(labels, entries, verdicts)}
-    witnesses = _witnesses(verdicts)
-    return CheckRecord(name=name,
-                       verdict="pass" if not witnesses else "fail",
-                       tolerance=_identity_tolerance(verdicts, trials),
-                       witnesses=witnesses, details=values)
-
-
 MPF_TOLERANCE = f"mpf {MPF_PREC}-bit, relative {MPF_REL_TOL:g}"
 
 
-def _identity_tolerance(verdicts, trials):
-    """Exact only if every verdict was decided exactly (or mod p), else mpf;
-    "structural" when there was nothing to test.  Without a trial count, an
-    exact claim names its largest per-entry allotment and, when every entry
-    reaches it, the target bound."""
-    if not verdicts:
-        return "structural"
-    if any(v.mode != "exact" for v in verdicts):
-        return f"{MPF_TOLERANCE}, {trials or MAX_TRIALS} trials"
-    if trials is not None:
-        return f"exact identity, {trials} trials"
+def _claim(name, kind, verdicts, trials, entries=None):
+    """The record of an identity claim, given its `zero_verdicts` drawn with
+    `trials`: a "zero" claim holds when every verdict is zero, a "nonzero"
+    claim when one is not.
+
+    A nonzero claim names the trials it drew.  Otherwise the tolerance is
+    exact only if every verdict was decided exactly (or mod p), else mpf,
+    and "structural" when there was nothing to test; without a trial count
+    an exact claim names its largest per-entry allotment and, when every
+    entry reaches it, the target bound.  A failing claim names the distinct
+    witnesses of its nonzero verdicts, in order.  `entries` (label ->
+    expression, one per verdict) puts each entry's value in the details."""
+    nonzero = [v for v in verdicts if not v.is_zero]
+    holds = bool(nonzero) == (kind == "nonzero")
     needed = [target_trials(v.degree_bound) for v in verdicts]
-    if None in needed:
-        return f"exact identity, {MAX_TRIALS} trials"
-    return f"exact identity, {max(needed)} trials, bound 2^-{TARGET_BITS}"
+    if kind == "nonzero":
+        tolerance = f"nonzero witness, {trials} trials"
+    elif not verdicts:
+        tolerance = "structural"
+    elif any(v.mode != "exact" for v in verdicts):
+        tolerance = f"{MPF_TOLERANCE}, {trials or MAX_TRIALS} trials"
+    elif trials is not None or None in needed:
+        tolerance = f"exact identity, {trials or MAX_TRIALS} trials"
+    else:
+        tolerance = (f"exact identity, {max(needed)} trials, "
+                     f"bound 2^-{TARGET_BITS}")
+    witnesses = [] if holds else list(dict.fromkeys(
+        w for v in nonzero for w in _witness_str(v.witness)))
+    details = {label: "0" if v.is_zero else f"nonzero ({_expr_text(e, 120)})"
+               for (label, e), v in zip((entries or {}).items(), verdicts)}
+    return CheckRecord(name=name, verdict="pass" if holds else "fail",
+                       tolerance=tolerance, witnesses=witnesses,
+                       details=details)
+
+
+def _torsion(inv, trials, seed, every):
+    """The torsion claim of a pair: its four entries by label, and their
+    `zero_verdicts` (with `every`, one per entry)."""
+    entries = dict(zip(_TORSION_LABELS, sum(inv.torsion, ())))
+    return entries, zero_verdicts(entries.values(), trials, seed,
+                                  _every=every)
 
 
 def _root_type_checks(inv, samples, seed, expect=None):
@@ -264,17 +267,14 @@ def cmd_invariants(doc: Document | None, system_name: str,
             details={"flat": str(z1.is_zero and z2.is_zero)}))
     else:
         inv = fels_invariants(obj)
-        T = inv.torsion
-        entries = [e for row in T for e in row]
-        torsion_zero = all(zero_verdicts(entries, trials, seed))
+        entries, torsion = _torsion(inv, trials, seed, False)
         checks.append(CheckRecord(
             name="torsion", verdict="info",
-            details={**{lbl: _expr_text(e)
-                        for lbl, e in zip(_TORSION_LABELS, entries)},
-                     "torsion_zero": str(torsion_zero)}))
-        checks.append(_zero_matrix_check(
-            "torsion_trace_identity", [add(T[0][0], T[1][1])],
-            ["T^1_1 + T^2_2"], trials, seed))
+            details={**{lbl: _expr_text(e) for lbl, e in entries.items()},
+                     "torsion_zero": str(all(torsion))}))
+        trace = {"T^1_1 + T^2_2": add(entries["T^1_1"], entries["T^2_2"])}
+        checks.append(_claim("torsion_trace_identity", "zero", zero_verdicts(
+            trace.values(), trials, seed, _every=True), trials, trace))
         quart = curvature_quartic(inv)
         quad = torsion_quadric(inv)
         checks.append(CheckRecord(
@@ -307,37 +307,33 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
         details={"F1": _expr_text(closed.rhs1), "F2": _expr_text(closed.rhs2),
                  "chart": " ".join(closed.chart)}))
     via = chain_pair_via_rho(sys)
-    checks.append(_zero_matrix_check(
-        "dual_derivation_equal",
-        [sub(closed.rhs1, via.rhs1), sub(closed.rhs2, via.rhs2)],
-        ["F1 difference", "F2 difference"], trials, seed))
+    diff = {"F1 difference": sub(closed.rhs1, via.rhs1),
+            "F2 difference": sub(closed.rhs2, via.rhs2)}
+    checks.append(_claim("dual_derivation_equal", "zero", zero_verdicts(
+        diff.values(), trials, seed, _every=True), trials, diff))
     rho = rho_chain(sys)
-    drho = exterior_derivative(rho)
-    rec = _zero_matrix_check(
-        "rho_closed", list(drho.comps.values()),
-        [f"d rho [{idx}]" for idx in drho.comps], trials, seed)
-    if not drho.comps:
+    drho = {f"d rho [{idx}]": e
+            for idx, e in exterior_derivative(rho).comps.items()}
+    rec = _claim("rho_closed", "zero", zero_verdicts(
+        drho.values(), trials, seed, _every=True), trials, drho)
+    if not drho:
         rec.details["d rho"] = "0"
     checks.append(rec)
     rr_trials = max(8, (trials or MAX_TRIALS) // 4)
-    nonzero = not all(zero_verdicts(wedge(rho, rho).comps.values(),
-                                    rr_trials, seed))
-    checks.append(CheckRecord(
-        name="rho_wedge_rho_nonzero", verdict="pass" if nonzero else "fail",
-        tolerance=f"nonzero witness, {rr_trials} trials",
-        details={"rank": "4" if nonzero else "degenerate"}))
+    rec = _claim("rho_wedge_rho_nonzero", "nonzero", zero_verdicts(
+        wedge(rho, rho).comps.values(), rr_trials, seed), rr_trials)
+    rec.details["rank"] = "4" if rec.verdict == "pass" else "degenerate"
+    checks.append(rec)
     si = scalar_invariants(sys)
     scalar = zero_verdicts([si.t1, si.c1], trials, seed)
     inv = fels_invariants(closed)
-    torsion = zero_verdicts([e for row in inv.torsion for e in row], trials,
-                            seed)
-    scalar_zero, torsion_zero = all(scalar), all(torsion)
-    checks.append(CheckRecord(
-        name="torsion_iff_flat_scalar",
-        verdict="pass" if torsion_zero == scalar_zero else "fail",
-        tolerance=_identity_tolerance(scalar + torsion, trials),
-        details={"scalar_invariants_zero": str(scalar_zero),
-                 "chain_torsion_zero": str(torsion_zero)}))
+    torsion = _torsion(inv, trials, seed, False)[1]
+    # two zero claims compared, with the tolerance of both claims' verdicts
+    rec = _claim("torsion_iff_flat_scalar", "zero", scalar + torsion, trials)
+    rec.verdict = "pass" if all(scalar) == all(torsion) else "fail"
+    rec.witnesses, rec.details = [], {"scalar_invariants_zero": str(
+        all(scalar)), "chain_torsion_zero": str(all(torsion))}
+    checks.append(rec)
     checks.extend(_root_type_checks(inv, samples, seed, expect="D_r"))
     return Report(command=f"verify-chains {scalar_name}", seed=seed,
                   fingerprint=_fingerprint(doc), checks=checks)
@@ -352,9 +348,8 @@ def cmd_verify_cr(doc: Document | None, pair_name: str,
     pair = resolve(doc, pair_name, PairODE)
     inv = fels_invariants(pair)
     checks = _root_type_checks(inv, samples, seed, expect="D_c")
-    rec = _zero_matrix_check("torsion_zero",
-                             [e for row in inv.torsion for e in row],
-                             _TORSION_LABELS, trials, seed)
+    entries, torsion = _torsion(inv, trials, seed, True)
+    rec = _claim("torsion_zero", "zero", torsion, trials, entries)
     if rec.verdict == "fail":
         rec.verdict = "info"
         rec.details["note"] = "nonzero torsion: CR structure is not flat"
@@ -444,18 +439,13 @@ def cmd_metric(doc: Document | None, coframe_name: str,
                  "max_residual": f"{rep.max_residual:.3e}",
                  "points": str(points),
                  "signature": str(rep.signature)}))
-    closed = closedness_check(cm.fundamental_form(), trials=trials, seed=seed)
-    checks.append(CheckRecord(
-        name="fundamental_form_closed",
-        verdict="pass" if all(closed) else "fail",
-        tolerance=_identity_tolerance(closed, trials),
-        witnesses=_witnesses(closed), details={"pairing": cm.structure}))
-    integrable = null_planes_integrable(cm, trials=trials, seed=seed)
-    checks.append(CheckRecord(
-        name="null_planes_integrable",
-        verdict="pass" if all(integrable) else "fail",
-        tolerance=_identity_tolerance(integrable, trials),
-        witnesses=_witnesses(integrable)))
+    rec = _claim("fundamental_form_closed", "zero", closedness_check(
+        cm.fundamental_form(), trials=trials, seed=seed), trials)
+    rec.details["pairing"] = cm.structure
+    checks.append(rec)
+    checks.append(_claim("null_planes_integrable", "zero",
+                         null_planes_integrable(cm, trials=trials, seed=seed),
+                         trials))
     return Report(command=f"metric {coframe_name}", seed=seed,
                   fingerprint=_fingerprint(doc), checks=checks)
 

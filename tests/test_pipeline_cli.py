@@ -19,7 +19,7 @@ from pathgeom.invariants import (curvature_quartic, fels_invariants,
                                  torsion_quadric)
 from pathgeom.jets import ScalarODE
 from pathgeom.metrics import closedness_check, null_planes_integrable
-from pathgeom.pipeline import (SAMPLE_BUDGET, _identity_tolerance, cmd_catalog,
+from pathgeom.pipeline import (SAMPLE_BUDGET, _claim, cmd_catalog,
                                cmd_classify, cmd_invariants, cmd_metric,
                                cmd_verify_chains, cmd_verify_cr,
                                cmd_verify_dancing)
@@ -52,6 +52,55 @@ def _flags_at_sampled_points(pair, samples, seed):
         if len(flags) == samples:
             return flags
     raise AssertionError("too few sampled points")
+
+
+class TestClaim:
+    """`_claim`, the one path from a claim's verdicts to its record."""
+
+    def test_zero_claim_tolerance_names_allotment_and_bound(self):
+        # an entry whose degree bound needs more than 50 trials for the
+        # target bound draws 50, and the tolerance names no bound
+        deep = [ZeroVerdict(True, trials=50, degree_bound=250001),
+                ZeroVerdict(True, trials=6, degree_bound=9)]
+        rec = _claim("c", "zero", deep, None)
+        assert (rec.verdict, rec.tolerance) == (
+            "pass", "exact identity, 50 trials")
+        assert _claim("c", "zero", deep[1:], None).tolerance == (
+            "exact identity, 6 trials, bound 2^-100")
+        assert _claim("c", "zero", deep, 8).tolerance == (
+            "exact identity, 8 trials")
+
+    def test_zero_claim_tolerance_names_mpf_and_structural(self):
+        mixed = [ZeroVerdict(True, trials=6, degree_bound=9),
+                 ZeroVerdict(True, trials=50, mode="mpf")]
+        assert _claim("c", "zero", mixed, None).tolerance == (
+            "mpf 256-bit, relative 1e-30, 50 trials")
+        assert _claim("c", "zero", mixed, 8).tolerance == (
+            "mpf 256-bit, relative 1e-30, 8 trials")
+        rec = _claim("c", "zero", [], None)
+        assert (rec.verdict, rec.tolerance) == ("pass", "structural")
+
+    def test_failing_zero_claim_names_distinct_witnesses_and_values(self):
+        x = parse_expression("x", ("x",))
+        verdicts = [ZeroVerdict(False, witness={"x": 2}, trials=1),
+                    ZeroVerdict(True, trials=6, degree_bound=1),
+                    ZeroVerdict(False, witness={"x": 2}, trials=1),
+                    ZeroVerdict(False, witness={"x": 3}, trials=2)]
+        entries = {"a": x, "b": x, "c": x, "d": x}
+        rec = _claim("c", "zero", verdicts, 8, entries)
+        assert rec.verdict == "fail"
+        assert rec.witnesses == ["x = 2", "x = 3"]
+        assert rec.details == {"a": "nonzero (x)", "b": "0",
+                               "c": "nonzero (x)", "d": "nonzero (x)"}
+
+    def test_nonzero_claim(self):
+        found = [ZeroVerdict(False, witness={"x": 2}, trials=1)]
+        rec = _claim("c", "nonzero", found, 12)
+        assert (rec.verdict, rec.witnesses) == ("pass", [])
+        # every entry vanishes: the claim fails, with no witness point
+        vanish = [ZeroVerdict(True, trials=12, degree_bound=4)] * 2
+        rec = _claim("c", "nonzero", vanish, 12)
+        assert (rec.verdict, rec.witnesses) == ("fail", [])
 
 
 class TestReports:
@@ -169,13 +218,6 @@ class TestReports:
         tol = {c.name: c.tolerance for c in rep.checks}
         assert tol["torsion_trace_identity"] == (
             "mpf 256-bit, relative 1e-30, 50 trials")
-        # an entry whose degree bound needs more than 50 trials for the
-        # target bound draws 50, and the tolerance names no bound
-        deep = [ZeroVerdict(True, trials=50, degree_bound=250001),
-                ZeroVerdict(True, trials=6, degree_bound=9)]
-        assert _identity_tolerance(deep, None) == "exact identity, 50 trials"
-        assert _identity_tolerance(deep[1:], None) == (
-            "exact identity, 6 trials, bound 2^-100")
 
     def test_identity_tolerance_names_mpf_arithmetic(self):
         mpf = "mpf 256-bit, relative 1e-30, 8 trials"
