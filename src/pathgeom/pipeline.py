@@ -148,9 +148,10 @@ def _claim(name, kind, verdicts, trials, entries=None):
     `trials`: a "zero" claim holds when every verdict is zero, a "nonzero"
     claim when one is not.
 
-    A nonzero claim names the trials it drew.  Otherwise the tolerance is
-    exact only if every verdict was decided exactly (or mod p), else mpf,
-    and "structural" when there was nothing to test; without a trial count
+    A nonzero claim that holds reads "nonzero witness": an exact nonzero
+    value needs no trial count.  Otherwise the tolerance is exact only if
+    every verdict was decided exactly (or mod p), else mpf, and
+    "structural" when there was nothing to test; without a trial count
     an exact claim names its largest per-entry allotment and, when every
     entry reaches it, the target bound.  A failing claim names the distinct
     witnesses of its nonzero verdicts, in order.  `entries` (label ->
@@ -158,8 +159,8 @@ def _claim(name, kind, verdicts, trials, entries=None):
     nonzero = [v for v in verdicts if not v.is_zero]
     holds = bool(nonzero) == (kind == "nonzero")
     needed = [target_trials(v.degree_bound) for v in verdicts]
-    if kind == "nonzero":
-        tolerance = f"nonzero witness, {trials} trials"
+    if kind == "nonzero" and holds:
+        tolerance = "nonzero witness"
     elif not verdicts:
         tolerance = "structural"
     elif any(v.mode != "exact" for v in verdicts):
@@ -319,9 +320,8 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
     if not drho:
         rec.details["d rho"] = "0"
     checks.append(rec)
-    rr_trials = max(8, (trials or MAX_TRIALS) // 4)
     rec = _claim("rho_wedge_rho_nonzero", "nonzero", zero_verdicts(
-        wedge(rho, rho).comps.values(), rr_trials, seed), rr_trials)
+        wedge(rho, rho).comps.values(), trials, seed), trials)
     rec.details["rank"] = "4" if rec.verdict == "pass" else "degenerate"
     checks.append(rec)
     si = scalar_invariants(sys)

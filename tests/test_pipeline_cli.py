@@ -8,13 +8,14 @@ import time
 
 import pytest
 
+from pathgeom import pipeline
 from pathgeom.cli import main
 from pathgeom.constructions import catalog, freestyle_pair
 from pathgeom.dsl import MAX_NESTING, Document, parse, parse_expression
 from pathgeom.errors import DslSyntaxError
 from pathgeom.expr import compile_tape, rational
 from pathgeom.expr.sampling import sample_points
-from pathgeom.expr.zerotest import ZeroVerdict
+from pathgeom.expr.zerotest import ZeroVerdict, zero_verdicts
 from pathgeom.invariants import (curvature_quartic, fels_invariants,
                                  torsion_quadric)
 from pathgeom.jets import ScalarODE
@@ -94,13 +95,45 @@ class TestClaim:
                                "c": "nonzero (x)", "d": "nonzero (x)"}
 
     def test_nonzero_claim(self):
-        found = [ZeroVerdict(False, witness={"x": 2}, trials=1)]
-        rec = _claim("c", "nonzero", found, 12)
-        assert (rec.verdict, rec.witnesses) == ("pass", [])
-        # every entry vanishes: the claim fails, with no witness point
-        vanish = [ZeroVerdict(True, trials=12, degree_bound=4)] * 2
+        # an exact nonzero value needs no trial count
+        found = [ZeroVerdict(True, trials=6, degree_bound=4),
+                 ZeroVerdict(False, witness={"x": 2}, trials=1)]
+        for trials in (None, 12):
+            rec = _claim("c", "nonzero", found, trials)
+            assert (rec.verdict, rec.tolerance, rec.witnesses) == (
+                "pass", "nonzero witness", [])
+        # every entry vanishes: the claim fails, with no witness point and
+        # the tolerance of a zero claim over the same verdicts
+        vanish = [ZeroVerdict(True, trials=6, degree_bound=4)] * 2
+        rec = _claim("c", "nonzero", vanish, None)
+        assert (rec.verdict, rec.tolerance, rec.witnesses) == (
+            "fail", "exact identity, 6 trials, bound 2^-100", [])
         rec = _claim("c", "nonzero", vanish, 12)
-        assert (rec.verdict, rec.witnesses) == ("fail", [])
+        assert (rec.verdict, rec.tolerance) == (
+            "fail", "exact identity, 12 trials")
+        mpf = [ZeroVerdict(True, trials=50, mode="mpf")]
+        assert _claim("c", "nonzero", mpf, None).tolerance == (
+            "mpf 256-bit, relative 1e-30, 50 trials")
+        # no entry to test: structurally zero
+        rec = _claim("c", "nonzero", [], None)
+        assert (rec.verdict, rec.tolerance) == ("fail", "structural")
+
+    @pytest.mark.parametrize("trials", [None, 1, 50])
+    def test_every_claim_draws_the_given_trials(self, trials, monkeypatch):
+        # rho ^ rho draws what every other claim of verify-chains draws: the
+        # target allotment by default, and N with --trials N
+        drawn = []
+
+        def recording(exprs, trials, seed, _every=False):
+            drawn.append(trials)
+            return zero_verdicts(exprs, trials, seed, _every)
+
+        monkeypatch.setattr(pipeline, "zero_verdicts", recording)
+        rep = cmd_verify_chains(DOC, "quartic", trials=trials, samples=4)
+        assert len(drawn) == 5 and set(drawn) == {trials}
+        rec = {c.name: c for c in rep.checks}["rho_wedge_rho_nonzero"]
+        assert (rec.verdict, rec.tolerance, rec.details) == (
+            "pass", "nonzero witness", {"rank": "4"})
 
 
 class TestReports:
@@ -211,7 +244,7 @@ class TestReports:
             "exact identity, 7 trials, bound 2^-100")
         rep = cmd_verify_chains(DOC, "flat", samples=4)
         tol = {c.name: c.tolerance for c in rep.checks}
-        assert tol["rho_wedge_rho_nonzero"] == "nonzero witness, 12 trials"
+        assert tol["rho_wedge_rho_nonzero"] == "nonzero witness"
         assert re.fullmatch(r"exact identity, \d trials, bound 2\^-100",
                             tol["dual_derivation_equal"])
         rep = cmd_invariants(None, "dancing_sqrt_pair")

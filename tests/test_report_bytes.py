@@ -79,31 +79,31 @@ PINNED = {
     (None, ("verify-cr", "--system", "cr_y3_pair", "--trials", "50")):
         (0, "dfd9e3b99aab23d95034d1aaa4d3d1d9ccdf5ef5df9b1e4a5d5a52f2258cc6c4"),
     ("scalar", ("verify-chains", "--system", "s_zero")):
-        (0, "07821f8cbcb879108dc1b9a9211b5cf715ecace3f9169af68244a426e7e62514"),
+        (0, "70ad5419a98c306f29bd542444c40667ae51985a2f46a70231258725dd542a26"),
     ("scalar", ("verify-chains", "--system", "s_zero", "--trials", "50")):
-        (0, "795d84017b1e959f3b7568597ac695f759eb9217c1cd7734c13b085ba80d8047"),
+        (0, "123898cc16b9022c133790525f3db453d2239ef81acc5cbda8569c3becd8f4f8"),
     ("scalar", ("verify-chains", "--system", "s_p4")):
-        (0, "4a068c7362e36c9b2e8147b31ad24a21ab6aea81ebc91c8d242f273d11286ad2"),
+        (0, "c5bcb72c0224589468121f9c9952088ce087438f2db7068bd7308f0826728d01"),
     ("scalar", ("verify-chains", "--system", "s_p4", "--trials", "50")):
-        (0, "61ea7dad36504650d6fe5524e7b4d17986413aeb79f8294f967216cb2bbba577"),
+        (0, "2d7de717d4ee67d7deb0ff9ff172ba16a44ab4419f6277c340cada576250d4c8"),
     ("scalar", ("verify-chains", "--system", "s_tp")):
-        (0, "0d01af1427d302bff982e4bc5c4fc7654d734ebe5b606e5d3035565d986bb5bc"),
+        (0, "a232d3ea55ec7e5cedf67a3cc1572bb13e39be48a793a004b237416ca5fb36af"),
     ("scalar", ("verify-chains", "--system", "s_tp", "--trials", "50")):
-        (0, "5fcca364179d503a371f1aa01d630bf46ddccd8e0bc48a1b16423091e6ecd100"),
+        (0, "d32b9e3dbf6b2aca4cd0a34927b1ed7a61db5a44a4ff5156ec1911659e93d1b0"),
     ("scalar", ("verify-chains", "--system", "s_sqrt")):
-        (0, "799431fc59fe711395b6707876efcc11163d92944f0883d56a100de7695253dd"),
+        (0, "ea6dbbc640a86c8eed343a5229262f079f1642faca89465632c83ec81cdd2a41"),
     ("r3", ("classify", "--system", "pair")):
         (0, "fb92cb26134f7f0a383f3602a81f9ed1d0c0450f7dc3f564d7a211e316f5dcba"),
     ("r3", ("verify-chains", "--system", "ode")):
-        (0, "8a99558f5a69eb4b84c6b4a955cbdd7038708123db076fff3c5d173a649dd55a"),
+        (0, "726aaa9d3fd10b4dc7d51f0a3824e77ac5b8cbf91554721608dc48a311a9929b"),
     ("r3", ("verify-chains", "--system", "ode", "--trials", "50")):
-        (0, "4ff720418375242672aaa4614d7f40a8a32eac3114ded6d9c0a6425e7802441d"),
+        (0, "23cb2a0c92f0f45a3e9161ef4ef9742261047f5cbc7d7d535e196fa7b16ce417"),
     ("r4", ("classify", "--system", "pair")):
         (1, "05161e22c2ff6ee0919e14f64e1d9617c21c73ca8000905f404d2a5b567d8253"),
     ("r4", ("verify-chains", "--system", "ode")):
-        (0, "6c24f00cbb7b2a01a861b0ab38fce2f5f4d00718f30582f3970bb160c23a9196"),
+        (0, "f612686ce1c8af71a332748f73bb4cbd5cd60234289e15cd4dd958f213f5b876"),
     ("r4", ("verify-chains", "--system", "ode", "--trials", "50")):
-        (0, "47b0ad7c314e7256eaec2d9bf5e4e1802ed4ed4df356261fb6593a56121cb00e"),
+        (0, "9a64ae5eea5611cfc33e5b9b40ade500d58424a65ec20b3468d60fad5a895985"),
 }
 
 
