@@ -5,8 +5,9 @@ fractional power of a negative base.
 
 Three limits keep exact powers finite: a compiled integer power has an
 exponent below MAX_INT_EXPONENT in absolute value; `rat_pow_exact` refuses
-a power whose value could exceed 2^MAX_FOLD_BITS (so a folded constant such
-as 10^400 stays cheap to build and to print); and `Tape.eval_exact` refuses
+a power whose numerator or denominator exceeds 2^MAX_FOLD_BITS (so a folded
+constant such as 10^400 stays cheap to build and to print); and
+`Tape.eval_exact` refuses
 an integer power n^b of a value n/d when |b| * (bits of n + bits of d)
 exceeds MAX_POWER_BITS, the size of the power's numerator and denominator
 together, before computing it (so q^3000000 at a sampled point fails at
@@ -28,10 +29,13 @@ MAX_POWER_BITS = 2 ** 16    # bits of the largest integer power at evaluation
 
 def _int_nth_root(n: int, k: int):
     """Exact k-th root of a nonnegative integer of any size, or None."""
+    if k == 1 or n < 2:
+        return n
+    if k >= n.bit_length():
+        # 1 < root < 2 would be needed: 2^k > n
+        return None
     if k == 2:
         root = math.isqrt(n)
-    elif n < 2:
-        root = n
     else:
         # integer Newton from 2^ceil(bits/k) >= the root, decreasing to the
         # floor of the root
@@ -72,40 +76,36 @@ def rat_pow_exact(base: Rat, exp: Rat):
 
     Raises DivisionByZero for 0**negative and DomainError for an even root
     of a negative base.  Odd roots of negatives take the real branch.
-    Raises ValueError, before any arithmetic, when the numerator or the
-    denominator of |base|^|exp| could exceed 2^MAX_FOLD_BITS: with m the
-    larger of |numerator| and denominator, log2 m <= (m - 1).bit_length().
+    Raises ValueError when the numerator or the denominator of the value
+    exceeds 2^MAX_FOLD_BITS.  With m the larger of |numerator| and
+    denominator of the base and exp = p/q, the root is taken before the
+    power, and m^(|p|/q) >= 2^((bits of m - 1) |p|/q) refuses a power that
+    certainly exceeds the bound before any arithmetic; a power that passes
+    has at most twice the bound's bits, so its exact size is checked once
+    it is built.
     """
-    size = max(abs(base.numerator), base.denominator) - 1
-    if abs(exp) * size.bit_length() > MAX_FOLD_BITS:
-        raise ValueError(f"constant power ({base})^({exp}) too large: "
-                         f"beyond 2^{MAX_FOLD_BITS}")
-    if is_int(exp):
-        e = int(exp)
-        if e < 0:
-            if base == 0:
-                raise DivisionByZero("0 raised to a negative power")
-            # an int base to a negative power would give a float
-            return Rat(base) ** e
-        return base ** e
     p, q = exp.numerator, exp.denominator
     if base == 0:
         if p < 0:
             raise DivisionByZero("0 raised to a negative power")
-        return 0
+        return 0 if p else 1
     sign = 1
     if base < 0:
         sign = real_branch_sign(exp)
         if not sign:
             raise DomainError("negative base under an even root")
-        base = -base
-    num, den = base.numerator, base.denominator
+    num, den = abs(base.numerator), base.denominator
     if p < 0:
         num, den, p = den, num, -p
-    rn = _int_nth_root(num ** p, q)
-    if rn is None:
+    if (max(num, den).bit_length() - 1) * p > MAX_FOLD_BITS * q:
+        raise ValueError(f"constant power ({base})^({exp}) too large: "
+                         f"beyond 2^{MAX_FOLD_BITS}")
+    rn, rd = _int_nth_root(num, q), _int_nth_root(den, q)
+    if rn is None or rd is None:
         return None
-    rd = _int_nth_root(den ** p, q)
-    if rd is None:
-        return None
-    return Rat(sign * rn, rd)
+    rn, rd = rn ** p, rd ** p
+    if max(rn, rd) > 1 << MAX_FOLD_BITS:
+        raise ValueError(f"constant power ({base})^({exp}) too large: "
+                         f"beyond 2^{MAX_FOLD_BITS}")
+    # an int base to an integer power stays an int
+    return sign * rn if rd == 1 and type(base) is int else Rat(sign * rn, rd)

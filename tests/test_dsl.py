@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -179,6 +180,30 @@ class TestPrecedence:
             num(2 ** 8192) * var("q"))
         assert parse_expression("q/2^8192") is (
             num(as_rat(f"1/{2 ** 8192}")) * var("q"))
+
+    def test_constant_power_folds_by_its_exact_size(self):
+        # 10^2100 has 6,977 bits: it folds as a power as it does as a product
+        assert parse_expression("10^2100*q") is (
+            parse_expression("10^1000*10^1100*q"))
+        # 3^5168 has 8,192 bits, 3^5169 has 8,193
+        assert parse_expression("3^5168*q") is num(3 ** 5168) * var("q")
+
+    @pytest.mark.parametrize("text, column", [
+        ("2^8193*q", 2), ("3^5169*q", 2), ("q*(1/3)^5169", 8),
+        ("4^(16385/2)*q", 2)])
+    def test_constant_power_just_past_the_bound_is_a_syntax_error(
+            self, text, column):
+        with pytest.raises(DslSyntaxError, match="too large") as exc:
+            parse_expression(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
+
+    def test_irrational_power_with_a_large_denominator_stays_symbolic(self):
+        # the root is taken before the power, so 7^100000001 is never built
+        start = time.perf_counter()
+        e = parse_expression("7^(100000001/100000000)*q1^3")
+        assert time.perf_counter() - start < 1
+        assert e.has_radical
+        assert str(e) == "7^(100000001/100000000)*q1^3"
 
 
 class TestRoundTrip:

@@ -368,6 +368,29 @@ class TestExactRoots:
         assert pow_(num(-1), 2000000001) is num(-1)
         assert pow_(num(1), Fraction(-1999999999, 3)) is num(1)
 
+    def test_power_bound_is_exact(self):
+        bits = rational.MAX_FOLD_BITS
+        # log2 10 = 3.32: 10^2466 has 8,192 bits, 10^2467 has 8,196
+        assert rat_pow_exact(10, 2466) == 10 ** 2466
+        with pytest.raises(ValueError, match="too large"):
+            rat_pow_exact(10, 2467)
+        assert rat_pow_exact(Fraction(1, 2), -bits) == 2 ** bits
+        with pytest.raises(ValueError, match="too large"):
+            rat_pow_exact(Fraction(1, 2), -bits - 1)
+        assert rat_pow_exact(4, Fraction(bits, 2)) == 2 ** bits
+        with pytest.raises(ValueError, match="too large"):
+            rat_pow_exact(4, Fraction(bits + 1, 2))
+
+    @pytest.mark.parametrize("base, exponent", [
+        (7, Fraction(100000001, 100000000)),
+        (10, Fraction(1000001, 1000000)),
+        (Fraction(2, 3), Fraction(-10 ** 9 - 1, 10 ** 9))])
+    def test_root_before_power(self, base, exponent):
+        # the root fails before the numerator's 10^8-th power is built
+        start = time.perf_counter()
+        assert rat_pow_exact(Fraction(base), exponent) is None
+        assert time.perf_counter() - start < 0.5
+
     @given(st.integers(2, 10 ** 60), st.integers(2, 7))
     @settings(max_examples=300, deadline=None)
     def test_perfect_powers_and_their_neighbours(self, r, k):
