@@ -7,11 +7,10 @@ Three limits keep exact powers finite: a compiled integer power has an
 exponent below MAX_INT_EXPONENT in absolute value; `rat_pow_exact` refuses
 a power whose numerator or denominator exceeds 2^MAX_FOLD_BITS (so a folded
 constant such as 10^400 stays cheap to build and to print); and
-`Tape.eval_exact` refuses
-an integer power n^b of a value n/d when |b| * (bits of n + bits of d)
-exceeds MAX_POWER_BITS, the size of the power's numerator and denominator
-together, before computing it (so q^3000000 at a sampled point fails at
-once instead of building a multi-megabit integer)."""
+`Tape.eval_exact` refuses an integer power n^b of a value n/d when |b| *
+(bits of n + bits of d) exceeds MAX_POWER_BITS, the size of the power's
+numerator and denominator together, before computing it (so q^3000000 at a
+sampled point fails at once instead of building a multi-megabit integer)."""
 
 from __future__ import annotations
 
@@ -107,5 +106,5 @@ def rat_pow_exact(base: Rat, exp: Rat):
     if max(rn, rd) > 1 << MAX_FOLD_BITS:
         raise ValueError(f"constant power ({base})^({exp}) too large: "
                          f"beyond 2^{MAX_FOLD_BITS}")
-    # an int base to an integer power stays an int
+    # an int base with an integral value stays an int
     return sign * rn if rd == 1 and type(base) is int else Rat(sign * rn, rd)
