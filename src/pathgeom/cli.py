@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .dsl import parse
@@ -30,10 +31,9 @@ from .errors import (DslError, IllConditioned, NewtonDiverged, PathgeomError,
                      SamplingExhausted, SeedNotFound, StepUnderflow,
                      UnknownName)
 from .expr.zerotest import MAX_TRIALS, TARGET_BITS
-from .pipeline import (DEFAULT_CURVE_SAMPLES, DEFAULT_IDENTITY_TRIALS,
-                       DEFAULT_SAMPLES, cmd_catalog, cmd_classify,
-                       cmd_invariants, cmd_metric, cmd_verify_chains,
-                       cmd_verify_cr, cmd_verify_dancing)
+from .pipeline import (DEFAULT_CURVE_SAMPLES, DEFAULT_SAMPLES, cmd_catalog,
+                       cmd_classify, cmd_invariants, cmd_metric,
+                       cmd_verify_chains, cmd_verify_cr, cmd_verify_dancing)
 
 _NUMERICAL_ABORTS = (StepUnderflow, NewtonDiverged, SeedNotFound,
                      SamplingExhausted, IllConditioned)
@@ -48,7 +48,7 @@ def _add_common(p, *reads):
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                        help=f"points sampled, at least 1 (default {DEFAULT_SAMPLES})")
     if "trials" in reads:
-        p.add_argument("--trials", type=int, default=DEFAULT_IDENTITY_TRIALS,
+        p.add_argument("--trials", type=int, default=None,
                        help="trials per entry of an identity test (default: "
                             f"enough for a 2^-{TARGET_BITS} failure bound, "
                             f"at most {MAX_TRIALS})")
@@ -112,10 +112,11 @@ def _load_document(path):
 
 
 def _floats(text, n, what):
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != n:
-        raise ValueError(f"{what} needs {n} comma-separated numbers")
-    return tuple(parts)
+    """The n comma-separated finite numbers given to option `what`."""
+    parts = tuple(float(x) for x in text.split(","))
+    if len(parts) != n or not all(map(math.isfinite, parts)):
+        raise ValueError(f"{what} needs {n} comma-separated finite numbers")
+    return parts
 
 
 def main(argv=None) -> int:

@@ -91,7 +91,7 @@ class CRAdaptedCoframe:
         return (self.omega0, self.omega1, self.omega2)
 
 
-def cr_adapted_coframe(graph: CRGraph, trials: int = 12, seed: int = 0) -> CRAdaptedCoframe:
+def cr_adapted_coframe(graph: CRGraph, seed: int = 0) -> CRAdaptedCoframe:
     """Coframe adapted to the CR structure of the graph q = F(x, y, p):
 
         omega0 = (dp + 2 (Fx Fp - Fy)/(Fp^2+1) dx + 2 (Fy Fp + Fx)/(Fp^2+1) dy)/C
@@ -121,7 +121,7 @@ def cr_adapted_coframe(graph: CRGraph, trials: int = 12, seed: int = 0) -> CRAda
                 mul(num(-2), add(Fx**2, Fy**2), Fpp),
                 mul(num(-1), denom, add(Fxx, Fyy))),
             denom**2)
-    if is_zero_probabilistic(C, trials=trials, seed=seed).is_zero:
+    if is_zero_probabilistic(C, seed=seed).is_zero:
         raise DegenerateLocus("Levi normalizer vanishes identically")
     omega0 = one_form(chart, {
         "p": div(num(1), C),
@@ -155,7 +155,7 @@ class SolutionFunction:
                              f"outside chart {self.chart}")
         da = differentiate(self.phi, self.chart[2])
         db = differentiate(self.phi, self.chart[3])
-        if all(zero_verdicts([da, db], 8, 0)):
+        if all(zero_verdicts([da, db])):
             raise ValueError("solution function is independent of both constants")
 
 

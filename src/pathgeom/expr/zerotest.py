@@ -30,12 +30,13 @@ entries are then run alone, where a rejected draw moves only their own
 stream.  An entry with a radical is always run alone: its mpf tolerance is
 relative to the largest value on its own tape.
 
-Without a trial count (`trials=None`), each entry draws its own allotment
-(`target_trials`): the fewest trials whose Schwartz-Zippel bound reaches
-2^-TARGET_BITS at its degree bound, at most MAX_TRIALS, and MAX_TRIALS for
-an entry decided in mpf.  In a group an entry closes as zero after its own
-allotment and the run ends once no entry is open, so each verdict is still
-the one-entry verdict.
+Without a trial count (`trials=None`, the package's one default), each
+entry draws its own allotment (`target_trials`): the fewest trials whose
+Schwartz-Zippel bound reaches 2^-TARGET_BITS at its degree bound, at most
+MAX_TRIALS, and MAX_TRIALS for an entry decided in mpf or of no degree.
+In a group an entry closes as zero after its own allotment and the run
+ends once no entry is open, so each verdict is still the one-entry
+verdict.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .sampling import RESAMPLE_BUDGET, draw_pairs
 from .tape import compile_tape, pair_residue
 
 DEFAULT_BOUND = 10 ** 6
-DEFAULT_TRIALS = 20
 MPF_REL_TOL = 1e-30
 TARGET_BITS = 100       # an entry's default failure bound is 2^-TARGET_BITS
 MAX_TRIALS = 50         # at most this many default trials per entry
@@ -61,9 +61,9 @@ MAX_TRIALS = 50         # at most this many default trials per entry
 @dataclass
 class ZeroVerdict:
     is_zero: bool
+    trials: int
     witness: dict | None = None
     witness_value: object = None
-    trials: int = 0
     mode: str = "exact"
     degree_bound: int | None = None
     failure_bound: float | None = None
@@ -214,10 +214,10 @@ def _run(exprs, names, trials, seed, ranges, every):
     return verdicts
 
 
-def is_zero_probabilistic(e: Expr, trials: int = DEFAULT_TRIALS, seed=0,
+def is_zero_probabilistic(e: Expr, trials: int | None = None, seed=0,
                           var_ranges: dict | None = None) -> ZeroVerdict:
     """Decide e == 0 by evaluation at `trials` random points where e has a
-    value.
+    value, or with None at its own allotment (module docstring).
 
     Returns a nonzero verdict with a witness assignment as soon as any
     evaluation is nonzero (exact) or exceeds the relative tolerance (mpf).
@@ -225,24 +225,25 @@ def is_zero_probabilistic(e: Expr, trials: int = DEFAULT_TRIALS, seed=0,
     keep radicands positive.  `constraints_rejected` counts the draws
     rejected at poles or outside the domain of a radical.
     """
-    if trials < 1:
+    if trials is not None and trials < 1:
         raise ValueError("trials must be >= 1")
     names = sorted(e.free_variables)
     ranges = [(var_ranges or {}).get(n) for n in names]
     return _run([e], names, trials, seed, ranges, True)[0]
 
 
-def exprs_equal(a: Expr, b: Expr, trials: int = DEFAULT_TRIALS,
+def exprs_equal(a: Expr, b: Expr, trials: int | None = None,
                 seed=0) -> ZeroVerdict:
     """Identity test a == b via is_zero_probabilistic(a - b)."""
     return is_zero_probabilistic(sub(a, b), trials=trials, seed=seed)
 
 
-def zero_verdicts(exprs, trials: int | None, seed, _every=False) -> list:
+def zero_verdicts(exprs, trials: int | None = None, seed=0,
+                  every=False) -> list:
     """The verdicts of the claim that every expression of `exprs` is zero,
     each equal to its one-entry verdict: up to and including the first
     nonzero one in claim order (every expression is zero iff all the
-    verdicts are), or with `_every` one per expression.
+    verdicts are), or with `every` one per expression.
 
     Each entry draws `trials` trials, or with None its own allotment.  The
     expressions are decided in groups (see the module docstring); a group
@@ -265,15 +266,15 @@ def zero_verdicts(exprs, trials: int | None, seed, _every=False) -> list:
         if members:
             members = [j for j in members if j < end]
             got = _run([exprs[j] for j in members], charts[i], trials, seed,
-                       [None] * len(charts[i]), _every)
+                       [None] * len(charts[i]), every)
             for j, v in zip(members, got):
                 verdicts[j] = v
-                if not (_every or v is None or v.is_zero):
+                if not (every or v is None or v.is_zero):
                     end = min(end, j + 1)
         if verdicts[i] is None:
             # left undecided by its group: the entry runs alone
             verdicts[i] = _run([exprs[i]], charts[i], trials, seed,
                                [None] * len(charts[i]), True)[0]
-            if not (_every or verdicts[i].is_zero):
+            if not (every or verdicts[i].is_zero):
                 end = i + 1
     return verdicts[:end]

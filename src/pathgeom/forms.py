@@ -10,7 +10,8 @@ chart is the vector of Pfaffian cofactors of its coefficient matrix
 when their wedge is not identically zero, an identity claim decided by the
 zero tester (`frobenius_integrable`).  That test takes a complex generator
 as its (re, im) pair of real 1-forms and wedges every generator as a
-complex form, a real one with imaginary part 0.
+complex form, a real one with imaginary part 0.  Its zero tests draw the
+zero tester's default allotment (`target_trials`) unless given `trials`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .jets import PairODE, ScalarODE
 CHAIN_RHO_CHART = ("x", "y", "p", "b1", "b2")
 CHAIN_PAIR_CHART = ("x", "y", "p", "Y", "P")
 KERNEL_TOL = 1e-10     # relative size of a float kernel counted as 0
-RHO_CHECK_TRIALS = 8   # trials of chain_pair_via_rho's identity checks
 
 
 def _sort_index(idx):
@@ -342,7 +342,8 @@ def chain_pair_via_rho(sys: ScalarODE) -> PairODE:
     of variables Y = (p b1 + 1)/b1, P = (F b1 - b2)/b1.
 
     The derivation is independent of the closed-form generator in
-    constructions.chain_pair_from_scalar; pipelines compare the two.
+    constructions.chain_pair_from_scalar; pipelines compare the two.  Its
+    zero tests draw the default allotment at seed 0, whatever a command's.
     """
     rho = rho_chain(sys)
     chart = CHAIN_PAIR_CHART
@@ -354,10 +355,9 @@ def chain_pair_via_rho(sys: ScalarODE) -> PairODE:
     pulled = pullback(rho, chart, bmap)
     v = kernel_field(pulled)
     vx = v[0]
-    if is_zero_probabilistic(vx, trials=RHO_CHECK_TRIALS).is_zero:
+    if is_zero_probabilistic(vx).is_zero:
         raise RankDeficient("characteristic field is tangent to x = const")
-    verdicts = zero_verdicts([sub(v[1], mul(Y, vx)), sub(v[2], mul(P, vx))],
-                             RHO_CHECK_TRIALS, 0)
+    verdicts = zero_verdicts([sub(v[1], mul(Y, vx)), sub(v[2], mul(P, vx))])
     if not verdicts[-1].is_zero:
         label = ("dy/dx", "dp/dx")[len(verdicts) - 1]
         raise RankDeficient(f"characteristic field has {label} != "
@@ -373,7 +373,8 @@ def _complex_wedge(a, b):
             wedge(a_re, b_im) + wedge(a_im, b_re))
 
 
-def frobenius_integrable(generators, trials: int = 20, seed=0) -> list:
+def frobenius_integrable(generators, trials: int | None = None,
+                         seed=0) -> list:
     """Frobenius test for the Pfaffian system spanned by the given 1-forms:
     integrable iff d(theta) ^ theta_1 ^ ... ^ theta_k == 0 for every
     generator theta.  A generator is a real 1-form, or a complex one given

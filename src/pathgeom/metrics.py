@@ -2,14 +2,14 @@
 induced by torsion-free pairs, conformal equivalence, and closedness checks.
 
 Conformal equivalence, closedness of the fundamental form and integrability
-of the null planes are identity claims, decided by the zero tester; the null
-planes of both structures go through the one Frobenius test
-`forms.frobenius_integrable`, the complex structure's as (re, im) pairs.  Only
-the Einstein check samples float points: curvature is never
-finite-differenced, the metric components and their first and second
-derivatives are differentiated symbolically, and numerics enter only when
-evaluating at sample points (the Christoffel/Ricci assembly at a point is
-plain linear algebra).
+of the null planes are identity claims, decided by the zero tester at its
+default allotment per entry unless given `trials`; the null planes of both
+structures go through the one Frobenius test `forms.frobenius_integrable`,
+the complex structure's as (re, im) pairs.  Only the Einstein check samples
+float points: curvature is never finite-differenced, the metric components
+and their first and second derivatives are differentiated symbolically, and
+numerics enter only when evaluating at sample points (the Christoffel/Ricci
+assembly at a point is plain linear algebra).
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def einstein_check(cm: CoframeMetric, points: int = 20,
                           seed=seed, signature=(2, 2))
 
 
-def conformal_from_pair(pair: PairODE, x_value=0, trials: int = 12,
+def conformal_from_pair(pair: PairODE, x_value=0,
                         seed: int = 0) -> CoframeMetric:
     """Conformal structure induced on the solution space of a torsion-free
     pair, on the slice {independent variable = x_value}:
@@ -181,7 +181,7 @@ def conformal_from_pair(pair: PairODE, x_value=0, trials: int = 12,
         eta3 = dy, eta4 = dp,
     with (F, G) the right-hand sides in the chart (x, y, p, Y, P)."""
     T = fels_torsion(pair)
-    verdicts = zero_verdicts([e for row in T for e in row], trials, seed)
+    verdicts = zero_verdicts([e for row in T for e in row], seed=seed)
     if not verdicts[-1].is_zero:
         i, j = divmod(len(verdicts) - 1, 2)
         raise TorsionNonzero(f"torsion component T^{i+1}_{j+1} is nonzero")
@@ -212,7 +212,7 @@ class ConformalVerdict:
 
 
 def conformal_equiv_check(g1: CoframeMetric, g2: CoframeMetric,
-                          trials: int = 20, seed: int = 0) -> ConformalVerdict:
+                          seed: int = 0) -> ConformalVerdict:
     """Identity test that g1 = f * g2 for a function f: the 45 cross minors
     g1_a g2_b - g1_b g2_a of the 10 entries a, b = (i, j) with i <= j
     vanish identically (`zero_verdicts`).  When they do, `factor` is the
@@ -228,13 +228,13 @@ def conformal_equiv_check(g1: CoframeMetric, g2: CoframeMetric,
         raise ValueError("g2 is the zero metric")
     minors = [sub(mul(a1, b2), mul(b1, a2))
               for (a1, a2), (b1, b2) in combinations(entries, 2)]
-    verdicts = zero_verdicts(minors, trials, seed)
+    verdicts = zero_verdicts(minors, seed=seed)
     if not verdicts[-1].is_zero:
         return ConformalVerdict(False, witness=verdicts[-1].witness)
     return ConformalVerdict(True, factor=div(*ref))
 
 
-def closedness_check(form: DifferentialForm, trials: int = 20,
+def closedness_check(form: DifferentialForm, trials: int | None = None,
                      seed: int = 0) -> list:
     """Identity test that the exterior derivative is identically zero: the
     ZeroVerdicts of its coefficients up to the first nonzero one, all zero
@@ -243,7 +243,7 @@ def closedness_check(form: DifferentialForm, trials: int = 20,
     return zero_verdicts(df.comps.values(), trials=trials, seed=seed)
 
 
-def null_planes_integrable(cm: CoframeMetric, trials: int = 20,
+def null_planes_integrable(cm: CoframeMetric, trials: int | None = None,
                            seed: int = 0) -> list:
     """Frobenius integrability of the designated null 2-plane fields: the
     ZeroVerdicts computed up to the first nonzero one, all zero iff the

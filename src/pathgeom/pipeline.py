@@ -44,10 +44,9 @@ from .metrics import (EINSTEIN_TOL, CoframeMetric, closedness_check,
                       einstein_check, null_planes_integrable)
 from .roots import admissibility, classify_quadric, classify_quartic
 
-DEFAULT_IDENTITY_TRIALS = None   # per entry, from the target bound
 DEFAULT_SAMPLES = 20      # sampled points per root-type or Einstein check
 DEFAULT_CURVE_SAMPLES = 120  # points along a dancing curve
-SAMPLE_BUDGET = 3000      # draws per pointwise classification
+DRAWS_PER_SAMPLE = 150    # draw budget per point of a classification
 PAIR_RESIDUAL_TOL = 1e-6  # largest pair residual along a dancing curve
 _TORSION_LABELS = [f"T^{i+1}_{j+1}" for i in range(2) for j in range(2)]
 
@@ -183,8 +182,7 @@ def _torsion(inv, trials, seed, every):
     """The torsion claim of a pair: its four entries by label, and their
     `zero_verdicts` (with `every`, one per entry)."""
     entries = dict(zip(_TORSION_LABELS, sum(inv.torsion, ())))
-    return entries, zero_verdicts(entries.values(), trials, seed,
-                                  _every=every)
+    return entries, zero_verdicts(entries.values(), trials, seed, every)
 
 
 def _root_type_checks(inv, samples, seed, expect=None):
@@ -208,8 +206,8 @@ def _root_type_checks(inv, samples, seed, expect=None):
     tape = compile_tape(exprs, names)
     quartic_types, quadric_types, flags, witness = [], set(), [], []
     skipped = 0
-    for point, values in sample_points(tape, names, seed, SAMPLE_BUDGET,
-                                       arithmetic):
+    for point, values in sample_points(tape, names, seed,
+                                       DRAWS_PER_SAMPLE * samples, arithmetic):
         try:
             q4 = classify_quartic(values[:5])
             q2 = classify_quadric(values[5:])
@@ -252,13 +250,12 @@ def _root_type_checks(inv, samples, seed, expect=None):
 # -- commands -------------------------------------------------------------------
 
 def cmd_invariants(doc: Document | None, system_name: str,
-                   trials: int | None = DEFAULT_IDENTITY_TRIALS,
-                   seed: int = 0) -> Report:
+                   trials: int | None = None, seed: int = 0) -> Report:
     obj = resolve(doc, system_name, (PairODE, ScalarODE))
     checks = []
     if isinstance(obj, ScalarODE):
         si = scalar_invariants(obj)
-        z1, z2 = zero_verdicts([si.t1, si.c1], trials, seed, _every=True)
+        z1, z2 = zero_verdicts([si.t1, si.c1], trials, seed, every=True)
         checks.append(CheckRecord(
             name="scalar_invariants", verdict="info",
             details={"T1": _expr_text(si.t1), "C1": _expr_text(si.c1),
@@ -275,7 +272,7 @@ def cmd_invariants(doc: Document | None, system_name: str,
                      "torsion_zero": str(all(torsion))}))
         trace = {"T^1_1 + T^2_2": add(entries["T^1_1"], entries["T^2_2"])}
         checks.append(_claim("torsion_trace_identity", "zero", zero_verdicts(
-            trace.values(), trials, seed, _every=True), trials, trace))
+            trace.values(), trials, seed, every=True), trials, trace))
         quart = curvature_quartic(inv)
         quad = torsion_quadric(inv)
         checks.append(CheckRecord(
@@ -297,9 +294,8 @@ def cmd_classify(doc: Document | None, system_name: str,
 
 
 def cmd_verify_chains(doc: Document | None, scalar_name: str,
-                      trials: int | None = DEFAULT_IDENTITY_TRIALS,
-                      samples: int = DEFAULT_SAMPLES,
-                      seed: int = 0) -> Report:
+                      trials: int | None = None,
+                      samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Report:
     sys = resolve(doc, scalar_name, ScalarODE)
     checks = []
     closed = chain_pair_from_scalar(sys)
@@ -311,12 +307,12 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
     diff = {"F1 difference": sub(closed.rhs1, via.rhs1),
             "F2 difference": sub(closed.rhs2, via.rhs2)}
     checks.append(_claim("dual_derivation_equal", "zero", zero_verdicts(
-        diff.values(), trials, seed, _every=True), trials, diff))
+        diff.values(), trials, seed, every=True), trials, diff))
     rho = rho_chain(sys)
     drho = {f"d rho [{idx}]": e
             for idx, e in exterior_derivative(rho).comps.items()}
     rec = _claim("rho_closed", "zero", zero_verdicts(
-        drho.values(), trials, seed, _every=True), trials, drho)
+        drho.values(), trials, seed, every=True), trials, drho)
     if not drho:
         rec.details["d rho"] = "0"
     checks.append(rec)
@@ -341,8 +337,7 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
 
 def cmd_verify_cr(doc: Document | None, pair_name: str,
                   samples: int = DEFAULT_SAMPLES,
-                  trials: int | None = DEFAULT_IDENTITY_TRIALS,
-                  seed: int = 0) -> Report:
+                  trials: int | None = None, seed: int = 0) -> Report:
     """CR-chain admissibility (condition 1: a D_c curvature quartic) for a
     candidate pair, plus the torsion report."""
     pair = resolve(doc, pair_name, PairODE)
@@ -424,9 +419,8 @@ def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
 
 
 def cmd_metric(doc: Document | None, coframe_name: str,
-               points: int = DEFAULT_SAMPLES,
-               seed: int = 0,
-               trials: int | None = DEFAULT_IDENTITY_TRIALS) -> Report:
+               points: int = DEFAULT_SAMPLES, seed: int = 0,
+               trials: int | None = None) -> Report:
     cm = resolve(doc, coframe_name, CoframeMetric)
     checks = []
     rep = einstein_check(cm, points=points, seed=seed)

@@ -763,9 +763,9 @@ _CONSTANTS = (1, -2, Fraction(-3, 7), Fraction(5, 4), 10 ** 400,
 def _fraction_value(roots, point):
     """Plain recursive Fraction evaluation of the roots at {name: value}.
 
-    Children are visited last to first and roots first to last, the order
-    of a tape's instructions, so that where two nodes would raise, the one
-    that raises is the one the tape reaches first."""
+    Children and roots are visited first to last, the order of a tape's
+    instructions (`nodes.postorder`), so that where two nodes would raise,
+    the one that raises is the one the tape reaches first."""
     memo = {}
 
     def ev(node):
@@ -776,7 +776,7 @@ def _fraction_value(roots, point):
         elif isinstance(node, Var):
             v = Fraction(point[node.name])
         elif isinstance(node, (Add, Mul)):
-            vals = [ev(a) for a in reversed(node.args)]
+            vals = [ev(a) for a in node.args]
             v = sum(vals, Fraction(0)) if isinstance(node, Add) else math.prod(vals)
         else:
             base, e = ev(node.base), node.exponent
@@ -860,6 +860,15 @@ class TestExactTape:
         got = [got] if len(roots) == 1 else got
         assert got == want
         assert all(type(v) is Fraction for v in got)
+
+    def test_first_node_to_raise_matches_the_reference(self):
+        # two children raise at this point: both sides reach the pole of the
+        # first child before the negative radicand of the second
+        e = add(pow_(pow_(y, 2), Fraction(-3, 2)), pow_(x, Fraction(1, 2)))
+        with pytest.raises(DivisionByZero):
+            _fraction_value([e], {"x": -1, "y": 0, "z": 0})
+        with pytest.raises(DivisionByZero):
+            compile_tape(e, ("x", "y", "z")).eval_exact([-1, 0, 0])
 
 
 class TestPrinting:

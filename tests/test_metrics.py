@@ -3,8 +3,9 @@ import pytest
 from pathgeom.constructions import catalog, chain_pair_from_scalar
 from pathgeom.errors import (DegeneratePoint, DependentGenerators,
                              TorsionNonzero)
-from pathgeom.expr import Rat, exprs_equal, num, var
-from pathgeom.forms import d, one_form, wedge
+from pathgeom.expr import Rat, exprs_equal, is_zero_probabilistic, num, var
+from pathgeom.expr.zerotest import target_trials
+from pathgeom.forms import d, exterior_derivative, one_form, wedge
 from pathgeom.jets import ScalarODE
 from pathgeom.metrics import (CoframeMetric, closedness_check,
                               conformal_equiv_check, conformal_from_pair,
@@ -80,13 +81,13 @@ class TestConformalFromPair:
     def test_flat_chain_pair_matches_dancing_metric(self):
         cm = conformal_from_pair(catalog("flat_chain_pair"))
         verdict = conformal_equiv_check(cm, catalog("dancing_metric_coframe"),
-                                        trials=12, seed=1)
+                                        seed=1)
         assert verdict.equivalent
 
     def test_cr_sphere_matches_fubini_study(self):
         cm = conformal_from_pair(catalog("cr_sphere_pair"), x_value=0)
         verdict = conformal_equiv_check(cm, catalog("fubini_study_coframe"),
-                                        trials=12, seed=1)
+                                        seed=1)
         assert verdict.equivalent
 
     def test_torsion_pair_rejected(self):
@@ -102,7 +103,7 @@ class TestConformalEquivalence:
         scaled = CoframeMetric(cm.chart,
                                (cm.etas[0].scale(7), cm.etas[1].scale(7),
                                 cm.etas[2], cm.etas[3]), "para")
-        verdict = conformal_equiv_check(cm, scaled, trials=8, seed=2)
+        verdict = conformal_equiv_check(cm, scaled, seed=2)
         assert verdict.equivalent
         assert exprs_equal(verdict.factor, num(Rat(1, 7)), trials=8).is_zero
 
@@ -114,7 +115,7 @@ class TestConformalEquivalence:
                                (cm.etas[0].scale(factor),
                                 cm.etas[1].scale(factor),
                                 cm.etas[2], cm.etas[3]), "para")
-        verdict = conformal_equiv_check(scaled, cm, trials=8, seed=2)
+        verdict = conformal_equiv_check(scaled, cm, seed=2)
         assert verdict.equivalent
         assert exprs_equal(verdict.factor, factor, trials=8).is_zero
 
@@ -140,7 +141,7 @@ class TestConformalEquivalence:
 
     def test_inequivalent_metrics(self):
         verdict = conformal_equiv_check(catalog("dancing_metric_coframe"),
-                                        _flat_coframe(), trials=8, seed=2)
+                                        _flat_coframe(), seed=2)
         assert not verdict.equivalent
         assert verdict.witness is not None
 
@@ -153,6 +154,22 @@ class TestFundamentalForm:
     def test_fubini_study_omega_closed(self):
         assert all(closedness_check(
             catalog("fubini_study_coframe").fundamental_form()))
+
+    def test_default_trials_reach_the_target_bound(self):
+        # with no trials, a library identity test draws what pg's own claims
+        # draw: each entry's target allotment, for a 2^-100 failure bound
+        # (the dancing form's d is structurally zero, so it has no entries)
+        form = catalog("fubini_study_coframe").fundamental_form()
+        verdicts = closedness_check(form) + [
+            is_zero_probabilistic(e)
+            for e in exterior_derivative(form).comps.values()]
+        assert closedness_check(
+            catalog("dancing_metric_coframe").fundamental_form()) == []
+        assert len(verdicts) == 6
+        for v in verdicts:
+            assert v.is_zero and v.mode == "exact"
+            assert v.trials == target_trials(v.degree_bound)
+            assert v.failure_bound <= 2 ** -100
 
     def test_non_closed_form_detected(self):
         ch = ("x", "y", "z", "w")

@@ -20,7 +20,7 @@ from pathgeom.invariants import (curvature_quartic, fels_invariants,
                                  torsion_quadric)
 from pathgeom.jets import ScalarODE
 from pathgeom.metrics import closedness_check, null_planes_integrable
-from pathgeom.pipeline import (SAMPLE_BUDGET, _claim, cmd_catalog,
+from pathgeom.pipeline import (DRAWS_PER_SAMPLE, _claim, cmd_catalog,
                                cmd_classify, cmd_invariants, cmd_metric,
                                cmd_verify_chains, cmd_verify_cr,
                                cmd_verify_dancing)
@@ -47,7 +47,7 @@ def _flags_at_sampled_points(pair, samples, seed):
     names = sorted(set().union(*(e.free_variables for e in exprs)))
     flags = []
     for _, values in sample_points(compile_tape(exprs, names), names, seed,
-                                   SAMPLE_BUDGET, "exact"):
+                                   DRAWS_PER_SAMPLE * samples, "exact"):
         flags.append(admissibility(classify_quartic(values[:5]),
                                    classify_quadric(values[5:])).as_dict())
         if len(flags) == samples:
@@ -124,9 +124,9 @@ class TestClaim:
         # target allotment by default, and N with --trials N
         drawn = []
 
-        def recording(exprs, trials, seed, _every=False):
+        def recording(exprs, trials, seed, every=False):
             drawn.append(trials)
-            return zero_verdicts(exprs, trials, seed, _every)
+            return zero_verdicts(exprs, trials, seed, every)
 
         monkeypatch.setattr(pipeline, "zero_verdicts", recording)
         rep = cmd_verify_chains(DOC, "quartic", trials=trials, samples=4)
@@ -169,7 +169,8 @@ class TestReports:
                  + list(torsion_quadric(inv).coefficients))
         names = sorted(set().union(*(e.free_variables for e in exprs)))
         point, values = next(sample_points(compile_tape(exprs, names), names,
-                                           0, SAMPLE_BUDGET, "exact"))
+                                           0, DRAWS_PER_SAMPLE * 6,
+                                           "exact"))
         assert rec.witnesses == [", ".join(f"{n} = {v}"
                                            for n, v in zip(names, point))]
         assert classify_quartic(values[:5]).describe() == "D_r"
@@ -372,6 +373,21 @@ class TestCli:
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert main(argv + ["--samples", samples]) == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    def test_draw_budget_grows_with_samples(self, capsys):
+        # 3001 admissible points take more than 3000 draws
+        assert main(["classify", "--system", "flat_chain_pair",
+                     "--samples", "3001"]) == 0
+        assert "samples: 3001" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option, value", [
+        ("--anchor", "inf,1,0,0"), ("--anchor", "1e400,1,0,0"),
+        ("--anchor", "nan,1,0,0"), ("--span", "1,inf"), ("--span", "nan,2"),
+        ("--span", "1,2,3")])
+    def test_non_finite_dancing_window_exits_two_naming_the_option(
+            self, option, value, capsys):
+        assert main(["verify-dancing", "--phi", "flat", option, value]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {option} ")
 
     @pytest.mark.parametrize("trials", ["0", "-7"])
     def test_trials_below_one_exit_two_when_every_claim_is_structural(

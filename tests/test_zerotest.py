@@ -11,8 +11,8 @@ from pathgeom.expr import (compile_tape, div, is_zero_probabilistic, mul, num,
 from pathgeom.expr import zerotest
 from pathgeom.expr.sampling import _sample_pair
 from pathgeom.expr.tape import MODULUS
-from pathgeom.expr.zerotest import (DEFAULT_BOUND, DEFAULT_TRIALS,
-                                    MPF_REL_TOL, RESAMPLE_BUDGET, ZeroVerdict,
+from pathgeom.expr.zerotest import (DEFAULT_BOUND, MPF_REL_TOL,
+                                    RESAMPLE_BUDGET, ZeroVerdict,
                                     zero_verdicts)
 
 p, q, y = variables("p q y")
@@ -104,7 +104,7 @@ def test_interval_draws_stay_in_interval(interval, bound, seed):
         assert Fraction(lo) <= x <= Fraction(hi)
 
 
-def _fraction_reference(e, trials=DEFAULT_TRIALS, seed=0, bound=DEFAULT_BOUND,
+def _fraction_reference(e, trials, seed=0, bound=DEFAULT_BOUND,
                         var_ranges=None):
     """The exact-mode zero test in Fraction arithmetic over the same draws
     (for an expression with a radical, the mpf test): (witness, witness
@@ -161,10 +161,11 @@ def test_same_draws_as_fraction_reference(case, seed, monkeypatch):
     # a small draw bound makes poles and repeated draws likely
     monkeypatch.setattr(zerotest, "DEFAULT_BOUND",
                         kwargs.get("bound", DEFAULT_BOUND))
-    verdict = is_zero_probabilistic(e, seed=seed,
+    verdict = is_zero_probabilistic(e, trials=20, seed=seed,
                                     var_ranges=kwargs.get("var_ranges"))
     assert verdict.mode == "exact"
-    witness, value, trials, rejected = _fraction_reference(e, seed=seed, **kwargs)
+    witness, value, trials, rejected = _fraction_reference(e, 20, seed=seed,
+                                                           **kwargs)
     assert verdict.witness == witness
     assert verdict.witness_value == value
     assert type(verdict.witness_value) is type(value)
@@ -178,7 +179,7 @@ def test_same_draws_cases_reach_every_branch():
     # and rejections at poles
     def run(case, seed):
         e, kwargs = _SAME_DRAWS_CASES[case]
-        return _fraction_reference(e, seed=seed, **kwargs)
+        return _fraction_reference(e, 20, seed=seed, **kwargs)
     assert any(run("nonzero", s)[2] > 1 for s in range(8))
     assert all(run("pole_with_constraint_zero", s)[3] > 0 for s in range(8))
     for case in ("zero", "pole_with_constraint_zero"):
@@ -236,7 +237,7 @@ def test_claim_verdicts_equal_one_output_references(case, seed, every,
     entries, bound = _CLAIM_CASES[case]
     monkeypatch.setattr(zerotest, "DEFAULT_BOUND", bound)
     trials = 12
-    got = zero_verdicts(entries, trials, seed, _every=every)
+    got = zero_verdicts(entries, trials, seed, every=every)
     want = []
     for e in entries:
         want.append(_reference_verdict(e, trials, seed, bound))
@@ -271,7 +272,7 @@ def test_claim_of_one_chart_compiles_one_tape(monkeypatch):
                         lambda exprs, names: compiled.append(len(exprs))
                         or real(exprs, names))
     entries = [_IDENTITY, _IDENTITY * p, sub(p, q), _IDENTITY - q]
-    verdicts = zero_verdicts(entries, 10, 0, _every=True)
+    verdicts = zero_verdicts(entries, 10, 0, every=True)
     assert [v.is_zero for v in verdicts] == [True, True, False, False]
     assert compiled == [4]
     compiled.clear()
@@ -286,7 +287,7 @@ def test_an_entry_the_claim_never_reaches_is_never_compiled():
     huge = pow_(p, 2 ** 31) - q
     assert len(zero_verdicts([sub(p, q), huge], 5, 0)) == 1
     with pytest.raises(ValueError, match="too large to compile"):
-        zero_verdicts([sub(p, q), huge], 5, 0, _every=True)
+        zero_verdicts([sub(p, q), huge], 5, 0, every=True)
 
 
 def test_constant_with_p_in_denominator_is_tested_exactly():
@@ -359,7 +360,7 @@ def _default_claims(draw):
 def test_default_claim_verdicts_equal_one_entry_verdicts(entries, seed, bound):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zerotest, "DEFAULT_BOUND", bound)
-        got = zero_verdicts(entries, None, seed, _every=True)
+        got = zero_verdicts(entries, None, seed, every=True)
         want = [zero_verdicts([e], None, seed)[0] for e in entries]
     assert len(got) == len(want)
     for k, (g, w) in enumerate(zip(got, want)):
