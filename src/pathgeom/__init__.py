@@ -11,9 +11,8 @@ verification pipelines.
 
 __version__ = "0.1.0"
 
-from .constructions import (CRAdaptedCoframe, DancingCurve, SolutionFunction,
-                            ThirdOrderODE, catalog, catalog_names,
-                            chain_pair_from_scalar, cr_adapted_coframe,
+from .constructions import (DancingCurve, SolutionFunction, ThirdOrderODE,
+                            catalog, catalog_names, chain_pair_from_scalar,
                             dancing_curve_numeric, freestyle_pair)
 from .dsl import Document, parse, parse_expression, serialize
 from .expr import (Expr, differentiate, evaluate, exprs_equal,
@@ -29,7 +28,7 @@ from .invariants import (CurvatureQuartic, FelsInvariants, ScalarInvariants,
                          TorsionQuadric, curvature_quartic, fels_curvature,
                          fels_invariants, fels_torsion, scalar_invariants,
                          torsion_quadric)
-from .jets import (CRGraph, PairODE, ScalarODE, prolong, total_derivative,
+from .jets import (PairODE, ScalarODE, prolong, total_derivative,
                    total_derivative_scalar)
 from .metrics import (CoframeMetric, EinsteinReport, closedness_check,
                       conformal_equiv_check, conformal_from_pair,

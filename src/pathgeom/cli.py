@@ -14,9 +14,10 @@ prints the JSON report to stdout in place of the text report), and none
 takes an option it does not read; --samples must be at least 1.  The file
 argument may be omitted (or '-' for stdin) when the system name is a catalog
 entry.  PHI names a catalog solution function (flat_dancing_phi,
-sqrt_dancing_phi); a .pg document declares none.  Exit status is 0 when all
-checks pass, 1 on any failed check, 2 on input errors (an unwritable --json
-PATH among them), 3 on a numerical abort.
+sqrt_dancing_phi; 'flat' and 'sqrt' are short for them, and a .pg document
+declares none); --anchor, --span and --system override its defaults.  Exit
+status is 0 when all checks pass, 1 on any failed check, 2 on input errors
+(an unwritable --json PATH among them), 3 on a numerical abort.
 """
 
 from __future__ import annotations
@@ -80,13 +81,13 @@ def _build_parser():
     pd = subs.add_parser("verify-dancing", help="dancing-curve residual checks")
     pd.add_argument("file", nargs="?", default=None)
     pd.add_argument("--phi", default="flat",
-                    help="'flat', 'sqrt', or a catalog solution function "
-                         "(flat_dancing_phi, sqrt_dancing_phi)")
+                    help="catalog solution function: flat_dancing_phi "
+                         "('flat', the default) or sqrt_dancing_phi ('sqrt')")
     pd.add_argument("--anchor", default=None,
                     help="anchor point 'that,zhat,ahat,bhat'")
     pd.add_argument("--span", default=None, help="t window 't0,t1'")
     pd.add_argument("--system", default=None,
-                    help="pair to verify against (defaults per builtin)")
+                    help="pair to verify against (default per PHI)")
     pd.add_argument("--samples", type=int, default=DEFAULT_CURVE_SAMPLES)
     pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--json", dest="json_path", default=None)
@@ -113,7 +114,10 @@ def _load_document(path):
 
 def _floats(text, n, what):
     """The n comma-separated finite numbers given to option `what`."""
-    parts = tuple(float(x) for x in text.split(","))
+    try:
+        parts = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != n or not all(map(math.isfinite, parts)):
         raise ValueError(f"{what} needs {n} comma-separated finite numbers")
     return parts

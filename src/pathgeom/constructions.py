@@ -1,6 +1,6 @@
 """Generators for the canonical systems: chain pairs of 2D path geometries,
-freestyling pairs, CR adapted coframes, the built-in example catalog, and
-numeric dancing curves traced from a solution function."""
+freestyling pairs, the built-in example catalog, and numeric dancing curves
+traced from a solution function."""
 
 from __future__ import annotations
 
@@ -9,16 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateLocus, DivisionByZero, DomainError,
-                     JacobianSingular, NewtonDiverged, NonTransverse,
+from .errors import (DivisionByZero, DomainError, JacobianSingular,
+                     NewtonDiverged, NonTransverse, PairUndefined,
                      SeedNotFound, UnknownName)
-from .expr import (Expr, Rat, add, compile_tape, differentiate, div,
-                   is_zero_probabilistic, mul, num, rename_variables,
-                   sqrt_, sub, substitute, var)
+from .expr import (Expr, Rat, add, compile_tape, differentiate, div, mul, num,
+                   rename_variables, sqrt_, sub, substitute, var)
 from .expr.sampling import draw_float
 from .expr.zerotest import zero_verdicts
-from .forms import CHAIN_PAIR_CHART, DifferentialForm, d, one_form
-from .jets import CRGraph, PairODE, ScalarODE
+from .forms import CHAIN_PAIR_CHART, one_form
+from .jets import PairODE, ScalarODE
 from .metrics import CoframeMetric
 
 
@@ -74,62 +73,6 @@ def freestyle_pair(sys: ScalarODE) -> PairODE:
     b, Z, B = var("b"), var("Z"), var("B")
     rhs2 = div(mul(B, sub(F, mul(num(2), B))), sub(Z, b))
     return PairODE(F, rhs2, chart=FREESTYLE_CHART)
-
-
-@dataclass(frozen=True)
-class CRAdaptedCoframe:
-    """Adapted coframe (omega0, omega1, omega2) on the CR graph q = F(x,y,p),
-    with the Levi normalizer whose vanishing marks the degenerate locus."""
-
-    omega0: DifferentialForm
-    omega1: DifferentialForm
-    omega2: DifferentialForm
-    normalizer: Expr
-
-    @property
-    def forms(self):
-        return (self.omega0, self.omega1, self.omega2)
-
-
-def cr_adapted_coframe(graph: CRGraph, seed: int = 0) -> CRAdaptedCoframe:
-    """Coframe adapted to the CR structure of the graph q = F(x, y, p):
-
-        omega0 = (dp + 2 (Fx Fp - Fy)/(Fp^2+1) dx + 2 (Fy Fp + Fx)/(Fp^2+1) dy)/C
-        omega1 = dx,  omega2 = -dy
-
-    with the Levi normalizer
-
-        C = ((2 Fx Fp - Fp^2 Fy - 3 Fy) Fxp + (2 Fy Fp + Fp^2 Fx + 3 Fx) Fyp
-             - 2 (Fx^2 + Fy^2) Fpp - (Fp^2+1)(Fxx + Fyy)) / (Fp^2+1)^2.
-
-    Raises DegenerateLocus when C vanishes identically (Levi-degenerate)."""
-    F = rename_variables(graph.rhs, {graph.chart[0]: "x", graph.chart[1]: "y",
-                                     graph.chart[2]: "p"})
-    chart = ("x", "y", "p")
-    Fx = differentiate(F, "x")
-    Fy = differentiate(F, "y")
-    Fp = differentiate(F, "p")
-    Fxp = differentiate(Fx, "p")
-    Fyp = differentiate(Fy, "p")
-    Fpp = differentiate(Fp, "p")
-    Fxx = differentiate(Fx, "x")
-    Fyy = differentiate(Fy, "y")
-    denom = add(Fp**2, num(1))
-    C = div(add(mul(add(mul(num(2), Fx, Fp), mul(num(-1), Fp**2, Fy),
-                        mul(num(-3), Fy)), Fxp),
-                mul(add(mul(num(2), Fy, Fp), mul(Fp**2, Fx), mul(num(3), Fx)), Fyp),
-                mul(num(-2), add(Fx**2, Fy**2), Fpp),
-                mul(num(-1), denom, add(Fxx, Fyy))),
-            denom**2)
-    if is_zero_probabilistic(C, seed=seed).is_zero:
-        raise DegenerateLocus("Levi normalizer vanishes identically")
-    omega0 = one_form(chart, {
-        "p": div(num(1), C),
-        "x": div(mul(num(2), sub(mul(Fx, Fp), Fy)), mul(C, denom)),
-        "y": div(mul(num(2), add(mul(Fy, Fp), Fx)), mul(C, denom)),
-    })
-    return CRAdaptedCoframe(omega0=omega0, omega1=d(chart, "x"),
-                            omega2=d(chart, "y").scale(-1), normalizer=C)
 
 
 @dataclass(frozen=True)
@@ -313,9 +256,19 @@ class DancingCurve:
 
     def pair_residuals(self, pair: PairODE):
         """Max residuals of (z'' - F1, b'' - F2) along the curve, evaluating
-        the pair's right-hand sides at (t, z, b, z', b')."""
+        the pair's right-hand sides at (t, z, b, z', b').  Raises
+        PairUndefined from the first sample t where the pair has no value."""
         pts = np.column_stack([self.t, self.z, self.b, self.z1, self.b1])
-        f1, f2 = compile_tape(pair.rhs, pair.chart).eval_f64_many(pts)
+        tape = compile_tape(pair.rhs, pair.chart)
+        try:
+            f1, f2 = tape.eval_f64_many(pts)
+        except (DivisionByZero, DomainError):
+            for t, row in zip(self.t, pts):
+                try:
+                    tape.eval_f64(row)
+                except (DivisionByZero, DomainError) as exc:
+                    raise PairUndefined(float(t)) from exc
+            raise
         r1 = np.abs(self.z2 - f1)
         r2 = np.abs(self.b2 - f2)
         return float(np.max(r1)), float(np.max(r2))

@@ -6,7 +6,6 @@
       F1 = ((Y^2+1)^2)/(Y*x+P-y);
       F2 = ((Y^2+1)*(P*Y-y*Y-x))/(Y*x+P-y);
     }
-    cr_graph quadric { vars x y p; F = (x^2+y^2)/4; }
     coframe cf { vars y p Y P; eta 1 = d Y; eta 2 = dP;
                  eta 3 = 2*dy/3; eta 4 = (Y-p)^2*d p; }
 
@@ -55,7 +54,7 @@ from .expr import (ZERO, Expr, Mul, Num, add, differentiate, div, mul, neg,
 from .expr.rational import MAX_FOLD_BITS
 from .expr.tape import MAX_INT_EXPONENT
 from .forms import DifferentialForm, one_form
-from .jets import CRGraph, PairODE, ScalarODE
+from .jets import PairODE, ScalarODE
 from .metrics import STRUCTURES, CoframeMetric
 
 _FOLD_LIMIT = 1 << MAX_FOLD_BITS   # largest numerator or denominator folded
@@ -65,7 +64,6 @@ _FOLD_LIMIT = 1 << MAX_FOLD_BITS   # largest numerator or denominator folded
 _DECLARATIONS = {
     "scalar_ode": (ScalarODE, 3, (("F", "rhs"),)),
     "pair_ode": (PairODE, 5, (("F1", "rhs1"), ("F2", "rhs2"))),
-    "cr_graph": (CRGraph, 3, (("F", "rhs"),)),
     "coframe": (CoframeMetric, 4, None),
 }
 KINDS = tuple(_DECLARATIONS)

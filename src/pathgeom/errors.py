@@ -79,10 +79,6 @@ class DependentGenerators(PathgeomError):
 
 # -- constructions -----------------------------------------------------------
 
-class DegenerateLocus(PathgeomError):
-    """A construction's normalizing function vanishes identically."""
-
-
 class UnknownName(PathgeomError):
     """No catalog entry or document declaration with that name."""
 
@@ -105,6 +101,12 @@ class JacobianSingular(PathgeomError):
 
 class SeedNotFound(PathgeomError):
     """Could not locate a point on the constraint curve to start continuation."""
+
+
+class PairUndefined(PathgeomError):
+    def __init__(self, t):
+        super().__init__(f"pair has no value at t = {t}")
+        self.t = t
 
 
 # -- numerics ----------------------------------------------------------------

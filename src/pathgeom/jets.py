@@ -1,16 +1,15 @@
-"""Jet-coordinate models of scalar ODEs, ODE pairs, and CR graphs, with the
-total derivative operator along solutions."""
+"""Jet-coordinate models of scalar ODEs and ODE pairs, with the total
+derivative operator along solutions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ChartMismatch
 from .expr import Expr, add, differentiate, mul, var
 
 SCALAR_CHART = ("t", "z", "p")
 PAIR_CHART = ("t", "u1", "u2", "q1", "q2")
-CR_CHART = ("x", "y", "p")
 
 
 def _check_chart(chart, rhs_list, what):
@@ -36,18 +35,6 @@ class ScalarODE:
             raise ChartMismatch("scalar chart needs 3 names (t, z, p)")
         _check_chart(self.chart, (self.rhs,), "ScalarODE")
 
-    @property
-    def t(self):
-        return var(self.chart[0])
-
-    @property
-    def z(self):
-        return var(self.chart[1])
-
-    @property
-    def p(self):
-        return var(self.chart[2])
-
 
 @dataclass(frozen=True)
 class PairODE:
@@ -65,19 +52,6 @@ class PairODE:
     @property
     def rhs(self):
         return (self.rhs1, self.rhs2)
-
-
-@dataclass(frozen=True)
-class CRGraph:
-    """Hypersurface q = F(x, y, p) presenting a CR 3-manifold as a graph."""
-
-    rhs: Expr
-    chart: tuple = CR_CHART
-
-    def __post_init__(self):
-        if len(self.chart) != 3:
-            raise ChartMismatch("CR chart needs 3 names (x, y, p)")
-        _check_chart(self.chart, (self.rhs,), "CRGraph")
 
 
 def _total_derivative(e: Expr, chart, rates) -> Expr:

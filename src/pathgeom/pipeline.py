@@ -12,7 +12,8 @@ claim (`rho_wedge_rho_nonzero`) holds when some entry does not vanish; when
 it fails there is no witness point.  `torsion_iff_flat_scalar` compares two
 zero claims and names no witness either.  A failing `uniform_quartic_type`
 names a point of the wrong type, and the numeric checks (`einstein`,
-`constraint_residual`, `pair_residual`) report their residuals instead.
+`constraint_residual`, `pair_residual`) report their residuals instead; a
+pair with no value on the curve names the first such sample t.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .constructions import (SolutionFunction, catalog, catalog_names,
-                            chain_pair_from_scalar, dancing_curve_numeric,
-                            freestyle_pair)
+from .constructions import (DANCING_RESIDUAL_TOL, SolutionFunction, catalog,
+                            catalog_names, chain_pair_from_scalar,
+                            dancing_curve_numeric, freestyle_pair)
 from .dsl import Document
-from .errors import IllConditioned, SamplingExhausted, UnknownName
+from .errors import (IllConditioned, PairUndefined, SamplingExhausted,
+                     UnknownName)
 from .expr import add, compile_tape, num, sub, to_text
 # unused here; pgbench's tracer test calls the zero tester through this module
 from .expr import is_zero_probabilistic  # noqa: F401
@@ -353,12 +355,13 @@ def cmd_verify_cr(doc: Document | None, pair_name: str,
                   fingerprint=_fingerprint(doc), checks=checks)
 
 
-_DANCING_BUILTINS = {
-    "flat": ("flat_dancing_phi", (0.0, 1.0, 0.0, 0.0), (1.0, 2.0),
-             (0.0, 1.0, -1.0), None),
-    "sqrt": ("sqrt_dancing_phi", (0.0, 2.0, 1.0, 1.0), (2.0, 3.0),
-             (19.0 / 6.0, 2.0, 0.4142135623730951), "dancing_sqrt_pair"),
-}
+# catalog solution function -> (anchor, span, Newton guess at the span's
+# start, pair to check); 'flat' and 'sqrt' are short names for the entries
+_DANCING = {"flat_dancing_phi": ((0.0, 1.0, 0.0, 0.0), (1.0, 2.0),
+                                 (0.0, 1.0, -1.0), None),
+            "sqrt_dancing_phi": ((0.0, 2.0, 1.0, 1.0), (2.0, 3.0),
+                                 (19 / 6, 2.0, 0.4142135623730951),
+                                 "dancing_sqrt_pair")}
 
 
 def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
@@ -366,50 +369,46 @@ def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
                        samples: int = DEFAULT_CURVE_SAMPLES,
                        seed: int = 0, pair_name: str | None = None,
                        csv_path=None) -> Report:
-    """Generate a dancing curve from a solution function and check it against
-    the declared pair (builtins: 'flat' checks the flat pair, 'sqrt' the
-    radical example pair)."""
-    guess = None
-    if phi_name in _DANCING_BUILTINS:
-        cat_name, danchor, dspan, guess, dpair = _DANCING_BUILTINS[phi_name]
-        phi = catalog(cat_name)
-        anchor = anchor or danchor
-        span = span or dspan
-        if pair_name is None and dpair is not None:
-            pair = catalog(dpair)
-            pair_label = dpair
-        elif pair_name is None:
-            pair = freestyle_pair(ScalarODE(num(0)))
-            pair_label = "freestyle_pair(F = 0)"
-        else:
-            pair = resolve(doc, pair_name, PairODE)
-            pair_label = pair_name
-    else:
-        phi = resolve(doc, phi_name, SolutionFunction)
-        if anchor is None or span is None:
-            raise UnknownName("custom solution functions need --anchor and "
-                              "--span")
-        if pair_name is None:
-            raise UnknownName("custom solution functions need --system to "
-                              "name the pair to verify against")
-        pair = resolve(doc, pair_name, PairODE)
-        pair_label = pair_name
+    """Trace a dancing curve of a catalog solution function and check it
+    against a pair (by default, 'flat' against the flat freestyling pair and
+    'sqrt' against the radical example pair).  `anchor` and `span` override
+    the entry's window, and Newton starts from its guess only in that window.
+    `constraint_residual` cannot fail, as `dancing_curve_numeric` raises
+    NewtonDiverged at that residual; `pair_residual` fails at a sample where
+    the pair has no value, and names its t."""
+    name = {"flat": "flat_dancing_phi",
+            "sqrt": "sqrt_dancing_phi"}.get(phi_name, phi_name)
+    phi = resolve(doc, name, SolutionFunction)
+    danchor, dspan, guess, pair_label = _DANCING[name]
+    anchor, span = tuple(anchor or danchor), tuple(span or dspan)
+    if (anchor, span) != (danchor, dspan):
+        guess = None
+    pair_label = pair_name or pair_label
+    pair = resolve(doc, pair_label, PairODE) if pair_label \
+        else freestyle_pair(ScalarODE(num(0)))
     checks = []
     curve = dancing_curve_numeric(phi, anchor, span, samples=samples,
                                   initial_guess=guess, seed=seed)
     res = float(np.max(curve.residual))
     checks.append(CheckRecord(
-        name="constraint_residual", verdict="pass" if res < 1e-10 else "fail",
-        tolerance="1e-10",
+        name="constraint_residual",
+        verdict="pass" if res < DANCING_RESIDUAL_TOL else "fail",
+        tolerance=f"{DANCING_RESIDUAL_TOL:g}",
         details={"max_residual": f"{res:.3e}", "samples": str(samples),
-                 "anchor": str(curve.anchor), "span": str(tuple(span))}))
-    r1, r2 = curve.pair_residuals(pair)
-    ok = max(r1, r2) < PAIR_RESIDUAL_TOL
-    checks.append(CheckRecord(
-        name="pair_residual", verdict="pass" if ok else "fail",
-        tolerance=f"{PAIR_RESIDUAL_TOL:g}",
-        details={"first_equation": f"{r1:.3e}", "second_equation": f"{r2:.3e}",
-                 "pair": pair_label}))
+                 "anchor": str(curve.anchor), "span": str(span)}))
+    rec = CheckRecord(name="pair_residual", verdict="fail",
+                      tolerance=f"{PAIR_RESIDUAL_TOL:g}",
+                      details={"pair": pair_label or "freestyle_pair(F = 0)"})
+    try:
+        r1, r2 = curve.pair_residuals(pair)
+    except PairUndefined as exc:
+        rec.witnesses = _witness_str({"t": exc.t})
+        rec.details["no_value"] = str(exc.__cause__)
+    else:
+        rec.verdict = "pass" if max(r1, r2) < PAIR_RESIDUAL_TOL else "fail"
+        rec.details.update(first_equation=f"{r1:.3e}",
+                           second_equation=f"{r2:.3e}")
+    checks.append(rec)
     if csv_path:
         curve.to_csv(csv_path)
         checks.append(CheckRecord(name="csv_written", verdict="info",
@@ -452,22 +451,17 @@ def cmd_catalog(name: str | None = None) -> Report:
                                       details={"type": type(catalog(n)).__name__}))
     else:
         obj = catalog(name)
-        details = {"type": type(obj).__name__}
+        details = {"type": type(obj).__name__, "chart": " ".join(obj.chart)}
         if isinstance(obj, PairODE):
-            details.update({"chart": " ".join(obj.chart),
-                            "F1": to_text(obj.rhs1), "F2": to_text(obj.rhs2)})
-        elif isinstance(obj, ScalarODE):
-            details.update({"chart": " ".join(obj.chart), "F": to_text(obj.rhs)})
+            details.update(F1=to_text(obj.rhs1), F2=to_text(obj.rhs2))
         elif isinstance(obj, SolutionFunction):
-            details.update({"chart": " ".join(obj.chart), "Phi": to_text(obj.phi)})
+            details["Phi"] = to_text(obj.phi)
         elif isinstance(obj, CoframeMetric):
-            details.update({"chart": " ".join(obj.chart),
-                            "structure": obj.structure,
-                            **{f"eta{k}": repr(e)
-                               for k, e in enumerate(obj.etas, start=1)}})
-        else:
+            details["structure"] = obj.structure
+            details.update((f"eta{k}", repr(e))
+                           for k, e in enumerate(obj.etas, start=1))
+        else:  # a ThirdOrderODE
             details["rhs"] = to_text(obj.rhs)
-            details["chart"] = " ".join(obj.chart)
         checks.append(CheckRecord(name=name, verdict="info", details=details))
     return Report(command=f"catalog {name or ''}".strip(), seed=0,
                   fingerprint=_fingerprint(None), checks=checks)

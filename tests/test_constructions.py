@@ -1,19 +1,21 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pathgeom.constructions import (catalog, catalog_names,
-                                    chain_pair_from_scalar, cr_adapted_coframe,
+                                    chain_pair_from_scalar,
                                     dancing_curve_numeric, freestyle_pair,
                                     SolutionFunction)
-from pathgeom.errors import (DegenerateLocus, NonTransverse, UnknownName)
+from pathgeom.errors import (DivisionByZero, DomainError, NonTransverse,
+                             PairUndefined, UnknownName)
 from pathgeom.expr import (add, div, exprs_equal, is_zero_probabilistic, mul,
                            num, pow_, rename_variables, sqrt_, sub, substitute,
                            var, variables)
 from pathgeom.invariants import fels_torsion, scalar_invariants
-from pathgeom.jets import CRGraph, ScalarODE
+from pathgeom.jets import PairODE, ScalarODE
 
 t, z, p = variables("t z p")
 
@@ -74,31 +76,6 @@ class TestFreestylePair:
             assert substitute(fs.rhs2, {"B": num(0)}) is num(0)
 
 
-class TestCRAdaptedCoframe:
-    def test_sphere_quadric_graph(self):
-        cof = cr_adapted_coframe(CRGraph(div(var("x") ** 2 + var("y") ** 2,
-                                             num(4))))
-        assert exprs_equal(cof.normalizer, num(-1), trials=6).is_zero
-        # omega0 = -(dp - y dx + x dy)
-        assert exprs_equal(cof.omega0.coefficient("p"), num(-1),
-                           trials=4).is_zero
-        assert exprs_equal(cof.omega0.coefficient("x"), var("y"),
-                           trials=4).is_zero
-        assert exprs_equal(cof.omega0.coefficient("y"),
-                           mul(num(-1), var("x")), trials=4).is_zero
-        assert cof.omega1.coefficient("x") is num(1)
-        assert cof.omega2.coefficient("y") is num(-1)
-
-    def test_levi_degenerate_graph_rejected(self):
-        with pytest.raises(DegenerateLocus):
-            cr_adapted_coframe(CRGraph(num(0)))
-
-    def test_cubic_graph_normalizer(self):
-        cof = cr_adapted_coframe(CRGraph(div(var("y") ** 3, num(6))))
-        assert exprs_equal(cof.normalizer, mul(num(-1), var("y")),
-                           trials=6).is_zero
-
-
 class TestCatalog:
     def test_names_and_unknown(self):
         assert "flat_chain_pair" in catalog_names()
@@ -156,6 +133,23 @@ class TestDancingCurves:
         pair = catalog("dancing_sqrt_pair")
         r1, r2 = curve.pair_residuals(pair)
         assert max(r1, r2) < 1e-6
+
+    def test_pair_without_value_names_the_first_such_sample(self):
+        phi = catalog("flat_dancing_phi")
+        curve = dancing_curve_numeric(phi, (0, 1, 0, 0), (1.0, 2.0),
+                                      samples=11, initial_guess=(0.0, 1.0, -1.0))
+        # no real value for t > 1.7, a pole at t = 1.5 (the sixth sample)
+        pair = PairODE(sqrt_(sub(num(Fraction(17, 10)), t)),
+                       div(num(1), sub(t, num(Fraction(3, 2)))))
+        with pytest.raises(PairUndefined) as exc:
+            curve.pair_residuals(pair)
+        assert exc.value.t == curve.t[5] == 1.5
+        assert isinstance(exc.value.__cause__, DivisionByZero)
+        pair = PairODE(sqrt_(sub(num(Fraction(17, 10)), t)), num(0))
+        with pytest.raises(PairUndefined) as exc:
+            curve.pair_residuals(pair)
+        assert exc.value.t == curve.t[np.argmax(curve.t > 1.7)]
+        assert isinstance(exc.value.__cause__, DomainError)
 
     def test_incident_anchor_rejected(self):
         phi = catalog("flat_dancing_phi")

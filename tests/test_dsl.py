@@ -8,7 +8,7 @@ from pathgeom.dsl import Document, parse, parse_expression, serialize
 from pathgeom.errors import DslSyntaxError, DuplicateName, UnknownVariable
 from pathgeom.expr import as_rat, exprs_equal, num, pow_, var
 from pathgeom.forms import one_form
-from pathgeom.jets import CRGraph, ScalarODE
+from pathgeom.jets import ScalarODE
 from pathgeom.metrics import CoframeMetric
 
 FLAT = "scalar_ode flat { vars t z p; F = 0; }"
@@ -94,7 +94,9 @@ class TestParseExamples:
          "eta 2 = d P; eta 3 = d y; eta 4 = d p; }", 39,
          "structure must be one of para, complex, got 'bogus'"),
         ("coframe c { vars y p Y; eta 1 = d Y; eta 2 = d p; eta 3 = d y; "
-         "eta 4 = d p; }", 13, "expected 4 chart variables, found 3")])
+         "eta 4 = d p; }", 13, "expected 4 chart variables, found 3"),
+        ("graph g { vars x y p; F = x; }", 1, "expected a declaration "
+         "kind (scalar_ode, pair_ode, coframe), got 'graph'")])
     def test_declaration_errors_point_at_their_token(self, text, column,
                                                      message):
         with pytest.raises(DslSyntaxError) as exc:
@@ -110,10 +112,6 @@ class TestParseExamples:
             parse(f"scalar_ode a {{ vars t z p;\n  F = p + {literal}; }}")
         assert (exc.value.line, exc.value.column) == (2, 11)
         assert "number literal too long" in str(exc.value)
-
-    def test_cr_graph(self):
-        doc = parse("cr_graph g { vars x y p; F = (x^2+y^2)/4; }")
-        assert isinstance(doc.get("g"), CRGraph)
 
     def test_comments_and_crlf(self):
         doc = parse("# heading\r\nscalar_ode a { vars t z p; # trailing\r\n"

@@ -10,7 +10,8 @@ import pytest
 
 from pathgeom import pipeline
 from pathgeom.cli import main
-from pathgeom.constructions import catalog, freestyle_pair
+from pathgeom.constructions import (catalog, catalog_names,
+                                    dancing_curve_numeric, freestyle_pair)
 from pathgeom.dsl import MAX_NESTING, Document, parse, parse_expression
 from pathgeom.errors import DslSyntaxError
 from pathgeom.expr import compile_tape, rational
@@ -383,11 +384,46 @@ class TestCli:
     @pytest.mark.parametrize("option, value", [
         ("--anchor", "inf,1,0,0"), ("--anchor", "1e400,1,0,0"),
         ("--anchor", "nan,1,0,0"), ("--span", "1,inf"), ("--span", "nan,2"),
-        ("--span", "1,2,3")])
+        ("--span", "1,2,3"), ("--span", "a,2")])
     def test_non_finite_dancing_window_exits_two_naming_the_option(
             self, option, value, capsys):
         assert main(["verify-dancing", "--phi", "flat", option, value]) == 2
         assert capsys.readouterr().err.startswith(f"input error: {option} ")
+
+    @pytest.mark.parametrize("phi", ["flat", "sqrt"])
+    def test_catalog_name_of_phi_reports_as_its_short_name(self, phi, capsys):
+        reports = []
+        for name in (phi, f"{phi}_dancing_phi"):
+            assert main(["verify-dancing", "--phi", name, "--json", "-"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            assert reports[-1].pop("command") == f"verify-dancing {name}"
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("window, guessed", [
+        ((), True), (("--anchor", "0,1,0,0", "--span", "1,2"), True),
+        (("--span", "1,1.5"), False), (("--anchor", "0,2,0,0"), False)])
+    def test_newton_guess_only_in_the_default_window(self, window, guessed,
+                                                     monkeypatch, capsys):
+        guesses = []
+
+        def spy(*args, initial_guess, **kwargs):
+            guesses.append(initial_guess)
+            return dancing_curve_numeric(*args, initial_guess=initial_guess,
+                                         **kwargs)
+
+        monkeypatch.setattr(pipeline, "dancing_curve_numeric", spy)
+        assert main(["verify-dancing", "--phi", "flat", *window]) == 0
+        assert (guesses[0] is not None) == guessed
+
+    def test_pair_without_value_on_the_curve_fails_naming_its_t(self, capsys):
+        # the sqrt pair has no value where the flat curve meets t + b = 0
+        assert main(["verify-dancing", "--phi", "flat", "--system",
+                     "dancing_sqrt_pair", "--json", "-"]) == 1
+        rec = json.loads(capsys.readouterr().out)["checks"][1]
+        assert (rec["name"], rec["verdict"]) == ("pair_residual", "fail")
+        assert set(rec["details"]) == {"pair", "no_value"}
+        [witness] = rec["witnesses"]
+        assert 1.0 <= float(witness.removeprefix("t = ")) <= 2.0
 
     @pytest.mark.parametrize("trials", ["0", "-7"])
     def test_trials_below_one_exit_two_when_every_claim_is_structural(
@@ -632,6 +668,22 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_entry_prints_its_fields(self, name, capsys):
+        assert main(["catalog", name, "--json", "-"]) == 0
+        details = json.loads(capsys.readouterr().out)["checks"][0]["details"]
+        kind = type(catalog(name)).__name__
+        etas = {f"eta{k}" for k in range(1, 5)}
+        fields = {"PairODE": {"F1", "F2"}, "SolutionFunction": {"Phi"},
+                  "ThirdOrderODE": {"rhs"},
+                  "CoframeMetric": {"structure"} | etas}[kind]
+        assert details["type"] == kind
+        assert set(details) == {"type", "chart"} | fields
+        for eta in etas & set(details):
+            # DifferentialForm's repr: (coefficient) dx + ...
+            assert re.fullmatch(r"\(.+\) d\w( \+ \(.+\) d\w)*",
+                                details[eta])
 
     def test_catalog_listing(self):
         proc = self._run("catalog")
