@@ -1,17 +1,19 @@
 """Command-line entry point.
 
-    pg invariants [file.pg] --system NAME [--trials N]
+    pg invariants [file.pg] --system NAME
     pg classify [file.pg] --system NAME [--samples N]
-    pg verify-chains [file.pg] --system NAME [--samples N] [--trials N]
-    pg verify-cr [file.pg] --system NAME [--samples N] [--trials N]
+    pg verify-chains [file.pg] --system NAME [--samples N]
+    pg verify-cr [file.pg] --system NAME [--samples N]
     pg verify-dancing [file.pg] --phi flat|sqrt|PHI [--anchor a,b,c,d]
                       [--span t0,t1] [--system PAIR] [--samples N] [--csv PATH]
-    pg metric [file.pg] --system NAME [--samples N] [--trials N]
+    pg metric [file.pg] --system NAME [--samples N]
     pg catalog [NAME]
 
 Each command but catalog takes --seed S, each takes --json PATH ('--json -'
 prints the JSON report to stdout in place of the text report), and none
-takes an option it does not read; --samples must be at least 1.  The file
+takes an option it does not read; --samples must be at least 1.  Each
+entry of an identity claim draws the zero tester's own allotment: enough
+trials for a 2^-100 failure bound, at most 50.  The file
 argument may be omitted (or '-' for stdin) when the system name is a catalog
 entry.  PHI names a catalog solution function (flat_dancing_phi,
 sqrt_dancing_phi; 'flat' and 'sqrt' are short for them, and a .pg document
@@ -28,31 +30,25 @@ import math
 import sys
 
 from .dsl import parse
-from .errors import (DslError, IllConditioned, NewtonDiverged, PathgeomError,
-                     SamplingExhausted, SeedNotFound, StepUnderflow,
-                     UnknownName)
-from .expr.zerotest import MAX_TRIALS, TARGET_BITS
+from .errors import (DslError, IllConditioned, JacobianSingular,
+                     NewtonDiverged, PathgeomError, SamplingExhausted,
+                     SeedNotFound, StepUnderflow, UnknownName)
 from .pipeline import (DEFAULT_CURVE_SAMPLES, DEFAULT_SAMPLES, cmd_catalog,
                        cmd_classify, cmd_invariants, cmd_metric,
                        cmd_verify_chains, cmd_verify_cr, cmd_verify_dancing)
 
-_NUMERICAL_ABORTS = (StepUnderflow, NewtonDiverged, SeedNotFound,
-                     SamplingExhausted, IllConditioned)
+_NUMERICAL_ABORTS = (StepUnderflow, NewtonDiverged, JacobianSingular,
+                     SeedNotFound, SamplingExhausted, IllConditioned)
 
 
-def _add_common(p, *reads):
-    """The document, --system, --seed, --json, and --samples/--trials if read."""
+def _add_common(p, samples):
+    """The document, --system, --seed, --json, and --samples if read."""
     p.add_argument("file", nargs="?", default=None,
                    help=".pg document ('-' for stdin); optional for catalog systems")
     p.add_argument("--system", required=True, help="declaration or catalog name")
-    if "samples" in reads:
+    if samples:
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                        help=f"points sampled, at least 1 (default {DEFAULT_SAMPLES})")
-    if "trials" in reads:
-        p.add_argument("--trials", type=int, default=None,
-                       help="trials per entry of an identity test (default: "
-                            f"enough for a 2^-{TARGET_BITS} failure bound, "
-                            f"at most {MAX_TRIALS})")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--json", dest="json_path", default=None,
                    help="write the machine-readable report to this path "
@@ -69,14 +65,12 @@ def _build_parser():
                     "3D path geometries given as pairs of 2nd-order ODEs")
     subs = ap.add_subparsers(dest="command", required=True)
 
-    for name, help_text, *reads in (
-            ("invariants", "print fundamental invariants", "trials"),
-            ("classify", "pointwise root-type classification", "samples"),
-            ("verify-chains", "full chain pipeline for a scalar ODE",
-             "samples", "trials"),
-            ("verify-cr", "CR-chain admissibility for a pair",
-             "samples", "trials")):
-        _add_common(subs.add_parser(name, help=help_text), *reads)
+    for name, help_text, samples in (
+            ("invariants", "print fundamental invariants", False),
+            ("classify", "pointwise root-type classification", True),
+            ("verify-chains", "full chain pipeline for a scalar ODE", True),
+            ("verify-cr", "CR-chain admissibility for a pair", True)):
+        _add_common(subs.add_parser(name, help=help_text), samples)
 
     pd = subs.add_parser("verify-dancing", help="dancing-curve residual checks")
     pd.add_argument("file", nargs="?", default=None)
@@ -95,7 +89,7 @@ def _build_parser():
 
     _add_common(subs.add_parser("metric", help="Einstein/closedness/integrability "
                                                "for a coframe metric"),
-                "samples", "trials")
+                samples=True)
 
     pc = subs.add_parser("catalog", help="list or print built-in examples")
     pc.add_argument("name", nargs="?", default=None)
@@ -131,17 +125,16 @@ def main(argv=None) -> int:
         else:
             doc = _load_document(args.file)
             if args.command == "invariants":
-                report = cmd_invariants(doc, args.system, trials=args.trials,
-                                        seed=args.seed)
+                report = cmd_invariants(doc, args.system, seed=args.seed)
             elif args.command == "classify":
                 report = cmd_classify(doc, args.system, samples=args.samples,
                                       seed=args.seed)
             elif args.command == "verify-chains":
-                report = cmd_verify_chains(doc, args.system, trials=args.trials,
+                report = cmd_verify_chains(doc, args.system,
                                            samples=args.samples, seed=args.seed)
             elif args.command == "verify-cr":
                 report = cmd_verify_cr(doc, args.system, samples=args.samples,
-                                       trials=args.trials, seed=args.seed)
+                                       seed=args.seed)
             elif args.command == "verify-dancing":
                 anchor = _floats(args.anchor, 4, "--anchor") if args.anchor else None
                 span = _floats(args.span, 2, "--span") if args.span else None
@@ -152,7 +145,7 @@ def main(argv=None) -> int:
                                             csv_path=args.csv_path)
             elif args.command == "metric":
                 report = cmd_metric(doc, args.system, points=args.samples,
-                                    seed=args.seed, trials=args.trials)
+                                    seed=args.seed)
             else:  # pragma: no cover
                 raise UnknownName(args.command)
         if args.json_path not in (None, "-"):

@@ -319,7 +319,10 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
 
     Raises NonTransverse for an incident anchor, JacobianSingular /
     NewtonDiverged on continuation failure (after step halving down to 1e-9),
-    SeedNotFound when no starting point on the curve can be located.
+    SeedNotFound when no starting point on the curve can be located.  The
+    samples must lie on one branch: J = dG/d(z, a, b) is regular along a
+    branch, so JacobianSingular names the first sample whose det J has the
+    other sign than at the first sample (the curve crossed a pole, say).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -375,8 +378,8 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
             if state is not None:
                 break
         if state is None:
-            raise SeedNotFound("no starting point found on the dancing curve; "
-                               "provide initial_guess=(z, a, b)")
+            raise SeedNotFound(f"no starting point found on the dancing "
+                               f"curve at t = {t0}")
 
     rows = {k: np.zeros(samples) for k in
             ("z", "a", "b", "z1", "b1", "z2", "b2", "res")}
@@ -398,6 +401,11 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
         t_cur = float(t_next)
         pt = np.array([t_cur, state[0], state[1], state[2]])
         Jm = J(t_cur, state)
+        orientation = np.sign(np.linalg.det(Jm))
+        if i == 0:
+            first_orientation = orientation
+        elif orientation != first_orientation:
+            raise JacobianSingular(t_cur)
         Gt, Gtt, Jt, H = np.split(np.array(taylor_tape.eval_f64(pt)),
                                   [3, 6, 15])
         Jt, H = Jt.reshape(3, 3), H.reshape(3, 3, 3)

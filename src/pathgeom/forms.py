@@ -11,7 +11,7 @@ when their wedge is not identically zero, an identity claim decided by the
 zero tester (`frobenius_integrable`).  That test takes a complex generator
 as its (re, im) pair of real 1-forms and wedges every generator as a
 complex form, a real one with imaginary part 0.  Its zero tests draw the
-zero tester's default allotment (`target_trials`) unless given `trials`.
+zero tester's allotment per entry (`target_trials`).
 """
 
 from __future__ import annotations
@@ -373,8 +373,7 @@ def _complex_wedge(a, b):
             wedge(a_re, b_im) + wedge(a_im, b_re))
 
 
-def frobenius_integrable(generators, trials: int | None = None,
-                         seed=0) -> list:
+def frobenius_integrable(generators, seed=0) -> list:
     """Frobenius test for the Pfaffian system spanned by the given 1-forms:
     integrable iff d(theta) ^ theta_1 ^ ... ^ theta_k == 0 for every
     generator theta.  A generator is a real 1-form, or a complex one given
@@ -400,11 +399,11 @@ def frobenius_integrable(generators, trials: int | None = None,
     for g in gens[1:]:
         span = _complex_wedge(span, g)
     if all(zero_verdicts([c for part in span for c in part.comps.values()],
-                         trials=trials, seed=seed)):
+                         seed=seed)):
         raise DependentGenerators("the wedge of the generators vanishes "
                                   "identically")
     coefficients = (c for re, im in gens
                     for part in _complex_wedge((exterior_derivative(re),
                                                 exterior_derivative(im)), span)
                     for c in part.comps.values())
-    return zero_verdicts(coefficients, trials=trials, seed=seed)
+    return zero_verdicts(coefficients, seed=seed)

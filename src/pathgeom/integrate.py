@@ -1,8 +1,9 @@
 """Adaptive Runge-Kutta integration of ODE pairs and symbolic third-order
 reduction checks.
 
-The stepper is the Dormand-Prince embedded 5(4) pair with PI-free standard
-step control; right-hand sides are evaluated through compiled tapes.
+The stepper is the Dormand-Prince embedded 5(4) pair (`_dp_step`) with
+PI-free standard step control at fixed tolerances (REL_TOL, ABS_TOL);
+right-hand sides are evaluated through compiled tapes.
 Approaches to the singular locus (any syntactic denominator below 1e-8 in
 magnitude) truncate the trajectory and set a flag rather than integrating
 blindly across a pole.
@@ -48,6 +49,8 @@ _ERR = np.array([float(b5 - b4) for b5, b4 in zip(_DP_B5, _DP_B4)])
 
 SINGULAR_FLOOR = 1e-8   # |denominator| at which a trajectory is truncated
 MAX_STEPS = 200_000
+REL_TOL = 1e-9          # local error per step, relative to |y|
+ABS_TOL = 1e-11         # local error per step, absolute
 
 
 def denominator_bases(e: Expr):
@@ -97,13 +100,22 @@ class Trajectory:
                          f"{self.error_estimates[k]:.17g}\n")
 
 
-def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
-                   abs_tol: float = 1e-11,
-                   fixed_step: float | None = None) -> Trajectory:
-    """Integrate (u1'', u2'') = (F1, F2) from ic = (u1, u2, q1, q2) over
-    span = (t0, t1) with the Dormand-Prince 5(4) pair.
+def _dp_step(rhs, t, y, k0, hs):
+    """One Dormand-Prince 5(4) step of signed size hs from y at t, given
+    k0 = rhs(t, y): the 5th-order state, its local error estimate, and
+    rhs at the new state (the last stage, reused as the next k0)."""
+    k = np.zeros((7, 4))
+    k[0] = k0
+    for s in range(1, 7):
+        ys = y + hs * (_A[s] @ k[:s])
+        k[s] = rhs(t + float(_C[s]) * hs, ys)
+    return y + hs * (_B5 @ k), hs * (_ERR @ k), k[6]
 
-    fixed_step disables adaptivity (used by the order-of-convergence test).
+
+def integrate_pair(sys: PairODE, ic, span) -> Trajectory:
+    """Integrate (u1'', u2'') = (F1, F2) from ic = (u1, u2, q1, q2) over
+    span = (t0, t1) with the Dormand-Prince 5(4) pair at REL_TOL, ABS_TOL.
+
     When any syntactic denominator of the right-hand sides drops below
     SINGULAR_FLOOR in magnitude, the trajectory is truncated and flagged.
     """
@@ -135,7 +147,7 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
     states = [y.copy()]
     errors = [0.0]
     singular_at = None
-    h = fixed_step if fixed_step is not None else min(abs(t1 - t0) / 100.0, 0.1)
+    h = min(abs(t1 - t0) / 100.0, 0.1)
     h_min = 1e-13 * max(1.0, abs(t1 - t0))
     t = t0
     steps = 0
@@ -146,20 +158,11 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
         h = min(h, abs(t1 - t))
         hs = direction * h
         try:
-            k = np.zeros((7, 4))
-            k[0] = f_now
             # a stage that leaves float range is a non-finite step, below
             with np.errstate(over="ignore", invalid="ignore"):
-                for s in range(1, 7):
-                    ys = y + hs * (_A[s] @ k[:s])
-                    k[s] = rhs(t + float(_C[s]) * hs, ys)
-                y_new = y + hs * (_B5 @ k)
-                err_vec = hs * (_ERR @ k)
+                y_new, err_vec, f_new = _dp_step(rhs, t, y, f_now, hs)
             finite = np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))
         except (DivisionByZero, DomainError):
-            if fixed_step is not None:
-                singular_at = t
-                break
             h /= 2
             if h < h_min:
                 singular_at = t
@@ -169,8 +172,6 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
             # a stage left float range (an overflowing fractional power)
             finite = False
         if not finite:
-            if fixed_step is not None:
-                raise StepUnderflow(f"solution left float range at t = {t}")
             h /= 2
             if h < h_min:
                 if _near_singular(min_denominator, t, y):
@@ -178,9 +179,9 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
                     break
                 raise StepUnderflow(f"solution left float range at t = {t}")
             continue
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if fixed_step is None and err > 1.0:
+        if err > 1.0:
             h *= max(0.2, 0.9 * err ** -0.2)
             if h < h_min:
                 if _near_singular(min_denominator, t, y):
@@ -190,7 +191,7 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
             continue
         t = t + hs
         y = y_new
-        f_now = k[6]  # FSAL
+        f_now = f_new  # FSAL
         ts.append(t)
         states.append(y.copy())
         errors.append(float(np.max(np.abs(err_vec))))
@@ -201,8 +202,7 @@ def integrate_pair(sys: PairODE, ic, span, rel_tol: float = 1e-9,
         if near <= SINGULAR_FLOOR:
             singular_at = t
             break
-        if fixed_step is None:
-            h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
     return Trajectory(chart=sys.chart, t=np.array(ts), states=np.array(states),
                       error_estimates=np.array(errors), singular_at=singular_at)
 

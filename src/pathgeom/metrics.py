@@ -3,7 +3,7 @@ induced by torsion-free pairs, conformal equivalence, and closedness checks.
 
 Conformal equivalence, closedness of the fundamental form and integrability
 of the null planes are identity claims, decided by the zero tester at its
-default allotment per entry unless given `trials`; the null planes of both
+own allotment per entry (`target_trials`); the null planes of both
 structures go through the one Frobenius test `forms.frobenius_integrable`,
 the complex structure's as (re, im) pairs.  Only the Einstein check samples
 float points: curvature is never finite-differenced, the metric components
@@ -234,23 +234,21 @@ def conformal_equiv_check(g1: CoframeMetric, g2: CoframeMetric,
     return ConformalVerdict(True, factor=div(*ref))
 
 
-def closedness_check(form: DifferentialForm, trials: int | None = None,
-                     seed: int = 0) -> list:
+def closedness_check(form: DifferentialForm, seed: int = 0) -> list:
     """Identity test that the exterior derivative is identically zero: the
     ZeroVerdicts of its coefficients up to the first nonzero one, all zero
     iff the form is closed."""
     df = exterior_derivative(form)
-    return zero_verdicts(df.comps.values(), trials=trials, seed=seed)
+    return zero_verdicts(df.comps.values(), seed=seed)
 
 
-def null_planes_integrable(cm: CoframeMetric, trials: int | None = None,
-                           seed: int = 0) -> list:
+def null_planes_integrable(cm: CoframeMetric, seed: int = 0) -> list:
     """Frobenius integrability of the designated null 2-plane fields: the
     ZeroVerdicts computed up to the first nonzero one, all zero iff the
     fields are integrable."""
     verdicts = []
     for system in cm.null_plane_systems():
-        verdicts += frobenius_integrable(system, trials=trials, seed=seed)
+        verdicts += frobenius_integrable(system, seed=seed)
         if not all(verdicts):
             break
     return verdicts

@@ -144,19 +144,20 @@ def resolve(doc: Document | None, name: str, kinds=None):
 MPF_TOLERANCE = f"mpf {MPF_PREC}-bit, relative {MPF_REL_TOL:g}"
 
 
-def _claim(name, kind, verdicts, trials, entries=None):
-    """The record of an identity claim, given its `zero_verdicts` drawn with
-    `trials`: a "zero" claim holds when every verdict is zero, a "nonzero"
-    claim when one is not.
+def _claim(name, kind, verdicts, entries=None):
+    """The record of an identity claim, given its `zero_verdicts` (each entry
+    at its own allotment): a "zero" claim holds when every verdict is zero,
+    a "nonzero" claim when one is not.
 
     A nonzero claim that holds reads "nonzero witness": an exact nonzero
     value needs no trial count.  Otherwise the tolerance is exact only if
-    every verdict was decided exactly (or mod p), else mpf, and
-    "structural" when there was nothing to test; without a trial count
-    an exact claim names its largest per-entry allotment and, when every
-    entry reaches it, the target bound.  A failing claim names the distinct
-    witnesses of its nonzero verdicts, in order.  `entries` (label ->
-    expression, one per verdict) puts each entry's value in the details."""
+    every verdict was decided exactly (or mod p), else mpf with its
+    MAX_TRIALS trials, and "structural" when there was nothing to test.  An
+    exact claim names its largest per-entry allotment and the target bound
+    when every entry reaches that bound, else MAX_TRIALS trials and no
+    bound.  A failing claim names the distinct witnesses of its nonzero
+    verdicts, in order.  `entries` (label -> expression, one per verdict)
+    puts each entry's value in the details."""
     nonzero = [v for v in verdicts if not v.is_zero]
     holds = bool(nonzero) == (kind == "nonzero")
     needed = [target_trials(v.degree_bound) for v in verdicts]
@@ -165,9 +166,9 @@ def _claim(name, kind, verdicts, trials, entries=None):
     elif not verdicts:
         tolerance = "structural"
     elif any(v.mode != "exact" for v in verdicts):
-        tolerance = f"{MPF_TOLERANCE}, {trials or MAX_TRIALS} trials"
-    elif trials is not None or None in needed:
-        tolerance = f"exact identity, {trials or MAX_TRIALS} trials"
+        tolerance = f"{MPF_TOLERANCE}, {MAX_TRIALS} trials"
+    elif None in needed:
+        tolerance = f"exact identity, {MAX_TRIALS} trials"
     else:
         tolerance = (f"exact identity, {max(needed)} trials, "
                      f"bound 2^-{TARGET_BITS}")
@@ -180,11 +181,11 @@ def _claim(name, kind, verdicts, trials, entries=None):
                        details=details)
 
 
-def _torsion(inv, trials, seed, every):
+def _torsion(inv, seed, every):
     """The torsion claim of a pair: its four entries by label, and their
     `zero_verdicts` (with `every`, one per entry)."""
     entries = dict(zip(_TORSION_LABELS, sum(inv.torsion, ())))
-    return entries, zero_verdicts(entries.values(), trials, seed, every)
+    return entries, zero_verdicts(entries.values(), seed=seed, every=every)
 
 
 def _root_type_checks(inv, samples, seed, expect=None):
@@ -252,12 +253,12 @@ def _root_type_checks(inv, samples, seed, expect=None):
 # -- commands -------------------------------------------------------------------
 
 def cmd_invariants(doc: Document | None, system_name: str,
-                   trials: int | None = None, seed: int = 0) -> Report:
+                   seed: int = 0) -> Report:
     obj = resolve(doc, system_name, (PairODE, ScalarODE))
     checks = []
     if isinstance(obj, ScalarODE):
         si = scalar_invariants(obj)
-        z1, z2 = zero_verdicts([si.t1, si.c1], trials, seed, every=True)
+        z1, z2 = zero_verdicts([si.t1, si.c1], seed=seed, every=True)
         checks.append(CheckRecord(
             name="scalar_invariants", verdict="info",
             details={"T1": _expr_text(si.t1), "C1": _expr_text(si.c1),
@@ -267,14 +268,14 @@ def cmd_invariants(doc: Document | None, system_name: str,
             details={"flat": str(z1.is_zero and z2.is_zero)}))
     else:
         inv = fels_invariants(obj)
-        entries, torsion = _torsion(inv, trials, seed, False)
+        entries, torsion = _torsion(inv, seed, False)
         checks.append(CheckRecord(
             name="torsion", verdict="info",
             details={**{lbl: _expr_text(e) for lbl, e in entries.items()},
                      "torsion_zero": str(all(torsion))}))
         trace = {"T^1_1 + T^2_2": add(entries["T^1_1"], entries["T^2_2"])}
         checks.append(_claim("torsion_trace_identity", "zero", zero_verdicts(
-            trace.values(), trials, seed, every=True), trials, trace))
+            trace.values(), seed=seed, every=True), trace))
         quart = curvature_quartic(inv)
         quad = torsion_quadric(inv)
         checks.append(CheckRecord(
@@ -296,7 +297,6 @@ def cmd_classify(doc: Document | None, system_name: str,
 
 
 def cmd_verify_chains(doc: Document | None, scalar_name: str,
-                      trials: int | None = None,
                       samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Report:
     sys = resolve(doc, scalar_name, ScalarODE)
     checks = []
@@ -309,25 +309,25 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
     diff = {"F1 difference": sub(closed.rhs1, via.rhs1),
             "F2 difference": sub(closed.rhs2, via.rhs2)}
     checks.append(_claim("dual_derivation_equal", "zero", zero_verdicts(
-        diff.values(), trials, seed, every=True), trials, diff))
+        diff.values(), seed=seed, every=True), diff))
     rho = rho_chain(sys)
     drho = {f"d rho [{idx}]": e
             for idx, e in exterior_derivative(rho).comps.items()}
     rec = _claim("rho_closed", "zero", zero_verdicts(
-        drho.values(), trials, seed, every=True), trials, drho)
+        drho.values(), seed=seed, every=True), drho)
     if not drho:
         rec.details["d rho"] = "0"
     checks.append(rec)
     rec = _claim("rho_wedge_rho_nonzero", "nonzero", zero_verdicts(
-        wedge(rho, rho).comps.values(), trials, seed), trials)
+        wedge(rho, rho).comps.values(), seed=seed))
     rec.details["rank"] = "4" if rec.verdict == "pass" else "degenerate"
     checks.append(rec)
     si = scalar_invariants(sys)
-    scalar = zero_verdicts([si.t1, si.c1], trials, seed)
+    scalar = zero_verdicts([si.t1, si.c1], seed=seed)
     inv = fels_invariants(closed)
-    torsion = _torsion(inv, trials, seed, False)[1]
+    torsion = _torsion(inv, seed, False)[1]
     # two zero claims compared, with the tolerance of both claims' verdicts
-    rec = _claim("torsion_iff_flat_scalar", "zero", scalar + torsion, trials)
+    rec = _claim("torsion_iff_flat_scalar", "zero", scalar + torsion)
     rec.verdict = "pass" if all(scalar) == all(torsion) else "fail"
     rec.witnesses, rec.details = [], {"scalar_invariants_zero": str(
         all(scalar)), "chain_torsion_zero": str(all(torsion))}
@@ -338,15 +338,14 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
 
 
 def cmd_verify_cr(doc: Document | None, pair_name: str,
-                  samples: int = DEFAULT_SAMPLES,
-                  trials: int | None = None, seed: int = 0) -> Report:
+                  samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Report:
     """CR-chain admissibility (condition 1: a D_c curvature quartic) for a
     candidate pair, plus the torsion report."""
     pair = resolve(doc, pair_name, PairODE)
     inv = fels_invariants(pair)
     checks = _root_type_checks(inv, samples, seed, expect="D_c")
-    entries, torsion = _torsion(inv, trials, seed, True)
-    rec = _claim("torsion_zero", "zero", torsion, trials, entries)
+    entries, torsion = _torsion(inv, seed, True)
+    rec = _claim("torsion_zero", "zero", torsion, entries)
     if rec.verdict == "fail":
         rec.verdict = "info"
         rec.details["note"] = "nonzero torsion: CR structure is not flat"
@@ -418,8 +417,7 @@ def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
 
 
 def cmd_metric(doc: Document | None, coframe_name: str,
-               points: int = DEFAULT_SAMPLES, seed: int = 0,
-               trials: int | None = None) -> Report:
+               points: int = DEFAULT_SAMPLES, seed: int = 0) -> Report:
     cm = resolve(doc, coframe_name, CoframeMetric)
     checks = []
     rep = einstein_check(cm, points=points, seed=seed)
@@ -433,12 +431,11 @@ def cmd_metric(doc: Document | None, coframe_name: str,
                  "points": str(points),
                  "signature": str(rep.signature)}))
     rec = _claim("fundamental_form_closed", "zero", closedness_check(
-        cm.fundamental_form(), trials=trials, seed=seed), trials)
+        cm.fundamental_form(), seed=seed))
     rec.details["pairing"] = cm.structure
     checks.append(rec)
     checks.append(_claim("null_planes_integrable", "zero",
-                         null_planes_integrable(cm, trials=trials, seed=seed),
-                         trials))
+                         null_planes_integrable(cm, seed=seed)))
     return Report(command=f"metric {coframe_name}", seed=seed,
                   fingerprint=_fingerprint(doc), checks=checks)
 

@@ -9,8 +9,8 @@ from pathgeom.constructions import (catalog, catalog_names,
                                     chain_pair_from_scalar,
                                     dancing_curve_numeric, freestyle_pair,
                                     SolutionFunction)
-from pathgeom.errors import (DivisionByZero, DomainError, NonTransverse,
-                             PairUndefined, UnknownName)
+from pathgeom.errors import (DivisionByZero, DomainError, JacobianSingular,
+                             NonTransverse, PairUndefined, UnknownName)
 from pathgeom.expr import (add, div, exprs_equal, is_zero_probabilistic, mul,
                            num, pow_, rename_variables, sqrt_, sub, substitute,
                            var, variables)
@@ -150,6 +150,18 @@ class TestDancingCurves:
             curve.pair_residuals(pair)
         assert exc.value.t == curve.t[np.argmax(curve.t > 1.7)]
         assert isinstance(exc.value.__cause__, DomainError)
+
+    def test_curve_across_a_pole_raises_at_the_first_sample_past_it(self):
+        # for this anchor b is infinite at t = 1.5; the samples past it lie
+        # on the other branch, where det J has the other sign
+        phi = catalog("flat_dancing_phi")
+        anchor = (1.5, 0.0, 0.0, 1.0)
+        curve = dancing_curve_numeric(phi, anchor, (1.0, 1.49), samples=60)
+        assert np.max(curve.residual) < 1e-10
+        ts = np.linspace(1.0, 2.0, 120)
+        with pytest.raises(JacobianSingular) as exc:
+            dancing_curve_numeric(phi, anchor, (1.0, 2.0), samples=120)
+        assert exc.value.t == ts[np.argmax(ts > 1.5)]
 
     def test_incident_anchor_rejected(self):
         phi = catalog("flat_dancing_phi")

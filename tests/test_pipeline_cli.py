@@ -13,10 +13,10 @@ from pathgeom.cli import main
 from pathgeom.constructions import (catalog, catalog_names,
                                     dancing_curve_numeric, freestyle_pair)
 from pathgeom.dsl import MAX_NESTING, Document, parse, parse_expression
-from pathgeom.errors import DslSyntaxError
+from pathgeom.errors import DslSyntaxError, IllConditioned
 from pathgeom.expr import compile_tape, rational
 from pathgeom.expr.sampling import sample_points
-from pathgeom.expr.zerotest import ZeroVerdict, zero_verdicts
+from pathgeom.expr.zerotest import ZeroVerdict
 from pathgeom.invariants import (curvature_quartic, fels_invariants,
                                  torsion_quadric)
 from pathgeom.jets import ScalarODE
@@ -64,22 +64,18 @@ class TestClaim:
         # target bound draws 50, and the tolerance names no bound
         deep = [ZeroVerdict(True, trials=50, degree_bound=250001),
                 ZeroVerdict(True, trials=6, degree_bound=9)]
-        rec = _claim("c", "zero", deep, None)
+        rec = _claim("c", "zero", deep)
         assert (rec.verdict, rec.tolerance) == (
             "pass", "exact identity, 50 trials")
-        assert _claim("c", "zero", deep[1:], None).tolerance == (
+        assert _claim("c", "zero", deep[1:]).tolerance == (
             "exact identity, 6 trials, bound 2^-100")
-        assert _claim("c", "zero", deep, 8).tolerance == (
-            "exact identity, 8 trials")
 
     def test_zero_claim_tolerance_names_mpf_and_structural(self):
         mixed = [ZeroVerdict(True, trials=6, degree_bound=9),
                  ZeroVerdict(True, trials=50, mode="mpf")]
-        assert _claim("c", "zero", mixed, None).tolerance == (
+        assert _claim("c", "zero", mixed).tolerance == (
             "mpf 256-bit, relative 1e-30, 50 trials")
-        assert _claim("c", "zero", mixed, 8).tolerance == (
-            "mpf 256-bit, relative 1e-30, 8 trials")
-        rec = _claim("c", "zero", [], None)
+        rec = _claim("c", "zero", [])
         assert (rec.verdict, rec.tolerance) == ("pass", "structural")
 
     def test_failing_zero_claim_names_distinct_witnesses_and_values(self):
@@ -89,7 +85,7 @@ class TestClaim:
                     ZeroVerdict(False, witness={"x": 2}, trials=1),
                     ZeroVerdict(False, witness={"x": 3}, trials=2)]
         entries = {"a": x, "b": x, "c": x, "d": x}
-        rec = _claim("c", "zero", verdicts, 8, entries)
+        rec = _claim("c", "zero", verdicts, entries)
         assert rec.verdict == "fail"
         assert rec.witnesses == ["x = 2", "x = 3"]
         assert rec.details == {"a": "nonzero (x)", "b": "0",
@@ -99,48 +95,27 @@ class TestClaim:
         # an exact nonzero value needs no trial count
         found = [ZeroVerdict(True, trials=6, degree_bound=4),
                  ZeroVerdict(False, witness={"x": 2}, trials=1)]
-        for trials in (None, 12):
-            rec = _claim("c", "nonzero", found, trials)
-            assert (rec.verdict, rec.tolerance, rec.witnesses) == (
-                "pass", "nonzero witness", [])
+        rec = _claim("c", "nonzero", found)
+        assert (rec.verdict, rec.tolerance, rec.witnesses) == (
+            "pass", "nonzero witness", [])
         # every entry vanishes: the claim fails, with no witness point and
         # the tolerance of a zero claim over the same verdicts
         vanish = [ZeroVerdict(True, trials=6, degree_bound=4)] * 2
-        rec = _claim("c", "nonzero", vanish, None)
+        rec = _claim("c", "nonzero", vanish)
         assert (rec.verdict, rec.tolerance, rec.witnesses) == (
             "fail", "exact identity, 6 trials, bound 2^-100", [])
-        rec = _claim("c", "nonzero", vanish, 12)
-        assert (rec.verdict, rec.tolerance) == (
-            "fail", "exact identity, 12 trials")
         mpf = [ZeroVerdict(True, trials=50, mode="mpf")]
-        assert _claim("c", "nonzero", mpf, None).tolerance == (
+        assert _claim("c", "nonzero", mpf).tolerance == (
             "mpf 256-bit, relative 1e-30, 50 trials")
         # no entry to test: structurally zero
-        rec = _claim("c", "nonzero", [], None)
+        rec = _claim("c", "nonzero", [])
         assert (rec.verdict, rec.tolerance) == ("fail", "structural")
-
-    @pytest.mark.parametrize("trials", [None, 1, 50])
-    def test_every_claim_draws_the_given_trials(self, trials, monkeypatch):
-        # rho ^ rho draws what every other claim of verify-chains draws: the
-        # target allotment by default, and N with --trials N
-        drawn = []
-
-        def recording(exprs, trials, seed, every=False):
-            drawn.append(trials)
-            return zero_verdicts(exprs, trials, seed, every)
-
-        monkeypatch.setattr(pipeline, "zero_verdicts", recording)
-        rep = cmd_verify_chains(DOC, "quartic", trials=trials, samples=4)
-        assert len(drawn) == 5 and set(drawn) == {trials}
-        rec = {c.name: c for c in rep.checks}["rho_wedge_rho_nonzero"]
-        assert (rec.verdict, rec.tolerance, rec.details) == (
-            "pass", "nonzero witness", {"rank": "4"})
 
 
 class TestReports:
     def test_determinism_byte_identical(self):
-        a = cmd_verify_chains(DOC, "flat", trials=10, samples=6, seed=7)
-        b = cmd_verify_chains(DOC, "flat", trials=10, samples=6, seed=7)
+        a = cmd_verify_chains(DOC, "flat", samples=6, seed=7)
+        b = cmd_verify_chains(DOC, "flat", samples=6, seed=7)
         assert a.to_json() == b.to_json()
 
     def test_seed_echoed(self):
@@ -152,7 +127,7 @@ class TestReports:
 
     def test_failure_names_witness(self):
         # a generic pair is not uniformly D_c, so verify-cr fails with details
-        rep = cmd_verify_cr(DOC, "generic", samples=6, trials=8, seed=0)
+        rep = cmd_verify_cr(DOC, "generic", samples=6, seed=0)
         assert not rep.passed
         failing = [c for c in rep.checks if c.verdict == "fail"]
         assert failing
@@ -161,7 +136,7 @@ class TestReports:
     def test_wrong_uniform_type_names_the_first_sampled_point(self):
         # flat_chain_pair is D_r at every point, so its D_c claim fails at
         # the first one
-        rep = cmd_verify_cr(None, "flat_chain_pair", samples=6, trials=8)
+        rep = cmd_verify_cr(None, "flat_chain_pair", samples=6)
         rec = rep.checks[0]
         assert (rec.name, rec.verdict) == ("uniform_quartic_type", "fail")
         assert rec.details["quartic_type"] == "D_r"
@@ -180,13 +155,13 @@ class TestReports:
         doc = parse("coframe c { vars y p Y P; eta 1 = y*d Y; eta 2 = d P; "
                     "eta 3 = d y; eta 4 = p*d p + Y*d y; }")
         cm = doc.get("c")
-        rep = cmd_metric(doc, "c", trials=50, seed=0)
+        rep = cmd_metric(doc, "c", seed=0)
         byname = {c.name: c for c in rep.checks}
         for name, verdicts in (
                 ("fundamental_form_closed",
-                 closedness_check(cm.fundamental_form(), trials=50, seed=0)),
+                 closedness_check(cm.fundamental_form(), seed=0)),
                 ("null_planes_integrable",
-                 null_planes_integrable(cm, trials=50, seed=0))):
+                 null_planes_integrable(cm, seed=0))):
             witness = next(v.witness for v in verdicts if not v.is_zero)
             assert byname[name].verdict == "fail"
             assert byname[name].witnesses == [", ".join(
@@ -196,14 +171,14 @@ class TestReports:
         assert byname["einstein"].witnesses == []
 
     def test_invariants_scalar(self):
-        rep = cmd_invariants(DOC, "quartic", trials=8)
+        rep = cmd_invariants(DOC, "quartic")
         details = {c.name: c.details for c in rep.checks}
         assert details["scalar_invariants"]["T1"] == "24*p^8"
         assert details["scalar_invariants"]["C1"] == "24"
         assert details["flat_point_equivalence"]["flat"] == "False"
 
     def test_invariants_pair_trace(self):
-        rep = cmd_invariants(DOC, "generic", trials=8)
+        rep = cmd_invariants(DOC, "generic")
         byname = {c.name: c for c in rep.checks}
         assert byname["torsion_trace_identity"].verdict == "pass"
         assert "W0" in byname["binary_forms"].details
@@ -229,13 +204,16 @@ class TestReports:
         assert first_differs
 
     def test_identity_tolerance_names_exact_arithmetic(self):
-        rep = cmd_invariants(DOC, "generic", trials=8)
+        rep = cmd_invariants(DOC, "generic")
         tol = {c.name: c.tolerance for c in rep.checks}
-        assert tol["torsion_trace_identity"] == "exact identity, 8 trials"
-        rep = cmd_verify_chains(DOC, "flat", trials=8, samples=4)
+        assert tol["torsion_trace_identity"] == (
+            "exact identity, 1 trials, bound 2^-100")
+        rep = cmd_verify_chains(DOC, "flat", samples=4)
         tol = {c.name: c.tolerance for c in rep.checks}
-        assert tol["dual_derivation_equal"] == "exact identity, 8 trials"
-        assert tol["torsion_iff_flat_scalar"] == "exact identity, 8 trials"
+        assert tol["dual_derivation_equal"] == (
+            "exact identity, 7 trials, bound 2^-100")
+        assert tol["torsion_iff_flat_scalar"] == (
+            "exact identity, 6 trials, bound 2^-100")
 
     def test_default_identity_tolerance_names_allotment_and_bound(self):
         # without a trial count an exact claim names its largest per-entry
@@ -255,12 +233,12 @@ class TestReports:
             "mpf 256-bit, relative 1e-30, 50 trials")
 
     def test_identity_tolerance_names_mpf_arithmetic(self):
-        mpf = "mpf 256-bit, relative 1e-30, 8 trials"
-        rep = cmd_invariants(None, "dancing_sqrt_pair", trials=8)
+        mpf = "mpf 256-bit, relative 1e-30, 50 trials"
+        rep = cmd_invariants(None, "dancing_sqrt_pair")
         tol = {c.name: c.tolerance for c in rep.checks}
         assert tol["torsion_trace_identity"] == mpf
         doc = parse("scalar_ode r { vars t z p; F = sqrt(p); }")
-        rep = cmd_verify_chains(doc, "r", trials=8, samples=4)
+        rep = cmd_verify_chains(doc, "r", samples=4)
         tol = {c.name: c.tolerance for c in rep.checks}
         assert tol["dual_derivation_equal"] == mpf
         assert tol["torsion_iff_flat_scalar"] == mpf
@@ -270,7 +248,7 @@ class TestReports:
     @pytest.mark.parametrize("rhs", ["sqrt(p)", "p^(3/2)", "sqrt(z + p^2)"])
     def test_radical_chain_pairs_are_D_r(self, rhs, seed):
         doc = parse(f"scalar_ode s {{ vars t z p; F = {rhs}; }}")
-        rep = cmd_verify_chains(doc, "s", trials=8, seed=seed)
+        rep = cmd_verify_chains(doc, "s", seed=seed)
         assert rep.passed
         details = {c.name: c.details for c in rep.checks}
         assert details["uniform_quartic_type"]["quartic_type"] == "D_r"
@@ -294,37 +272,37 @@ coframe c { vars y p Y P;
 coframe n { vars y p Y P;
   eta 1 = 1*d Y + p^(1/2)*d P; eta 2 = 1*d P; eta 3 = 1*d y; eta 4 = 1*d p; }
 """)
-        mpf = "mpf 256-bit, relative 1e-30, 8 trials"
+        mpf = "mpf 256-bit, relative 1e-30, 50 trials"
         tol = {c.name: c.tolerance
-               for c in cmd_metric(doc, "c", points=5, trials=8).checks}
+               for c in cmd_metric(doc, "c", points=5).checks}
         assert tol["fundamental_form_closed"] == mpf
         # the null planes of c are integrable with nothing left to test
         assert tol["null_planes_integrable"] == "structural"
         tol = {c.name: c.tolerance
-               for c in cmd_metric(doc, "n", points=5, trials=8).checks}
+               for c in cmd_metric(doc, "n", points=5).checks}
         # d of the fundamental form of n has no component to test
         assert tol["fundamental_form_closed"] == "structural"
         assert tol["null_planes_integrable"] == mpf
 
     def test_verify_chains_all_pass(self):
-        rep = cmd_verify_chains(DOC, "flat", trials=12, samples=6, seed=0)
+        rep = cmd_verify_chains(DOC, "flat", samples=6, seed=0)
         assert rep.passed
 
     def test_verify_cr_sphere(self):
-        rep = cmd_verify_cr(None, "cr_sphere_pair", samples=6, trials=10)
+        rep = cmd_verify_cr(None, "cr_sphere_pair", samples=6)
         assert rep.passed
         byname = {c.name: c for c in rep.checks}
         assert byname["torsion_zero"].verdict == "pass"
 
     def test_verify_cr_y3_reports_nonflat(self):
-        rep = cmd_verify_cr(None, "cr_y3_pair", samples=5, trials=8)
+        rep = cmd_verify_cr(None, "cr_y3_pair", samples=5)
         byname = {c.name: c for c in rep.checks}
         assert byname["uniform_quartic_type"].details["quartic_type"] == "D_c"
         assert byname["torsion_zero"].verdict == "info"
         assert byname["torsion_zero"].witnesses
 
     def test_metric_document_coframe(self):
-        rep = cmd_metric(DOC, "flat4", points=5, trials=10)
+        rep = cmd_metric(DOC, "flat4", points=5)
         byname = {c.name: c for c in rep.checks}
         assert byname["einstein"].verdict == "pass"
         assert byname["einstein"].details["lambda"] == "0"
@@ -351,6 +329,11 @@ class TestCli:
         ("metric", "--system", "fubini_study_coframe", "--csv", "{tmp}/x.csv"),
         ("verify-dancing", "--phi", "flat", "--trials", "3"),
         ("catalog", "--seed", "1"),
+        # every identity claim draws the zero tester's own allotment
+        ("invariants", "--system", "flat_chain_pair", "--trials", "5"),
+        ("verify-chains", "--system", "flat_chain_pair", "--trials", "5"),
+        ("verify-cr", "--system", "cr_sphere_pair", "--trials", "5"),
+        ("metric", "--system", "fubini_study_coframe", "--trials", "5"),
     ])
     def test_option_not_read_by_the_command_exits_two(self, argv, tmp_path,
                                                        capsys):
@@ -364,9 +347,9 @@ class TestCli:
     @pytest.mark.parametrize("samples", ["0", "-2"])
     @pytest.mark.parametrize("argv", [
         ("classify", "--system", "flat_chain_pair"),
-        ("verify-chains", "{tmp}/d.pg", "--system", "flat", "--trials", "4"),
-        ("verify-cr", "--system", "cr_sphere_pair", "--trials", "4"),
-        ("metric", "--system", "fubini_study_coframe", "--trials", "4"),
+        ("verify-chains", "{tmp}/d.pg", "--system", "flat"),
+        ("verify-cr", "--system", "cr_sphere_pair"),
+        ("metric", "--system", "fubini_study_coframe"),
         ("verify-dancing", "--phi", "flat"),
     ])
     def test_samples_below_one_exit_two(self, argv, samples, tmp_path, capsys):
@@ -424,17 +407,6 @@ class TestCli:
         assert set(rec["details"]) == {"pair", "no_value"}
         [witness] = rec["witnesses"]
         assert 1.0 <= float(witness.removeprefix("t = ")) <= 2.0
-
-    @pytest.mark.parametrize("trials", ["0", "-7"])
-    def test_trials_below_one_exit_two_when_every_claim_is_structural(
-            self, trials, tmp_path, capsys):
-        # the flat coframe's identity families are all empty
-        (tmp_path / "flat.pg").write_text(
-            "coframe flat4 { vars y p Y P; eta 1 = 1*d Y; eta 2 = 1*d P;\n"
-            "                eta 3 = 1*d y; eta 4 = 1*d p; }\n")
-        assert main(["metric", str(tmp_path / "flat.pg"), "--system", "flat4",
-                     "--trials", trials]) == 2
-        assert "trials must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["invariants", "classify"])
     @pytest.mark.parametrize("f1, message", [
@@ -502,13 +474,13 @@ class TestCli:
         doc = tmp_path / "d.pg"
         doc.write_text("scalar_ode flat { vars t z p; F = 0; }\n")
         proc = self._run("verify-chains", str(doc), "--system", "flat",
-                         "--trials", "8", "--samples", "4")
+                         "--samples", "4")
         assert proc.returncode == 0
         assert "ALL CHECKS PASSED" in proc.stdout
 
     def test_exit_one_on_failed_check(self):
         proc = self._run("verify-cr", "--system", "flat_chain_pair",
-                         "--samples", "4", "--trials", "6")
+                         "--samples", "4")
         assert proc.returncode == 1
         assert "CHECKS FAILED" in proc.stdout
 
@@ -589,11 +561,60 @@ class TestCli:
         proc = self._run("classify", "--system", "missing_system")
         assert proc.returncode == 2
 
-    def test_exit_three_on_numerical_abort(self, tmp_path):
-        # incident anchor cannot seed the dancing curve -> numerical abort path
-        proc = self._run("verify-dancing", "--phi", "flat",
-                         "--anchor", "0,0,0,0", "--span", "1,2")
-        assert proc.returncode == 3
+    def test_exit_three_on_numerical_abort(self, tmp_path, capsys):
+        # (argv, start of the message): an incident anchor cannot seed the
+        # curve; a sample on the pole at t = 1.5 makes J singular; a window
+        # across the pole ends on another branch, where det J has the other
+        # sign; no point of the curve is found at t = 1 for the anchor
+        # 1,0,0,1; sqrt(-q1^2 - 1) has no real value, so no draw is kept
+        doc = tmp_path / "d.pg"
+        doc.write_text("pair_ode g { vars t u1 u2 q1 q2; "
+                       "F1 = sqrt(-q1^2-1)*q2^3; F2 = 0; }\n")
+        dancing = ("verify-dancing", "--phi", "flat", "--span", "1,2",
+                   "--anchor")
+        for argv, message in (
+                ((*dancing, "0,0,0,0"), "error: anchor is incident"),
+                ((*dancing, "1.5,0,0,1", "--samples", "3"), "numerical "
+                 "abort: constraint Jacobian singular near t = 1.5\n"),
+                ((*dancing, "1.5,0,0,1"), "numerical abort: constraint "
+                 "Jacobian singular near t = 1.504"),
+                ((*dancing, "1,0,0,1"), "numerical abort: no starting point "
+                 "found on the dancing curve at t = 1.0"),
+                (("classify", str(doc), "--system", "g", "--samples", "2"),
+                 "numerical abort: only 0/2 admissible points classified\n")):
+            assert main(list(argv)) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(message)
+            assert "initial_guess" not in err
+
+    def test_ill_conditioned_points_are_skipped_up_to_samples(
+            self, monkeypatch, capsys):
+        # an mpf point whose root multiplicities do not add up is skipped
+        # and counted; one skip more than --samples aborts
+        calls = []
+
+        def ill_conditioned_at(skip):
+            def classify(values):
+                calls.append(values)
+                if skip(len(calls)):
+                    raise IllConditioned("multiplicities do not add up")
+                return classify_quartic(values)
+            return classify
+
+        monkeypatch.setattr(pipeline, "classify_quartic",
+                            ill_conditioned_at(lambda n: n % 2))
+        rec = cmd_classify(None, "flat_chain_pair", samples=4).checks[0]
+        assert (rec.verdict, len(calls)) == ("pass", 8)
+        assert rec.details["quartic_type"] == "D_r"
+        assert rec.details["ill_conditioned_skipped"] == "4"
+        calls.clear()
+        monkeypatch.setattr(pipeline, "classify_quartic",
+                            ill_conditioned_at(lambda n: True))
+        assert main(["classify", "--system", "flat_chain_pair",
+                     "--samples", "4"]) == 3
+        assert len(calls) == 5
+        assert capsys.readouterr().err == (
+            "numerical abort: multiplicities do not add up\n")
 
     def test_stdin_document(self):
         proc = self._run("invariants", "-", "--system", "flat",
@@ -645,8 +666,8 @@ class TestCli:
         for k in (1, 2):
             out = tmp_path / f"r{k}.json"
             proc = self._run("verify-chains", str(doc), "--system", "quad",
-                             "--trials", "8", "--samples", "4",
-                             "--seed", "5", "--json", str(out))
+                             "--samples", "4", "--seed", "5", "--json",
+                             str(out))
             assert proc.returncode == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

@@ -43,27 +43,18 @@ RANDOM_DOCS = {
 # (document key, or None for a catalog system; argv) -> (exit code, sha256
 # of the report): invariants and classify on the four catalog pairs,
 # verify-cr on the two CR pairs, verify-chains on four scalar ODEs, and
-# classify and verify-chains on the two random documents.  A command whose
-# exact identity claims draw their trials from the target failure bound by
-# default is pinned twice: as is, and with an explicit --trials 50, whose
-# reports are those of a fixed 50 trials per entry.
+# classify and verify-chains on the two random documents.
 PINNED = {
     (None, ("invariants", "--system", "flat_chain_pair")):
         (0, "aab67a3e3328ececb549e01e32511721866eabc1f78ab1dcbcc564e95c7e6595"),
-    (None, ("invariants", "--system", "flat_chain_pair", "--trials", "50")):
-        (0, "3ae98634e58336a1fad718c006aceba8665c191b3adca676edac40d999e7b50d"),
     (None, ("classify", "--system", "flat_chain_pair")):
         (0, "8994a8f0a217181d88add59e47102a188cac408869675f36c3adbf15aba02d68"),
     (None, ("invariants", "--system", "cr_sphere_pair")):
         (0, "d6935fd9c3493afd860c13119f6999871e061f8100eb7585c3e0705265e4663d"),
-    (None, ("invariants", "--system", "cr_sphere_pair", "--trials", "50")):
-        (0, "542284343a9868c3a6d3238f4bcdeff1f05aa43a28d47b28de6bb3b3b53c0df5"),
     (None, ("classify", "--system", "cr_sphere_pair")):
         (0, "abfa17923ff4864c101a0805ae58a893687cd103dd6e4971182153437ead7a54"),
     (None, ("invariants", "--system", "cr_y3_pair")):
         (0, "9e153bb59527d9fd1f72a010d4e46c4e9db4a9f3f01367ad5eba86fb5b418075"),
-    (None, ("invariants", "--system", "cr_y3_pair", "--trials", "50")):
-        (0, "efb9d71fcf08dcd01ea2a88f80f4260bc569e09e6cbf5f47625f21ef759067c9"),
     (None, ("classify", "--system", "cr_y3_pair")):
         (0, "e7db812b713cc0e37b9a37a670452790c06f573995c69602d39c9933729e58fb"),
     (None, ("invariants", "--system", "dancing_sqrt_pair")):
@@ -72,38 +63,24 @@ PINNED = {
         (1, "ba81c4a07288847d5a3755e96d5a38430b85e454d578769a7829dc19a8641d03"),
     (None, ("verify-cr", "--system", "cr_sphere_pair")):
         (0, "8b5e09714d1d1db28e2b1d62e78fa19a7db682e7f316349e95b0b0fbed64765d"),
-    (None, ("verify-cr", "--system", "cr_sphere_pair", "--trials", "50")):
-        (0, "c4a36c75095794524fda1d46df8782d32d3e2ebfc3479de847caa008ac7caf19"),
     (None, ("verify-cr", "--system", "cr_y3_pair")):
         (0, "b2f1bf89eb5fb4d4d7f3bf5675f6729fc272a1327447fd895c2b9a5554dfb71e"),
-    (None, ("verify-cr", "--system", "cr_y3_pair", "--trials", "50")):
-        (0, "dfd9e3b99aab23d95034d1aaa4d3d1d9ccdf5ef5df9b1e4a5d5a52f2258cc6c4"),
     ("scalar", ("verify-chains", "--system", "s_zero")):
         (0, "70ad5419a98c306f29bd542444c40667ae51985a2f46a70231258725dd542a26"),
-    ("scalar", ("verify-chains", "--system", "s_zero", "--trials", "50")):
-        (0, "123898cc16b9022c133790525f3db453d2239ef81acc5cbda8569c3becd8f4f8"),
     ("scalar", ("verify-chains", "--system", "s_p4")):
         (0, "c5bcb72c0224589468121f9c9952088ce087438f2db7068bd7308f0826728d01"),
-    ("scalar", ("verify-chains", "--system", "s_p4", "--trials", "50")):
-        (0, "2d7de717d4ee67d7deb0ff9ff172ba16a44ab4419f6277c340cada576250d4c8"),
     ("scalar", ("verify-chains", "--system", "s_tp")):
         (0, "a232d3ea55ec7e5cedf67a3cc1572bb13e39be48a793a004b237416ca5fb36af"),
-    ("scalar", ("verify-chains", "--system", "s_tp", "--trials", "50")):
-        (0, "d32b9e3dbf6b2aca4cd0a34927b1ed7a61db5a44a4ff5156ec1911659e93d1b0"),
     ("scalar", ("verify-chains", "--system", "s_sqrt")):
         (0, "ea6dbbc640a86c8eed343a5229262f079f1642faca89465632c83ec81cdd2a41"),
     ("r3", ("classify", "--system", "pair")):
         (0, "fb92cb26134f7f0a383f3602a81f9ed1d0c0450f7dc3f564d7a211e316f5dcba"),
     ("r3", ("verify-chains", "--system", "ode")):
         (0, "726aaa9d3fd10b4dc7d51f0a3824e77ac5b8cbf91554721608dc48a311a9929b"),
-    ("r3", ("verify-chains", "--system", "ode", "--trials", "50")):
-        (0, "23cb2a0c92f0f45a3e9161ef4ef9742261047f5cbc7d7d535e196fa7b16ce417"),
     ("r4", ("classify", "--system", "pair")):
         (1, "05161e22c2ff6ee0919e14f64e1d9617c21c73ca8000905f404d2a5b567d8253"),
     ("r4", ("verify-chains", "--system", "ode")):
         (0, "f612686ce1c8af71a332748f73bb4cbd5cd60234289e15cd4dd958f213f5b876"),
-    ("r4", ("verify-chains", "--system", "ode", "--trials", "50")):
-        (0, "9a64ae5eea5611cfc33e5b9b40ade500d58424a65ec20b3468d60fad5a895985"),
 }
 
 
@@ -133,46 +110,33 @@ def test_report_bytes_pinned(doc_key, argv, tmp_path, capsys):
 FAILING_COFRAME = ("coframe c { vars y p Y P; eta 1 = y*d Y; eta 2 = d P; "
                    "eta 3 = d y; eta 4 = p*d p + Y*d y; }")
 
-# (coframe, --trials or None) -> the `fundamental_form_closed` and
-# `null_planes_integrable` records, as (verdict, tolerance, witnesses,
+# coframe -> the `fundamental_form_closed` and `null_planes_integrable`
+# records at the default trial allotment, as (verdict, tolerance, witnesses,
 # details)
 METRIC_PINNED = {
-    ("dancing_metric_coframe", None): (
+    "dancing_metric_coframe": (
         ("pass", "structural", [], {"pairing": "para"}),
         ("pass", "exact identity, 7 trials, bound 2^-100", [], {})),
-    ("dancing_metric_coframe", "50"): (
-        ("pass", "structural", [], {"pairing": "para"}),
-        ("pass", "exact identity, 50 trials", [], {})),
-    ("fubini_study_coframe", None): (
+    "fubini_study_coframe": (
         ("pass", "exact identity, 6 trials, bound 2^-100", [],
          {"pairing": "complex"}),
         ("pass", "exact identity, 6 trials, bound 2^-100", [], {})),
-    ("fubini_study_coframe", "50"): (
-        ("pass", "exact identity, 50 trials", [], {"pairing": "complex"}),
-        ("pass", "exact identity, 50 trials", [], {})),
-    ("c", None): (
+    "c": (
         ("fail", "exact identity, 6 trials, bound 2^-100",
          ["p = -192083/885441"], {"pairing": "para"}),
         ("fail", "exact identity, 6 trials, bound 2^-100",
          ["p = -192083/885441"], {})),
-    ("c", "50"): (
-        ("fail", "exact identity, 50 trials", ["p = -192083/885441"],
-         {"pairing": "para"}),
-        ("fail", "exact identity, 50 trials", ["p = -192083/885441"], {})),
 }
 
 
-@pytest.mark.parametrize("coframe,trials", list(METRIC_PINNED),
-                         ids=[f"{c}:{t or 'default'}"
-                              for c, t in METRIC_PINNED])
-def test_metric_identity_records_pinned(coframe, trials, tmp_path, capsys):
+@pytest.mark.parametrize("coframe", list(METRIC_PINNED),
+                         ids=[f"{c}:default" for c in METRIC_PINNED])
+def test_metric_identity_records_pinned(coframe, tmp_path, capsys):
     args = ["metric", "--system", coframe, "--seed", "0"]
     if coframe == "c":
         path = tmp_path / "c.pg"
         path.write_text(FAILING_COFRAME)
         args.insert(1, str(path))
-    if trials is not None:
-        args += ["--trials", trials]
     out = tmp_path / "report.json"
     main(args + ["--json", str(out)])
     capsys.readouterr()
@@ -181,4 +145,4 @@ def test_metric_identity_records_pinned(coframe, trials, tmp_path, capsys):
                  checks[name]["witnesses"], checks[name]["details"])
                 for name in ("fundamental_form_closed",
                              "null_planes_integrable"))
-    assert got == METRIC_PINNED[(coframe, trials)]
+    assert got == METRIC_PINNED[coframe]
