@@ -18,9 +18,8 @@ from .dsl import Document, parse, parse_expression, serialize
 from .expr import (Expr, differentiate, evaluate, exprs_equal,
                    is_zero_probabilistic, num, sqrt_, substitute, var,
                    variables)
-from .forms import (DifferentialForm, chain_pair_via_rho,
-                    characteristic_direction, d, exterior_derivative,
-                    frobenius_integrable, interior_product, one_form,
+from .forms import (DifferentialForm, chain_pair_via_rho, d,
+                    exterior_derivative, frobenius_integrable, one_form,
                     pullback, rho_chain, wedge)
 from .integrate import (Trajectory, integrate_pair,
                         third_order_reduction_check)

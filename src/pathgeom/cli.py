@@ -19,7 +19,8 @@ entry.  PHI names a catalog solution function (flat_dancing_phi,
 sqrt_dancing_phi; 'flat' and 'sqrt' are short for them, and a .pg document
 declares none); --anchor, --span and --system override its defaults.  Exit
 status is 0 when all checks pass, 1 on any failed check, 2 on input errors
-(an unwritable --json PATH among them), 3 on a numerical abort.
+(an unwritable --json PATH among them, and an incident --anchor, on which
+the solution function vanishes), 3 on a numerical abort.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import sys
 
 from .dsl import parse
 from .errors import (DslError, IllConditioned, JacobianSingular,
-                     NewtonDiverged, PathgeomError, SamplingExhausted,
-                     SeedNotFound, StepUnderflow, UnknownName)
+                     NewtonDiverged, NonTransverse, PathgeomError,
+                     SamplingExhausted, SeedNotFound, StepUnderflow,
+                     UnknownName)
 from .pipeline import (DEFAULT_CURVE_SAMPLES, DEFAULT_SAMPLES, cmd_catalog,
                        cmd_classify, cmd_invariants, cmd_metric,
                        cmd_verify_chains, cmd_verify_cr, cmd_verify_dancing)
@@ -154,7 +156,8 @@ def main(argv=None) -> int:
     except _NUMERICAL_ABORTS as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except (DslError, UnknownName, OSError, ValueError) as exc:
+    except (DslError, UnknownName, NonTransverse, OSError,
+            ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except PathgeomError as exc:

@@ -25,11 +25,12 @@ at the first token of the level beyond the bound.
 
 A declaration is checked as it is parsed, with DslSyntaxErrors at their
 token: a chart of the wrong size at 'vars' (a coframe takes 4 variables), a
-repeated chart variable where it repeats, and a structure other than 'para'
-or 'complex' at its value.  A variable outside the chart is an
-UnknownVariable at its first token in the expression that holds it, and a
-repeated declaration name is a DuplicateName at the repeat; both carry the
-line and column too.  A coframe parses to a CoframeMetric.
+repeated chart variable where it repeats, a structure other than 'para' or
+'complex' at its value, an eta index other than 1, 2, 3 or 4 or one
+declared twice at the index, and a missing eta at the closing brace.  A
+variable outside the chart is an UnknownVariable at its first token in the
+expression that holds it, and a repeated declaration name is a DuplicateName
+at the repeat; both carry the line and column too.  A coframe parses to a CoframeMetric.
 
 A coframe's eta is a one-form, parsed by the expression grammar above: for a
 chart variable x, 'd x' and 'dx' read as a differential variable (named
@@ -331,12 +332,17 @@ class _Parser:
             self.advance()
             index_tok = self.expect("number")
             index = self.literal(index_tok)
+            if index not in (1, 2, 3, 4):
+                raise DslSyntaxError(
+                    f"eta index must be 1, 2, 3 or 4, got {index_tok.text!r}",
+                    index_tok.line, index_tok.column)
             if index in etas:
-                self.error(f"eta {index} declared twice")
+                raise DslSyntaxError(f"eta {index} declared twice",
+                                     index_tok.line, index_tok.column)
             self.expect("punct", "=")
             etas[index] = self.parse_oneform(chart, name)
             self.expect("punct", ";")
-        if sorted(etas) != [1, 2, 3, 4]:
+        if len(etas) != 4:
             self.error("coframe needs eta 1 through eta 4")
         return CoframeMetric(chart=chart,
                              etas=tuple(etas[i] for i in (1, 2, 3, 4)),

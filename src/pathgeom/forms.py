@@ -1,6 +1,5 @@
 """Exterior calculus over coordinate charts with symbolic coefficients, the
-quasi-symplectic 2-form cutting out chains of a 2D path geometry, and the
-characteristic direction of a 2-form.
+quasi-symplectic 2-form cutting out chains of a 2D path geometry.
 
 Forms are stored sparsely over strictly increasing index tuples; the chart
 order fixes the sign conventions once.  Structural facts are decided
@@ -16,11 +15,8 @@ zero tester's allotment per entry (`target_trials`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import (ChartMismatch, DependentGenerators, RankDeficient,
-                     UnboundVariable)
-from .expr import (Expr, Rat, ZERO, add, compile_tape, differentiate, div,
+from .errors import ChartMismatch, DependentGenerators, RankDeficient
+from .expr import (Expr, Rat, ZERO, add, differentiate, div,
                    is_zero_probabilistic, mul, num, rename_variables, sub,
                    substitute, var)
 from .expr.zerotest import zero_verdicts
@@ -28,7 +24,6 @@ from .jets import PairODE, ScalarODE
 
 CHAIN_RHO_CHART = ("x", "y", "p", "b1", "b2")
 CHAIN_PAIR_CHART = ("x", "y", "p", "Y", "P")
-KERNEL_TOL = 1e-10     # relative size of a float kernel counted as 0
 
 
 def _sort_index(idx):
@@ -176,25 +171,6 @@ def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(a.chart, a.degree + 1, comps)
 
 
-def interior_product(components, a: DifferentialForm) -> DifferentialForm:
-    """Contraction with the vector field sum_i components[i] d/d(chart[i]);
-    components are expressions (or numbers) in chart order."""
-    comps = [c if isinstance(c, Expr) else num(c) for c in components]
-    if len(comps) != len(a.chart):
-        raise ChartMismatch("vector components must match the chart dimension")
-    out = {}
-    for idx, c in a.comps.items():
-        for pos, i in enumerate(idx):
-            if comps[i] is ZERO:
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            term = mul(comps[i], c)
-            if pos % 2 == 1:
-                term = mul(num(-1), term)
-            out[rest] = add(out[rest], term) if rest in out else term
-    return DifferentialForm(a.chart, a.degree - 1, out)
-
-
 def pullback(a: DifferentialForm, target_chart, component_map: dict) -> DifferentialForm:
     """Pullback under the map whose components express each source variable as
     an expression over the target chart (substitution plus the chain rule)."""
@@ -290,50 +266,6 @@ def kernel_field(a: DifferentialForm):
         pf = _pfaffian(M, rows[:i] + rows[i + 1:])
         comps.append(pf if i % 2 == 0 else mul(num(-1), pf))
     return comps
-
-
-@dataclass(frozen=True)
-class VectorFieldValue:
-    chart: tuple
-    components: tuple
-
-
-def characteristic_direction(a: DifferentialForm,
-                             point: dict) -> VectorFieldValue:
-    """The kernel direction of a degree-2 form at a point on an odd chart:
-    `kernel_field` evaluated on one tape, normalized so its first nonzero
-    component is 1.
-
-    The point needs a value for each variable the form uses.  At a rational
-    point of a radical-free form the evaluation is exact, and the kernel is
-    the zero vector (RankDeficient) exactly where the corank exceeds 1.
-    Otherwise it is float64, and a kernel with max|v| <= KERNEL_TOL *
-    max|M_ij|^((n-1)/2) counts as zero: the cofactors are homogeneous of
-    that degree in the entries, so the test does not depend on the form's
-    scale."""
-    n = len(a.chart)
-    if n % 2 == 0 or a.degree != 2:
-        raise ValueError("expected a 2-form on an odd-dimensional chart")
-    entries = list(a.comps.values())
-    names = sorted(set().union(*(c.free_variables for c in entries)))
-    missing = [name for name in names if name not in point]
-    if missing:
-        raise UnboundVariable(f"variable {missing[0]!r} is unbound")
-    values = [point[name] for name in names]
-    tape = compile_tape(kernel_field(a) + entries, names)
-    if any(isinstance(v, float) for v in values) \
-            or any(c.has_radical for c in entries):
-        out = tape.eval_f64([float(v) for v in values])
-        size = max((abs(m) for m in out[n:]), default=0.0)
-        cutoff = KERNEL_TOL * size ** ((n - 1) / 2)
-    else:
-        out = tape.eval_exact(values)
-        cutoff = 0
-    kernel = out[:n]
-    if max(abs(v) for v in kernel) <= cutoff:
-        raise RankDeficient("the Pfaffian cofactors vanish: corank above 1")
-    scale = next(v for v in kernel if v != 0)
-    return VectorFieldValue(a.chart, tuple(v / scale for v in kernel))
 
 
 def chain_pair_via_rho(sys: ScalarODE) -> PairODE:

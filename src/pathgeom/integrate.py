@@ -90,15 +90,6 @@ class Trajectory:
         pts = np.column_stack([self.t, self.states])
         return tape.eval_f64_many(pts)
 
-    def to_csv(self, path):
-        names = ",".join(self.chart[1:])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{self.chart[0]},{names},err\n")
-            for k in range(len(self.t)):
-                row = ",".join(f"{v:.17g}" for v in self.states[k])
-                fh.write(f"{self.t[k]:.17g},{row},"
-                         f"{self.error_estimates[k]:.17g}\n")
-
 
 def _dp_step(rhs, t, y, k0, hs):
     """One Dormand-Prince 5(4) step of signed size hs from y at t, given

@@ -96,7 +96,17 @@ class TestParseExamples:
         ("coframe c { vars y p Y; eta 1 = d Y; eta 2 = d p; eta 3 = d y; "
          "eta 4 = d p; }", 13, "expected 4 chart variables, found 3"),
         ("graph g { vars x y p; F = x; }", 1, "expected a declaration "
-         "kind (scalar_ode, pair_ode, coframe), got 'graph'")])
+         "kind (scalar_ode, pair_ode, coframe), got 'graph'"),
+        ("coframe c { vars y p Y P; eta 1 = dY; eta 5 = dp; }", 43,
+         "eta index must be 1, 2, 3 or 4, got '5'"),
+        ("coframe c { vars y p Y P; eta 0 = dp; }", 31,
+         "eta index must be 1, 2, 3 or 4, got '0'"),
+        ("coframe c { vars y p Y P; eta 1.5 = dp; }", 31,
+         "eta index must be 1, 2, 3 or 4, got '1.5'"),
+        ("coframe c { vars y p Y P; eta 1 = dY; eta 2 = dP; eta 1 = dy; }",
+         55, "eta 1 declared twice"),
+        ("coframe c { vars y p Y P; eta 1 = dY; eta 2 = dP; eta 4 = dp; }",
+         63, "coframe needs eta 1 through eta 4, got '}'")])
     def test_declaration_errors_point_at_their_token(self, text, column,
                                                      message):
         with pytest.raises(DslSyntaxError) as exc:

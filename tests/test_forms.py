@@ -4,15 +4,14 @@ from fractions import Fraction
 import pytest
 
 from pathgeom.constructions import chain_pair_from_scalar
-from pathgeom.errors import ChartMismatch, DependentGenerators, RankDeficient
-from pathgeom.expr import (Rat, add, div, evaluate, exprs_equal,
+from pathgeom.errors import ChartMismatch, DependentGenerators
+from pathgeom.expr import (ZERO, Rat, add, div, evaluate, exprs_equal,
                            is_zero_probabilistic, mul, num, rename_variables,
                            sub, var, variables)
 from pathgeom.expr.zerotest import zero_verdicts
 from pathgeom.forms import (CHAIN_PAIR_CHART, DifferentialForm,
-                            characteristic_direction, chain_pair_via_rho,
-                            coefficient_matrix, d, exterior_derivative,
-                            frobenius_integrable, interior_product,
+                            chain_pair_via_rho, coefficient_matrix, d,
+                            exterior_derivative, frobenius_integrable,
                             kernel_field, one_form, pullback, rho_chain, wedge)
 from pathgeom.jets import ScalarODE
 
@@ -79,9 +78,9 @@ class TestInteriorProduct:
     def test_basic_contractions(self):
         dx, dy = d(CH3, "x"), d(CH3, "y")
         two = wedge(dx, dy)
-        assert interior_product([num(1), num(0), num(0)], two) == dy
-        assert interior_product([num(0), num(1), num(0)], two) == dx.scale(-1)
-        assert interior_product([num(0), num(0), num(1)],
+        assert _interior_product([num(1), num(0), num(0)], two) == dy
+        assert _interior_product([num(0), num(1), num(0)], two) == dx.scale(-1)
+        assert _interior_product([num(0), num(0), num(1)],
                                 two).is_structurally_zero()
 
     def test_antiderivation(self):
@@ -90,9 +89,9 @@ class TestInteriorProduct:
             a = _random_one_form(rng)
             b = _random_one_form(rng)
             v = [num(rng.randint(-3, 3)) for _ in CH3]
-            left = interior_product(v, wedge(a, b))
-            right = wedge(interior_product(v, a), b) + \
-                wedge(a, interior_product(v, b)).scale(-1)
+            left = _interior_product(v, wedge(a, b))
+            right = wedge(_interior_product(v, a), b) + \
+                wedge(a, _interior_product(v, b)).scale(-1)
             diff = left - right
             for c in diff.comps.values():
                 assert is_zero_probabilistic(c, trials=5).is_zero
@@ -141,43 +140,27 @@ class TestRhoChain:
 
 
 class TestCharacteristicDirection:
+    # the kernel direction is kernel_field at an exact point
     def test_flat_rho_at_point(self):
         rho = rho_chain(ScalarODE(num(0)))
-        v = characteristic_direction(rho, {"x": 0, "y": 0, "p": 0,
-                                           "b1": 1, "b2": 1})
-        assert v.components[0] == 1
-        assert v.components[1] == 1    # dy/dx
-        assert v.components[2] == -1   # dp/dx
-
-    def test_contact_chart_kernel(self):
-        two = wedge(d(CH3, "x"), d(CH3, "y"))
-        v = characteristic_direction(two, {"x": 0.3, "y": 1.0, "z": -2.0})
-        assert v.components == (0, 0, 1)
+        point = {"x": 0, "y": 0, "p": 0, "b1": 1, "b2": 1}
+        # (1, dy/dx, dp/dx) = (1, 1, -1)
+        assert _exact_direction(rho, point)[:3] == (1, 1, -1)
 
     def test_scale_leaves_the_direction_at_an_exact_point(self):
         rho = rho_chain(ScalarODE(z + p ** 2))
         point = {"x": Rat(1, 3), "y": -2, "p": Rat(5, 7), "b1": 3,
                  "b2": Rat(-1, 2)}
-        assert characteristic_direction(rho.scale(Rat(1, 10 ** 9)), point) \
-            == characteristic_direction(rho, point)
-
-    def test_scale_leaves_the_direction_at_a_float_point(self):
-        # the float rank cutoff is relative to the size of the entries
-        rho = rho_chain(ScalarODE(z + p ** 2))
-        point = {"x": 0.3, "y": -1.25, "p": 0.7, "b1": 1.5, "b2": -0.5}
-        got = characteristic_direction(rho.scale(Rat(1, 10 ** 9)), point)
-        want = characteristic_direction(rho, point)
-        assert got.components == pytest.approx(want.components, rel=1e-12)
-
-    def test_point_needs_only_the_variables_of_the_form(self):
-        two = wedge(d(CH3, "x"), d(CH3, "y")).scale(var("z"))
-        assert characteristic_direction(two, {"z": 2}).components == (0, 0, 1)
+        want = _exact_direction(rho, point)
+        assert want is not None
+        assert _exact_direction(rho.scale(Rat(1, 10 ** 9)), point) == want
 
     def test_rank_deficient_on_5_chart(self):
         ch5 = ("x", "y", "p", "b1", "b2")
         two = wedge(d(ch5, "x"), d(ch5, "y"))
-        with pytest.raises(RankDeficient):
-            characteristic_direction(two, {n: 1 for n in ch5})
+        point = {n: 1 for n in ch5}
+        assert _gauss_jordan_direction(two, point) is None
+        assert _exact_direction(two, point) is None
 
 
 class TestChainPairViaRho:
@@ -199,7 +182,7 @@ class TestChainPairViaRho:
     def test_kernel_annihilates_rho(self, F):
         # X .| rho == 0 identically for the Pfaffian-cofactor kernel
         pulled = _pulled_rho(ScalarODE(F))
-        contracted = interior_product(kernel_field(pulled), pulled)
+        contracted = _interior_product(kernel_field(pulled), pulled)
         for c in contracted.comps.values():
             assert is_zero_probabilistic(c, trials=6).is_zero
 
@@ -212,7 +195,7 @@ class TestKernelField:
             a = _random_two_form(rng, n)
             v = kernel_field(a)
             assert any(c is not num(0) for c in v)
-            contracted = interior_product(v, a)
+            contracted = _interior_product(v, a)
             assert all(zero_verdicts(contracted.comps.values(), 8, 0))
 
     def test_direction_matches_gauss_jordan(self):
@@ -225,7 +208,7 @@ class TestKernelField:
                     point = {name: Fraction(rng.randint(-9, 9),
                                             rng.randint(1, 5))
                              for name in a.chart}
-                    assert _direction_or_none(a, point) == \
+                    assert _exact_direction(a, point) == \
                         _gauss_jordan_direction(a, point)
                     compared += 1
         assert compared >= 150
@@ -238,8 +221,7 @@ class TestKernelField:
             point = {name: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                      for name in a.chart}
             assert _gauss_jordan_direction(a, point) is None
-            with pytest.raises(RankDeficient):
-                characteristic_direction(a, point)
+            assert _exact_direction(a, point) is None
 
     @pytest.mark.parametrize("F", [num(0), z, p ** 2, t * p + z,
                                    p ** 3 + t * z, z ** 2 * p, p ** 4 - t])
@@ -301,11 +283,31 @@ def _kernel_field_5(a):
     return comps
 
 
-def _direction_or_none(a, point):
-    try:
-        return characteristic_direction(a, point).components
-    except RankDeficient:
+def _interior_product(comps, a: DifferentialForm) -> DifferentialForm:
+    """Contraction with the vector field sum_i comps[i] d/d(chart[i]);
+    comps are expressions in chart order."""
+    out = {}
+    for idx, c in a.comps.items():
+        for pos, i in enumerate(idx):
+            if comps[i] is ZERO:
+                continue
+            rest = idx[:pos] + idx[pos + 1:]
+            term = mul(comps[i], c)
+            if pos % 2 == 1:
+                term = mul(num(-1), term)
+            out[rest] = add(out[rest], term) if rest in out else term
+    return DifferentialForm(a.chart, a.degree - 1, out)
+
+
+def _exact_direction(a, point):
+    """The Pfaffian cofactors of `kernel_field` evaluated exactly at a
+    rational point, normalized so the first nonzero one is 1; None where
+    every cofactor is 0 (corank above 1)."""
+    kernel = [evaluate(c, point, "exact") for c in kernel_field(a)]
+    first = next((v for v in kernel if v != 0), None)
+    if first is None:
         return None
+    return tuple(v / first for v in kernel)
 
 
 def _gauss_jordan_direction(a, point):

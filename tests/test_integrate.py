@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from pathgeom.constructions import catalog
+from pathgeom.dsl import parse
 from pathgeom.errors import EliminationInvalid, SingularEncounter, StepUnderflow
 from pathgeom.expr import (as_rat, compile_tape, div, mul, num, pow_, sub,
                            var, variables)
@@ -84,13 +85,20 @@ class TestIntegratePair:
         assert len(bases) == 1
         assert sorted(bases[0].free_variables) == ["Y", "p"]
 
-    def test_csv_output(self, tmp_path):
-        traj = integrate_pair(catalog("flat_chain_pair"), TAME_IC, (0.0, 0.5))
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y,p,Y,P,err"
-        assert len(lines) == len(traj.t) + 1
+    def test_step_past_a_branch_point_halves_until_it_truncates(self):
+        # u1'' = sqrt(1 - t) has no real value past t = 1: a stage there
+        # raises DomainError, the step halves, and the trajectory stops at
+        # the branch point, where u1 = (4/15)(1-t)^(5/2) + 2t/3 - 4/15 = 2/5
+        # and q1 = (2/3)(1 - (1-t)^(3/2)) = 2/3
+        doc = parse("pair_ode g { vars t u1 u2 q1 q2; F1 = sqrt(1-t); "
+                    "F2 = 0; }")
+        traj = integrate_pair(doc.get("g"), (0.0, 0.0, 0.0, 0.0), (0.0, 2.0))
+        assert traj.truncated_by_singularity
+        assert traj.singular_at == pytest.approx(1.0, abs=1e-9)
+        assert traj.t[-1] == traj.singular_at
+        u1, _, q1, _ = traj.states[-1]
+        assert u1 == pytest.approx(0.4, abs=1e-6)
+        assert q1 == pytest.approx(2 / 3, abs=1e-6)
 
 
 class TestThirdOrderReduction:

@@ -561,19 +561,26 @@ class TestCli:
         proc = self._run("classify", "--system", "missing_system")
         assert proc.returncode == 2
 
+    def test_incident_anchor_is_an_input_error(self, capsys):
+        # phi vanishes on the anchor 0,0,0,0 of the flat solution function
+        assert main(["verify-dancing", "--phi", "flat", "--anchor", "0,0,0,0",
+                     "--span", "1,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: anchor is incident")
+        assert captured.out == ""
+
     def test_exit_three_on_numerical_abort(self, tmp_path, capsys):
-        # (argv, start of the message): an incident anchor cannot seed the
-        # curve; a sample on the pole at t = 1.5 makes J singular; a window
-        # across the pole ends on another branch, where det J has the other
-        # sign; no point of the curve is found at t = 1 for the anchor
-        # 1,0,0,1; sqrt(-q1^2 - 1) has no real value, so no draw is kept
+        # (argv, start of the message): a sample on the pole at t = 1.5
+        # makes J singular; a window across the pole ends on another
+        # branch, where det J has the other sign; no point of the curve is
+        # found at t = 1 for the anchor 1,0,0,1; sqrt(-q1^2 - 1) has no real
+        # value, so no draw is kept
         doc = tmp_path / "d.pg"
         doc.write_text("pair_ode g { vars t u1 u2 q1 q2; "
                        "F1 = sqrt(-q1^2-1)*q2^3; F2 = 0; }\n")
         dancing = ("verify-dancing", "--phi", "flat", "--span", "1,2",
                    "--anchor")
         for argv, message in (
-                ((*dancing, "0,0,0,0"), "error: anchor is incident"),
                 ((*dancing, "1.5,0,0,1", "--samples", "3"), "numerical "
                  "abort: constraint Jacobian singular near t = 1.5\n"),
                 ((*dancing, "1.5,0,0,1"), "numerical abort: constraint "
