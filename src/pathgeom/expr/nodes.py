@@ -34,6 +34,7 @@ from .rational import Rat, as_rat, rat_pow_exact, real_branch_sign
 _TABLE: dict = {}
 _LOCK = threading.Lock()
 _NO_NAMES = frozenset()
+_PENDING = object()     # a node's degree data before its first use
 
 
 class Expr:
@@ -53,9 +54,12 @@ class Expr:
 
     @property
     def degree_bound(self):
-        """Upper bound on the total degree of numerator and denominator,
-        or None when a radical makes the degree undefined."""
-        return self._degree
+        """Upper bound on the total degree of numerator and denominator
+        (`_degree_data`), with a fractional power v^(j/k) of a variable
+        counted as degree j/k (so k times it bounds the degree in s at
+        v = s^k); None when a fractional power has another base."""
+        data = _degree_data(self)
+        return data[0] + data[2] if type(data) is tuple else data
 
     # -- arithmetic sugar ----------------------------------------------------
 
@@ -143,6 +147,7 @@ def _intern(key, build, *args):
         if node is None:
             node = build(*args)
             node._dcache = None
+            node._degree = _PENDING
             _TABLE[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
@@ -152,7 +157,6 @@ def _build_num(q):
     node.value = q
     node._free = _NO_NAMES
     node._radical = False
-    node._degree = 0
     return node
 
 
@@ -161,7 +165,6 @@ def _build_var(name):
     node.name = name
     node._free = frozenset((name,))
     node._radical = False
-    node._degree = 1
     return node
 
 
@@ -170,8 +173,6 @@ def _build_add(args):
     node.args = args
     node._free = _NO_NAMES.union(*(a._free for a in args))
     node._radical = any(a._radical for a in args)
-    degs = [a._degree for a in args]
-    node._degree = None if None in degs else max(degs)
     return node
 
 
@@ -180,7 +181,6 @@ def _build_mul(args):
     node.args = args
     node._free = _NO_NAMES.union(*(a._free for a in args))
     node._radical = any(a._radical for a in args)
-    node._degree = _degree_sum(args)
     return node
 
 
@@ -189,12 +189,7 @@ def _build_pow(base, exponent):
     node.base = base
     node.exponent = exponent
     node._free = base._free
-    integral = type(exponent) is int
-    node._radical = base._radical or not integral
-    if base._degree is None or not integral:
-        node._degree = None
-    else:
-        node._degree = base._degree * abs(exponent)
+    node._radical = base._radical or type(exponent) is not int
     return node
 
 
@@ -221,15 +216,6 @@ def variables(names) -> tuple:
 
 ZERO = num(0)
 ONE = num(1)
-
-
-def _degree_sum(parts):
-    total = 0
-    for p in parts:
-        if p._degree is None:
-            return None
-        total += p._degree
-    return total
 
 
 def _split_coefficient(term):
@@ -429,6 +415,98 @@ def postorder(roots, follow=None) -> list:
                 stack.pop()
                 order.append(node)
     return order
+
+
+# -- degree bounds -----------------------------------------------------------------
+
+def _degree_data(e: Expr):
+    """The degree data of e: None when a fractional power of e has a base
+    other than a variable; a number n when e is a polynomial of degree at
+    most n; else (n, den, dd), for e = P / Q with deg P <= n and Q the
+    product of B_b^k over the items b: k of `den`, where B_b is the
+    numerator of the base node b (of degree `_numerator_degree(b)`), so
+    deg Q <= dd, the sum of k deg B_b.  Each node's data is computed once,
+    after its children's (`postorder`), and cached in its `_degree`, as
+    `_dcache` holds derivatives.
+
+    A product multiplies the numerators and the denominators; a sum puts
+    its terms over the lcm L of their denominators, the largest exponent
+    of each base, so its numerator has degree at most the largest
+    n_i + deg L - dd_i; b^k with k > 0 raises both to the k-th power, and
+    b^-k swaps them, with den {b: k}.  A fractional power v^e of a variable
+    v is a monomial of degree e, or for e < 0 has den {v: -e}: at v = s^K,
+    with K a multiple of e's denominator, it is s^(K e), so K times the
+    bound bounds the degree in s (Schwartz, JACM 27, 1980, at the
+    pulled-back point)."""
+    if e._degree is _PENDING:
+        for node in postorder((e,), lambda n: n._degree is _PENDING):
+            node._degree = _degree_rule(node)
+    return e._degree
+
+
+def _numerator_degree(b: Expr):
+    data = b._degree
+    return data[0] if type(data) is tuple else data
+
+
+def _degree_rule(e: Expr):
+    """The degree data of e from its children's (`_degree_data`)."""
+    kind = type(e)
+    if kind is Mul or kind is Add:
+        # n: the sum, or for a sum the largest, of the polynomial parts
+        product = kind is Mul
+        n = 0 if product else None
+        fracs = []
+        for a in e.args:
+            data = a._degree
+            if type(data) is tuple:
+                fracs.append(data)
+            elif data is None:
+                return None
+            elif product:
+                n += data
+            elif n is None or data > n:
+                n = data
+        if not fracs:
+            return n
+        if product:
+            dd = 0
+            for fn, _, fdd in fracs:
+                n += fn
+                dd += fdd
+            if len(fracs) == 1:
+                return n, fracs[0][1], dd
+            den = {}
+            for _, d, _ in fracs:
+                for b, j in d.items():
+                    den[b] = den.get(b, 0) + j
+            return n, den, dd
+        lcm = dict(fracs[0][1])
+        for _, d, _ in fracs[1:]:
+            for b, j in d.items():
+                if j > lcm.get(b, 0):
+                    lcm[b] = j
+        dl = sum([j * _numerator_degree(b) for b, j in lcm.items()])
+        tops = [fn - fdd for fn, _, fdd in fracs]
+        if n is not None:
+            tops.append(n)
+        return max(tops) + dl, lcm, dl
+    if kind is Pow:
+        base, k = e.base, e.exponent
+        if type(k) is not int:
+            if type(base) is not Var:
+                return None
+            return k if k > 0 else (0, {base: -k}, -k)
+        data = base._degree
+        if data is None:
+            return None
+        if type(data) is not tuple:
+            return data * k if k > 0 else (0, {base: -k}, -k * data)
+        n, den, dd = data
+        if k > 0:
+            return n * k, {b: j * k for b, j in den.items()}, dd * k
+        return -k * dd, {base: -k}, -k * n
+    return 1 if kind is Var else 0
 
 
 def node_count(e: Expr) -> int:

@@ -7,7 +7,7 @@ Three limits keep exact powers finite: a compiled integer power has an
 exponent below MAX_INT_EXPONENT in absolute value; `rat_pow_exact` refuses
 a power whose numerator or denominator exceeds 2^MAX_FOLD_BITS (so a folded
 constant such as 10^400 stays cheap to build and to print); and
-`Tape.eval_exact` refuses an integer power n^b of a value n/d when |b| *
+`Tape.eval_exact` refuses a power (n/d)^b, integer or fractional, when |b| *
 (bits of n + bits of d) exceeds MAX_POWER_BITS, the size of the power's
 numerator and denominator together, before computing it (so q^3000000 at a
 sampled point fails at once instead of building a multi-megabit integer)."""
@@ -69,19 +69,20 @@ def real_branch_sign(exp: Rat) -> int:
     return -1 if exp.numerator % 2 else 1
 
 
-def rat_pow_exact(base: Rat, exp: Rat):
+def rat_pow_exact(base: Rat, exp: Rat, limit_bits: int = MAX_FOLD_BITS):
     """base**exp as an exact rational (an int or a Fraction), or None when
     irrational; base and exp may be ints or Fractions.
 
     Raises DivisionByZero for 0**negative and DomainError for an even root
     of a negative base.  Odd roots of negatives take the real branch.
     Raises ValueError when the numerator or the denominator of the value
-    exceeds 2^MAX_FOLD_BITS.  With m the larger of |numerator| and
-    denominator of the base and exp = p/q, the root is taken before the
-    power, and m^(|p|/q) >= 2^((bits of m - 1) |p|/q) refuses a power that
-    certainly exceeds the bound before any arithmetic; a power that passes
-    has at most twice the bound's bits, so its exact size is checked once
-    it is built.
+    exceeds 2^limit_bits: 2^MAX_FOLD_BITS for a folded constant, and
+    2^MAX_POWER_BITS at a sampled point (`Tape.eval_exact`).  With m the
+    larger of |numerator| and denominator of the base and exp = p/q, the
+    root is taken before the power, and m^(|p|/q) >= 2^((bits of m - 1)
+    |p|/q) refuses a power that certainly exceeds the bound before any
+    arithmetic; a power that passes has at most twice the bound's bits, so
+    its exact size is checked once it is built.
     """
     p, q = exp.numerator, exp.denominator
     if base == 0:
@@ -96,15 +97,15 @@ def rat_pow_exact(base: Rat, exp: Rat):
     num, den = abs(base.numerator), base.denominator
     if p < 0:
         num, den, p = den, num, -p
-    if (max(num, den).bit_length() - 1) * p > MAX_FOLD_BITS * q:
+    if (max(num, den).bit_length() - 1) * p > limit_bits * q:
         raise ValueError(f"constant power ({base})^({exp}) too large: "
-                         f"beyond 2^{MAX_FOLD_BITS}")
+                         f"beyond 2^{limit_bits}")
     rn, rd = _int_nth_root(num, q), _int_nth_root(den, q)
     if rn is None or rd is None:
         return None
     rn, rd = rn ** p, rd ** p
-    if max(rn, rd) > 1 << MAX_FOLD_BITS:
+    if max(rn, rd) > 1 << limit_bits:
         raise ValueError(f"constant power ({base})^({exp}) too large: "
-                         f"beyond 2^{MAX_FOLD_BITS}")
+                         f"beyond 2^{limit_bits}")
     # an int base with an integral value stays an int
     return sign * rn if rd == 1 and type(base) is int else Rat(sign * rn, rd)

@@ -194,8 +194,8 @@ class Tape:
         dens[k] > 0, as a Fraction would hold it; each sum and product
         divides out one gcd, and a Fraction is built only for the outputs.
 
-        Raises ValueError, before computing it, for an integer power whose
-        numerator and denominator together could exceed MAX_POWER_BITS."""
+        Raises ValueError, before computing it, for a power whose numerator
+        and denominator together could exceed MAX_POWER_BITS."""
         inputs = [as_rat(v) for v in point]
         consts, exps = self.consts_exact, self.exps_exact
         gcd = math.gcd
@@ -246,7 +246,7 @@ class Tape:
                     if d < 0:
                         n, d = -n, -d
             else:
-                q = _exact_pow_frac(Fraction(nums[a], dens[a]), exps[b])
+                q = _exact_pow_frac(nums[a], dens[a], exps[b])
                 n, d = q.numerator, q.denominator
             push_num(n)
             push_den(d)
@@ -361,8 +361,14 @@ def _modp_pow_int(base: int, e: int) -> int:
     return pow(base, e, MODULUS)
 
 
-def _exact_pow_frac(base, e):
-    got = rat_pow_exact(base, e)
+def _exact_pow_frac(n: int, d: int, e):
+    """(n/d)^e for n/d in lowest terms, refused as an integer power is when
+    |e| (bits of n + bits of d) exceeds MAX_POWER_BITS."""
+    bits = n.bit_length() + d.bit_length()
+    if abs(e) * bits > MAX_POWER_BITS:
+        raise ValueError(f"fractional power ^({e}) of a {bits}-bit value too "
+                         f"large: beyond {MAX_POWER_BITS} bits")
+    got = rat_pow_exact(Fraction(n, d), e, MAX_POWER_BITS)
     if got is None:
         raise DomainError("not a perfect rational power; "
                           "use floating evaluation")

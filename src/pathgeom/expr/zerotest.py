@@ -1,10 +1,16 @@
 """Randomized zero testing of expressions, one claim at a time.
 
 Rational-function expressions are tested at random rational points
-(Schwartz-Zippel); expressions containing radicals fall back to 256-bit
-floating evaluation (`tape.MPF_PREC`) with relative tolerance 1e-30.  A draw
-at a pole of the tested expression, or outside the domain of its radicals,
-is rejected and redrawn.
+(Schwartz-Zippel).  So is an expression whose radicands are all chart
+variables: each such variable v is drawn on the real branch as v = s^K
+(`sampling.branch_ranges`), where every power v^(j/k) is the rational
+s^(K j/k), and the expression is a rational function of s of degree at
+most K times its degree bound, v^(j/k) counted as j/k (`Expr.degree_bound`).
+An expression with any other radicand (v + 1, say, or a variable with a
+sampling range) falls back to 256-bit floating evaluation
+(`tape.MPF_PREC`) with relative tolerance 1e-30.  A draw at a pole of the
+tested expression, or outside the domain of its radicals, is rejected and
+redrawn.
 
 A rational point n/d is evaluated mod the prime p = 2^61 - 1 at the residue
 n * d^-1 (`tape.MODULUS`).  Where no denominator vanishes mod p, a nonzero
@@ -27,13 +33,15 @@ verdict (`is_zero_probabilistic`) field by field.  That holds while a draw
 has residues and is no pole mod p on a tape that is `reducible_mod_p`: the
 first draw or tape that is not ends the group's run, and its undecided
 entries are then run alone, where a rejected draw moves only their own
-stream.  An entry with a radical is always run alone: its mpf tolerance is
-relative to the largest value on its own tape.
+stream.  An entry with a radical is always run alone: its draws are on the
+real branch, or its mpf tolerance is relative to the largest value on its
+own tape.
 
 Without a trial count (`trials=None`, the package's one default), each
 entry draws its own allotment (`target_trials`): the fewest trials whose
-Schwartz-Zippel bound reaches 2^-TARGET_BITS at its degree bound, at most
-MAX_TRIALS, and MAX_TRIALS for an entry decided in mpf or of no degree.
+Schwartz-Zippel bound reaches 2^-TARGET_BITS at its degree bound (K times
+it on the real branch), at most MAX_TRIALS, and MAX_TRIALS for an entry
+decided in mpf or of no degree.
 In a group an entry closes as zero after its own allotment and the run
 ends once no entry is open, so each verdict is still the one-entry
 verdict.
@@ -42,6 +50,7 @@ verdict.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -49,7 +58,7 @@ from dataclasses import dataclass
 from ..errors import DivisionByZero, DomainError, SamplingExhausted
 from .nodes import Expr, sub
 from .rational import Rat
-from .sampling import RESAMPLE_BUDGET, draw_pairs
+from .sampling import RESAMPLE_BUDGET, branch_ranges, draw_pairs
 from .tape import compile_tape, pair_residue
 
 DEFAULT_BOUND = 10 ** 6
@@ -60,6 +69,9 @@ MAX_TRIALS = 50         # at most this many default trials per entry
 
 @dataclass
 class ZeroVerdict:
+    """A zero test's verdict.  `degree_bound` is the degree its trials are
+    allotted for: the expression's, K times it on the real branch, None in
+    mpf."""
     is_zero: bool
     trials: int
     witness: dict | None = None
@@ -94,9 +106,10 @@ def _modp(tape, residues):
 
 def _failure_bound(deg, trials):
     """Schwartz-Zippel: a draw from the default box takes any one value with
-    probability at most 1/(2 bound + 1) <= 1/bound, and n/d -> n * d^-1 mod
-    p keeps distinct draws apart while 2 bound^2 < p, so a trial misses a
-    nonzero value with probability <= deg/bound, over Q and mod p alike
+    probability at most 1/(2 bound + 1) <= 1/bound (a draw of s on the real
+    branch at most 1/bound: n has bound or more values), and n/d -> n * d^-1
+    mod p keeps distinct draws apart while 2 bound^2 < p, so a trial misses
+    a nonzero value with probability <= deg/bound, over Q and mod p alike
     unless p divides every coefficient of the cleared numerator (bound =
     DEFAULT_BOUND)."""
     return min(1.0, deg / DEFAULT_BOUND) ** trials
@@ -149,13 +162,21 @@ def _run(exprs, names, trials, seed, ranges, every):
         if single:
             raise
         return verdicts
-    mpf = single and exprs[0].has_radical
+    branch = branch_ranges(tape, ranges)
+    mpf = branch is None
+    if mpf:
+        degrees = [None] * len(exprs)
+    else:
+        ranges = branch
+        # at v = s^K an entry has degree at most K times its bound
+        k = max((r for r in branch if type(r) is int), default=1)
+        degrees = [math.ceil(k * e.degree_bound) for e in exprs]
     mode = "mpf" if mpf else "exact"
     modular = not mpf and tape.reducible_mod_p
     if not (single or modular):
         return verdicts
-    allotted = [trials or (None if mpf else target_trials(e.degree_bound))
-                or MAX_TRIALS for e in exprs]
+    allotted = [trials or target_trials(deg) or MAX_TRIALS
+                for deg in degrees]
     rng = random.Random(seed)
     open_ = list(range(len(exprs)))
     rejected = 0
@@ -196,16 +217,15 @@ def _run(exprs, names, trials, seed, ranges, every):
                 verdicts[i] = ZeroVerdict(
                     False, witness=dict(zip(names, point)),
                     witness_value=values[i], trials=trial, mode=mode,
-                    degree_bound=exprs[i].degree_bound,
-                    constraints_rejected=rejected)
+                    degree_bound=degrees[i], constraints_rejected=rejected)
             open_ = [i for i in open_
                      if verdicts[i] is None and (every or i < hits[0])]
         for i in open_:
             if allotted[i] == trial:
-                deg = exprs[i].degree_bound
+                deg = degrees[i]
                 verdicts[i] = ZeroVerdict(
                     True, trials=trial, mode=mode, degree_bound=deg,
-                    failure_bound=(None if mpf or deg is None
+                    failure_bound=(None if deg is None
                                    else _failure_bound(deg, trial)),
                     constraints_rejected=rejected)
         open_ = [i for i in open_ if verdicts[i] is None]

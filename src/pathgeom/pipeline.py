@@ -34,7 +34,7 @@ from .errors import (IllConditioned, PairUndefined, SamplingExhausted,
 from .expr import add, compile_tape, num, sub, to_text
 # unused here; pgbench's tracer test calls the zero tester through this module
 from .expr import is_zero_probabilistic  # noqa: F401
-from .expr.sampling import sample_points
+from .expr.sampling import branch_ranges, sample_points
 from .expr.tape import MPF_PREC
 from .expr.zerotest import (MAX_TRIALS, MPF_REL_TOL, TARGET_BITS,
                              target_trials, zero_verdicts)
@@ -192,9 +192,11 @@ def _root_type_checks(inv, samples, seed, expect=None):
     """The `uniform_quartic_type` and `admissibility_flags` records of a pair,
     given its Fels invariants, at `samples` exact sampled points.
 
-    A radical-free pair is evaluated and classified exactly, a radical one in
-    mpf.  The type is uniform when every point's quartic has one describe();
-    the witness is the last point whose type differs from the first point's.
+    A pair is evaluated and classified exactly, on the real branch where
+    its radicands are all variables (`branch_ranges`), and in mpf where a
+    radicand is anything else.  The type is uniform when every point's
+    quartic has one describe(); the witness is the last point whose type
+    differs from the first point's.
     With `expect`, a uniform type other than `expect` fails too, with the
     first point as its witness.
     An mpf point whose multiplicities do not add up (IllConditioned) is
@@ -204,9 +206,10 @@ def _root_type_checks(inv, samples, seed, expect=None):
         raise ValueError("samples must be >= 1")
     exprs = (list(curvature_quartic(inv).coefficients)
              + list(torsion_quadric(inv).coefficients))
-    arithmetic = "mpf" if any(e.has_radical for e in exprs) else "exact"
     names = sorted(set().union(*(e.free_variables for e in exprs)))
     tape = compile_tape(exprs, names)
+    arithmetic = ("mpf" if branch_ranges(tape, [None] * len(names)) is None
+                  else "exact")
     quartic_types, quadric_types, flags, witness = [], set(), [], []
     skipped = 0
     for point, values in sample_points(tape, names, seed,

@@ -788,7 +788,10 @@ def _fraction_value(roots, point):
                     raise ValueError("integer power too large")
                 v = base ** int(e)
             else:
-                v = rat_pow_exact(base, e)
+                bits = base.numerator.bit_length() + base.denominator.bit_length()
+                if abs(e) * bits > rational.MAX_POWER_BITS:
+                    raise ValueError("fractional power too large")
+                v = rat_pow_exact(base, e, rational.MAX_POWER_BITS)
                 if v is None:
                     raise DomainError("irrational power")
         memo[id(node)] = v
@@ -860,6 +863,18 @@ class TestExactTape:
         got = [got] if len(roots) == 1 else got
         assert got == want
         assert all(type(v) is Fraction for v in got)
+
+    def test_fractional_power_is_bounded_like_an_integer_power(self):
+        # at a point drawn on the real branch, p^(601/2) = s^601 has more than
+        # 2^MAX_FOLD_BITS in numerator and denominator, which only a folded
+        # constant is refused for; MAX_POWER_BITS refuses it before the root
+        s = Fraction(10 ** 6 - 1, 10 ** 6 - 3)
+        tape = compile_tape(pow_(x, Fraction(601, 2)), ("x",))
+        assert tape.eval_exact([s ** 2]) == s ** 601
+        tape = compile_tape(pow_(x, Fraction(3001, 2)), ("x",))
+        with pytest.raises(ValueError, match=f"beyond "
+                           f"{rational.MAX_POWER_BITS} bits"):
+            tape.eval_exact([s ** 2])
 
     def test_first_node_to_raise_matches_the_reference(self):
         # two children raise at this point: both sides reach the pole of the

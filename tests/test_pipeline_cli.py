@@ -233,16 +233,30 @@ class TestReports:
             "mpf 256-bit, relative 1e-30, 50 trials")
 
     def test_identity_tolerance_names_mpf_arithmetic(self):
+        # a radicand that is not a chart variable is decided in mpf
         mpf = "mpf 256-bit, relative 1e-30, 50 trials"
         rep = cmd_invariants(None, "dancing_sqrt_pair")
         tol = {c.name: c.tolerance for c in rep.checks}
         assert tol["torsion_trace_identity"] == mpf
-        doc = parse("scalar_ode r { vars t z p; F = sqrt(p); }")
+        doc = parse("scalar_ode r { vars t z p; F = sqrt(z + p^2); }")
         rep = cmd_verify_chains(doc, "r", samples=4)
         tol = {c.name: c.tolerance for c in rep.checks}
         assert tol["dual_derivation_equal"] == mpf
         assert tol["torsion_iff_flat_scalar"] == mpf
         assert tol["uniform_quartic_type"] == "mpf 256-bit, relative 1e-30"
+
+    @pytest.mark.parametrize("rhs", ["sqrt(p)", "p^(3/2)"])
+    def test_identity_tolerance_names_exact_arithmetic_on_the_branch(self,
+                                                                     rhs):
+        # a radicand that is a chart variable is drawn as p = s^2, where
+        # the identities have exact values and a Schwartz-Zippel bound
+        doc = parse(f"scalar_ode r {{ vars t z p; F = {rhs}; }}")
+        rep = cmd_verify_chains(doc, "r", samples=4)
+        tol = {c.name: c.tolerance for c in rep.checks}
+        for name in ("dual_derivation_equal", "torsion_iff_flat_scalar"):
+            assert re.fullmatch(r"exact identity, \d trials, bound 2\^-100",
+                                tol[name]), name
+        assert tol["uniform_quartic_type"] == "exact"
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("rhs", ["sqrt(p)", "p^(3/2)", "sqrt(z + p^2)"])
@@ -252,7 +266,10 @@ class TestReports:
         assert rep.passed
         details = {c.name: c.details for c in rep.checks}
         assert details["uniform_quartic_type"]["quartic_type"] == "D_r"
-        assert details["uniform_quartic_type"]["arithmetic"] == "mpf"
+        # only the radicand that is not a chart variable leaves exact
+        # arithmetic
+        assert details["uniform_quartic_type"]["arithmetic"] == (
+            "mpf" if rhs == "sqrt(z + p^2)" else "exact")
 
     @pytest.mark.parametrize("rhs", ["t*p^3 + z", "z*p^2 + t", "p^3", "p^4"])
     def test_freestyle_root_type_does_not_depend_on_root_order(self, rhs):
@@ -265,24 +282,40 @@ class TestReports:
         assert check.verdict == "pass"
         assert check.details["quartic_type"] == "real x2, real, real"
 
-    def test_metric_identity_tolerance_names_mpf_arithmetic(self):
-        doc = parse("""
-coframe c { vars y p Y P;
-  eta 1 = y^(1/2)*d Y; eta 2 = 1*d P; eta 3 = 1*d y; eta 4 = 1*d p; }
-coframe n { vars y p Y P;
-  eta 1 = 1*d Y + p^(1/2)*d P; eta 2 = 1*d P; eta 3 = 1*d y; eta 4 = 1*d p; }
+    @staticmethod
+    def _metric_tolerances(c_radical, n_radical):
+        """The identity tolerances of `pg metric` on two coframes with a
+        radical coefficient each."""
+        doc = parse(f"""
+coframe c {{ vars y p Y P;
+  eta 1 = {c_radical}*d Y; eta 2 = 1*d P; eta 3 = 1*d y; eta 4 = 1*d p; }}
+coframe n {{ vars y p Y P;
+  eta 1 = 1*d Y + {n_radical}*d P; eta 2 = 1*d P; eta 3 = 1*d y;
+  eta 4 = 1*d p; }}
 """)
+        return [{c.name: c.tolerance
+                 for c in cmd_metric(doc, name, points=5).checks}
+                for name in ("c", "n")]
+
+    def test_metric_identity_tolerance_names_mpf_arithmetic(self):
+        # radicands that are not chart variables are decided in mpf
         mpf = "mpf 256-bit, relative 1e-30, 50 trials"
-        tol = {c.name: c.tolerance
-               for c in cmd_metric(doc, "c", points=5).checks}
-        assert tol["fundamental_form_closed"] == mpf
+        c, n = self._metric_tolerances("(y + 1)^(1/2)", "(p + 1)^(1/2)")
+        assert c["fundamental_form_closed"] == mpf
         # the null planes of c are integrable with nothing left to test
-        assert tol["null_planes_integrable"] == "structural"
-        tol = {c.name: c.tolerance
-               for c in cmd_metric(doc, "n", points=5).checks}
+        assert c["null_planes_integrable"] == "structural"
         # d of the fundamental form of n has no component to test
-        assert tol["fundamental_form_closed"] == "structural"
-        assert tol["null_planes_integrable"] == mpf
+        assert n["fundamental_form_closed"] == "structural"
+        assert n["null_planes_integrable"] == mpf
+
+    def test_metric_identity_tolerance_names_exact_arithmetic_on_the_branch(
+            self):
+        exact = "exact identity, 6 trials, bound 2^-100"
+        c, n = self._metric_tolerances("y^(1/2)", "p^(1/2)")
+        assert c["fundamental_form_closed"] == exact
+        assert c["null_planes_integrable"] == "structural"
+        assert n["fundamental_form_closed"] == "structural"
+        assert n["null_planes_integrable"] == exact
 
     def test_verify_chains_all_pass(self):
         rep = cmd_verify_chains(DOC, "flat", samples=6, seed=0)

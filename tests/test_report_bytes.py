@@ -71,8 +71,9 @@ PINNED = {
         (0, "c5bcb72c0224589468121f9c9952088ce087438f2db7068bd7308f0826728d01"),
     ("scalar", ("verify-chains", "--system", "s_tp")):
         (0, "a232d3ea55ec7e5cedf67a3cc1572bb13e39be48a793a004b237416ca5fb36af"),
+    # z'' = sqrt(p) is decided exactly on the real branch p = s^2
     ("scalar", ("verify-chains", "--system", "s_sqrt")):
-        (0, "ea6dbbc640a86c8eed343a5229262f079f1642faca89465632c83ec81cdd2a41"),
+        (0, "b943a9afce634b9ca5d00574a6bdc8daa98b22d827837d5fd796610da7b8618f"),
     ("r3", ("classify", "--system", "pair")):
         (0, "fb92cb26134f7f0a383f3602a81f9ed1d0c0450f7dc3f564d7a211e316f5dcba"),
     ("r3", ("verify-chains", "--system", "ode")):

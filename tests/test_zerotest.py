@@ -9,7 +9,9 @@ from pathgeom.errors import DivisionByZero, DomainError, SamplingExhausted
 from pathgeom.expr import (compile_tape, div, is_zero_probabilistic, mul, num,
                            pow_, sqrt_, sub, variables)
 from pathgeom.expr import zerotest
-from pathgeom.expr.sampling import _sample_pair
+from pathgeom.expr.rational import rat_pow_exact
+from pathgeom.expr.sampling import (_sample_pair, branch_ranges, draw_pairs,
+                                    sample_points)
 from pathgeom.expr.tape import MODULUS
 from pathgeom.expr.zerotest import (DEFAULT_BOUND, MPF_REL_TOL,
                                     RESAMPLE_BUDGET, ZeroVerdict,
@@ -51,6 +53,126 @@ def test_radical_nonzero_detected():
     verdict = is_zero_probabilistic(sqrt_(p) - p, trials=20,
                                     var_ranges={"p": (2, 5)})
     assert not verdict.is_zero
+    # a radicand with a sampling range is not drawn on the real branch
+    assert verdict.mode == "mpf"
+
+
+# -- radicands that are chart variables: exact draws on the real branch ------------
+
+# sqrt(p)^2 - p, p^(3/2) - p*sqrt(p) and (p^(1/3))^3 - p fold to 0 as they
+# are built; these identities hold the same powers inside a sum
+_BRANCH_IDENTITIES = {
+    "sqrt(p)^2": ((sqrt_(p) + 1) ** 2 - p - 2 * sqrt_(p) - 1, 2),
+    "p^(3/2)": ((p + 1) * sqrt_(p) - pow_(p, Fraction(3, 2)) - sqrt_(p), 2),
+    "p^(1/3)^3": ((pow_(p, Fraction(1, 3)) + 1) ** 3 - p
+                  - 3 * pow_(p, Fraction(2, 3)) - 3 * pow_(p, Fraction(1, 3))
+                  - 1, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BRANCH_IDENTITIES))
+def test_branch_identities_read_zero_exactly_with_a_bound(case):
+    e, k = _BRANCH_IDENTITIES[case]
+    assert e.has_radical
+    verdict = is_zero_probabilistic(e)
+    assert verdict.is_zero
+    assert verdict.mode == "exact"
+    assert verdict.degree_bound == k * e.degree_bound
+    assert verdict.trials == zerotest.target_trials(verdict.degree_bound)
+    assert verdict.failure_bound <= 2.0 ** -zerotest.TARGET_BITS
+
+
+def test_branch_draws_are_powers_negative_only_for_odd_roots():
+    for e, k in _BRANCH_IDENTITIES.values():
+        assert branch_ranges(compile_tape(e, ["p"]), [None]) == [k]
+    rng = random.Random(0)
+    for k in (2, 3, 4, 6):
+        draws = [Fraction(*draw_pairs(rng, [k], 50)[0]) for _ in range(200)]
+        # every draw is a k-th power, so p^(j/k) is rational
+        assert all(rat_pow_exact(v, Fraction(1, k)) is not None
+                   for v in draws)
+        if k % 2:
+            assert any(v < 0 for v in draws)
+        else:
+            assert all(v > 0 for v in draws)
+
+
+def test_branch_ranges_take_the_lcm_and_refuse_other_radicands():
+    q_third = pow_(q, Fraction(-1, 3))
+    tape = compile_tape([sqrt_(p) + pow_(p, Fraction(1, 3)), q_third * y],
+                        ["p", "q", "y"])
+    assert branch_ranges(tape, [None] * 3) == [6, 3, None]
+    # a ranged radicand, a sum or a constant under the root: no branch
+    assert branch_ranges(tape, [(0, 1), None, None]) is None
+    assert branch_ranges(tape, [None, None, (0, 1)]) == [6, 3, (0, 1)]
+    for e in (sqrt_(p + 1), sqrt_(num(2)) * p, sqrt_(p) * sqrt_(p * q)):
+        names = sorted(e.free_variables)
+        assert branch_ranges(compile_tape(e, names),
+                             [None] * len(names)) is None
+    # no fractional power: the ranges stand
+    tape = compile_tape(p * q, ["p", "q"])
+    assert branch_ranges(tape, [None, (0, 1)]) == [None, (0, 1)]
+
+
+def test_branch_nonzero_witness_is_exact_at_a_perfect_square():
+    verdict = is_zero_probabilistic(sqrt_(p) - p)
+    assert not verdict.is_zero
+    assert verdict.mode == "exact"
+    w = verdict.witness["p"]
+    root = rat_pow_exact(w, Fraction(1, 2))
+    assert root is not None and root > 0
+    assert verdict.witness_value == root - w
+    assert type(verdict.witness_value) is Fraction
+
+
+def test_sample_points_exact_on_the_branch():
+    tape = compile_tape([sqrt_(p) * q, pow_(q, Fraction(1, 3))], ["p", "q"])
+    points = list(sample_points(tape, ["p", "q"], 0, 30, "exact"))
+    assert len(points) == 30
+    assert any(pt[1] < 0 for pt, _ in points)
+    for (vp, vq), (a, b) in points:
+        assert a == rat_pow_exact(vp, Fraction(1, 2)) * vq
+        assert b ** 3 == vq
+
+
+@st.composite
+def _branch_claims(draw):
+    """(entry, whether it is zero): (A + B)^2 - A^2 - 2AB - B^2 for terms
+    A and B with powers of p or q of root index 1, 2, 3 or 6, perhaps over
+    a pole, perhaps plus a nonzero term."""
+    def term():
+        base = draw(st.sampled_from([p, q]))
+        exp = Fraction(draw(st.integers(-3, 4)), draw(st.sampled_from([1, 2, 3,
+                                                                      6])))
+        return num(draw(st.integers(1, 5))) * pow_(base, exp) * draw(
+            st.sampled_from([num(1), y, p, q + 1]))
+    a, b = term(), term()
+    e = (a + b) ** 2 - a * a - 2 * a * b - b * b
+    if draw(st.booleans()):
+        e = div(e, q - 2) + div(p * p - 4, p - 2) - (p + 2)
+    zero = draw(st.booleans())
+    if not zero:
+        e = e + term()
+    return e, zero
+
+
+@given(_branch_claims(), st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_branch_verdict_equals_mpf_verdict(claim, seed):
+    e, zero = claim
+    verdict = is_zero_probabilistic(e, seed=seed)
+    assert verdict.mode == "exact"
+    with pytest.MonkeyPatch.context() as mp:
+        # the same entry with the real branch rule switched off: a tape
+        # with a fractional power has no branch
+        mp.setattr(zerotest, "branch_ranges", lambda tape, ranges: (
+            None if tape.exps_exact else ranges))
+        mpf = is_zero_probabilistic(e, seed=seed)
+    assert mpf.mode == ("mpf" if e.has_radical else "exact")
+    assert verdict.is_zero == mpf.is_zero == zero
+    if not zero:
+        assert compile_tape(e, sorted(verdict.witness)).eval_exact(
+            list(verdict.witness.values())) == verdict.witness_value != 0
 
 
 def test_degree_bound_tracking():
@@ -107,8 +229,9 @@ def test_interval_draws_stay_in_interval(interval, bound, seed):
 def _fraction_reference(e, trials, seed=0, bound=DEFAULT_BOUND,
                         var_ranges=None):
     """The exact-mode zero test in Fraction arithmetic over the same draws
-    (for an expression with a radical, the mpf test): (witness, witness
-    value, trials, draws rejected at poles or outside the real domain)."""
+    (for an expression with a radicand that is not a chart variable, the
+    mpf test): (witness, witness value, trials, draws rejected at poles or
+    outside the real domain)."""
     rng = random.Random(seed)
     names = sorted(e.free_variables)
     tape = compile_tape(e, names)
@@ -192,7 +315,7 @@ def _reference_verdict(e, trials, seed, bound):
     witness, value, used, rejected = _fraction_reference(e, trials, seed,
                                                          bound)
     mode = "mpf" if e.has_radical else "exact"
-    deg = e.degree_bound
+    deg = None if e.has_radical else e.degree_bound
     if witness is not None:
         return ZeroVerdict(False, witness=witness, witness_value=value,
                            trials=used, mode=mode, degree_bound=deg,
@@ -337,12 +460,14 @@ def _zero_of_degree(a, b, k):
 def _default_claims(draw):
     """Claims over the charts (p, q) and (q, y) whose zero entries have
     degree bounds from 4 to 160, so their allotments differ, with nonzero
-    entries, poles and radical (mpf) entries among them."""
+    entries, poles, radical (mpf) entries and entries on the real branch
+    among them."""
     entries = []
     for _ in range(draw(st.integers(1, 6))):
         a, b = draw(st.sampled_from([(p, q), (q, y)]))
         zero = _zero_of_degree(a, b, draw(st.integers(1, 40)))
-        kind = draw(st.sampled_from(["zero", "nonzero", "pole", "radical"]))
+        kind = draw(st.sampled_from(["zero", "nonzero", "pole", "radical",
+                                     "branch"]))
         if kind == "nonzero":
             zero = zero + num(draw(st.integers(1, 3))) * a ** draw(
                 st.integers(1, 3)) - b
@@ -350,6 +475,9 @@ def _default_claims(draw):
             zero = div(zero, a - b) + div(a * a - b * b, a - b) - (a + b)
         elif kind == "radical":
             zero = zero + sqrt_(a ** 4) - a ** 2
+        elif kind == "branch":
+            zero = zero + (a + 1) * sqrt_(a) - pow_(a, Fraction(3, 2)) \
+                - sqrt_(a)
         entries.append(zero)
     return entries
 
