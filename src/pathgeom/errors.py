@@ -128,6 +128,3 @@ class EliminationInvalid(PathgeomError):
 class TorsionNonzero(PathgeomError):
     """A torsion-free pair was required."""
 
-
-class DegeneratePoint(PathgeomError):
-    """A sample point hit a coframe degeneracy."""

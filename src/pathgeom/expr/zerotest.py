@@ -22,29 +22,18 @@ are those of exact arithmetic.  An expression whose tape has no mod-p value
 `Tape.reducible_mod_p`) is evaluated exactly throughout, as is a point with
 a coordinate undefined mod p.
 
-A claim is a sequence of expressions, its entries (`zero_verdicts`).  Its
-radical-free entries over one sorted free-variable chart form a group that
-shares one multi-output tape and one draw stream: each draw comes from
-`random.Random(seed)` once, as int pairs with their residues, all the
-group's outputs are evaluated mod p in one pass, and an output's first
-nonzero residue is its witness, confirmed by one exact evaluation.  Every
-entry sees the draws it would see alone, so its verdict is the one-entry
-verdict (`is_zero_probabilistic`) field by field.  That holds while a draw
-has residues and is no pole mod p on a tape that is `reducible_mod_p`: the
-first draw or tape that is not ends the group's run, and its undecided
-entries are then run alone, where a rejected draw moves only their own
-stream.  An entry with a radical is always run alone: its draws are on the
-real branch, or its mpf tolerance is relative to the largest value on its
-own tape.
+A claim is a sequence of expressions, its entries (`zero_verdicts`), and
+each entry is decided alone (`is_zero_probabilistic`): its own tape, and its
+own draw stream from `random.Random(seed)`, drawn as int pairs with their
+residues.  With `every` the claim decides every entry; otherwise it stops at
+its first nonzero entry in claim order, and an entry it never reaches is
+never compiled.
 
-Without a trial count (`trials=None`, the package's one default), each
-entry draws its own allotment (`target_trials`): the fewest trials whose
+Without a trial count (`trials=None`, the package's one default), an entry
+draws its own allotment (`target_trials`): the fewest trials whose
 Schwartz-Zippel bound reaches 2^-TARGET_BITS at its degree bound (K times
 it on the real branch), at most MAX_TRIALS, and MAX_TRIALS for an entry
 decided in mpf or of no degree.
-In a group an entry closes as zero after its own allotment and the run
-ends once no entry is open, so each verdict is still the one-entry
-verdict.
 """
 
 from __future__ import annotations
@@ -143,64 +132,45 @@ def target_trials(deg):
     return n if n <= MAX_TRIALS else None
 
 
-def _run(exprs, names, trials, seed, ranges, every):
-    """The verdicts of the entries `exprs` over the chart `names`, from one
-    tape and one draw stream per `ranges` (a (lo, hi) or None per name): a
-    list in entry order, None where an entry is left undecided.  Each entry
-    draws `trials` trials, or with None its own allotment (module docstring).
-
-    One entry is always decided.  Several entries share each draw while it
-    has residues and no pole mod p; the first draw that does not, or a tape
-    that is not `reducible_mod_p` or does not compile, ends the run with
-    the open entries undecided.  Unless `every`, an entry found nonzero
-    closes the entries after it, which the claim never reaches."""
-    single = len(exprs) == 1
-    verdicts = [None] * len(exprs)
-    try:
-        tape = compile_tape(exprs, names)
-    except ValueError:
-        if single:
-            raise
-        return verdicts
+def _run(e, names, trials, seed, ranges):
+    """The verdict of e over the chart `names`, from its tape and one draw
+    stream per `ranges` (a (lo, hi) or None per name).  It draws `trials`
+    trials, or with None its own allotment (module docstring)."""
+    tape = compile_tape(e, names)
     branch = branch_ranges(tape, ranges)
     mpf = branch is None
     if mpf:
-        degrees = [None] * len(exprs)
+        deg = None
     else:
         ranges = branch
-        # at v = s^K an entry has degree at most K times its bound
+        # at v = s^K the expression has degree at most K times its bound
         k = max((r for r in branch if type(r) is int), default=1)
-        degrees = [math.ceil(k * e.degree_bound) for e in exprs]
+        deg = math.ceil(k * e.degree_bound)
     mode = "mpf" if mpf else "exact"
     modular = not mpf and tape.reducible_mod_p
-    if not (single or modular):
-        return verdicts
-    allotted = [trials or target_trials(deg) or MAX_TRIALS
-                for deg in degrees]
+    allotted = trials or target_trials(deg) or MAX_TRIALS
     rng = random.Random(seed)
-    open_ = list(range(len(exprs)))
     rejected = 0
-    for trial in range(1, max(allotted) + 1):
+    for trial in range(1, allotted + 1):
         for _ in range(RESAMPLE_BUDGET):
             pairs = draw_pairs(rng, ranges, DEFAULT_BOUND)
             point = None
             # a zero residue counts as zero; otherwise the value (a nonzero
             # verdict's witness value) is exact
-            values = _modp(tape, _residues(pairs) if modular else None)
-            if values is None:
-                if not single:
-                    return verdicts
+            value = _modp(tape, _residues(pairs) if modular else None)
+            if value is None:
                 point = [Rat(n, d) for n, d in pairs]
                 try:
                     if mpf:
-                        (value,), scale = tape.eval_mpf(point, with_scale=True)
+                        value, scale = tape.eval_mpf(point, with_scale=True)
                         # the threshold is at least MPF_REL_TOL, so a value
                         # below it is zero without the scale
                         size = abs(value)
-                        values = [value if size > MPF_REL_TOL and size
-                                  > MPF_REL_TOL * max(1, scale()) else 0]
+                        if not (size > MPF_REL_TOL
+                                and size > MPF_REL_TOL * max(1, scale())):
+                            value = 0
                     else:
-                        values = tape.eval_exact(point)
+                        value = tape.eval_exact(point)
                 except (DivisionByZero, DomainError):
                     rejected += 1
                     continue
@@ -208,30 +178,18 @@ def _run(exprs, names, trials, seed, ranges, every):
         else:
             raise SamplingExhausted(
                 f"no sample point with a value in {RESAMPLE_BUDGET} attempts")
-        hits = [i for i in open_ if values[i]]
-        if hits:
+        if value:
             if point is None:
                 point = [Rat(n, d) for n, d in pairs]
-                values = tape.eval_exact(point)
-            for i in hits:
-                verdicts[i] = ZeroVerdict(
-                    False, witness=dict(zip(names, point)),
-                    witness_value=values[i], trials=trial, mode=mode,
-                    degree_bound=degrees[i], constraints_rejected=rejected)
-            open_ = [i for i in open_
-                     if verdicts[i] is None and (every or i < hits[0])]
-        for i in open_:
-            if allotted[i] == trial:
-                deg = degrees[i]
-                verdicts[i] = ZeroVerdict(
-                    True, trials=trial, mode=mode, degree_bound=deg,
-                    failure_bound=(None if deg is None
-                                   else _failure_bound(deg, trial)),
-                    constraints_rejected=rejected)
-        open_ = [i for i in open_ if verdicts[i] is None]
-        if not open_:
-            break
-    return verdicts
+                value = tape.eval_exact(point)
+            return ZeroVerdict(
+                False, witness=dict(zip(names, point)), witness_value=value,
+                trials=trial, mode=mode, degree_bound=deg,
+                constraints_rejected=rejected)
+    return ZeroVerdict(
+        True, trials=allotted, mode=mode, degree_bound=deg,
+        failure_bound=None if deg is None else _failure_bound(deg, allotted),
+        constraints_rejected=rejected)
 
 
 def is_zero_probabilistic(e: Expr, trials: int | None = None, seed=0,
@@ -249,7 +207,7 @@ def is_zero_probabilistic(e: Expr, trials: int | None = None, seed=0,
         raise ValueError("trials must be >= 1")
     names = sorted(e.free_variables)
     ranges = [(var_ranges or {}).get(n) for n in names]
-    return _run([e], names, trials, seed, ranges, True)[0]
+    return _run(e, names, trials, seed, ranges)
 
 
 def exprs_equal(a: Expr, b: Expr, trials: int | None = None,
@@ -261,40 +219,16 @@ def exprs_equal(a: Expr, b: Expr, trials: int | None = None,
 def zero_verdicts(exprs, trials: int | None = None, seed=0,
                   every=False) -> list:
     """The verdicts of the claim that every expression of `exprs` is zero,
-    each equal to its one-entry verdict: up to and including the first
-    nonzero one in claim order (every expression is zero iff all the
+    one `is_zero_probabilistic` verdict per entry in claim order: up to and
+    including the first nonzero one (every expression is zero iff all the
     verdicts are), or with `every` one per expression.
 
-    Each entry draws `trials` trials, or with None its own allotment.  The
-    expressions are decided in groups (see the module docstring); a group
-    runs when the claim reaches its first entry."""
+    Each entry draws `trials` trials, or with None its own allotment."""
     if trials is not None and trials < 1:
         raise ValueError("trials must be >= 1")
-    exprs = list(exprs)
-    charts = [tuple(sorted(e.free_variables)) for e in exprs]
-    keys = [i if e.has_radical else chart
-            for i, (e, chart) in enumerate(zip(exprs, charts))]
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    verdicts = [None] * len(exprs)
-    end = len(exprs)
-    for i in range(len(exprs)):
-        if i >= end:
+    verdicts = []
+    for e in exprs:
+        verdicts.append(is_zero_probabilistic(e, trials, seed))
+        if not (every or verdicts[-1].is_zero):
             break
-        members = groups.pop(keys[i], ())
-        if members:
-            members = [j for j in members if j < end]
-            got = _run([exprs[j] for j in members], charts[i], trials, seed,
-                       [None] * len(charts[i]), every)
-            for j, v in zip(members, got):
-                verdicts[j] = v
-                if not (every or v is None or v.is_zero):
-                    end = min(end, j + 1)
-        if verdicts[i] is None:
-            # left undecided by its group: the entry runs alone
-            verdicts[i] = _run([exprs[i]], charts[i], trials, seed,
-                               [None] * len(charts[i]), True)[0]
-            if not (every or verdicts[i].is_zero):
-                end = i + 1
-    return verdicts[:end]
+    return verdicts

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegeneratePoint, TorsionNonzero
+from .errors import SamplingExhausted, TorsionNonzero
 from .expr import (Rat, ZERO, add, compile_tape, differentiate, div, mul, num,
                    sub, substitute)
 from .expr.sampling import sample_points
@@ -150,7 +150,7 @@ def einstein_check(cm: CoframeMetric, points: int = 20,
     for _ in range(points):
         pt, G, dG, ddG = next(samples, (None,) * 4)
         if pt is None:
-            raise DegeneratePoint(f"no {points} samples with |coframe det| > "
+            raise SamplingExhausted(f"no {points} samples with |coframe det| > "
                                   f"{MIN_DET} max|coefficient|^4 in "
                                   f"{500 * points} draws")
         Ginv = np.linalg.inv(G)

@@ -1,7 +1,7 @@
 import pytest
 
 from pathgeom.constructions import catalog, chain_pair_from_scalar
-from pathgeom.errors import (DegeneratePoint, DependentGenerators,
+from pathgeom.errors import (DependentGenerators, SamplingExhausted,
                              TorsionNonzero)
 from pathgeom.expr import Rat, exprs_equal, is_zero_probabilistic, num, var
 from pathgeom.expr.zerotest import target_trials
@@ -72,7 +72,7 @@ class TestEinstein:
 
     def test_dependent_etas_have_no_admissible_point(self):
         e1, _, e3, e4 = _flat_coframe().etas
-        with pytest.raises(DegeneratePoint):
+        with pytest.raises(SamplingExhausted):
             einstein_check(CoframeMetric(CH4, (e1, e1, e3, e4), "para"),
                            points=2, seed=0)
 

@@ -607,10 +607,13 @@ class TestCli:
         # makes J singular; a window across the pole ends on another
         # branch, where det J has the other sign; no point of the curve is
         # found at t = 1 for the anchor 1,0,0,1; sqrt(-q1^2 - 1) has no real
-        # value, so no draw is kept
+        # value, so no draw is kept; dependent etas make every coframe
+        # determinant 0, so no Einstein sample is admissible
         doc = tmp_path / "d.pg"
         doc.write_text("pair_ode g { vars t u1 u2 q1 q2; "
-                       "F1 = sqrt(-q1^2-1)*q2^3; F2 = 0; }\n")
+                       "F1 = sqrt(-q1^2-1)*q2^3; F2 = 0; }\n"
+                       "coframe c { vars y p Y P; eta 1 = dY; eta 2 = dY; "
+                       "eta 3 = dy; eta 4 = dp; }\n")
         dancing = ("verify-dancing", "--phi", "flat", "--span", "1,2",
                    "--anchor")
         for argv, message in (
@@ -621,7 +624,9 @@ class TestCli:
                 ((*dancing, "1,0,0,1"), "numerical abort: no starting point "
                  "found on the dancing curve at t = 1.0"),
                 (("classify", str(doc), "--system", "g", "--samples", "2"),
-                 "numerical abort: only 0/2 admissible points classified\n")):
+                 "numerical abort: only 0/2 admissible points classified\n"),
+                (("metric", str(doc), "--system", "c", "--samples", "2"),
+                 "numerical abort: no 2 samples with |coframe det| > ")):
             assert main(list(argv)) == 3
             err = capsys.readouterr().err
             assert err.startswith(message)

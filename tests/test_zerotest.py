@@ -330,18 +330,19 @@ _IDENTITY_PY = div(p * p - y * y, q * (p - y)) - div(p + y, q)
 
 # claims: (entries, draw bound)
 _CLAIM_CASES = {
-    # a small bound makes draws at poles likely: the union tape meets a pole
-    # mod p and its undecided entries run alone
+    # a small bound makes draws at poles likely: an entry meets a pole mod p
+    # and decides that draw exactly
     "poles": ([_IDENTITY_PY, div(p, q) + div(num(1), p - y) - p * y,
                div(q * q - q, q) - (q - 1), div(num(1), q) - p], 3),
     # two charts: each entry draws over its own chart, (p, q) or (q, y)
     "two_charts": ([_IDENTITY, sub(q, y), (q + y) ** 2 - q ** 2 - 2 * q * y
                     - y ** 2, sub(p, q) * (p + 1), mul(q, y) - mul(y, q)
                     + q * y * (y - 1)], 2),
-    # MODULUS * (p - q) is 0 mod p: the union tape is not reducible mod p
+    # MODULUS * (p - q) is 0 mod p: that entry's tape is not reducible mod
+    # p, and it alone is evaluated exactly
     "constant_zero_mod_p": ([_IDENTITY, num(MODULUS) * p - num(MODULUS) * q,
                              sub(p, q) * q], DEFAULT_BOUND),
-    # a radical entry runs alone in mpf, between exact entries of its chart
+    # a radical entry is decided in mpf, between exact entries of its chart
     "radical": ([_IDENTITY, sqrt_(p * p) - p, sqrt_(p ** 4) - p ** 2,
                  sqrt_(q) * sqrt_(q + 1) - sqrt_(q * q + q), sub(p, q)], 5),
     "constants": ([num(0), _IDENTITY, num(Fraction(3, 7)), sub(p, q)],
@@ -388,20 +389,27 @@ def test_claim_cases_reach_every_branch():
         assert {v.is_zero for v in vs} == {True, False}, case
 
 
-def test_claim_of_one_chart_compiles_one_tape(monkeypatch):
-    compiled = []
-    real = zerotest.compile_tape
-    monkeypatch.setattr(zerotest, "compile_tape",
-                        lambda exprs, names: compiled.append(len(exprs))
-                        or real(exprs, names))
+def test_claim_decides_each_entry_through_is_zero_probabilistic(monkeypatch):
+    # one call per verdict returned, in claim order, so a tracer that wraps
+    # is_zero_probabilistic sees every entry the claim decides
+    calls = []
+    real = zerotest.is_zero_probabilistic
+
+    def counting(e, *args, **kwargs):
+        calls.append(e)
+        return real(e, *args, **kwargs)
+
+    monkeypatch.setattr(zerotest, "is_zero_probabilistic", counting)
     entries = [_IDENTITY, _IDENTITY * p, sub(p, q), _IDENTITY - q]
     verdicts = zero_verdicts(entries, 10, 0, every=True)
     assert [v.is_zero for v in verdicts] == [True, True, False, False]
-    assert compiled == [4]
-    compiled.clear()
-    # the claim stops at its first nonzero entry, before the other chart
-    assert len(zero_verdicts([sub(p, q), _IDENTITY, sub(q, y)], 10, 0)) == 1
-    assert compiled == [2]
+    assert calls == entries
+    calls.clear()
+    # the second entry is the first nonzero one: the claim stops there
+    verdicts = zero_verdicts([_IDENTITY, sub(p, q), _IDENTITY_PY, sub(q, y)],
+                             10, 0)
+    assert [v.is_zero for v in verdicts] == [True, False]
+    assert calls == [_IDENTITY, sub(p, q)]
 
 
 def test_an_entry_the_claim_never_reaches_is_never_compiled():
