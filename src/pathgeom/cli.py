@@ -122,6 +122,8 @@ def _floats(text, n, what):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "samples" in args and args.samples < 1:
+            raise ValueError("--samples must be >= 1")
         if args.command == "catalog":
             report = cmd_catalog(args.name)
         else:

@@ -5,8 +5,7 @@ range or, given None, over the default:
 
   * exact -- a rational n/d with d uniform over [1, bound] and n uniform
              over [-bound, bound] (or over the n with lo < n/d <= hi),
-             drawn as the int pair (n, d) (`draw_pairs`) and made a
-             rational only where the caller needs one (`draw_exact`);
+             drawn by `draw_exact`;
   * float -- `rng.uniform` over (lo, hi), by default over DEFAULT_BOX.
 
 The real branch: where every fractional power of a tape has a variable with
@@ -76,15 +75,6 @@ def _root_pair(rng: random.Random, k: int, bound):
     return rng.randint(1 if k % 2 == 0 else -bound, bound) ** k, den ** k
 
 
-def draw_pairs(rng: random.Random, ranges, bound: int) -> list:
-    """One exact point, a coordinate per entry of `ranges`: (lo, hi), None,
-    or a root index K (an int, from `branch_ranges`) for s^K; each as its
-    int pair (numerator, denominator > 0), not reduced."""
-    return [_root_pair(rng, r, bound) if type(r) is int
-            else _sample_pair(rng, *(r or (None, None)), bound)
-            for r in ranges]
-
-
 def branch_ranges(tape, ranges):
     """The draws of `tape` on the real branch: `ranges` (a (lo, hi) or None
     per chart variable) with the None of each variable under a fractional
@@ -106,8 +96,12 @@ def branch_ranges(tape, ranges):
 
 
 def draw_exact(rng: random.Random, ranges, bound: int) -> list:
-    """The point of `draw_pairs` as rationals."""
-    return [Rat(n, d) for n, d in draw_pairs(rng, ranges, bound)]
+    """One exact point, a coordinate per entry of `ranges`: (lo, hi), None,
+    or a root index K (an int, from `branch_ranges`) for s^K; each as a
+    rational."""
+    return [Rat(*(_root_pair(rng, r, bound) if type(r) is int
+                  else _sample_pair(rng, *(r or (None, None)), bound)))
+            for r in ranges]
 
 
 def draw_float(rng: random.Random, ranges) -> list:

@@ -5,8 +5,8 @@ instructions, compiled once and evaluated at many points (an operation tape
 in the sense of Griewank & Walther, *Evaluating Derivatives*).  A tape
 compiled from a sequence of expressions runs the union of their DAGs, each
 shared node once, and returns a list with one value per expression.  There
-are five number domains.  The exact domain has its own loop, on int
-numerator/denominator pairs kept in lowest terms; the other four share one
+are four number domains.  The exact domain has its own loop, on int
+numerator/denominator pairs kept in lowest terms; the other three share one
 interpreter loop, `Tape._run`, to which the domain supplies the constants,
 the point, and the integer and fractional power functions.  The float64 and
 mpf domains differ only in their number type: they share one conversion of
@@ -16,10 +16,6 @@ power functions (`_pow_int`, `_pow_frac`), written with `**`:
   * exact           -- rationals, held as int pairs and returned as Fractions;
                        a fractional power must come out rational
                        (`rat_pow_exact`)
-  * mod p           -- residues mod the prime p = 2^61 - 1 (`MODULUS`); sums
-                       and products are reduced mod p, a negative power takes
-                       the modular inverse, and a fractional power has no
-                       residue
   * mpf             -- mpmath floats at MPF_PREC bits, used for radicals
   * float64         -- Python floats, one point per call
   * float64 columns -- numpy arrays with one entry per point, so that each
@@ -34,13 +30,6 @@ Every domain with fractional powers takes the real branch of an odd root of
 a negative base, with the sign `real_branch_sign` gives `rat_pow_exact`: at
 x = -8, x^(1/3) is -2, x^(-2/3) is 1/4 and x^(5/3) is -32.  A negative base
 under an even root raises DomainError.
-
-The mod-p domain is the exact one seen through the reduction map
-Z_(p) -> F_p, the rationals whose denominators p does not divide.  A point
-of such rationals, on a tape whose constants are such rationals, gives the
-residue of the exact value whenever no base of a negative power is 0 mod p
-(`eval_modp` raises DivisionByZero otherwise).  So a nonzero residue proves
-the exact value nonzero; a zero residue does not prove it zero.
 """
 
 from __future__ import annotations
@@ -57,25 +46,7 @@ from .rational import (MAX_INT_EXPONENT, MAX_POWER_BITS, as_rat, is_int,
 
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW_INT, OP_POW_FRAC = range(6)
 
-MODULUS = 2 ** 61 - 1   # a Mersenne prime
 MPF_PREC = 256          # bits of every mpf evaluation
-
-
-def residue(q):
-    """q mod MODULUS for an int or rational q, or None when MODULUS divides
-    the denominator of q."""
-    return pair_residue(int(q.numerator), int(q.denominator))
-
-
-def pair_residue(num: int, den: int):
-    """num/den mod MODULUS for ints num and den > 0, or None when MODULUS
-    divides den."""
-    den %= MODULUS
-    if den == 0:
-        return None
-    if den == 1:
-        return num % MODULUS
-    return num * pow(den, -1, MODULUS) % MODULUS
 
 
 class Tape:
@@ -92,7 +63,7 @@ class Tape:
     """
 
     __slots__ = ("var_names", "code", "outputs", "single", "consts_exact",
-                 "exps_exact", "_numeric", "_consts_modp")
+                 "exps_exact", "_numeric")
 
     def __init__(self, exprs, var_names):
         self.single = isinstance(exprs, Expr)
@@ -131,16 +102,13 @@ class Tape:
         self.outputs = tuple(index[id(r)] for r in roots)
         self.consts_exact = consts
         self.exps_exact = exps
-        self._numeric = {}         # converter -> converted on first use
-        self._consts_modp = None   # reduced on first use
+        self._numeric = {}   # converter -> converted on first use
 
     def __len__(self):
         return len(self.code)
 
-    def _run(self, inputs, consts, exps, zero, one, pow_int, pow_frac,
-             modulus=0):
-        """The interpreter: the value of every node, in tape order.  A nonzero
-        `modulus` reduces every sum and product modulo it."""
+    def _run(self, inputs, consts, exps, zero, one, pow_int, pow_frac):
+        """The interpreter: the value of every node, in tape order."""
         values = []
         push = values.append
         for op, a, b in self.code:
@@ -148,14 +116,10 @@ class Tape:
                 v = one
                 for j in a:
                     v *= values[j]
-                if modulus:
-                    v %= modulus
             elif op == OP_ADD:
                 v = zero
                 for j in a:
                     v += values[j]
-                if modulus:
-                    v %= modulus
             elif op == OP_CONST:
                 v = consts[a]
             elif op == OP_VAR:
@@ -253,31 +217,6 @@ class Tape:
         out = [Fraction(nums[k], dens[k]) for k in self.outputs]
         return out[0] if self.single else out
 
-    @property
-    def reducible_mod_p(self) -> bool:
-        """True when the tape is evaluated mod MODULUS: it has no fractional
-        power, and MODULUS divides neither the numerator nor the denominator
-        of a nonzero constant (a constant that is 0 mod p would wipe out its
-        terms)."""
-        if self._consts_modp is None:
-            consts = [residue(c) for c in self.consts_exact]
-            ok = not self.exps_exact and all(
-                r is not None and (r != 0 or c == 0)
-                for r, c in zip(consts, self.consts_exact))
-            self._consts_modp = consts if ok else False
-        return self._consts_modp is not False
-
-    def eval_modp(self, residues):
-        """The value mod MODULUS at a point given by the residues of its
-        coordinates (see `residue`), as an int in [0, MODULUS).
-
-        Raises DivisionByZero when the base of a negative power is 0 mod
-        MODULUS, and DomainError when the tape is not `reducible_mod_p`."""
-        if not self.reducible_mod_p:
-            raise DomainError("tape has no value mod p")
-        return self._result(self._run(residues, self._consts_modp, (), 0, 1,
-                                      _modp_pow_int, None, MODULUS))
-
     def eval_f64(self, point):
         inputs = np.asarray(point, dtype=np.float64).tolist()
         return self._result(self._run(inputs, *self._converted(float), 0.0,
@@ -353,12 +292,6 @@ def _pow_frac(base, e):
     if base == 0 and e < 0:
         raise DivisionByZero("denominator evaluated to zero")
     return base ** e
-
-
-def _modp_pow_int(base: int, e: int) -> int:
-    if base == 0 and e < 0:
-        raise DivisionByZero("denominator evaluated to zero mod p")
-    return pow(base, e, MODULUS)
 
 
 def _exact_pow_frac(n: int, d: int, e):

@@ -12,22 +12,17 @@ sampling range) falls back to 256-bit floating evaluation
 tested expression, or outside the domain of its radicals, is rejected and
 redrawn.
 
-A rational point n/d is evaluated mod the prime p = 2^61 - 1 at the residue
-n * d^-1 (`tape.MODULUS`).  Where no denominator vanishes mod p, a nonzero
-residue proves the value nonzero over Q; the nonzero verdict's witness value
-is then evaluated exactly.  A zero residue counts as a zero value.  A pole
-mod p is decided by exact evaluation, so the draws and the rejected samples
-are those of exact arithmetic.  An expression whose tape has no mod-p value
-(a fractional power, or a nonzero constant that is 0 or undefined mod p:
-`Tape.reducible_mod_p`) is evaluated exactly throughout, as is a point with
-a coordinate undefined mod p.
+Every trial outside mpf is decided by the exact value at the drawn rational
+point (`Tape.eval_exact`); a nonzero value is the nonzero verdict's witness
+value.  No verdict rests on a reduction of the value mod a fixed prime,
+which would read zero wherever that prime divides every coefficient of the
+cleared numerator.
 
 A claim is a sequence of expressions, its entries (`zero_verdicts`), and
 each entry is decided alone (`is_zero_probabilistic`): its own tape, and its
-own draw stream from `random.Random(seed)`, drawn as int pairs with their
-residues.  With `every` the claim decides every entry; otherwise it stops at
-its first nonzero entry in claim order, and an entry it never reaches is
-never compiled.
+own draw stream from `random.Random(seed)`.  With `every` the claim decides
+every entry; otherwise it stops at its first nonzero entry in claim order,
+and an entry it never reaches is never compiled.
 
 Without a trial count (`trials=None`, the package's one default), an entry
 draws its own allotment (`target_trials`): the fewest trials whose
@@ -46,9 +41,8 @@ from dataclasses import dataclass
 
 from ..errors import DivisionByZero, DomainError, SamplingExhausted
 from .nodes import Expr, sub
-from .rational import Rat
-from .sampling import RESAMPLE_BUDGET, branch_ranges, draw_pairs
-from .tape import compile_tape, pair_residue
+from .sampling import RESAMPLE_BUDGET, branch_ranges, draw_exact
+from .tape import compile_tape
 
 DEFAULT_BOUND = 10 ** 6
 MPF_REL_TOL = 1e-30
@@ -74,33 +68,11 @@ class ZeroVerdict:
         return self.is_zero
 
 
-def _residues(pairs):
-    """The residues of a point's (numerator, denominator) coordinates, or
-    None when one has none."""
-    residues = [pair_residue(n, d) for n, d in pairs]
-    return None if None in residues else residues
-
-
-def _modp(tape, residues):
-    """The values mod p at a point given by its residues, or None when there
-    are no residues or the point is a pole mod p (which may not be one over
-    Q)."""
-    if residues is None:
-        return None
-    try:
-        return tape.eval_modp(residues)
-    except DivisionByZero:
-        return None
-
-
 def _failure_bound(deg, trials):
     """Schwartz-Zippel: a draw from the default box takes any one value with
     probability at most 1/(2 bound + 1) <= 1/bound (a draw of s on the real
-    branch at most 1/bound: n has bound or more values), and n/d -> n * d^-1
-    mod p keeps distinct draws apart while 2 bound^2 < p, so a trial misses
-    a nonzero value with probability <= deg/bound, over Q and mod p alike
-    unless p divides every coefficient of the cleared numerator (bound =
-    DEFAULT_BOUND)."""
+    branch at most 1/bound: n has bound or more values), so a trial misses
+    a nonzero value with probability <= deg/bound (bound = DEFAULT_BOUND)."""
     return min(1.0, deg / DEFAULT_BOUND) ** trials
 
 
@@ -147,41 +119,31 @@ def _run(e, names, trials, seed, ranges):
         k = max((r for r in branch if type(r) is int), default=1)
         deg = math.ceil(k * e.degree_bound)
     mode = "mpf" if mpf else "exact"
-    modular = not mpf and tape.reducible_mod_p
     allotted = trials or target_trials(deg) or MAX_TRIALS
     rng = random.Random(seed)
     rejected = 0
     for trial in range(1, allotted + 1):
         for _ in range(RESAMPLE_BUDGET):
-            pairs = draw_pairs(rng, ranges, DEFAULT_BOUND)
-            point = None
-            # a zero residue counts as zero; otherwise the value (a nonzero
-            # verdict's witness value) is exact
-            value = _modp(tape, _residues(pairs) if modular else None)
-            if value is None:
-                point = [Rat(n, d) for n, d in pairs]
-                try:
-                    if mpf:
-                        value, scale = tape.eval_mpf(point, with_scale=True)
-                        # the threshold is at least MPF_REL_TOL, so a value
-                        # below it is zero without the scale
-                        size = abs(value)
-                        if not (size > MPF_REL_TOL
-                                and size > MPF_REL_TOL * max(1, scale())):
-                            value = 0
-                    else:
-                        value = tape.eval_exact(point)
-                except (DivisionByZero, DomainError):
-                    rejected += 1
-                    continue
+            point = draw_exact(rng, ranges, DEFAULT_BOUND)
+            try:
+                if mpf:
+                    value, scale = tape.eval_mpf(point, with_scale=True)
+                    # the threshold is at least MPF_REL_TOL, so a value
+                    # below it is zero without the scale
+                    size = abs(value)
+                    if not (size > MPF_REL_TOL
+                            and size > MPF_REL_TOL * max(1, scale())):
+                        value = 0
+                else:
+                    value = tape.eval_exact(point)
+            except (DivisionByZero, DomainError):
+                rejected += 1
+                continue
             break
         else:
             raise SamplingExhausted(
                 f"no sample point with a value in {RESAMPLE_BUDGET} attempts")
         if value:
-            if point is None:
-                point = [Rat(n, d) for n, d in pairs]
-                value = tape.eval_exact(point)
             return ZeroVerdict(
                 False, witness=dict(zip(names, point)), witness_value=value,
                 trials=trial, mode=mode, degree_bound=deg,

@@ -151,11 +151,10 @@ def _claim(name, kind, verdicts, entries=None):
 
     A nonzero claim that holds reads "nonzero witness": an exact nonzero
     value needs no trial count.  Otherwise the tolerance is exact only if
-    every verdict was decided exactly (or mod p), else mpf with its
-    MAX_TRIALS trials, and "structural" when there was nothing to test.  An
-    exact claim names its largest per-entry allotment and the target bound
-    when every entry reaches that bound, else MAX_TRIALS trials and no
-    bound.  A failing claim names the distinct witnesses of its nonzero
+    every verdict was decided exactly, else mpf with its MAX_TRIALS trials,
+    and "structural" when there was nothing to test.  An exact claim names
+    its largest per-entry allotment and the target bound when every entry
+    reaches that bound, else MAX_TRIALS trials and no bound.  A failing claim names the distinct witnesses of its nonzero
     verdicts, in order.  `entries` (label -> expression, one per verdict)
     puts each entry's value in the details."""
     nonzero = [v for v in verdicts if not v.is_zero]

@@ -389,7 +389,8 @@ class TestCli:
         (tmp_path / "d.pg").write_text("scalar_ode flat { vars t z p; F = 0; }\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert main(argv + ["--samples", samples]) == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        assert ("input error: --samples must be >= 1"
+                in capsys.readouterr().err)
 
     def test_draw_budget_grows_with_samples(self, capsys):
         # 3001 admissible points take more than 3000 draws
@@ -694,6 +695,20 @@ class TestCli:
         assert printed == (tmp_path / "r.json").read_text()
         assert json.loads(printed)["checks"]
         assert sorted(f.name for f in tmp_path.iterdir()) == ["r.json"]
+
+    @pytest.mark.parametrize("coefficient", ["2305843009213693952",
+                                             "2305843009213693951"])
+    def test_torsion_with_content_a_large_prime_is_not_zero(
+            self, coefficient, monkeypatch, capsys):
+        # T^1_2 is -(c - 1)(q1 + 1)^3; for c = 2^61 it is -(2^61 - 1)(q1 + 1)^3,
+        # whose every coefficient the prime 2^61 - 1 divides
+        doc = (f"pair_ode g {{ vars t u1 u2 q1 q2; F1 = {coefficient}*(q1+1)^3*u2"
+               " - (q1^3+3*q1^2+3*q1+1)*u2; F2 = 0; }\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        assert main(["invariants", "-", "--system", "g", "--json", "-"]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)
+                  ["checks"]}
+        assert checks["torsion"]["details"]["torsion_zero"] == "False"
 
     def test_unwritable_json_path_is_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "r.json"

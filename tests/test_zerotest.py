@@ -5,19 +5,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pathgeom.dsl import parse_expression
 from pathgeom.errors import DivisionByZero, DomainError, SamplingExhausted
-from pathgeom.expr import (compile_tape, div, is_zero_probabilistic, mul, num,
-                           pow_, sqrt_, sub, variables)
+from pathgeom.expr import (compile_tape, div, evaluate, is_zero_probabilistic,
+                           mul, num, pow_, sqrt_, sub, variables)
 from pathgeom.expr import zerotest
 from pathgeom.expr.rational import rat_pow_exact
-from pathgeom.expr.sampling import (_sample_pair, branch_ranges, draw_pairs,
+from pathgeom.expr.sampling import (_sample_pair, branch_ranges, draw_exact,
                                     sample_points)
-from pathgeom.expr.tape import MODULUS
 from pathgeom.expr.zerotest import (DEFAULT_BOUND, MPF_REL_TOL,
                                     RESAMPLE_BUDGET, ZeroVerdict,
                                     zero_verdicts)
 
 p, q, y = variables("p q y")
+
+# the Mersenne prime 2^61 - 1: a value that it divides reads zero mod it,
+# so a zero test that reduced values mod this fixed prime would misread the
+# multiples of it below
+P61 = 2 ** 61 - 1
 
 
 def test_algebraic_identity_declared_zero():
@@ -87,7 +92,7 @@ def test_branch_draws_are_powers_negative_only_for_odd_roots():
         assert branch_ranges(compile_tape(e, ["p"]), [None]) == [k]
     rng = random.Random(0)
     for k in (2, 3, 4, 6):
-        draws = [Fraction(*draw_pairs(rng, [k], 50)[0]) for _ in range(200)]
+        draws = [draw_exact(rng, [k], 50)[0] for _ in range(200)]
         # every draw is a k-th power, so p^(j/k) is rational
         assert all(rat_pow_exact(v, Fraction(1, k)) is not None
                    for v in draws)
@@ -270,10 +275,11 @@ _SAME_DRAWS_CASES = {
     "var_ranges": (div(p * p - 4, q - 1) - div(q, p),
                    {"var_ranges": {"p": (Fraction(-3), Fraction(-1, 2)),
                                    "q": (0, 2)}, "bound": 5}),
-    # no n/d with d <= bound fits, so p is the midpoint 3/(2 MODULUS)
+    # no n/d with d <= bound fits, so p is the midpoint 3/(2 P61), whose
+    # denominator P61 divides
     "range_undefined_mod_p": ((p + q) ** 2 - p ** 2 - 2 * p * q - q ** 2 + p,
-                              {"var_ranges": {"p": (Fraction(1, MODULUS),
-                                                    Fraction(2, MODULUS))}}),
+                              {"var_ranges": {"p": (Fraction(1, P61),
+                                                    Fraction(2, P61))}}),
 }
 
 
@@ -330,17 +336,16 @@ _IDENTITY_PY = div(p * p - y * y, q * (p - y)) - div(p + y, q)
 
 # claims: (entries, draw bound)
 _CLAIM_CASES = {
-    # a small bound makes draws at poles likely: an entry meets a pole mod p
-    # and decides that draw exactly
+    # a small bound makes draws at poles likely: an entry rejects a draw at
+    # a pole and draws again
     "poles": ([_IDENTITY_PY, div(p, q) + div(num(1), p - y) - p * y,
                div(q * q - q, q) - (q - 1), div(num(1), q) - p], 3),
     # two charts: each entry draws over its own chart, (p, q) or (q, y)
     "two_charts": ([_IDENTITY, sub(q, y), (q + y) ** 2 - q ** 2 - 2 * q * y
                     - y ** 2, sub(p, q) * (p + 1), mul(q, y) - mul(y, q)
                     + q * y * (y - 1)], 2),
-    # MODULUS * (p - q) is 0 mod p: that entry's tape is not reducible mod
-    # p, and it alone is evaluated exactly
-    "constant_zero_mod_p": ([_IDENTITY, num(MODULUS) * p - num(MODULUS) * q,
+    # P61 * (p - q) is nonzero over Q and a multiple of P61 at every point
+    "constant_zero_mod_p": ([_IDENTITY, num(P61) * p - num(P61) * q,
                              sub(p, q) * q], DEFAULT_BOUND),
     # a radical entry is decided in mpf, between exact entries of its chart
     "radical": ([_IDENTITY, sqrt_(p * p) - p, sqrt_(p ** 4) - p ** 2,
@@ -422,7 +427,7 @@ def test_an_entry_the_claim_never_reaches_is_never_compiled():
 
 
 def test_constant_with_p_in_denominator_is_tested_exactly():
-    c = Fraction(1, MODULUS)
+    c = Fraction(1, P61)
     zero = (p + c) ** 2 - p ** 2 - 2 * c * p - c * c
     nonzero = (p + c) ** 2 - p ** 2 - 2 * c * p
     assert is_zero_probabilistic(zero).is_zero
@@ -433,9 +438,43 @@ def test_constant_with_p_in_denominator_is_tested_exactly():
 
 
 def test_multiple_of_p_is_not_zero():
-    # MODULUS * p is 0 mod p at every point; such a constant is tested exactly
-    verdict = is_zero_probabilistic(num(MODULUS) * p - num(MODULUS) * q)
+    # P61 * (p - q) is a multiple of P61 at every point, and nonzero
+    verdict = is_zero_probabilistic(num(P61) * p - num(P61) * q)
     assert not verdict.is_zero
+
+
+def test_numerator_with_content_p_is_not_zero():
+    # (P61 + 1)(x + 1)^2 - (x^2 + 2x + 1) is P61 (x + 1)^2: every coefficient
+    # of its numerator is a multiple of P61, and none of its constants is
+    x = variables("x")[0]
+    e = num(2 ** 61) * (x + 1) ** 2 - (x ** 2 + 2 * x + 1)
+    [verdict] = zero_verdicts([e])
+    assert not verdict.is_zero
+    value = evaluate(e, verdict.witness, "exact")
+    assert value != 0
+    assert value == verdict.witness_value
+
+
+_LINEAR = st.tuples(st.integers(-5, 5), st.integers(-5, 5),
+                    st.integers(-5, 5)).filter(lambda c: c[0] or c[1])
+
+
+@given(st.lists(_LINEAR, min_size=1, max_size=3), st.integers(1, 5),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_multiple_of_p_of_an_expanded_product_is_not_zero(factors, k, seed):
+    # E is a product of linear factors and E' its expansion, so c E - E' is
+    # k P61 E: nonzero, with every coefficient of its numerator a multiple
+    # of P61 once E' is expanded
+    sympy = pytest.importorskip("sympy")
+    x, y_ = variables("x y")
+    sx, sy = sympy.symbols("x y")
+    e = mul(*(a * x + b * y_ + num(c) for a, b, c in factors))
+    expanded = sympy.expand(sympy.Mul(*(a * sx + b * sy + c
+                                        for a, b, c in factors)))
+    e2 = parse_expression(str(expanded).replace("**", "^"))
+    c = 1 + k * P61
+    assert not is_zero_probabilistic(num(c) * e - e2, seed=seed).is_zero
 
 
 # -- trials from the target failure bound (trials=None) -------------------------
