@@ -41,16 +41,11 @@ class Expr:
     """Base node. Instances are interned; do not construct subclasses directly,
     use num/var/add/mul/pow_ and the arithmetic operators."""
 
-    __slots__ = ("_free", "_radical", "_degree", "_dcache", "__weakref__")
+    __slots__ = ("_free", "_degree", "_dcache", "__weakref__")
 
     @property
     def free_variables(self) -> frozenset:
         return self._free
-
-    @property
-    def has_radical(self) -> bool:
-        """True if any power in the tree has a non-integer exponent."""
-        return self._radical
 
     @property
     def degree_bound(self):
@@ -156,7 +151,6 @@ def _build_num(q):
     node = Num.__new__(Num)
     node.value = q
     node._free = _NO_NAMES
-    node._radical = False
     return node
 
 
@@ -164,23 +158,13 @@ def _build_var(name):
     node = Var.__new__(Var)
     node.name = name
     node._free = frozenset((name,))
-    node._radical = False
     return node
 
 
-def _build_add(args):
-    node = Add.__new__(Add)
+def _build_nary(cls, args):
+    node = cls.__new__(cls)
     node.args = args
     node._free = _NO_NAMES.union(*(a._free for a in args))
-    node._radical = any(a._radical for a in args)
-    return node
-
-
-def _build_mul(args):
-    node = Mul.__new__(Mul)
-    node.args = args
-    node._free = _NO_NAMES.union(*(a._free for a in args))
-    node._radical = any(a._radical for a in args)
     return node
 
 
@@ -189,7 +173,6 @@ def _build_pow(base, exponent):
     node.base = base
     node.exponent = exponent
     node._free = base._free
-    node._radical = base._radical or type(exponent) is not int
     return node
 
 
@@ -228,11 +211,11 @@ def _split_coefficient(term):
 
 
 def _raw_add(args):
-    return _intern(("a", args), _build_add, args)
+    return _intern(("a", args), _build_nary, Add, args)
 
 
 def _raw_mul(args):
-    return _intern(("m", args), _build_mul, args)
+    return _intern(("m", args), _build_nary, Mul, args)
 
 
 def _raw_pow(base, exponent):

@@ -2,11 +2,12 @@
 reduction checks.
 
 The stepper is the Dormand-Prince embedded 5(4) pair (`_dp_step`) with
-PI-free standard step control at fixed tolerances (REL_TOL, ABS_TOL);
-right-hand sides are evaluated through compiled tapes.
-Approaches to the singular locus (any syntactic denominator below 1e-8 in
-magnitude) truncate the trajectory and set a flag rather than integrating
-blindly across a pole.
+PI-free standard step control at fixed tolerances (REL_TOL, ABS_TOL).  One
+tape evaluates the right-hand sides and their syntactic denominators (the
+poles); the last, first-same-as-last stage of an accepted step gives both
+at the new state.  A |denominator| at most SINGULAR_FLOOR truncates the
+trajectory and sets a flag rather than integrating blindly across a pole,
+and every failed step is rejected by one rule (`integrate_pair`).
 """
 
 from __future__ import annotations
@@ -59,16 +60,6 @@ def denominator_bases(e: Expr):
             if isinstance(n, Pow) and n.exponent < 0]
 
 
-def _near_singular(min_denominator, t, y):
-    """Step-control failure close to a syntactic pole (within 1e5 times
-    SINGULAR_FLOOR) counts as a singular encounter, not a controller
-    defect."""
-    try:
-        return min_denominator(t, y) <= SINGULAR_FLOOR * 1e5
-    except (DivisionByZero, DomainError):
-        return True
-
-
 @dataclass
 class Trajectory:
     """Accepted integration steps of an ODE pair: monotone sample times,
@@ -92,56 +83,55 @@ class Trajectory:
 
 
 def _dp_step(rhs, t, y, k0, hs):
-    """One Dormand-Prince 5(4) step of signed size hs from y at t, given
-    k0 = rhs(t, y): the 5th-order state, its local error estimate, and
-    rhs at the new state (the last stage, reused as the next k0)."""
+    """One Dormand-Prince 5(4) step of signed size hs from y at t, given the
+    derivative k0 there, for rhs(t, y) = (derivative, extra): the 5th-order
+    state, its local error estimate, and rhs at the last (FSAL) stage."""
     k = np.zeros((7, 4))
     k[0] = k0
     for s in range(1, 7):
         ys = y + hs * (_A[s] @ k[:s])
-        k[s] = rhs(t + float(_C[s]) * hs, ys)
-    return y + hs * (_B5 @ k), hs * (_ERR @ k), k[6]
+        last = rhs(t + float(_C[s]) * hs, ys)
+        k[s] = last[0]
+    return y + hs * (_B5 @ k), hs * (_ERR @ k), last
 
 
 def integrate_pair(sys: PairODE, ic, span) -> Trajectory:
     """Integrate (u1'', u2'') = (F1, F2) from ic = (u1, u2, q1, q2) over
     span = (t0, t1) with the Dormand-Prince 5(4) pair at REL_TOL, ABS_TOL.
 
-    When any syntactic denominator of the right-hand sides drops below
-    SINGULAR_FLOOR in magnitude, the trajectory is truncated and flagged.
+    Each evaluation gives y' and the smallest |denominator|.  A state where
+    it is at most SINGULAR_FLOOR ends the trajectory, flagged
+    (SingularEncounter at t0).  A step is rejected when a stage has no value
+    (DivisionByZero, DomainError) or leaves float range, halving h, or when
+    its scaled error exceeds 1, shrinking h by the controller's factor.
+    Below h_min the trajectory is truncated if a stage had no value or the
+    state is within 1e5 SINGULAR_FLOOR of a pole; else StepUnderflow.
     """
-    f = compile_tape(sys.rhs, sys.chart)
-    dens = compile_tape(denominator_bases(sys.rhs1)
-                        + denominator_bases(sys.rhs2), sys.chart)
+    tape = compile_tape([*sys.rhs, *denominator_bases(sys.rhs1),
+                         *denominator_bases(sys.rhs2)], sys.chart)
 
     def rhs(t, y):
-        pt = np.array([t, y[0], y[1], y[2], y[3]])
-        return np.array([y[2], y[3], *f.eval_f64(pt)])
-
-    def min_denominator(t, y):
-        pt = np.array([t, y[0], y[1], y[2], y[3]])
-        return min((abs(v) for v in dens.eval_f64(pt)), default=np.inf)
+        f1, f2, *dens = tape.eval_f64([t, *y])
+        return (np.array([y[2], y[3], f1, f2]),
+                min(map(abs, dens), default=np.inf))
 
     t0, t1 = float(span[0]), float(span[1])
     direction = 1.0 if t1 >= t0 else -1.0
     y = np.array([float(v) for v in ic], dtype=np.float64)
     try:
-        if min_denominator(t0, y) <= SINGULAR_FLOOR:
-            raise SingularEncounter(t0)
-        f_now = rhs(t0, y)
+        f_now, near = rhs(t0, y)
     except (DivisionByZero, DomainError):
         raise SingularEncounter(t0) from None
     except OverflowError:
         raise StepUnderflow(f"solution left float range at t = {t0}") from None
+    if near <= SINGULAR_FLOOR:
+        raise SingularEncounter(t0)
 
-    ts = [t0]
-    states = [y.copy()]
-    errors = [0.0]
+    ts, states, errors = [t0], [y.copy()], [0.0]
     singular_at = None
     h = min(abs(t1 - t0) / 100.0, 0.1)
     h_min = 1e-13 * max(1.0, abs(t1 - t0))
-    t = t0
-    steps = 0
+    t, steps = t0, 0
     while direction * (t1 - t) > 1e-14 * max(1.0, abs(t1)):
         steps += 1
         if steps > MAX_STEPS:
@@ -149,47 +139,34 @@ def integrate_pair(sys: PairODE, ic, span) -> Trajectory:
         h = min(h, abs(t1 - t))
         hs = direction * h
         try:
-            # a stage that leaves float range is a non-finite step, below
+            # a stage that leaves float range gives a non-finite step
             with np.errstate(over="ignore", invalid="ignore"):
-                y_new, err_vec, f_new = _dp_step(rhs, t, y, f_now, hs)
+                y_new, err_vec, last = _dp_step(rhs, t, y, f_now, hs)
             finite = np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))
+            failure = ("step size underflow" if finite
+                       else "solution left float range")
         except (DivisionByZero, DomainError):
-            h /= 2
-            if h < h_min:
-                singular_at = t
-                break
-            continue
+            finite, failure = False, None  # a stage had no value
         except OverflowError:
-            # a stage left float range (an overflowing fractional power)
-            finite = False
-        if not finite:
-            h /= 2
+            # an overflowing fractional power
+            finite, failure = False, "solution left float range"
+        if finite:
+            scale = ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if not finite or err > 1.0:
+            h *= max(0.2, 0.9 * err ** -0.2) if finite else 0.5
             if h < h_min:
-                if _near_singular(min_denominator, t, y):
+                if failure is None or near <= SINGULAR_FLOOR * 1e5:
                     singular_at = t
                     break
-                raise StepUnderflow(f"solution left float range at t = {t}")
-            continue
-        scale = ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if err > 1.0:
-            h *= max(0.2, 0.9 * err ** -0.2)
-            if h < h_min:
-                if _near_singular(min_denominator, t, y):
-                    singular_at = t
-                    break
-                raise StepUnderflow(f"step size underflow at t = {t}")
+                raise StepUnderflow(f"{failure} at t = {t}")
             continue
         t = t + hs
         y = y_new
-        f_now = f_new  # FSAL
+        f_now, near = last  # FSAL
         ts.append(t)
         states.append(y.copy())
         errors.append(float(np.max(np.abs(err_vec))))
-        try:
-            near = min_denominator(t, y)
-        except (DivisionByZero, DomainError):
-            near = 0.0
         if near <= SINGULAR_FLOOR:
             singular_at = t
             break
@@ -223,16 +200,13 @@ def third_order_reduction_check(pair: PairODE, solve_for: str, elim: Expr,
     Its identity tests draw the zero tester's default allotment per entry.
     """
     tn, u1n, u2n, q1n, q2n = pair.chart
-    w = "__jet2"
-    v = "__jet3"
+    w, v = "__jet2", "__jet3"
     if solve_for == q1n or solve_for == "q1":
-        solved_var, dep, dep1 = q1n, u2n, q2n
+        solved_var, dep, dep1, other_dep = q1n, u2n, q2n, u1n
         designated, remaining = pair.rhs2, pair.rhs1
-        other_dep, other_rate = u1n, elim
     elif solve_for == q2n or solve_for == "q2":
-        solved_var, dep, dep1 = q2n, u1n, q1n
+        solved_var, dep, dep1, other_dep = q2n, u1n, q1n, u2n
         designated, remaining = pair.rhs1, pair.rhs2
-        other_dep, other_rate = u2n, elim
     else:
         raise ValueError(f"solve_for must name a first-derivative variable, "
                          f"got {solve_for!r}")

@@ -23,8 +23,9 @@ enters only through a table (`_Domain`) of its arithmetic and root placement:
               not add up to the degree raise IllConditioned.
 
 Factors of degree >= 3 get numeric root positions in either domain (their
-roots are simple, hence well conditioned).  Float coefficients are refused
-with TypeError.
+roots are simple, hence well conditioned); in `_Z`, where their float
+computation would overflow, from the companion matrix in mpf instead
+(`_wide_roots`).  Float coefficients are refused with TypeError.
 """
 
 from __future__ import annotations
@@ -46,10 +47,13 @@ INF = math.inf  # the projective root [1:0]
 class RootProfile:
     """Roots of a binary form on RP^1 with multiplicities.
 
-    real_roots: ((position, multiplicity), ...) -- position INF for [1:0];
+    real_roots: ((position, multiplicity), ...) ascending, INF for [1:0];
     complex_pairs: (((re, im), multiplicity), ...) with im > 0, each entry
     standing for the conjugate pair.  Multiplicities sum to the degree unless
-    zero_form is set.
+    zero_form is set.  With exact coefficients, a linear or quadratic
+    factor's rational roots, and re = -b/2a and a rational im of its pair,
+    are Fractions at any size; other values are floats, or MPF_PREC-bit
+    mpfs beyond float range.  With mpf ones a linear factor's root is mpf.
     """
 
     degree: int
@@ -188,18 +192,26 @@ def _sturm_real_count(dom, c):
     return variations(False) - variations(True)
 
 
-def _numeric_roots(coeffs, n_real):
-    """Roots of a square-free polynomial with float coefficients `coeffs`
-    and `n_real` real roots, by numpy; they are simple, hence well
-    conditioned."""
-    roots = sorted(np.roots(coeffs), key=lambda r: abs(r.imag))
-    real = [(float(r.real), 1) for r in roots[:n_real]]
-    # the other roots are conjugate pairs, also where float64 rounds a
-    # pair's imaginary parts to zero
+def _numeric_roots(roots, n_real, position=float):
+    """(real roots, complex pairs) of a square-free polynomial with `n_real`
+    real roots from its numeric `roots`, each value made a `position`; they
+    are simple, hence well conditioned."""
+    roots = sorted(roots, key=lambda r: abs(r.imag))
+    real = [(position(r.real), 1) for r in roots[:n_real]]
+    # the other roots are conjugate pairs, also where rounding makes a
+    # pair's imaginary parts zero
     rest = sorted(roots[n_real:], key=lambda r: r.imag, reverse=True)
-    pairs = [((float(r.real), abs(float(r.imag))), 1)
+    pairs = [((position(r.real), abs(position(r.imag))), 1)
              for r in rest[:len(rest) // 2]]
     return real, pairs
+
+
+def _exact(pos):
+    """A position to compare exactly with the others: an mpf as a Fraction."""
+    if not hasattr(pos, "man_exp"):
+        return pos
+    man, exp = pos.man_exp  # |pos| = man 2^exp
+    return (-man if pos < 0 else man) * Fraction(2) ** exp
 
 
 def _classify(coeffs, degree, dom):
@@ -215,7 +227,7 @@ def _classify(coeffs, degree, dom):
         r, cp = dom.place(factor, n_real)
         real.extend((pos, mult) for pos, _ in r)
         pairs.extend((z, mult) for z, _ in cp)
-    real.sort(key=lambda rm: (math.inf if rm[0] == INF else float(rm[0])))
+    real.sort(key=lambda rm: _exact(rm[0]))
     prof = RootProfile(degree=degree, zero_form=False,
                        real_roots=tuple(real), complex_pairs=tuple(pairs))
     if sum(prof.multiplicities()) != degree:
@@ -301,17 +313,47 @@ def _z_place(g, n_real):
         a, b, c = g
         disc = b * b - 4 * a * c
         r = math.isqrt(abs(disc))
+        if r * r == disc:
+            return [(Fraction(-b - r, 2 * a), 1),
+                    (Fraction(-b + r, 2 * a), 1)], []
+        if r * r == -disc:
+            return [], [((Fraction(-b, 2 * a), Fraction(r, 2 * a)), 1)]
+        n_real = 2 if disc > 0 else 0
+    try:
+        if n > 2:
+            return _numeric_roots(np.roots([x / g[0] for x in g]), n_real)
         if disc > 0:
-            if r * r == disc:
-                return [(Fraction(-b - r, 2 * a), 1),
-                        (Fraction(-b + r, 2 * a), 1)], []
             re = -b / a
             sf = math.sqrt(disc / (a * a))
             return [((re - sf) / 2, 1), ((re + sf) / 2, 1)], []
-        im = (Fraction(r, 2 * a) if r * r == -disc
-              else math.sqrt(-disc / (a * a)) / 2)
-        return [], [((Fraction(-b, 2 * a), im), 1)]
-    return _numeric_roots([x / g[0] for x in g], n_real)
+        return [], [((Fraction(-b, 2 * a),
+                      math.sqrt(-disc / (a * a)) / 2), 1)]
+    except OverflowError:
+        real, pairs = _wide_roots(g, n_real)
+        if n == 2 and disc < 0:  # re = -b/2a stays exact
+            pairs = [((Fraction(-b, 2 * a), pairs[0][0][1]), 1)]
+        return real, pairs
+
+
+def _wide_roots(g, n_real):
+    """Roots of an integer square-free factor as eigenvalues of its companion
+    matrix, at MPF_PREC + 2B bits for B the largest coefficient bit length:
+    nonzero roots lie within 2^(B+1) of 1 either way and move by about
+    2^(B - prec).  Floats unless float64 makes them inf or 0, else mpfs."""
+    import mpmath
+
+    n = _deg(g)
+    with mpmath.workprec(MPF_PREC + 2 * max(abs(x).bit_length() for x in g)):
+        companion = mpmath.matrix([[mpmath.mpf(-x) / g[0] for x in g[1:]]] + [
+            [int(i == j) for i in range(n)] for j in range(n - 1)])
+        roots = mpmath.eig(companion, left=False, right=False)
+
+    def value(x):
+        f = float(x)
+        return f if math.isfinite(f) and bool(f) == bool(x) else +x
+
+    with mpmath.workprec(MPF_PREC):
+        return _numeric_roots(roots, n_real, value)
 
 
 _Z = _Domain(normal=_z_primitive,
@@ -374,7 +416,7 @@ def _mpf_place(g, n_real):
                     (float((-b + sf) / (2 * a)), 1)], []
         im = math.sqrt(-disc) / (2 * abs(float(a)))
         return [], [((-b / (2 * a), im), 1)]
-    return _numeric_roots([float(x) for x in g], n_real)
+    return _numeric_roots(np.roots([float(x) for x in g]), n_real)
 
 
 _MPF = _Domain(normal=_monic,

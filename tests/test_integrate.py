@@ -66,11 +66,14 @@ class TestIntegratePair:
 
         ref = solve_ivp(rhs, (0.0, 1.0), TAME_IC, method="DOP853",
                         rtol=1e-13, atol=1e-14).y[:, -1]
+        def stage(t, y):
+            return rhs(t, y), None
+
         errs = []
         for h in (0.05, 0.025):
             y = np.array(TAME_IC)
             for k in range(round(1.0 / h)):
-                y = _dp_step(rhs, k * h, y, rhs(k * h, y), h)[0]
+                y = _dp_step(stage, k * h, y, rhs(k * h, y), h)[0]
             errs.append(np.max(np.abs(y - ref)))
         assert np.log2(errs[0] / errs[1]) >= 4.5
 
@@ -99,6 +102,100 @@ class TestIntegratePair:
         u1, _, q1, _ = traj.states[-1]
         assert u1 == pytest.approx(0.4, abs=1e-6)
         assert q1 == pytest.approx(2 / 3, abs=1e-6)
+
+
+_POLE_PAIR = parse("pair_ode g { vars t u1 u2 q1 q2; F1 = 1/(u1-1); "
+                   "F2 = q1*q2/(u2+2); }").get("g")
+_BRANCH = parse("pair_ode g { vars t u1 u2 q1 q2; F1 = sqrt(1-t); "
+                "F2 = 0; }").get("g")
+_OVERFLOW = PairODE(pow_(mul(num(10 ** 205), var("u1") ** 2), as_rat("3/2")),
+                    num(0))
+_SYSTEMS = {"flat": catalog("flat_chain_pair"), "cr": catalog("cr_sphere_pair"),
+            "pole": _POLE_PAIR, "branch": _BRANCH, "overflow": _OVERFLOW}
+
+# (system, ic, span, outcome): an outcome is (len(t), truncated, t[-1],
+# states[-1]) or (exception, message); the exception's t compares to rel
+# 1e-12 like the floats
+_FIXED_CASES = [
+    ("flat", (0.0, 1.0, 0.5, -0.3), (0.0, 1.0),
+     (23, False, 1.0, (0.4999999999999999, 0.8125000000302044, 0.5,
+                       -0.11718750006663385))),
+    ("flat", (-0.7, 1.2, 0.1, -0.2), (0.0, 1.0),
+     (10, False, 1.0, (-0.5999999999999999, 1.0307692308166965, 0.1,
+                       -0.1431952663029169))),
+    ("flat", (1.0, 0.5, -1.0, 2.0), (0.0, -3.0),
+     (79, False, -3.0, (4.0, -0.7000000000223948, -1.0,
+                        0.08000000005805684))),
+    ("flat", (0.2, 0.3, 1.5, -1.0), (0.0, 6.0),
+     (StepUnderflow, "solution left float range at t = 1.1999999997362312")),
+    ("cr", (0.0, 0.0, -0.5, 2.0), (0.0, 0.4),
+     (13, False, 0.4, (-0.14355957741110445, 0.754847661926243,
+                       -0.22941573387304098, 1.7835325871053782))),
+    ("cr", (0.2, -0.3, 0.1, 2.4), (0.0, 0.4),
+     (9, False, 0.4, (0.27812843002993687, 0.6683052025924021,
+                      0.29418832577789583, 2.4422984472075733))),
+    ("cr", (-0.5, 1.5, -1.0, -2.0), (0.0, -1.0),
+     (34, False, -1.0, (-0.21922359353358054, 2.9605823048608655,
+                        0.2425356248256885, -1.0680982813576152))),
+    ("cr", (1.0, -1.0, 1.5, 0.5), (0.0, 3.0),
+     (StepUnderflow, "solution left float range at t = 0.50811932954124")),
+    ("cr", (0.0, 0.0, -1.0, 1e-09), (0.0, 1.0),
+     (SingularEncounter,
+      "trajectory approached a singular locus at t = 0.0")),
+    ("pole", (0.5, -1.0, 0.5, 1.0), (0.0, 2.0),
+     (51, False, 2.0, (-1.6432999825728731, 0.5044958796464514,
+                       -1.89218144493346, 0.3689222731939183))),
+    ("pole", (-0.6, 0.2, 1.3, -1.3), (0.0, 2.0),
+     (137, True, 1.1480543036692137, (0.3084928719354727, -1.9999999908682753,
+                                      0.11058526975900819,
+                                      -4.6242316510212005))),
+    ("pole", (1.05, -1.4, -0.7, -0.2), (0.0, 5.0),
+     (240, True, 0.6378874687952678, (2.3060771671285623, -1.999999990897475,
+                                      2.6486828383452807,
+                                      -47.596669545765245))),
+    ("branch", (0.0, 0.0, 0.0, 0.0), (0.0, 2.0),
+     (46, True, 0.9999999999998515, (0.39999999997914587, 0.0,
+                                     0.6666666655314144, 0.0))),
+    ("overflow", (1e-100, 0.0, 0.0, 0.0), (0.0, 1.0),
+     (StepUnderflow, "solution left float range at t = 0.0")),
+    ("overflow", (1.9, 0.0, 0.0, 0.0), (0.0, 1.0),
+     (StepUnderflow, "solution left float range at t = 0.0")),
+]
+
+
+class TestFixedOutcomes:
+    @pytest.mark.parametrize("name, ic, span, outcome", _FIXED_CASES)
+    def test_outcome(self, name, ic, span, outcome):
+        if isinstance(outcome[0], type):
+            exc, message = outcome
+            head, _, at = message.rpartition(" = ")
+            with pytest.raises(exc) as info:
+                integrate_pair(_SYSTEMS[name], ic, span)
+            got_head, _, got_at = str(info.value).rpartition(" = ")
+            assert got_head == head
+            assert float(got_at) == pytest.approx(float(at), rel=1e-12)
+            return
+        steps, truncated, t_end, state_end = outcome
+        traj = integrate_pair(_SYSTEMS[name], ic, span)
+        assert len(traj.t) == steps
+        assert traj.truncated_by_singularity is truncated
+        assert traj.t[-1] == pytest.approx(t_end, rel=1e-12)
+        assert traj.states[-1].tolist() == pytest.approx(state_end, rel=1e-12)
+
+    def test_one_tape_per_call(self, monkeypatch):
+        # F1, F2 and their denominators share one tape: the pole distances
+        # are read from the same evaluations as the right-hand sides
+        compiled = []
+
+        def counting(exprs, names):
+            compiled.append(exprs)
+            return compile_tape(exprs, names)
+
+        monkeypatch.setattr("pathgeom.integrate.compile_tape", counting)
+        for name in ("flat", "cr", "pole"):
+            compiled.clear()
+            integrate_pair(_SYSTEMS[name], (0.5, -1.0, 0.5, 1.0), (0.0, 0.1))
+            assert len(compiled) == 1, name
 
 
 class TestThirdOrderReduction:

@@ -585,6 +585,20 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "arithmetic: exact" in proc.stdout
 
+    @pytest.mark.parametrize("command", ["classify", "verify-cr"])
+    @pytest.mark.parametrize("rhs", [
+        "F1 = 10^400*q1^2*q2; F2 = q1^3 + q2^3;",   # a quartic's roots
+        "F1 = 10^400*u1*q1 + u2*q2; F2 = u1*q2;",   # a quadric's roots
+    ])
+    def test_roots_beyond_float_range_are_placed(self, command, rhs, tmp_path,
+                                                 capsys):
+        # the root types are exact; the positions of roots whose coefficients
+        # are too far apart for float64 leave no traceback either
+        doc = tmp_path / "big.pg"
+        doc.write_text(f"pair_ode g {{ vars t u1 u2 q1 q2; {rhs} }}\n")
+        assert main([command, str(doc), "--system", "g"]) in (0, 1)
+        assert capsys.readouterr().err == ""
+
     def test_square_root_beyond_float_range(self, tmp_path):
         doc = tmp_path / "big.pg"
         doc.write_text("scalar_ode s { vars t z p; F = sqrt(10^400)*p; }\n")

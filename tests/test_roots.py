@@ -133,6 +133,33 @@ class TestExactPath:
         assert prof.distinct_real_count == n_real
         assert prof.multiplicities() == (1, 1, 1, 1)
 
+    def test_irrational_roots_whose_float_intermediates_overflow(self):
+        # x^2 + 2 10^200 x + 1: both roots are floats, disc/a^2 is not
+        prof = classify_quadric((1, 10 ** 200, 1))
+        (low, _), (high, _) = prof.real_roots
+        assert type(low) is type(high) is float
+        assert low == pytest.approx(-2e200, rel=1e-12)
+        assert high == pytest.approx(-5e-201, rel=1e-12)
+        # x^2 + 2 x + 10^400: the pair -1 +- sqrt(10^400 - 1) i
+        (re, im), mult = classify_quadric((1, 1, 10 ** 400)).complex_pairs[0]
+        assert (re, mult) == (Fraction(-1), 1)
+        assert im == pytest.approx(1e200, rel=1e-12)
+
+    def test_positions_beyond_float_range(self):
+        # exact rational roots 1 and 10^400, sorted without a float
+        prof = classify_quadric((1, Fraction(-(10 ** 400 + 1), 2), 10 ** 400))
+        assert prof.real_roots == ((Fraction(1), 1), (Fraction(10 ** 400), 1))
+        # x^2 + 2 10^400 x + 1: roots near -2 10^400 and -5 10^-401, which
+        # float64 cannot hold, as MPF_PREC-bit mpfs
+        prof = classify_quadric((1, 10 ** 400, 1))
+        (low, _), (high, _) = prof.real_roots
+        for pos in (low, high):
+            assert isinstance(pos, mpmath.mpf)
+            assert pos.man_exp[0].bit_length() <= MPF_PREC
+        with mpmath.workprec(MPF_PREC):
+            assert abs(low / (-2 * mpmath.mpf(10) ** 400) - 1) < 2 ** -250
+            assert abs(high / (-5 * mpmath.mpf(10) ** -401) - 1) < 2 ** -250
+
     def test_mixed_complex(self):
         w = expand_quartic([], [((Fraction(1, 2), Fraction(3, 2)), 1),
                                 ((0, 1), 1)])
