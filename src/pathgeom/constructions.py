@@ -257,18 +257,17 @@ class DancingCurve:
     def pair_residuals(self, pair: PairODE):
         """Max residuals of (z'' - F1, b'' - F2) along the curve, evaluating
         the pair's right-hand sides at (t, z, b, z', b').  Raises
-        PairUndefined from the first sample t where the pair has no value."""
+        PairUndefined from the first sample t where the pair has no value
+        or leaves float range."""
         pts = np.column_stack([self.t, self.z, self.b, self.z1, self.b1])
         tape = compile_tape(pair.rhs, pair.chart)
-        try:
-            f1, f2 = tape.eval_f64_many(pts)
-        except (DivisionByZero, DomainError):
-            for t, row in zip(self.t, pts):
-                try:
-                    tape.eval_f64(row)
-                except (DivisionByZero, DomainError) as exc:
-                    raise PairUndefined(float(t)) from exc
-            raise
+        values = []
+        for t, row in zip(self.t, pts):
+            try:
+                values.append(tape.eval_f64(row))
+            except (DivisionByZero, DomainError, OverflowError) as exc:
+                raise PairUndefined(float(t)) from exc
+        f1, f2 = np.array(values).T
         r1 = np.abs(self.z2 - f1)
         r2 = np.abs(self.b2 - f2)
         return float(np.max(r1)), float(np.max(r2))
@@ -279,14 +278,15 @@ NEWTON_MAX_ITER = 25
 DANCING_RESIDUAL_TOL = 1e-10  # largest constraint residual along a curve
 
 
-def _newton_solve(G, J, t, state):
+def _newton_solve(GJ, t, state):
+    """Damped Newton on G(t, .) = 0 from `state`, or None; GJ(t, s) gives
+    G and J together, so an accepted candidate's J is the next step's."""
     s = np.array(state, dtype=np.float64)
-    gv = G(t, s)
+    gv, Jm = GJ(t, s)
     norm = np.max(np.abs(gv))
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
             return s
-        Jm = J(t, s)
         det = np.linalg.det(Jm)
         scale = max(1.0, np.max(np.abs(Jm)))
         if abs(det) < 1e-14 * scale ** 3:
@@ -296,12 +296,12 @@ def _newton_solve(G, J, t, state):
         while lam >= 1.0 / 64.0:
             cand = s - lam * step
             try:
-                gv_new = G(t, cand)
+                gv_new, J_new = GJ(t, cand)
             except (DivisionByZero, DomainError):
                 gv_new = None
             if gv_new is not None and np.all(np.isfinite(gv_new)) and \
                     np.max(np.abs(gv_new)) <= (1 - lam / 2) * norm + NEWTON_TOL:
-                s, gv = cand, gv_new
+                s, gv, Jm = cand, gv_new, J_new
                 norm = np.max(np.abs(gv))
                 break
             lam /= 2
@@ -315,14 +315,18 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
                           seed: int = 0) -> DancingCurve:
     """Trace the dancing path determined by a non-incident anchor
     (t^, z^, a^, b^): continuation in t solving the three incidence
-    constraints for (z, a, b) by damped Newton.
+    constraints G = 0 for (z, a, b) by damped Newton.  Two tapes: Newton
+    evaluates [G, J] with J = dG/d(z, a, b), every line-search candidate
+    included; each sample evaluates [G, J, Gt, Gtt, Jt, H] once, for the
+    orientation of J, the Taylor solves for the first and second
+    derivatives, and the residual.
 
     Raises NonTransverse for an incident anchor, JacobianSingular /
     NewtonDiverged on continuation failure (after step halving down to 1e-9),
     SeedNotFound when no starting point on the curve can be located.  The
-    samples must lie on one branch: J = dG/d(z, a, b) is regular along a
-    branch, so JacobianSingular names the first sample whose det J has the
-    other sign than at the first sample (the curve crossed a pole, say).
+    samples must lie on one branch: J is regular along a branch, so
+    JacobianSingular names the first sample whose det J has the other sign
+    than at the first sample (the curve crossed a pole, say).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -336,25 +340,23 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     g1 = phi.phi
     g2 = substitute(phi.phi, {tn: exact(that), zn: exact(zhat)})
     g3 = substitute(phi.phi, {an: exact(ahat), bn: exact(bhat)})
-    gs = (g1, g2, g3)
+    gs = [g1, g2, g3]
     state_vars = (zn, an, bn)
     order = (tn, zn, an, bn)
-    # G alone for the line search, J for Newton steps, and the t-derivatives
-    # Gt, Gtt, Jt and the state Hessian H for the Taylor coefficients
+    # the Newton tape [G, J]; the sample tape adds the t-derivatives Gt,
+    # Gtt, Jt and the state Hessian H for the Taylor coefficients
     Js = [differentiate(g, v) for g in gs for v in state_vars]
     Gts = [differentiate(g, tn) for g in gs]
-    G_tape, J_tape = compile_tape(gs, order), compile_tape(Js, order)
-    taylor_tape = compile_tape(
-        Gts + [differentiate(e, tn) for e in Gts + Js]
+    newton_tape = compile_tape(gs + Js, order)
+    sample_tape = compile_tape(
+        gs + Js + Gts + [differentiate(e, tn) for e in Gts + Js]
         + [differentiate(e, v) for e in Js for v in state_vars], order)
 
-    def G(t, s):
-        return np.array(G_tape.eval_f64(np.array([t, *s])))
+    def GJ(t, s):
+        gj = np.array(newton_tape.eval_f64(np.array([t, *s])))
+        return gj[:3], gj[3:].reshape(3, 3)
 
-    def J(t, s):
-        return np.array(J_tape.eval_f64(np.array([t, *s]))).reshape(3, 3)
-
-    if abs(G(that, (zhat, ahat, bhat))[0]) < 1e-12:
+    if abs(GJ(that, (zhat, ahat, bhat))[0][0]) < 1e-12:
         raise NonTransverse("anchor is incident: the solution function "
                             "vanishes on it")
 
@@ -364,7 +366,7 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     # locate a point on the curve at t0
     state = None
     if initial_guess is not None:
-        state = _newton_solve(G, J, t0, [float(v) for v in initial_guess])
+        state = _newton_solve(GJ, t0, [float(v) for v in initial_guess])
     if state is None:
         rng = random.Random(seed)
         spread = 2.0 + 2.0 * max(abs(zhat), abs(ahat), abs(bhat))
@@ -372,7 +374,7 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
             offset = draw_float(rng, [(-spread, spread)] * 3)
             guess = [zhat + offset[0], ahat + offset[1], bhat + offset[2]]
             try:
-                state = _newton_solve(G, J, t0, guess)
+                state = _newton_solve(GJ, t0, guess)
             except JacobianSingular:
                 state = None
             if state is not None:
@@ -390,7 +392,7 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
         while abs(t_next - t_cur) > snap:
             step = t_next - t_cur
             while True:
-                cand = _newton_solve(G, J, t_cur + step, state)
+                cand = _newton_solve(GJ, t_cur + step, state)
                 if cand is not None:
                     break
                 step /= 2
@@ -400,22 +402,21 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
             t_cur = t_cur + step
         t_cur = float(t_next)
         pt = np.array([t_cur, state[0], state[1], state[2]])
-        Jm = J(t_cur, state)
+        gv, Jm, Gt, Gtt, Jt, H = np.split(
+            np.array(sample_tape.eval_f64(pt)), [3, 12, 15, 18, 27])
+        Jm, Jt, H = Jm.reshape(3, 3), Jt.reshape(3, 3), H.reshape(3, 3, 3)
         orientation = np.sign(np.linalg.det(Jm))
         if i == 0:
             first_orientation = orientation
         elif orientation != first_orientation:
             raise JacobianSingular(t_cur)
-        Gt, Gtt, Jt, H = np.split(np.array(taylor_tape.eval_f64(pt)),
-                                  [3, 6, 15])
-        Jt, H = Jt.reshape(3, 3), H.reshape(3, 3, 3)
         s1 = np.linalg.solve(Jm, -Gt)
         Hq = np.array([s1 @ H[i] @ s1 for i in range(3)])
         s2 = np.linalg.solve(Jm, -(Gtt + 2 * Jt @ s1 + Hq))
         rows["z"][i], rows["a"][i], rows["b"][i] = state
         rows["z1"][i], rows["b1"][i] = s1[0], s1[2]
         rows["z2"][i], rows["b2"][i] = s2[0], s2[2]
-        rows["res"][i] = float(np.max(np.abs(G(t_cur, state))))
+        rows["res"][i] = float(np.max(np.abs(gv)))
     if np.max(rows["res"]) >= DANCING_RESIDUAL_TOL:
         raise NewtonDiverged(float(ts[int(np.argmax(rows['res']))]))
     return DancingCurve(t=ts, z=rows["z"], b=rows["b"], a=rows["a"],

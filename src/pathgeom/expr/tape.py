@@ -5,26 +5,20 @@ instructions, compiled once and evaluated at many points (an operation tape
 in the sense of Griewank & Walther, *Evaluating Derivatives*).  A tape
 compiled from a sequence of expressions runs the union of their DAGs, each
 shared node once, and returns a list with one value per expression.  There
-are four number domains.  The exact domain has its own loop, on int
-numerator/denominator pairs kept in lowest terms; the other three share one
+are three number domains.  The exact domain has its own loop, on int
+numerator/denominator pairs kept in lowest terms; the other two share one
 interpreter loop, `Tape._run`, to which the domain supplies the constants,
 the point, and the integer and fractional power functions.  The float64 and
 mpf domains differ only in their number type: they share one conversion of
 the constants and fractional exponents (`Tape._converted`) and one pair of
 power functions (`_pow_int`, `_pow_frac`), written with `**`:
 
-  * exact           -- rationals, held as int pairs and returned as Fractions;
-                       a fractional power must come out rational
-                       (`rat_pow_exact`)
-  * mpf             -- mpmath floats at MPF_PREC bits, used for radicals
-  * float64         -- Python floats, one point per call
-  * float64 columns -- numpy arrays with one entry per point, so that each
-                       instruction runs once over all the points
-
-The scalar domains evaluate node by node in the DAG's own order.  The column
-domain uses numpy's vectorised `power`, whose last bits can differ from
-libm `pow`: `eval_f64_many` agrees with per-row `eval_f64` to rounding, not
-bit for bit.
+  * exact   -- rationals, held as int pairs and returned as Fractions; a
+               fractional power must come out rational (`rat_pow_exact`)
+  * mpf     -- mpmath floats at MPF_PREC bits, used for radicals
+  * float64 -- Python floats; `eval_f64` takes one point, `eval_f64_many`
+               runs the same loop over the rows of an array, so each row's
+               values equal `eval_f64`'s bit for bit
 
 Every domain with fractional powers takes the real branch of an odd root of
 a negative base, with the sign `real_branch_sign` gives `rat_pow_exact`: at
@@ -223,20 +217,17 @@ class Tape:
                                       1.0, _pow_int, _pow_frac))
 
     def eval_f64_many(self, points):
-        """Evaluate at an (m, nvars) array of points; returns a length-m
-        array per output.
+        """Evaluate at an (m, nvars) array of points, row by row as
+        `eval_f64` does; returns a length-m array per output.
 
-        Raises as `eval_f64` would if any row raises."""
-        m = len(points)
-        if m == 0:
-            return self._result([np.zeros(0, dtype=np.float64)] * len(self))
+        Raises what `eval_f64` raises, at the first row that raises."""
         consts, exps = self._converted(float)
-        columns = list(np.array(points, dtype=np.float64).T.copy())
-        consts = [np.full(m, c) for c in consts]
-        # overflow gives inf and inf - inf gives nan silently, as with floats
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._result(self._run(columns, consts, exps, 0.0, 1.0,
-                                          _column_pow_int, _column_pow_frac))
+        rows = [[values[k] for k in self.outputs] for values in (
+            self._run(row, consts, exps, 0.0, 1.0, _pow_int, _pow_frac)
+            for row in np.asarray(points, dtype=np.float64).tolist())]
+        columns = list(np.array(rows, dtype=np.float64)
+                       .reshape(len(rows), len(self.outputs)).T.copy())
+        return columns[0] if self.single else columns
 
     def eval_mpf(self, point, with_scale=False):
         """The value at MPF_PREC bits, or the list of values of a sequence
@@ -306,29 +297,6 @@ def _exact_pow_frac(n: int, d: int, e):
         raise DomainError("not a perfect rational power; "
                           "use floating evaluation")
     return got
-
-
-def _column_pow_int(base: np.ndarray, e: int) -> np.ndarray:
-    if e < 0 and (base == 0.0).any():
-        raise DivisionByZero("denominator evaluated to zero")
-    return base ** e
-
-
-def _column_pow_frac(base: np.ndarray, e) -> np.ndarray:
-    e, sign = e
-    negative = base < 0.0
-    if negative.any():
-        if not sign:
-            raise DomainError("negative base under an even root")
-        base = np.abs(base)
-    if e < 0 and (base == 0.0).any():
-        raise DivisionByZero("denominator evaluated to zero")
-    v = np.power(base, e)
-    if (np.isinf(v) & np.isfinite(base)).any():
-        raise OverflowError("math range error")
-    if sign < 0 and negative.any():
-        v = np.where(negative, -v, v)
-    return v
 
 
 def compile_tape(exprs, var_names) -> Tape:

@@ -23,9 +23,11 @@ enters only through a table (`_Domain`) of its arithmetic and root placement:
               not add up to the degree raise IllConditioned.
 
 Factors of degree >= 3 get numeric root positions in either domain (their
-roots are simple, hence well conditioned); in `_Z`, where their float
-computation would overflow, from the companion matrix in mpf instead
-(`_wide_roots`).  Float coefficients are refused with TypeError.
+roots are simple, hence well conditioned); in `_Z`, the root 0 of a zero
+constant term is split off first as the exact Fraction(0), and where a
+float ratio of the coefficients would overflow or underflow to 0.0 the
+positions come from the companion matrix in mpf instead (`_wide_roots`).
+Float coefficients are refused with TypeError.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ class RootProfile:
     standing for the conjugate pair.  Multiplicities sum to the degree unless
     zero_form is set.  With exact coefficients, a linear or quadratic
     factor's rational roots, and re = -b/2a and a rational im of its pair,
-    are Fractions at any size; other values are floats, or MPF_PREC-bit
-    mpfs beyond float range.  With mpf ones a linear factor's root is mpf.
+    are Fractions at any size, as is the root 0 of any factor; other values
+    are floats, or MPF_PREC-bit mpfs beyond float range.  With mpf ones a
+    linear factor's root is mpf, and a quadratic factor's positions are
+    floats, or mpfs beyond float range.
     """
 
     degree: int
@@ -305,7 +309,10 @@ def _z_sturm_link(a, b):
 def _z_place(g, n_real):
     """Roots of a primitive square-free factor: degrees 1 and 2 from its
     integer discriminant, one Fraction per rational position and floats
-    rounded from the rational -b/a and disc/a^2; higher degrees numeric."""
+    from the rationals b/a, c/a and disc/a^2 rounded; higher degrees
+    numeric, after splitting off the exact root 0 of a zero constant term.
+    Where a float ratio leaves float range, the roots come from
+    `_wide_roots`."""
     n = _deg(g)
     if n == 1:
         return [(Fraction(-g[1], g[0]), 1)], []
@@ -319,15 +326,22 @@ def _z_place(g, n_real):
         if r * r == -disc:
             return [], [((Fraction(-b, 2 * a), Fraction(r, 2 * a)), 1)]
         n_real = 2 if disc > 0 else 0
+    elif g[-1] == 0:
+        # x divides the square-free g once
+        real, pairs = _z_place(g[:-1], n_real - 1)
+        return real + [(Fraction(0), 1)], pairs
     try:
         if n > 2:
-            return _numeric_roots(np.roots([x / g[0] for x in g]), n_real)
+            return _numeric_roots(np.roots([_ratio(x, g[0]) for x in g]),
+                                  n_real)
         if disc > 0:
-            re = -b / a
-            sf = math.sqrt(disc / (a * a))
-            return [((re - sf) / 2, 1), ((re + sf) / 2, 1)], []
+            # B and sign(B) sqrt(D) have one sign: the root q has no
+            # cancellation, and neither has the other root (c/a)/q
+            B = _ratio(b, a)
+            q = -(B + math.copysign(math.sqrt(_ratio(disc, a * a)), B)) / 2
+            return [(q, 1), (_ratio(_ratio(c, a), q), 1)], []
         return [], [((Fraction(-b, 2 * a),
-                      math.sqrt(-disc / (a * a)) / 2), 1)]
+                      math.sqrt(_ratio(-disc, a * a)) / 2), 1)]
     except OverflowError:
         real, pairs = _wide_roots(g, n_real)
         if n == 2 and disc < 0:  # re = -b/2a stays exact
@@ -335,11 +349,20 @@ def _z_place(g, n_real):
         return real, pairs
 
 
+def _ratio(x, y) -> float:
+    """x / y as a float; OverflowError where it leaves float range: inf, or
+    0.0 for a nonzero x."""
+    q = x / y
+    if math.isinf(q) or x and not q:
+        raise OverflowError("ratio beyond float range")
+    return q
+
+
 def _wide_roots(g, n_real):
     """Roots of an integer square-free factor as eigenvalues of its companion
     matrix, at MPF_PREC + 2B bits for B the largest coefficient bit length:
     nonzero roots lie within 2^(B+1) of 1 either way and move by about
-    2^(B - prec).  Floats unless float64 makes them inf or 0, else mpfs."""
+    2^(B - prec).  Positions as `_position` makes them."""
     import mpmath
 
     n = _deg(g)
@@ -348,12 +371,15 @@ def _wide_roots(g, n_real):
             [int(i == j) for i in range(n)] for j in range(n - 1)])
         roots = mpmath.eig(companion, left=False, right=False)
 
-    def value(x):
-        f = float(x)
-        return f if math.isfinite(f) and bool(f) == bool(x) else +x
-
     with mpmath.workprec(MPF_PREC):
-        return _numeric_roots(roots, n_real, value)
+        return _numeric_roots(roots, n_real, _position)
+
+
+def _position(x):
+    """An mpf position as a float, unless float64 makes it inf or 0: then
+    as an mpf at the working precision."""
+    f = float(x)
+    return f if math.isfinite(f) and bool(f) == bool(x) else +x
 
 
 _Z = _Domain(normal=_z_primitive,
@@ -403,7 +429,9 @@ def _mpf_sub(a, b):
 
 def _mpf_place(g, n_real):
     """Roots of a monic square-free factor: degree 1 as an mpf, degree 2 as
-    floats, higher degrees numeric."""
+    `_position` makes them, higher degrees numeric."""
+    import mpmath
+
     n = _deg(g)
     if n == 1:
         return [(-g[1] / g[0], 1)], []
@@ -411,11 +439,12 @@ def _mpf_place(g, n_real):
         a, b, c = g
         disc = b * b - 4 * a * c
         if disc > 0:
-            sf = math.sqrt(disc)
-            return [(float((-b - sf) / (2 * a)), 1),
-                    (float((-b + sf) / (2 * a)), 1)], []
-        im = math.sqrt(-disc) / (2 * abs(float(a)))
-        return [], [((-b / (2 * a), im), 1)]
+            # b and sign(b) sqrt(disc) have one sign: q has no cancellation,
+            # and neither has the smaller root c/q
+            q = -(b + (1 if b >= 0 else -1) * mpmath.sqrt(disc)) / 2
+            return [(_position(q / a), 1), (_position(c / q), 1)], []
+        im = mpmath.sqrt(-disc) / (2 * abs(a))
+        return [], [((-b / (2 * a), _position(im)), 1)]
     return _numeric_roots(np.roots([float(x) for x in g]), n_real)
 
 

@@ -5,17 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pathgeom import constructions
 from pathgeom.constructions import (catalog, catalog_names,
                                     chain_pair_from_scalar,
                                     dancing_curve_numeric, freestyle_pair,
                                     SolutionFunction)
 from pathgeom.errors import (DivisionByZero, DomainError, JacobianSingular,
                              NonTransverse, PairUndefined, UnknownName)
-from pathgeom.expr import (add, div, exprs_equal, is_zero_probabilistic, mul,
-                           num, pow_, rename_variables, sqrt_, sub, substitute,
-                           var, variables)
+from pathgeom.expr import (add, compile_tape, div, exprs_equal,
+                           is_zero_probabilistic, mul, num, pow_,
+                           rename_variables, sqrt_, sub, substitute, var,
+                           variables)
+from pathgeom.expr.tape import Tape
 from pathgeom.invariants import fels_torsion, scalar_invariants
 from pathgeom.jets import PairODE, ScalarODE
+from pathgeom.pipeline import _DANCING
 
 t, z, p = variables("t z p")
 
@@ -151,6 +155,23 @@ class TestDancingCurves:
         assert exc.value.t == curve.t[np.argmax(curve.t > 1.7)]
         assert isinstance(exc.value.__cause__, DomainError)
 
+    def test_pair_beyond_float_range_names_the_first_sample(self):
+        # a fractional power beyond float range has no float64 value; an
+        # integer power saturates to inf and leaves a residual of inf
+        phi = catalog("flat_dancing_phi")
+        curve = dancing_curve_numeric(phi, (0, 1, 0, 0), (1.0, 2.0),
+                                      samples=11, initial_guess=(0.0, 1.0, -1.0))
+        big = add(mul(num(10 ** 300), var("Z")), num(10 ** 300))
+        chart = ("t", "z", "b", "Z", "B")
+        with pytest.raises(PairUndefined) as exc:
+            curve.pair_residuals(PairODE(pow_(big, Fraction(3, 2)), num(0),
+                                         chart=chart))
+        assert exc.value.t == curve.t[0]
+        assert isinstance(exc.value.__cause__, OverflowError)
+        r1, _ = curve.pair_residuals(PairODE(pow_(big, 3), num(0),
+                                             chart=chart))
+        assert r1 == math.inf
+
     def test_curve_across_a_pole_raises_at_the_first_sample_past_it(self):
         # for this anchor b is infinite at t = 1.5; the samples past it lie
         # on the other branch, where det J has the other sign
@@ -184,6 +205,79 @@ class TestDancingCurves:
         assert lines[0] == "t,z,b,res"
         assert len(lines) == 6
         assert len(lines[1].split(",")) == 4
+
+    def test_two_tapes_and_one_evaluation_per_sample(self, monkeypatch):
+        # Newton evaluates the tape [G, J]; each sample evaluates the tape
+        # [G, J, Gt, Gtt, Jt, H] once
+        tapes, calls = [], []
+
+        def compile_spy(exprs, var_names):
+            tapes.append(compile_tape(exprs, var_names))
+            return tapes[-1]
+
+        def eval_spy(tape, point):
+            calls.append(tapes.index(tape))
+            return eval_f64(tape, point)
+
+        eval_f64 = Tape.eval_f64
+        monkeypatch.setattr(constructions, "compile_tape", compile_spy)
+        monkeypatch.setattr(Tape, "eval_f64", eval_spy)
+        for name, (anchor, span, guess, _) in _DANCING.items():
+            tapes.clear()
+            calls.clear()
+            dancing_curve_numeric(catalog(name), anchor, span, samples=30,
+                                  initial_guess=guess)
+            assert [len(t.outputs) for t in tapes] == [3 + 9,
+                                                       3 + 9 + 3 + 3 + 9 + 27]
+            assert calls.count(1) == 30
+            assert calls.count(0) >= 30
+
+    # the catalog windows at 120 samples: (phi, seed, Newton guess, len(t),
+    # last (z, b, z1, b1, z2, b2))
+    CURVES = [
+        ("flat", 0, True, 120, (1.301920143991652e-19, -0.5, 0.0, 0.25, 0.0,
+                                -0.25)),
+        ("flat", 0, False, 120, (1.301920143991652e-19, -0.5, 0.0, 0.25, 0.0,
+                                 -0.25)),
+        ("flat", 2, False, 120, (1.301920143991652e-19, -0.5, 0.0, 0.25, 0.0,
+                                 -0.25)),
+        ("sqrt", 0, True, 120, (6.25, 0.7173557826083872, 4.0,
+                                0.16395399140247227, 2.0,
+                                -0.15287715823783535)),
+        ("sqrt", 0, False, 120, (6.25, 0.7173557826083872, 4.0,
+                                 0.16395399140247227, 2.0,
+                                 -0.15287715823783535)),
+        ("sqrt", 1, False, 120, (6.25, 0.7173557826083872, 4.0,
+                                 0.16395399140247227, 2.0,
+                                 -0.15287715823783535)),
+        # from this seed the multistart search finds the other branch
+        ("sqrt", 2, False, 120, (6.25, -3.7173557826083456,
+                                 3.9999999999999996, -1.1639539914024983,
+                                 2.0, 0.15287715823786305)),
+    ]
+
+    @pytest.mark.parametrize("phi, seed, guessed, n, last", CURVES)
+    def test_recorded_curves(self, phi, seed, guessed, n, last):
+        name = f"{phi}_dancing_phi"
+        anchor, span, guess, _ = _DANCING[name]
+        curve = dancing_curve_numeric(catalog(name), anchor, span,
+                                      samples=120, seed=seed,
+                                      initial_guess=guess if guessed else None)
+        assert len(curve.t) == n
+        got = [float(getattr(curve, f)[-1])
+               for f in ("z", "b", "z1", "b1", "z2", "b2")]
+        assert got == pytest.approx(last, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("anchor, error, message", [
+        ((1.5, 0, 0, 1), JacobianSingular,
+         "constraint Jacobian singular near t = 1.5025125628140703"),
+        ((0, 0, 0, 0), NonTransverse,
+         "anchor is incident: the solution function vanishes on it"),
+    ])
+    def test_recorded_failures(self, anchor, error, message):
+        with pytest.raises(error) as exc:
+            dancing_curve_numeric(catalog("flat_dancing_phi"), anchor, (1, 2))
+        assert str(exc.value) == message
 
     def test_solution_function_validation(self):
         with pytest.raises(ValueError):

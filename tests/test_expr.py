@@ -464,7 +464,7 @@ class TestNegativeBase:
         tape = compile_tape(pow_(x, e), ("x",))
         runs = {"f64": lambda: tape.eval_f64([float(base)]),
                 "mpf": lambda: tape.eval_mpf([base]),
-                "column": lambda: tape.eval_f64_many([[float(base)]])[0]}
+                "many": lambda: tape.eval_f64_many([[float(base)]])[0]}
         try:
             want = rat_pow_exact(base, e)
         except (DivisionByZero, DomainError) as exc:
@@ -481,14 +481,15 @@ class TestNegativeBase:
                 want = mpmath.mpf(want.numerator) / want.denominator
             got = runs["mpf"]()
             assert abs(got - want) <= mpmath.mpf("1e-60") * abs(want)
-        for name in ("f64", "column"):
+        for name in ("f64", "many"):
             assert math.isclose(runs[name](), float(want), rel_tol=1e-12,
                                 abs_tol=0), name
 
 
 class TestBatchTape:
-    """eval_f64_many runs each instruction over all rows; per-row eval_f64
-    is the reference it must match."""
+    """eval_f64_many runs the interpreter of eval_f64 row by row: its values
+    are per-row eval_f64's bit for bit, and it raises what the first row
+    that raises raises."""
 
     def test_matches_rows_on_catalog_pairs(self):
         from pathgeom import PairODE, catalog, catalog_names
@@ -502,8 +503,7 @@ class TestBatchTape:
                 assert len(tape) == node_count(rhs)
                 pts = rng.uniform(1, 4, size=(40, len(pair.chart)))
                 rows = np.array([tape.eval_f64(pt) for pt in pts])
-                np.testing.assert_allclose(tape.eval_f64_many(pts), rows,
-                                           rtol=1e-12, atol=0)
+                np.testing.assert_array_equal(tape.eval_f64_many(pts), rows)
 
     def test_constant_and_variable_outputs_have_one_entry_per_row(self):
         pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -526,6 +526,14 @@ class TestBatchTape:
         tape = compile_tape(sqrt_(p), ("p",))
         with pytest.raises(DomainError):
             tape.eval_f64_many([[4.0], [-1.0], [9.0]])
+
+    def test_first_row_that_raises_decides_the_error(self):
+        tape = compile_tape(div(sqrt_(p), q), ("p", "q"))
+        rows = [[4.0, 1.0], [-1.0, 1.0], [4.0, 0.0]]
+        with pytest.raises(DomainError):
+            tape.eval_f64_many(rows)
+        with pytest.raises(DivisionByZero):
+            tape.eval_f64_many(rows[::-1])
 
     def test_overflow(self):
         # an integer power saturates to a signed infinity; a fractional

@@ -442,6 +442,22 @@ class TestCli:
         [witness] = rec["witnesses"]
         assert 1.0 <= float(witness.removeprefix("t = ")) <= 2.0
 
+    def test_pair_beyond_float_range_fails_without_a_traceback(
+            self, tmp_path, capsys):
+        # the fractional power has no float64 value on the curve; with ^3
+        # in its place the residual is inf
+        doc = tmp_path / "big.pg"
+        doc.write_text("pair_ode g { vars t z b Z B; "
+                       "F1 = (10^300*Z + 10^300)^(3/2); F2 = 0; }\n")
+        assert main(["verify-dancing", str(doc), "--phi", "flat", "--system",
+                     "g", "--json", "-"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        rec = json.loads(out)["checks"][1]
+        assert (rec["name"], rec["verdict"]) == ("pair_residual", "fail")
+        assert set(rec["details"]) == {"pair", "no_value"}
+        assert rec["witnesses"] == ["t = 1.0"]
+
     @pytest.mark.parametrize("command", ["invariants", "classify"])
     @pytest.mark.parametrize("f1, message", [
         # the parser sees the exponent: an error at its '^'

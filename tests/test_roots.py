@@ -160,6 +160,34 @@ class TestExactPath:
             assert abs(low / (-2 * mpmath.mpf(10) ** 400) - 1) < 2 ** -250
             assert abs(high / (-5 * mpmath.mpf(10) ** -401) - 1) < 2 ** -250
 
+    def test_small_irrational_root_keeps_its_digits(self):
+        # x^2 + 2 10^8 x + 3: -b/2a and sqrt(disc)/2a cancel in the root
+        # near -1.5e-8, which (c/a)/q places
+        (low, _), (high, _) = classify_quadric((1, 10 ** 8, 3)).real_roots
+        assert low == pytest.approx(-2e8, rel=1e-12)
+        assert high == pytest.approx(-1.5e-8, rel=1e-12)
+
+    def test_zero_root_and_ratios_that_underflow(self):
+        # 10^400 x^4 - x^2 + x: the root 0 is exact; the ratios -1/10^400
+        # and 1/10^400 of the cubic left are 0.0 in float64, so its roots,
+        # the cube roots of -10^-400, come from the companion matrix
+        prof = classify_quartic((10 ** 400, 0, Fraction(-1, 6),
+                                 Fraction(1, 4), 0))
+        (low, m1), (zero, m2) = prof.real_roots
+        assert (m1, m2) == (1, 1)
+        assert type(zero) is Fraction and zero == 0
+        size = 10 ** (-400 / 3)
+        assert low == pytest.approx(-size, rel=1e-12)
+        [((re, im), m)] = prof.complex_pairs
+        assert m == 1
+        assert re == pytest.approx(size / 2, rel=1e-12)
+        assert im == pytest.approx(size * math.sqrt(3) / 2, rel=1e-12)
+        # 10^400 x^2 + x - 1: -b/a underflows; the roots are near +-10^-200
+        (low, _), (high, _) = classify_quadric((10 ** 400, Fraction(1, 2),
+                                                -1)).real_roots
+        assert low == pytest.approx(-1e-200, rel=1e-12)
+        assert high == pytest.approx(1e-200, rel=1e-12)
+
     def test_mixed_complex(self):
         w = expand_quartic([], [((Fraction(1, 2), Fraction(3, 2)), 1),
                                 ((0, 1), 1)])
@@ -199,6 +227,24 @@ class TestNumericPath:
         prof = classify_quartic(w)
         assert prof.multiplicities() == (1, 1, 1, 1)
         assert prof.distinct_real_count == 4
+
+    def test_quadric_roots_far_apart(self):
+        # x^2 + 2 10^200 x + 1 in mpf: the smaller root keeps its digits
+        prof = classify_quadric(as_mpf((1, 10 ** 200, 1)))
+        (low, _), (high, _) = prof.real_roots
+        assert low == pytest.approx(-2e200, rel=1e-12)
+        assert high == pytest.approx(-5e-201, rel=1e-12)
+        # roots near -2 10^400 and -5 10^-401, and the pair +-10^350 i,
+        # beyond float range: as mpfs
+        with mpmath.workprec(MPF_PREC):
+            big = mpmath.mpf(10) ** 400
+            (low, _), (high, _) = classify_quadric(
+                [mpmath.mpf(1), big, mpmath.mpf(1)]).real_roots
+            assert abs(low / (-2 * big) - 1) < 2 ** -250
+            assert abs(high / (-5 / (10 * big)) - 1) < 2 ** -250
+            [((re, im), _)] = classify_quadric(
+                [mpmath.mpf(1), mpmath.mpf(0), big ** 2]).complex_pairs
+            assert re == 0 and abs(im / big - 1) < 2 ** -250
 
     def test_float_coefficients_refused(self):
         with pytest.raises(TypeError):

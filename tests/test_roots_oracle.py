@@ -3,9 +3,10 @@ sympy's square-free decomposition (`sqf_list`) and its real roots; and the
 exact (Z[x]) and mpf arithmetic of the classifier against each other.
 
 The forms are products of integer linear and quadratic factors, each to a
-power 1 to 4, times a power of y (roots at [1:0]).  A root of a square-free
-factor of degree <= 2 that is rational must come back as that exact
-Fraction; every other position is compared in floating point.
+power 1 to 4, times a power of y (roots at [1:0]).  The root 0 of a
+square-free factor, and a rational root of what is left of the factor when
+it has degree <= 2, must come back as that exact Fraction; every other
+position is compared in floating point.
 """
 
 import math
@@ -47,9 +48,12 @@ def _rational(v):
 
 
 def _position(root, exact):
-    """A sympy root as the profile must report it: a Fraction when it is
-    rational and its square-free factor is solved exactly, else a float."""
-    return _rational(root) if exact and root.is_Rational else float(root)
+    """A sympy root as the profile must report it: a Fraction when it is 0,
+    or rational and its square-free factor is solved exactly, else a
+    float."""
+    if root == 0 or exact and root.is_Rational:
+        return _rational(root)
+    return float(root)
 
 
 def _oracle(scale, factors, inf_mult):
@@ -64,7 +68,9 @@ def _oracle(scale, factors, inf_mult):
     pairs = []
     _, sqf = sympy.sqf_list(poly)
     for f, mult in sqf:
-        exact = f.degree() <= 2
+        # the root 0 is split off; what is left is solved exactly up to
+        # degree 2
+        exact = f.degree() - (f.eval(0) == 0) <= 2
         real += [(_position(r, exact), mult) for r in f.real_roots()]
         for r in f.all_roots():
             if r.is_real:
@@ -115,6 +121,8 @@ def _check(profile, real, pairs):
 @given(_factored_forms(4))
 # (x^2 + x + 1)(x^2 + x + 3): two complex pairs with real part -1/2
 @example((1, [((1, 1, 1), 1), ((1, 1, 3), 1)], 0))
+# x (x^2 - 1) y: the root 0 split off leaves x^2 - 1, solved exactly
+@example((1, [((1, 1), 1), ((-1, 1, 0), 1)], 1))
 def test_quartic_against_sympy(form):
     dense, real, pairs = _oracle(*form)
     c0, c1, c2, c3, c4 = dense
