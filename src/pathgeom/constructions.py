@@ -4,6 +4,7 @@ traced from a solution function."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -278,31 +279,87 @@ NEWTON_MAX_ITER = 25
 DANCING_RESIDUAL_TOL = 1e-10  # largest constraint residual along a curve
 
 
+def _max_abs(v):
+    """max |v_i|, or nan when some v_i is nan, so that a nan fails every
+    comparison (Python's max passes over a nan that does not come first)."""
+    return math.nan if any(map(math.isnan, v)) else max(map(abs, v))
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _lu3(J):
+    """Gaussian elimination with partial pivoting (LAPACK's getrf) of the
+    3x3 matrix J, given row-major as 9 floats.  Returns det J and a function
+    that solves J x = b for any right-hand side b.  Like numpy's det, det is
+    exactly 0.0 when a pivot is; the solver is then None.  Written out for
+    3x3: the same elimination as a loop over the columns took three times as
+    long (4.5 against 1.5 us; Intel Xeon, CPython 3.11), longer than numpy's
+    det."""
+    r0, r1, r2 = J[0:3], J[3:6], J[6:9]
+    p0, p1, p2 = 0, 1, 2  # row k of the factors is row p_k of J
+    sign = 1.0
+    # each pivot is the first entry of largest magnitude in its column
+    if abs(r1[0]) > abs(r0[0]) and abs(r1[0]) >= abs(r2[0]):
+        r0, r1, p0, p1, sign = r1, r0, 1, 0, -1.0
+    elif abs(r2[0]) > abs(r0[0]):
+        r0, r2, p0, p2, sign = r2, r0, 2, 0, -1.0
+    u00, u01, u02 = r0
+    if u00 == 0.0:
+        return 0.0, None
+    l10, l20 = r1[0] / u00, r2[0] / u00
+    u11, u12 = r1[1] - l10 * u01, r1[2] - l10 * u02
+    v21, v22 = r2[1] - l20 * u01, r2[2] - l20 * u02
+    if abs(v21) > abs(u11):
+        u11, u12, v21, v22 = v21, v22, u11, u12
+        l10, l20, p1, p2, sign = l20, l10, p2, p1, -sign
+    if u11 == 0.0:
+        return 0.0, None
+    l21 = v21 / u11
+    u22 = v22 - l21 * u12
+    if u22 == 0.0:
+        return 0.0, None
+
+    def solve(b):
+        y0, y1, y2 = b[p0], b[p1], b[p2]
+        y1 -= l10 * y0
+        y2 = y2 - l20 * y0 - l21 * y1
+        x2 = y2 / u22
+        x1 = (y1 - u12 * x2) / u11
+        return [(y0 - u02 * x2 - u01 * x1) / u00, x1, x2]
+
+    return sign * u00 * u11 * u22, solve
+
+
 def _newton_solve(GJ, t, state):
     """Damped Newton on G(t, .) = 0 from `state`, or None; GJ(t, s) gives
-    G and J together, so an accepted candidate's J is the next step's."""
-    s = np.array(state, dtype=np.float64)
+    G and J as lists (J row-major), so an accepted candidate's J is the next
+    step's.  One LU of J per step gives both the singularity test
+    (JacobianSingular when |det J| < 1e-14 max(1, max|J|)^3) and the step.
+    A nan or inf in G never converges and is never accepted."""
+    s = [float(v) for v in state]
     gv, Jm = GJ(t, s)
-    norm = np.max(np.abs(gv))
+    norm = _max_abs(gv)
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
             return s
-        det = np.linalg.det(Jm)
-        scale = max(1.0, np.max(np.abs(Jm)))
-        if abs(det) < 1e-14 * scale ** 3:
+        det, solve = _lu3(Jm)
+        scale = max(1.0, _max_abs(Jm))
+        if abs(det) < 1e-14 * (scale * scale * scale):
             raise JacobianSingular(t)
-        step = np.linalg.solve(Jm, gv)
+        step = solve(gv)
         lam = 1.0
         while lam >= 1.0 / 64.0:
-            cand = s - lam * step
+            cand = [x - lam * d for x, d in zip(s, step)]
             try:
                 gv_new, J_new = GJ(t, cand)
             except (DivisionByZero, DomainError):
-                gv_new = None
-            if gv_new is not None and np.all(np.isfinite(gv_new)) and \
-                    np.max(np.abs(gv_new)) <= (1 - lam / 2) * norm + NEWTON_TOL:
-                s, gv, Jm = cand, gv_new, J_new
-                norm = np.max(np.abs(gv))
+                gv_new, J_new = [math.nan], None
+            norm_new = _max_abs(gv_new)
+            if math.isfinite(norm_new) and \
+                    norm_new <= (1 - lam / 2) * norm + NEWTON_TOL:
+                s, gv, Jm, norm = cand, gv_new, J_new, norm_new
                 break
             lam /= 2
         else:
@@ -317,16 +374,21 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     (t^, z^, a^, b^): continuation in t solving the three incidence
     constraints G = 0 for (z, a, b) by damped Newton.  Two tapes: Newton
     evaluates [G, J] with J = dG/d(z, a, b), every line-search candidate
-    included; each sample evaluates [G, J, Gt, Gtt, Jt, H] once, for the
-    orientation of J, the Taylor solves for the first and second
-    derivatives, and the residual.
+    included; each sample evaluates [G, J, Gt, Gtt, Jt, H] once, and one LU
+    of its J gives the orientation (the sign of det J) and both Taylor
+    solves, for the first and second derivatives; G gives the residual.
+
+    The start at t0 is Newton from `initial_guess`, then, if that fails
+    (no convergence, or a singular J), from up to 300 guesses drawn around
+    the anchor with `seed`.
 
     Raises NonTransverse for an incident anchor, JacobianSingular /
-    NewtonDiverged on continuation failure (after step halving down to 1e-9),
+    NewtonDiverged on continuation failure (after step halving down to 1e-9)
+    or a residual that is not below DANCING_RESIDUAL_TOL (nan included),
     SeedNotFound when no starting point on the curve can be located.  The
     samples must lie on one branch: J is regular along a branch, so
-    JacobianSingular names the first sample whose det J has the other sign
-    than at the first sample (the curve crossed a pole, say).
+    JacobianSingular names the first sample whose det J is zero or has the
+    other sign than at the first sample (the curve crossed a pole, say).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -353,8 +415,8 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
         + [differentiate(e, v) for e in Js for v in state_vars], order)
 
     def GJ(t, s):
-        gj = np.array(newton_tape.eval_f64(np.array([t, *s])))
-        return gj[:3], gj[3:].reshape(3, 3)
+        gj = newton_tape.eval_f64([t, *s])
+        return gj[:3], gj[3:]
 
     if abs(GJ(that, (zhat, ahat, bhat))[0][0]) < 1e-12:
         raise NonTransverse("anchor is incident: the solution function "
@@ -363,31 +425,31 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     t0, t1 = float(t_range[0]), float(t_range[1])
     ts = np.linspace(t0, t1, samples)
 
-    # locate a point on the curve at t0
-    state = None
-    if initial_guess is not None:
-        state = _newton_solve(GJ, t0, [float(v) for v in initial_guess])
-    if state is None:
+    def guesses():
+        if initial_guess is not None:
+            yield [float(v) for v in initial_guess]
         rng = random.Random(seed)
         spread = 2.0 + 2.0 * max(abs(zhat), abs(ahat), abs(bhat))
         for _ in range(300):
             offset = draw_float(rng, [(-spread, spread)] * 3)
-            guess = [zhat + offset[0], ahat + offset[1], bhat + offset[2]]
-            try:
-                state = _newton_solve(GJ, t0, guess)
-            except JacobianSingular:
-                state = None
-            if state is not None:
-                break
-        if state is None:
-            raise SeedNotFound(f"no starting point found on the dancing "
-                               f"curve at t = {t0}")
+            yield [zhat + offset[0], ahat + offset[1], bhat + offset[2]]
 
-    rows = {k: np.zeros(samples) for k in
-            ("z", "a", "b", "z1", "b1", "z2", "b2", "res")}
+    # locate a point on the curve at t0
+    for guess in guesses():
+        try:
+            state = _newton_solve(GJ, t0, guess)
+        except JacobianSingular:
+            continue
+        if state is not None:
+            break
+    else:
+        raise SeedNotFound(f"no starting point found on the dancing "
+                           f"curve at t = {t0}")
+
+    rows = []
     t_cur = t0
     snap = 1e-14 * max(1.0, abs(t0), abs(t1))
-    for i, t_next in enumerate(ts):
+    for i, t_next in enumerate(ts.tolist()):
         # continuation with step halving on Newton failure
         while abs(t_next - t_cur) > snap:
             step = t_next - t_cur
@@ -400,26 +462,28 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
                     raise NewtonDiverged(t_cur + step)
             state = cand
             t_cur = t_cur + step
-        t_cur = float(t_next)
-        pt = np.array([t_cur, state[0], state[1], state[2]])
-        gv, Jm, Gt, Gtt, Jt, H = np.split(
-            np.array(sample_tape.eval_f64(pt)), [3, 12, 15, 18, 27])
-        Jm, Jt, H = Jm.reshape(3, 3), Jt.reshape(3, 3), H.reshape(3, 3, 3)
-        orientation = np.sign(np.linalg.det(Jm))
+        t_cur = t_next
+        out = sample_tape.eval_f64([t_cur, *state])
+        gv, Jm, Gt, Gtt = out[0:3], out[3:12], out[12:15], out[15:18]
+        Jt, H = out[18:27], out[27:54]
+        det, solve = _lu3(Jm)
+        sign = (det > 0) - (det < 0)
         if i == 0:
-            first_orientation = orientation
-        elif orientation != first_orientation:
+            first_sign = sign
+        if sign == 0 or sign != first_sign:
             raise JacobianSingular(t_cur)
-        s1 = np.linalg.solve(Jm, -Gt)
-        Hq = np.array([s1 @ H[i] @ s1 for i in range(3)])
-        s2 = np.linalg.solve(Jm, -(Gtt + 2 * Jt @ s1 + Hq))
-        rows["z"][i], rows["a"][i], rows["b"][i] = state
-        rows["z1"][i], rows["b1"][i] = s1[0], s1[2]
-        rows["z2"][i], rows["b2"][i] = s2[0], s2[2]
-        rows["res"][i] = float(np.max(np.abs(gv)))
-    if np.max(rows["res"]) >= DANCING_RESIDUAL_TOL:
-        raise NewtonDiverged(float(ts[int(np.argmax(rows['res']))]))
-    return DancingCurve(t=ts, z=rows["z"], b=rows["b"], a=rows["a"],
-                        z1=rows["z1"], b1=rows["b1"], z2=rows["z2"],
-                        b2=rows["b2"], residual=rows["res"],
-                        anchor=(that, zhat, ahat, bhat))
+        s1 = solve([-x for x in Gt])
+        rhs = []
+        for k in range(3):
+            # -(Gtt + 2 Jt s1 + s1 H s1), H[9k + 3v + w] = d2 G_k / dv dw
+            Hk = H[9 * k:9 * k + 9]
+            s1Hk = [_dot(s1, Hk[w::3]) for w in range(3)]
+            rhs.append(-(Gtt[k] + 2 * _dot(Jt[3 * k:3 * k + 3], s1)
+                         + _dot(s1Hk, s1)))
+        s2 = solve(rhs)
+        rows.append((*state, s1[0], s1[2], s2[0], s2[2], _max_abs(gv)))
+    z, a, b, z1, b1, z2, b2, res = np.array(rows).T.copy()
+    if not np.max(res) < DANCING_RESIDUAL_TOL:
+        raise NewtonDiverged(float(ts[int(np.argmax(res))]))
+    return DancingCurve(t=ts, z=z, b=b, a=a, z1=z1, b1=b1, z2=z2, b2=b2,
+                        residual=res, anchor=(that, zhat, ahat, bhat))

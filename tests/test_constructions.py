@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pathgeom import constructions
 from pathgeom.constructions import (catalog, catalog_names,
@@ -11,7 +13,8 @@ from pathgeom.constructions import (catalog, catalog_names,
                                     dancing_curve_numeric, freestyle_pair,
                                     SolutionFunction)
 from pathgeom.errors import (DivisionByZero, DomainError, JacobianSingular,
-                             NonTransverse, PairUndefined, UnknownName)
+                             NewtonDiverged, NonTransverse, PairUndefined,
+                             UnknownName)
 from pathgeom.expr import (add, compile_tape, div, exprs_equal,
                            is_zero_probabilistic, mul, num, pow_,
                            rename_variables, sqrt_, sub, substitute, var,
@@ -279,9 +282,122 @@ class TestDancingCurves:
             dancing_curve_numeric(catalog("flat_dancing_phi"), anchor, (1, 2))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_newton_rejects_nan_constraints(self, monkeypatch, k):
+        # from a point on the curve, Newton converges at once; with a nan
+        # in G it must not, wherever the nan sits (Python's max passes
+        # over a nan that does not come first)
+        newton, solvers = constructions._newton_solve, []
+
+        def newton_spy(GJ, t, state):
+            solvers.append(GJ)
+            return newton(GJ, t, state)
+
+        monkeypatch.setattr(constructions, "_newton_solve", newton_spy)
+        anchor, span, guess, _ = _DANCING["flat_dancing_phi"]
+        curve = dancing_curve_numeric(catalog("flat_dancing_phi"), anchor,
+                                      span, samples=2, initial_guess=guess)
+        GJ = solvers[0]
+
+        def GJ_nan(t, s):
+            g, J = GJ(t, s)
+            g = g.copy()
+            g[k] = math.nan
+            return g, J
+
+        t0, state = curve.t[0], (curve.z[0], curve.a[0], curve.b[0])
+        assert newton(GJ, t0, state) is not None
+        assert newton(GJ_nan, t0, state) is None
+
+    def test_nan_residual_fails_the_curve(self, monkeypatch):
+        # a nan in the sample tape's G reaches only the residual
+        eval_f64 = Tape.eval_f64
+
+        def eval_nan(tape, point):
+            out = eval_f64(tape, point)
+            if len(tape.outputs) == 3 + 9 + 3 + 3 + 9 + 27:
+                out[1] = math.nan
+            return out
+
+        monkeypatch.setattr(Tape, "eval_f64", eval_nan)
+        anchor, span, guess, _ = _DANCING["flat_dancing_phi"]
+        with pytest.raises(NewtonDiverged) as exc:
+            dancing_curve_numeric(catalog("flat_dancing_phi"), anchor, span,
+                                  samples=5, initial_guess=guess)
+        assert exc.value.t == span[0]
+
+    def test_singular_guess_falls_back_to_the_seeded_search(self):
+        # det J = (t^ - t)((t^ + t)/4 + b/2) vanishes at t = 2, b = -1
+        phi = catalog("sqrt_dancing_phi")
+        got = dancing_curve_numeric(phi, (0, 2, 1, 1), (2, 3), samples=30,
+                                    initial_guess=(0, 0, -1))
+        want = dancing_curve_numeric(phi, (0, 2, 1, 1), (2, 3), samples=30)
+        for f in ("t", "z", "a", "b", "z1", "b1", "z2", "b2", "residual"):
+            np.testing.assert_array_equal(getattr(got, f), getattr(want, f))
+
+    def test_curves_use_no_numpy_linear_algebra(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy linear algebra on a dancing curve")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        for name, (anchor, span, guess, _) in _DANCING.items():
+            curve = dancing_curve_numeric(catalog(name), anchor, span,
+                                          samples=30, initial_guess=guess)
+            assert np.max(curve.residual) < 1e-10
+
     def test_solution_function_validation(self):
         with pytest.raises(ValueError):
             SolutionFunction(sub(var("z"), var("t")))
+
+
+_ENTRY = st.floats(-10, 10, allow_subnormal=False)
+
+
+def _rows(J):
+    return [J[0:3], J[3:6], J[6:9]]
+
+
+class TestLU3:
+    """The 3x3 LU of the dancing curves against numpy.linalg."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ENTRY, min_size=9, max_size=9),
+           st.lists(_ENTRY, min_size=3, max_size=3))
+    def test_det_and_solve_agree_with_numpy(self, J, b):
+        A = np.array(_rows(J))
+        cond = np.linalg.cond(A)
+        assume(cond <= 1e8)
+        det, solve = constructions._lu3(J)
+        want = np.linalg.det(A)
+        assert np.sign(det) == np.sign(want)
+        assert abs(det - want) <= 1e-12 * cond * abs(want)
+        x, want = np.array(solve(b)), np.linalg.solve(A, b)
+        assert np.max(np.abs(x - want)) <= 1e-12 * cond * np.max(np.abs(want))
+
+    def test_zero_leading_entry_swaps_rows(self):
+        J = [0.0, 2.0, 1.0, 3.0, 1.0, 4.0, 1.0, 5.0, 9.0]
+        det, solve = constructions._lu3(J)
+        assert det == pytest.approx(np.linalg.det(np.array(_rows(J))),
+                                    rel=1e-14)
+        x = solve([1.0, 2.0, 3.0])
+        assert x == pytest.approx(
+            np.linalg.solve(np.array(_rows(J)), [1.0, 2.0, 3.0]), rel=1e-14)
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+    def test_permutation_matrices(self, perm):
+        P = np.eye(3)[list(perm)]
+        det, solve = constructions._lu3(P.ravel().tolist())
+        assert det == np.linalg.det(P).round() and abs(det) == 1.0
+        assert solve([1.0, 2.0, 3.0]) == (P.T @ [1.0, 2.0, 3.0]).tolist()
+
+    def test_singular_jacobian_stops_newton(self):
+        J = [1.0, 2.0, 3.0, 2.0, 4.0, 6.0, 1.0, 1.0, 1.0]
+        assert constructions._lu3(J) == (0.0, None)
+        with pytest.raises(JacobianSingular) as exc:
+            constructions._newton_solve(lambda t, s: ([1.0, 1.0, 1.0], J),
+                                        0.5, (0.0, 0.0, 0.0))
+        assert exc.value.t == 0.5
 
 
 def test_chain_torsion_matches_scalar_invariants_catalog():
