@@ -263,7 +263,7 @@ class DancingCurve:
         pts = np.column_stack([self.t, self.z, self.b, self.z1, self.b1])
         tape = compile_tape(pair.rhs, pair.chart)
         values = []
-        for t, row in zip(self.t, pts):
+        for t, row in zip(self.t, pts.tolist()):
             try:
                 values.append(tape.eval_f64(row))
             except (DivisionByZero, DomainError, OverflowError) as exc:
@@ -333,38 +333,40 @@ def _lu3(J):
 
 
 def _newton_solve(GJ, t, state):
-    """Damped Newton on G(t, .) = 0 from `state`, or None; GJ(t, s) gives
-    G and J as lists (J row-major), so an accepted candidate's J is the next
-    step's.  One LU of J per step gives both the singularity test
-    (JacobianSingular when |det J| < 1e-14 max(1, max|J|)^3) and the step.
-    A nan or inf in G never converges and is never accepted."""
+    """Damped Newton on G(t, .) = 0 from `state`: (s, GJ(t, s)) at the
+    solution s, or None; GJ gives the curve tape's list, G in out[0:3] and
+    J row-major in out[3:12].  One LU of J per step gives both the
+    singularity test (JacobianSingular when |det J| < 1e-14
+    max(1, max|J|)^3) and the step.  A nan or inf in G never converges and
+    is never accepted."""
     s = [float(v) for v in state]
-    gv, Jm = GJ(t, s)
-    norm = _max_abs(gv)
+    out = GJ(t, s)
+    norm = _max_abs(out[0:3])
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
-            return s
+            return s, out
+        Jm = out[3:12]
         det, solve = _lu3(Jm)
         scale = max(1.0, _max_abs(Jm))
         if abs(det) < 1e-14 * (scale * scale * scale):
             raise JacobianSingular(t)
-        step = solve(gv)
+        step = solve(out[0:3])
         lam = 1.0
         while lam >= 1.0 / 64.0:
             cand = [x - lam * d for x, d in zip(s, step)]
             try:
-                gv_new, J_new = GJ(t, cand)
+                out_new = GJ(t, cand)
             except (DivisionByZero, DomainError):
-                gv_new, J_new = [math.nan], None
-            norm_new = _max_abs(gv_new)
+                out_new = [math.nan]
+            norm_new = _max_abs(out_new[0:3])
             if math.isfinite(norm_new) and \
                     norm_new <= (1 - lam / 2) * norm + NEWTON_TOL:
-                s, gv, Jm, norm = cand, gv_new, J_new, norm_new
+                s, out, norm = cand, out_new, norm_new
                 break
             lam /= 2
         else:
             return None
-    return s if norm < NEWTON_TOL else None
+    return (s, out) if norm < NEWTON_TOL else None
 
 
 def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
@@ -372,23 +374,24 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
                           seed: int = 0) -> DancingCurve:
     """Trace the dancing path determined by a non-incident anchor
     (t^, z^, a^, b^): continuation in t solving the three incidence
-    constraints G = 0 for (z, a, b) by damped Newton.  Two tapes: Newton
-    evaluates [G, J] with J = dG/d(z, a, b), every line-search candidate
-    included; each sample evaluates [G, J, Gt, Gtt, Jt, H] once, and one LU
-    of its J gives the orientation (the sign of det J) and both Taylor
-    solves, for the first and second derivatives; G gives the residual.
+    constraints G = 0 for (z, a, b) by damped Newton on one tape, [G, J,
+    Gt, Gtt, Jt, H] with J = dG/d(z, a, b).  A sample is Newton's converged
+    evaluation (of residual below NEWTON_TOL); one LU of its J gives the
+    orientation (the sign of det J) and both Taylor solves, for the first
+    and second t-derivatives s1, s2 of the state.  Newton toward the next
+    sample starts from state + h s1 + h^2/2 s2; on failure h halves (down
+    to 1e-9), and past an accepted shorter step it starts from the state.
 
     The start at t0 is Newton from `initial_guess`, then, if that fails
     (no convergence, or a singular J), from up to 300 guesses drawn around
     the anchor with `seed`.
 
     Raises NonTransverse for an incident anchor, JacobianSingular /
-    NewtonDiverged on continuation failure (after step halving down to 1e-9)
-    or a residual that is not below DANCING_RESIDUAL_TOL (nan included),
-    SeedNotFound when no starting point on the curve can be located.  The
-    samples must lie on one branch: J is regular along a branch, so
-    JacobianSingular names the first sample whose det J is zero or has the
-    other sign than at the first sample (the curve crossed a pole, say).
+    NewtonDiverged on continuation failure, SeedNotFound when no starting
+    point on the curve can be located.  The samples must lie on one
+    branch: J is regular along a branch, so JacobianSingular names the
+    first sample whose det J is zero or has the other sign than at the
+    first sample (the curve crossed a pole, say).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -405,20 +408,17 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     gs = [g1, g2, g3]
     state_vars = (zn, an, bn)
     order = (tn, zn, an, bn)
-    # the Newton tape [G, J]; the sample tape adds the t-derivatives Gt,
-    # Gtt, Jt and the state Hessian H for the Taylor coefficients
+    # [G, J, Gt, Gtt, Jt, H], with H the Hessian of G in the state
     Js = [differentiate(g, v) for g in gs for v in state_vars]
     Gts = [differentiate(g, tn) for g in gs]
-    newton_tape = compile_tape(gs + Js, order)
-    sample_tape = compile_tape(
+    tape = compile_tape(
         gs + Js + Gts + [differentiate(e, tn) for e in Gts + Js]
         + [differentiate(e, v) for e in Js for v in state_vars], order)
 
     def GJ(t, s):
-        gj = newton_tape.eval_f64([t, *s])
-        return gj[:3], gj[3:]
+        return tape.eval_f64([t, *s])
 
-    if abs(GJ(that, (zhat, ahat, bhat))[0][0]) < 1e-12:
+    if abs(GJ(that, (zhat, ahat, bhat))[0]) < 1e-12:
         raise NonTransverse("anchor is incident: the solution function "
                             "vanishes on it")
 
@@ -437,33 +437,36 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     # locate a point on the curve at t0
     for guess in guesses():
         try:
-            state = _newton_solve(GJ, t0, guess)
+            found = _newton_solve(GJ, t0, guess)
         except JacobianSingular:
             continue
-        if state is not None:
+        if found is not None:
             break
     else:
         raise SeedNotFound(f"no starting point found on the dancing "
                            f"curve at t = {t0}")
 
+    state, out = found
     rows = []
     t_cur = t0
     snap = 1e-14 * max(1.0, abs(t0), abs(t1))
     for i, t_next in enumerate(ts.tolist()):
-        # continuation with step halving on Newton failure
+        # continuation from the Taylor predictor, halving h on Newton failure
         while abs(t_next - t_cur) > snap:
-            step = t_next - t_cur
+            h = t_next - t_cur
             while True:
-                cand = _newton_solve(GJ, t_cur + step, state)
-                if cand is not None:
+                guess = [x + h * d1 + h * h / 2 * d2
+                         for x, d1, d2 in zip(state, s1, s2)]
+                found = _newton_solve(GJ, t_cur + h, guess)
+                if found is not None:
                     break
-                step /= 2
-                if abs(step) < 1e-9:
-                    raise NewtonDiverged(t_cur + step)
-            state = cand
-            t_cur = t_cur + step
+                h /= 2
+                if abs(h) < 1e-9:
+                    raise NewtonDiverged(t_cur + h)
+            state, out = found
+            t_cur = t_cur + h
+            s1 = s2 = (0.0, 0.0, 0.0)  # off the samples, start at the state
         t_cur = t_next
-        out = sample_tape.eval_f64([t_cur, *state])
         gv, Jm, Gt, Gtt = out[0:3], out[3:12], out[12:15], out[15:18]
         Jt, H = out[18:27], out[27:54]
         det, solve = _lu3(Jm)
@@ -483,7 +486,5 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
         s2 = solve(rhs)
         rows.append((*state, s1[0], s1[2], s2[0], s2[2], _max_abs(gv)))
     z, a, b, z1, b1, z2, b2, res = np.array(rows).T.copy()
-    if not np.max(res) < DANCING_RESIDUAL_TOL:
-        raise NewtonDiverged(float(ts[int(np.argmax(res))]))
     return DancingCurve(t=ts, z=z, b=b, a=a, z1=z1, b1=b1, z2=z2, b2=b2,
                         residual=res, anchor=(that, zhat, ahat, bhat))

@@ -33,8 +33,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from ..errors import DivisionByZero, DomainError
 from .rational import Rat
 from .tape import OP_POW_FRAC, OP_VAR
@@ -114,7 +112,7 @@ def sample_points(tape, names, seed, budget: int,
                   arithmetic: str = "float64"):
     """Yield (point, values) at up to `budget` draws over the default box,
     where `point` holds a coordinate per name (the tape's variable order):
-    a list of rationals, or a float64 array; `values` is the list of the
+    a list of rationals, or of floats; `values` is the list of the
     sequence tape's outputs there in `arithmetic` ("exact", "mpf" or
     "float64"; float64 values are finite).  Exact draws are on the real
     branch (`branch_ranges`) where the tape has one."""
@@ -127,12 +125,12 @@ def sample_points(tape, names, seed, budget: int,
         box = branch_ranges(tape, box) or box
     for _ in range(budget):
         if arithmetic == "float64":
-            point = np.array(draw_float(rng, box))
+            point = draw_float(rng, box)
         else:
             point = draw_exact(rng, box, EXACT_BOUND)
         try:
             values = evaluate(point)
         except (DivisionByZero, DomainError, OverflowError):
             continue
-        if arithmetic != "float64" or all(math.isfinite(v) for v in values):
+        if arithmetic != "float64" or all(map(math.isfinite, values)):
             yield point, values

@@ -212,7 +212,7 @@ class Tape:
         return out[0] if self.single else out
 
     def eval_f64(self, point):
-        inputs = np.asarray(point, dtype=np.float64).tolist()
+        inputs = [float(x) for x in point]
         return self._result(self._run(inputs, *self._converted(float), 0.0,
                                       1.0, _pow_int, _pow_frac))
 

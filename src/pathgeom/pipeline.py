@@ -374,9 +374,9 @@ def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
     against a pair (by default, 'flat' against the flat freestyling pair and
     'sqrt' against the radical example pair).  `anchor` and `span` override
     the entry's window, and Newton starts from its guess only in that window.
-    `constraint_residual` cannot fail: `dancing_curve_numeric` raises
-    NewtonDiverged at a residual not below DANCING_RESIDUAL_TOL, nan
-    included.  `pair_residual` fails where the pair has no value, at its t."""
+    `constraint_residual` cannot fail: each sample is a Newton solution, of
+    residual below NEWTON_TOL < DANCING_RESIDUAL_TOL (a nan never converges).
+    `pair_residual` fails where the pair has no value, at its t."""
     name = {"flat": "flat_dancing_phi",
             "sqrt": "sqrt_dancing_phi"}.get(phi_name, phi_name)
     phi = resolve(doc, name, SolutionFunction)

@@ -14,7 +14,7 @@ from pathgeom.constructions import (catalog, catalog_names,
                                     SolutionFunction)
 from pathgeom.errors import (DivisionByZero, DomainError, JacobianSingular,
                              NewtonDiverged, NonTransverse, PairUndefined,
-                             UnknownName)
+                             SeedNotFound, UnknownName)
 from pathgeom.expr import (add, compile_tape, div, exprs_equal,
                            is_zero_probabilistic, mul, num, pow_,
                            rename_variables, sqrt_, sub, substitute, var,
@@ -209,9 +209,10 @@ class TestDancingCurves:
         assert len(lines) == 6
         assert len(lines[1].split(",")) == 4
 
-    def test_two_tapes_and_one_evaluation_per_sample(self, monkeypatch):
-        # Newton evaluates the tape [G, J]; each sample evaluates the tape
-        # [G, J, Gt, Gtt, Jt, H] once
+    def test_one_tape_and_two_evaluations_per_sample(self, monkeypatch):
+        # Newton and the samples evaluate the one tape [G, J, Gt, Gtt, Jt,
+        # H]; from the Taylor predictor, Newton converges after one step,
+        # so a sample costs the predicted point and the corrected one
         tapes, calls = [], []
 
         def compile_spy(exprs, var_names):
@@ -228,12 +229,12 @@ class TestDancingCurves:
         for name, (anchor, span, guess, _) in _DANCING.items():
             tapes.clear()
             calls.clear()
-            dancing_curve_numeric(catalog(name), anchor, span, samples=30,
-                                  initial_guess=guess)
-            assert [len(t.outputs) for t in tapes] == [3 + 9,
-                                                       3 + 9 + 3 + 3 + 9 + 27]
-            assert calls.count(1) == 30
-            assert calls.count(0) >= 30
+            curve = dancing_curve_numeric(catalog(name), anchor, span,
+                                          samples=120, initial_guess=guess)
+            assert [len(t.outputs) for t in tapes] == [3 + 9 + 3 + 3 + 9
+                                                       + 27]
+            assert len(calls) <= 2 * 120 + 2
+            assert np.max(curve.residual) < constructions.NEWTON_TOL
 
     # the catalog windows at 120 samples: (phi, seed, Newton guess, len(t),
     # last (z, b, z1, b1, z2, b2))
@@ -300,22 +301,39 @@ class TestDancingCurves:
         GJ = solvers[0]
 
         def GJ_nan(t, s):
-            g, J = GJ(t, s)
-            g = g.copy()
-            g[k] = math.nan
-            return g, J
+            out = GJ(t, s)
+            out[k] = math.nan
+            return out
 
         t0, state = curve.t[0], (curve.z[0], curve.a[0], curve.b[0])
         assert newton(GJ, t0, state) is not None
         assert newton(GJ_nan, t0, state) is None
 
     def test_nan_residual_fails_the_curve(self, monkeypatch):
-        # a nan in the sample tape's G reaches only the residual
+        # a sample is Newton's converged evaluation, so a nan in G never
+        # becomes a residual: here it stops the start search at t0
         eval_f64 = Tape.eval_f64
 
         def eval_nan(tape, point):
             out = eval_f64(tape, point)
-            if len(tape.outputs) == 3 + 9 + 3 + 3 + 9 + 27:
+            out[1] = math.nan
+            return out
+
+        monkeypatch.setattr(Tape, "eval_f64", eval_nan)
+        anchor, span, guess, _ = _DANCING["flat_dancing_phi"]
+        with pytest.raises(SeedNotFound) as exc:
+            dancing_curve_numeric(catalog("flat_dancing_phi"), anchor, span,
+                                  samples=5, initial_guess=guess)
+        assert str(exc.value) == ("no starting point found on the dancing "
+                                  f"curve at t = {span[0]}")
+
+    def test_nan_from_some_t_on_stops_the_continuation(self, monkeypatch):
+        # steps into the nan halve until they are shorter than 1e-9
+        eval_f64 = Tape.eval_f64
+
+        def eval_nan(tape, point):
+            out = eval_f64(tape, point)
+            if point[0] >= 1.6:
                 out[1] = math.nan
             return out
 
@@ -324,7 +342,7 @@ class TestDancingCurves:
         with pytest.raises(NewtonDiverged) as exc:
             dancing_curve_numeric(catalog("flat_dancing_phi"), anchor, span,
                                   samples=5, initial_guess=guess)
-        assert exc.value.t == span[0]
+        assert abs(exc.value.t - 1.6) < 2e-9
 
     def test_singular_guess_falls_back_to_the_seeded_search(self):
         # det J = (t^ - t)((t^ + t)/4 + b/2) vanishes at t = 2, b = -1
@@ -395,7 +413,7 @@ class TestLU3:
         J = [1.0, 2.0, 3.0, 2.0, 4.0, 6.0, 1.0, 1.0, 1.0]
         assert constructions._lu3(J) == (0.0, None)
         with pytest.raises(JacobianSingular) as exc:
-            constructions._newton_solve(lambda t, s: ([1.0, 1.0, 1.0], J),
+            constructions._newton_solve(lambda t, s: [1.0, 1.0, 1.0, *J],
                                         0.5, (0.0, 0.0, 0.0))
         assert exc.value.t == 0.5
 

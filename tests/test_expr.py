@@ -549,6 +549,23 @@ class TestBatchTape:
         with pytest.raises(OverflowError):
             tape.eval_f64_many([[1.0], [1e300]])
 
+    def test_point_converts_as_a_float64_array(self):
+        # each coordinate is float(x): the value numpy's float64 conversion
+        # gives, bit for bit, for ints, rationals, numpy scalars and strings;
+        # an int beyond float range raises OverflowError, as numpy does
+        tape = compile_tape([p, div(p, q), p * q - q], ("p", "q"))
+        points = [[1, 3], [Fraction(1, 3), Fraction(-10 ** 30, 7)],
+                  np.array([0.1, -2.5]), [np.float32(0.1), np.int64(7)],
+                  ["0.1", "1e-3"], [10 ** 308, 2 ** -1074]]
+        for pt in points:
+            want = tape.eval_f64(np.asarray(pt, dtype=np.float64).tolist())
+            assert [v.hex() for v in tape.eval_f64(pt)] == \
+                [v.hex() for v in want]
+        with pytest.raises(OverflowError):
+            np.asarray([10 ** 309, 1], dtype=np.float64)
+        with pytest.raises(OverflowError):
+            tape.eval_f64([10 ** 309, 1])
+
 
 @functools.cache
 def _expression_lists():

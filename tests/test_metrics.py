@@ -1,13 +1,16 @@
+import numpy as np
 import pytest
 
 from pathgeom.constructions import catalog, chain_pair_from_scalar
 from pathgeom.errors import (DependentGenerators, SamplingExhausted,
                              TorsionNonzero)
-from pathgeom.expr import Rat, exprs_equal, is_zero_probabilistic, num, var
+from pathgeom.expr import (Rat, compile_tape, differentiate, exprs_equal,
+                           is_zero_probabilistic, num, var)
+from pathgeom.expr.sampling import sample_points
 from pathgeom.expr.zerotest import target_trials
 from pathgeom.forms import d, exterior_derivative, one_form, wedge
 from pathgeom.jets import ScalarODE
-from pathgeom.metrics import (CoframeMetric, closedness_check,
+from pathgeom.metrics import (MIN_DET, CoframeMetric, closedness_check,
                               conformal_equiv_check, conformal_from_pair,
                               einstein_check, null_planes_integrable)
 
@@ -17,6 +20,50 @@ CH4 = ("y", "p", "Y", "P")
 def _flat_coframe():
     return CoframeMetric(CH4, (d(CH4, "Y"), d(CH4, "P"),
                                d(CH4, "y"), d(CH4, "p")), "para")
+
+
+def _rotated_dancing_coframe():
+    # swapping eta1 <-> -eta4 and eta2 <-> -eta3 preserves g exactly
+    e1, e2, e3, e4 = catalog("dancing_metric_coframe").etas
+    return CoframeMetric(CH4, (e4.scale(-1), e3.scale(-1), e2.scale(-1),
+                               e1.scale(-1)), "para")
+
+
+def _einstein_per_point(cm, points, seed):
+    """(lambdas, max_residual) of einstein_check, from the same draws and
+    admissibility test, with the Christoffel/Ricci assembly run one point
+    at a time on 4x4 arrays."""
+    coef = [c for row in cm.coefficient_rows() for c in row]
+    g = [e for row in cm.metric_components() for e in row]
+    dg = [differentiate(e, x) for x in cm.chart for e in g]
+    ddg = [differentiate(e, x) for x in cm.chart for e in dg]
+    names = list(cm.chart)
+    tape = compile_tape(coef + g + dg + ddg, names)
+    lambdas, max_res = [], 0.0
+    for _, vals in sample_points(tape, names, seed, 500 * points):
+        c, G, dG, ddG = np.split(np.array(vals), [16, 32, 96])
+        if not abs(np.linalg.det(c.reshape(4, 4))) \
+                > MIN_DET * np.max(np.abs(c)) ** 4:
+            continue
+        G, dG, ddG = G.reshape(4, 4), dG.reshape(4, 4, 4), \
+            ddG.reshape(4, 4, 4, 4)
+        Ginv = np.linalg.inv(G)
+        S = dG + dG.transpose(1, 0, 2) - dG.transpose(1, 2, 0)
+        Gam = 0.5 * np.einsum("kl,ijl->kij", Ginv, S)
+        dGinv = -np.einsum("ka,mab,bl->mkl", Ginv, dG, Ginv)
+        dS = ddG + ddG.transpose(0, 2, 1, 3) - ddG.transpose(0, 2, 3, 1)
+        dGam = 0.5 * (np.einsum("mkl,ijl->mkij", dGinv, S)
+                      + np.einsum("kl,mijl->mkij", Ginv, dS))
+        Ric = (np.einsum("kkij->ij", dGam)
+               - np.einsum("jkik->ij", dGam)
+               + np.einsum("kkl,lij->ij", Gam, Gam)
+               - np.einsum("kjl,lik->ij", Gam, Gam))
+        lam = float(np.einsum("ij,ij", Ginv, Ric) / 4.0)
+        lambdas.append(lam)
+        max_res = max(max_res, float(np.max(np.abs(Ric - lam * G))))
+        if len(lambdas) == points:
+            break
+    return lambdas, max_res
 
 
 class TestEinstein:
@@ -46,15 +93,26 @@ class TestEinstein:
         assert all(abs(l) < 1e-12 for l in rep.lambdas)
 
     def test_lambda_invariant_under_isometric_coframe_rotation(self):
-        # swapping eta1 <-> -eta4 and eta2 <-> -eta3 preserves g exactly
-        cm = catalog("dancing_metric_coframe")
-        e1, e2, e3, e4 = cm.etas
-        rotated = CoframeMetric(cm.chart,
-                                (e4.scale(-1), e3.scale(-1),
-                                 e2.scale(-1), e1.scale(-1)), "para")
-        a = einstein_check(cm, points=8, seed=3)
-        b = einstein_check(rotated, points=8, seed=3)
+        a = einstein_check(catalog("dancing_metric_coframe"), points=8,
+                           seed=3)
+        b = einstein_check(_rotated_dancing_coframe(), points=8, seed=3)
         assert abs(a.lambdas[0] - b.lambdas[0]) < 1e-9
+
+    @pytest.mark.parametrize("coframe", [
+        lambda: catalog("dancing_metric_coframe"),
+        lambda: catalog("fubini_study_coframe"),
+        _rotated_dancing_coframe, _flat_coframe],
+        ids=["dancing", "fubini_study", "rotated", "flat"])
+    def test_batched_assembly_matches_the_per_point_one(self, coframe):
+        # bit for bit: lambdas and residual as the per-point assembly
+        # gives them from the same draws
+        cm = coframe()
+        for seed in range(20):
+            rep = einstein_check(cm, points=20, seed=seed)
+            lambdas, max_res = _einstein_per_point(cm, 20, seed)
+            assert [x.hex() for x in rep.lambdas] == \
+                [x.hex() for x in lambdas]
+            assert rep.max_residual.hex() == max_res.hex()
 
 
     @pytest.mark.parametrize("name, lam", [("dancing_metric_coframe", 6.0),
@@ -72,9 +130,11 @@ class TestEinstein:
 
     def test_dependent_etas_have_no_admissible_point(self):
         e1, _, e3, e4 = _flat_coframe().etas
-        with pytest.raises(SamplingExhausted):
+        with pytest.raises(SamplingExhausted) as exc:
             einstein_check(CoframeMetric(CH4, (e1, e1, e3, e4), "para"),
                            points=2, seed=0)
+        assert str(exc.value) == ("no 2 samples with |coframe det| > 1e-08 "
+                                  "max|coefficient|^4 in 1000 draws")
 
 
 class TestConformalFromPair:
