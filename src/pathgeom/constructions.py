@@ -4,6 +4,7 @@ traced from a solution function."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -202,7 +203,8 @@ def _sqrt_dancing_phi():
     return SolutionFunction(sub(z, poly))
 
 
-_CATALOG = {
+# each entry is built once per process and shared (`catalog`)
+_CATALOG = {name: functools.cache(builder) for name, builder in {
     "flat_chain_pair": _flat_chain_pair,
     "cr_sphere_pair": _cr_sphere_pair,
     "cr_y3_pair": _cr_y3_pair,
@@ -213,11 +215,17 @@ _CATALOG = {
     "fubini_study_coframe": _fubini_study_coframe,
     "flat_dancing_phi": _flat_dancing_phi,
     "sqrt_dancing_phi": _sqrt_dancing_phi,
-}
+}.items()}
 
 
 def catalog(name: str):
-    """Built-in example systems and coframes, by name (UnknownName otherwise)."""
+    """Built-in example systems and coframes, by name (UnknownName otherwise).
+
+    Each name has one entry for the whole process, built on first use, so
+    the caches on its expression nodes (derivatives, degree bounds, tapes,
+    Fels invariants) serve every later call.  Entries are shared and
+    read-only: the systems are frozen, and a coframe's forms hold their
+    coefficients in read-only mappings."""
     try:
         builder = _CATALOG[name]
     except KeyError:
@@ -387,11 +395,12 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     the anchor with `seed`.
 
     Raises NonTransverse for an incident anchor, JacobianSingular /
-    NewtonDiverged on continuation failure, SeedNotFound when no starting
-    point on the curve can be located.  The samples must lie on one
-    branch: J is regular along a branch, so JacobianSingular names the
-    first sample whose det J is zero or has the other sign than at the
-    first sample (the curve crossed a pole, say).
+    NewtonDiverged on continuation failure (NewtonDiverged at the last t
+    Newton tried), SeedNotFound when no starting point on the curve can be
+    located.  The samples must lie on one branch: J is regular along a
+    branch, so JacobianSingular names the first sample whose det J is zero
+    or has the other sign than at the first sample (the curve crossed a
+    pole, say).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -457,14 +466,15 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
             while True:
                 guess = [x + h * d1 + h * h / 2 * d2
                          for x, d1, d2 in zip(state, s1, s2)]
-                found = _newton_solve(GJ, t_cur + h, guess)
+                t_try = t_cur + h
+                found = _newton_solve(GJ, t_try, guess)
                 if found is not None:
                     break
                 h /= 2
                 if abs(h) < 1e-9:
-                    raise NewtonDiverged(t_cur + h)
+                    raise NewtonDiverged(t_try)
             state, out = found
-            t_cur = t_cur + h
+            t_cur = t_try
             s1 = s2 = (0.0, 0.0, 0.0)  # off the samples, start at the state
         t_cur = t_next
         gv, Jm, Gt, Gtt = out[0:3], out[3:12], out[12:15], out[15:18]

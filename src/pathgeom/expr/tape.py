@@ -34,6 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import DivisionByZero, DomainError, UnboundVariable
+from ..memo import memoized
 from .nodes import Add, Expr, Mul, Num, Var, postorder
 from .rational import (MAX_INT_EXPONENT, MAX_POWER_BITS, as_rat, is_int,
                        rat_pow_exact, real_branch_sign)
@@ -53,7 +54,11 @@ class Tape:
     have the base's node index in `a` and, in `b`, the integer exponent or
     the index of the fractional exponent.  `outputs` holds the node index of
     each expression.  Every evaluation allocates its own values, so one tape
-    may be evaluated from several threads.
+    may be evaluated from several threads, and a one-expression tape is
+    shared by every caller that compiles its expression over its chart
+    (`compile_tape`).  The one state a tape changes after compiling is
+    `_converted`'s cache of numeric constants, filled in on first use: two
+    threads may both convert, and either's equal lists may be kept.
     """
 
     __slots__ = ("var_names", "code", "outputs", "single", "consts_exact",
@@ -301,5 +306,14 @@ def _exact_pow_frac(n: int, d: int, e):
 
 def compile_tape(exprs, var_names) -> Tape:
     """A tape for one Expr, whose evaluations return one value, or for a
-    sequence of them, whose evaluations return a list in input order."""
+    sequence of them, whose evaluations return a list in input order.
+
+    A one-Expr tape is compiled once per expression and chart, kept weakly
+    on the expression (`memo`), and shared: compiling it again returns the
+    same tape while the expression lives.  A sequence is compiled on every
+    call; its first root may be a long-lived node (ZERO, a variable) that
+    would keep every other root alive if its tape were kept there."""
+    if isinstance(exprs, Expr):
+        names = tuple(var_names)
+        return memoized(exprs, ("tape", names), lambda: Tape(exprs, names))
     return Tape(exprs, var_names)

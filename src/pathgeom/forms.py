@@ -15,6 +15,8 @@ zero tester's allotment per entry (`target_trials`).
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import ChartMismatch, DependentGenerators, RankDeficient
 from .expr import (Expr, Rat, ZERO, add, differentiate, div,
                    is_zero_probabilistic, mul, num, rename_variables, sub,
@@ -43,14 +45,15 @@ def _sort_index(idx):
 
 class DifferentialForm:
     """Degree-k form: map from strictly increasing k-tuples of chart indices
-    to coefficient expressions (zero coefficients dropped)."""
+    to coefficient expressions (zero coefficients dropped), read-only once
+    built, so that a form can be shared (a catalog coframe's, say)."""
 
     __slots__ = ("chart", "degree", "comps")
 
     def __init__(self, chart, degree, comps=None):
         self.chart = tuple(chart)
         self.degree = degree
-        self.comps = {}
+        own = {}
         allowed = set(self.chart)
         for idx, c in (comps or {}).items():
             key, sign = _sort_index(idx)
@@ -63,12 +66,13 @@ class DifferentialForm:
                 raise ChartMismatch(f"coefficient uses {sorted(extra)} "
                                     f"outside chart {self.chart}")
             c = c if sign == 1 else mul(num(-1), c)
-            if key in self.comps:
-                c = add(self.comps[key], c)
+            if key in own:
+                c = add(own[key], c)
             if c is ZERO:
-                self.comps.pop(key, None)
+                own.pop(key, None)
             else:
-                self.comps[key] = c
+                own[key] = c
+        self.comps = MappingProxyType(own)
 
     def __eq__(self, other):
         return (isinstance(other, DifferentialForm) and self.chart == other.chart

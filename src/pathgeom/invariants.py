@@ -23,6 +23,7 @@ from itertools import combinations_with_replacement
 
 from .expr import Expr, Rat, add, differentiate, mul, num, sub
 from .jets import PairODE, ScalarODE, total_derivative, total_derivative_scalar
+from .memo import memoized
 
 HALF = num(Rat(1, 2))
 QUARTER = num(Rat(1, 4))
@@ -93,7 +94,12 @@ class FelsInvariants:
 
 
 def fels_invariants(sys: PairODE) -> FelsInvariants:
-    return FelsInvariants(sys, fels_torsion(sys), fels_curvature(sys))
+    """The torsion and curvature of a pair, derived once per system: they
+    are kept weakly on `sys` (`memo`), without `sys` itself, and each call
+    returns a fresh wrapper with its own curvature dict."""
+    torsion, curvature = memoized(
+        sys, "fels", lambda: (fels_torsion(sys), fels_curvature(sys)))
+    return FelsInvariants(sys, torsion, dict(curvature))
 
 
 @dataclass(frozen=True)

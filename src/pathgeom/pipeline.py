@@ -42,6 +42,7 @@ from .forms import chain_pair_via_rho, exterior_derivative, rho_chain, wedge
 from .invariants import (curvature_quartic, fels_invariants, scalar_invariants,
                          torsion_quadric)
 from .jets import PairODE, ScalarODE
+from .memo import memoized
 from .metrics import (EINSTEIN_TOL, CoframeMetric, closedness_check,
                       einstein_check, null_planes_integrable)
 from .roots import admissibility, classify_quadric, classify_quartic
@@ -187,6 +188,15 @@ def _torsion(inv, seed, every):
     return entries, zero_verdicts(entries.values(), seed=seed, every=every)
 
 
+def _root_type_tape(inv):
+    """The tape of W0..W4, A0..A2 over their sorted free variables, and
+    that chart."""
+    exprs = (list(curvature_quartic(inv).coefficients)
+             + list(torsion_quadric(inv).coefficients))
+    names = tuple(sorted(set().union(*(e.free_variables for e in exprs))))
+    return compile_tape(exprs, names), names
+
+
 def _root_type_checks(inv, samples, seed, expect=None):
     """The `uniform_quartic_type` and `admissibility_flags` records of a pair,
     given its Fels invariants, at `samples` exact sampled points.
@@ -200,13 +210,14 @@ def _root_type_checks(inv, samples, seed, expect=None):
     first point as its witness.
     An mpf point whose multiplicities do not add up (IllConditioned) is
     skipped and counted, at most `samples` times.  A construction is
-    admissible only if it is at every sampled point."""
+    admissible only if it is at every sampled point.
+
+    The tape is compiled once per system, kept with its Fels invariants on
+    `inv.system` (`memo`)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    exprs = (list(curvature_quartic(inv).coefficients)
-             + list(torsion_quadric(inv).coefficients))
-    names = sorted(set().union(*(e.free_variables for e in exprs)))
-    tape = compile_tape(exprs, names)
+    tape, names = memoized(inv.system, "root_type_tape",
+                           lambda: _root_type_tape(inv))
     arithmetic = ("mpf" if branch_ranges(tape, [None] * len(names)) is None
                   else "exact")
     quartic_types, quadric_types, flags, witness = [], set(), [], []

@@ -328,8 +328,10 @@ class TestDancingCurves:
                                   f"curve at t = {span[0]}")
 
     def test_nan_from_some_t_on_stops_the_continuation(self, monkeypatch):
-        # steps into the nan halve until they are shorter than 1e-9
+        # steps into the nan halve until they are shorter than 1e-9; the
+        # error names the last t Newton tried, where it failed
         eval_f64 = Tape.eval_f64
+        newton, tried = constructions._newton_solve, []
 
         def eval_nan(tape, point):
             out = eval_f64(tape, point)
@@ -337,12 +339,19 @@ class TestDancingCurves:
                 out[1] = math.nan
             return out
 
+        def newton_spy(GJ, t, state):
+            tried.append(t)
+            return newton(GJ, t, state)
+
         monkeypatch.setattr(Tape, "eval_f64", eval_nan)
+        monkeypatch.setattr(constructions, "_newton_solve", newton_spy)
         anchor, span, guess, _ = _DANCING["flat_dancing_phi"]
         with pytest.raises(NewtonDiverged) as exc:
             dancing_curve_numeric(catalog("flat_dancing_phi"), anchor, span,
                                   samples=5, initial_guess=guess)
-        assert abs(exc.value.t - 1.6) < 2e-9
+        assert exc.value.t in tried
+        assert exc.value.t >= 1.6
+        assert exc.value.t == tried[-1]
 
     def test_singular_guess_falls_back_to_the_seeded_search(self):
         # det J = (t^ - t)((t^ + t)/4 + b/2) vanishes at t = 2, b = -1
