@@ -106,12 +106,16 @@ class SolutionFunction:
 
 # -- the example catalog -------------------------------------------------------
 
+# each builder runs once per process and its entry is shared (`catalog`)
+
+@functools.cache
 def _flat_chain_pair():
     p, Y, P = var("p"), var("Y"), var("P")
     return PairODE(num(0), div(mul(num(2), P**2), sub(p, Y)),
                    chart=CHAIN_PAIR_CHART)
 
 
+@functools.cache
 def _cr_sphere_pair():
     x, y, Y, P = var("x"), var("y"), var("Y"), var("P")
     den = add(mul(Y, x), P, mul(num(-1), y))
@@ -121,6 +125,7 @@ def _cr_sphere_pair():
     return PairODE(rhs1, rhs2, chart=CHAIN_PAIR_CHART)
 
 
+@functools.cache
 def _cr_y3_pair():
     y, Y, P = var("y"), var("Y"), var("P")
     num1 = add(mul(num(16), Y**4, y**6), mul(num(22), Y**2, y**6),
@@ -134,6 +139,7 @@ def _cr_y3_pair():
     return PairODE(rhs1, rhs2, chart=CHAIN_PAIR_CHART)
 
 
+@functools.cache
 def _dancing_sqrt_pair():
     # freestyling/dancing pair of z'' = sqrt(z'), real branch; no sampler
     # keeps t + b > 0, draws where a radicand is negative are dropped
@@ -147,18 +153,21 @@ def _dancing_sqrt_pair():
     return PairODE(sqrt_(Z), div(numerator, denominator), chart=FREESTYLE_CHART)
 
 
+@functools.cache
 def _submax_ode_1():
     p1, p2 = var("p1"), var("p2")
     return ThirdOrderODE(div(mul(num(3), p2**2), mul(num(2), p1)),
                          chart=("x", "p", "p1", "p2"))
 
 
+@functools.cache
 def _submax_ode_2():
     y1, y2 = var("y1"), var("y2")
     return ThirdOrderODE(div(mul(num(3), y1, y2**2), add(num(1), y1**2)),
                          chart=("x", "y", "y1", "y2"))
 
 
+@functools.cache
 def _dancing_metric_coframe():
     chart = ("y", "p", "Y", "P")
     y, p, Y, P = (var(n) for n in chart)
@@ -174,6 +183,7 @@ def _dancing_metric_coframe():
     return CoframeMetric(chart=chart, etas=(e1, e2, e3, e4), structure="para")
 
 
+@functools.cache
 def _fubini_study_coframe():
     chart = ("y", "p", "Y", "P")
     y, p, Y, P = (var(n) for n in chart)
@@ -191,11 +201,13 @@ def _fubini_study_coframe():
     return CoframeMetric(chart=chart, etas=(e1, e2, e3, e4), structure="complex")
 
 
+@functools.cache
 def _flat_dancing_phi():
     t, z, a, b = (var(n) for n in ("t", "z", "a", "b"))
     return SolutionFunction(sub(z, add(mul(b, t), a)))
 
 
+@functools.cache
 def _sqrt_dancing_phi():
     t, z, a, b = (var(n) for n in ("t", "z", "a", "b"))
     poly = add(div(t**3, num(12)), div(mul(b, t**2), num(4)),
@@ -203,8 +215,7 @@ def _sqrt_dancing_phi():
     return SolutionFunction(sub(z, poly))
 
 
-# each entry is built once per process and shared (`catalog`)
-_CATALOG = {name: functools.cache(builder) for name, builder in {
+_CATALOG = {
     "flat_chain_pair": _flat_chain_pair,
     "cr_sphere_pair": _cr_sphere_pair,
     "cr_y3_pair": _cr_y3_pair,
@@ -215,7 +226,7 @@ _CATALOG = {name: functools.cache(builder) for name, builder in {
     "fubini_study_coframe": _fubini_study_coframe,
     "flat_dancing_phi": _flat_dancing_phi,
     "sqrt_dancing_phi": _sqrt_dancing_phi,
-}.items()}
+}
 
 
 def catalog(name: str):

@@ -188,18 +188,19 @@ def _torsion(inv, seed, every):
     return entries, zero_verdicts(entries.values(), seed=seed, every=every)
 
 
-def _root_type_tape(inv):
-    """The tape of W0..W4, A0..A2 over their sorted free variables, and
-    that chart."""
+def _root_type_tape(pair):
+    """The tape of a pair's W0..W4, A0..A2 over their sorted free
+    variables, and that chart."""
+    inv = fels_invariants(pair)
     exprs = (list(curvature_quartic(inv).coefficients)
              + list(torsion_quadric(inv).coefficients))
     names = tuple(sorted(set().union(*(e.free_variables for e in exprs))))
     return compile_tape(exprs, names), names
 
 
-def _root_type_checks(inv, samples, seed, expect=None):
-    """The `uniform_quartic_type` and `admissibility_flags` records of a pair,
-    given its Fels invariants, at `samples` exact sampled points.
+def _root_type_checks(pair, samples, seed, expect=None):
+    """The `uniform_quartic_type` and `admissibility_flags` records of a pair
+    at `samples` exact sampled points.
 
     A pair is evaluated and classified exactly, on the real branch where
     its radicands are all variables (`branch_ranges`), and in mpf where a
@@ -212,12 +213,12 @@ def _root_type_checks(inv, samples, seed, expect=None):
     skipped and counted, at most `samples` times.  A construction is
     admissible only if it is at every sampled point.
 
-    The tape is compiled once per system, kept with its Fels invariants on
-    `inv.system` (`memo`)."""
+    The tape is compiled once per pair, from the pair's Fels invariants,
+    and kept on the pair (`memo`)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    tape, names = memoized(inv.system, "root_type_tape",
-                           lambda: _root_type_tape(inv))
+    tape, names = memoized(pair, "root_type_tape",
+                           lambda: _root_type_tape(pair))
     arithmetic = ("mpf" if branch_ranges(tape, [None] * len(names)) is None
                   else "exact")
     quartic_types, quadric_types, flags, witness = [], set(), [], []
@@ -304,7 +305,7 @@ def cmd_invariants(doc: Document | None, system_name: str,
 def cmd_classify(doc: Document | None, system_name: str,
                  samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Report:
     pair = resolve(doc, system_name, PairODE)
-    checks = _root_type_checks(fels_invariants(pair), samples, seed)
+    checks = _root_type_checks(pair, samples, seed)
     return Report(command=f"classify {system_name}", seed=seed,
                   fingerprint=_fingerprint(doc), checks=checks)
 
@@ -337,15 +338,14 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
     checks.append(rec)
     si = scalar_invariants(sys)
     scalar = zero_verdicts([si.t1, si.c1], seed=seed)
-    inv = fels_invariants(closed)
-    torsion = _torsion(inv, seed, False)[1]
+    torsion = _torsion(fels_invariants(closed), seed, False)[1]
     # two zero claims compared, with the tolerance of both claims' verdicts
     rec = _claim("torsion_iff_flat_scalar", "zero", scalar + torsion)
     rec.verdict = "pass" if all(scalar) == all(torsion) else "fail"
     rec.witnesses, rec.details = [], {"scalar_invariants_zero": str(
         all(scalar)), "chain_torsion_zero": str(all(torsion))}
     checks.append(rec)
-    checks.extend(_root_type_checks(inv, samples, seed, expect="D_r"))
+    checks.extend(_root_type_checks(closed, samples, seed, expect="D_r"))
     return Report(command=f"verify-chains {scalar_name}", seed=seed,
                   fingerprint=_fingerprint(doc), checks=checks)
 
@@ -355,9 +355,8 @@ def cmd_verify_cr(doc: Document | None, pair_name: str,
     """CR-chain admissibility (condition 1: a D_c curvature quartic) for a
     candidate pair, plus the torsion report."""
     pair = resolve(doc, pair_name, PairODE)
-    inv = fels_invariants(pair)
-    checks = _root_type_checks(inv, samples, seed, expect="D_c")
-    entries, torsion = _torsion(inv, seed, True)
+    checks = _root_type_checks(pair, samples, seed, expect="D_c")
+    entries, torsion = _torsion(fels_invariants(pair), seed, True)
     rec = _claim("torsion_zero", "zero", torsion, entries)
     if rec.verdict == "fail":
         rec.verdict = "info"

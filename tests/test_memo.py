@@ -113,7 +113,7 @@ def test_memoized_objects_are_freed():
     pair = doc.get("g")
     e = pair.rhs1 * num(53) + var("q2")
     inv = fels_invariants(pair)
-    records = _root_type_checks(inv, 2, 0)
+    records = _root_type_checks(pair, 2, 0)
     assert records[0].verdict == "pass"
     assert compile_tape(e, pair.chart).eval_exact([1, 2, 3, 4, 5]) != 0
     tables = len(memo._TABLES)
