@@ -8,6 +8,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,7 +20,9 @@ from .expr import (Expr, Rat, add, compile_tape, differentiate, div, mul, num,
 from .expr.sampling import draw_float
 from .expr.zerotest import zero_verdicts
 from .forms import CHAIN_PAIR_CHART, one_form
+from .integrate import _rhs_tape
 from .jets import PairODE, ScalarODE
+from .memo import memoized
 from .metrics import CoframeMetric
 
 
@@ -94,6 +97,8 @@ class SolutionFunction:
     chart: tuple = ("t", "z", "a", "b")
 
     def __post_init__(self):
+        # a tuple, so that the function hashes and can key its curve tape
+        object.__setattr__(self, "chart", tuple(self.chart))
         extra = self.phi.free_variables - set(self.chart)
         if extra:
             raise ValueError(f"solution function uses {sorted(extra)} "
@@ -276,15 +281,16 @@ class DancingCurve:
 
     def pair_residuals(self, pair: PairODE):
         """Max residuals of (z'' - F1, b'' - F2) along the curve, evaluating
-        the pair's right-hand sides at (t, z, b, z', b').  Raises
+        the pair's right-hand sides at (t, z, b, z', b') on the pair's one
+        right-hand-side tape, the one `integrate_pair` runs.  Raises
         PairUndefined from the first sample t where the pair has no value
         or leaves float range."""
         pts = np.column_stack([self.t, self.z, self.b, self.z1, self.b1])
-        tape = compile_tape(pair.rhs, pair.chart)
+        tape = _rhs_tape(pair)
         values = []
         for t, row in zip(self.t, pts.tolist()):
             try:
-                values.append(tape.eval_f64(row))
+                values.append(tape.eval_f64(row)[:2])
             except (DivisionByZero, DomainError, OverflowError) as exc:
                 raise PairUndefined(float(t)) from exc
         f1, f2 = np.array(values).T
@@ -388,13 +394,40 @@ def _newton_solve(GJ, t, state):
     return (s, out) if norm < NEWTON_TOL else None
 
 
+def _dancing_tape(phi: SolutionFunction):
+    """The curve tape [G, J, Gt, Gtt, Jt, H] of `dancing_curve_numeric`
+    over (t, z, a, b) and the anchor (t^, z^, a^, b^): the incidence
+    constraints G = (Phi(t, z, a, b), Phi(t^, z^, a, b), Phi(t, z, a^, b^)),
+    J = dG/d(z, a, b) row-major, Gt and Gtt their first and second
+    t-derivatives, Jt = dJ/dt and H the Hessian of each G_k in the state.
+    The anchor is an input, not a constant, so the tape is derived and
+    compiled once per solution function, kept on it (`memo`), and serves
+    every anchor."""
+    chart = phi.chart
+    hats = [name + "^" for name in chart]
+    while set(hats) & set(chart):
+        hats = [name + "^" for name in hats]
+    tn, zn, an, bn = chart
+    g1 = phi.phi
+    g2 = substitute(g1, {tn: var(hats[0]), zn: var(hats[1])})
+    g3 = substitute(g1, {an: var(hats[2]), bn: var(hats[3])})
+    gs = [g1, g2, g3]
+    Js = [differentiate(g, v) for g in gs for v in (zn, an, bn)]
+    Gts = [differentiate(g, tn) for g in gs]
+    return compile_tape(
+        gs + Js + Gts + [differentiate(e, tn) for e in Gts + Js]
+        + [differentiate(e, v) for e in Js for v in (zn, an, bn)],
+        (*chart, *hats))
+
+
 def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
                           samples: int = 200, initial_guess=None,
                           seed: int = 0) -> DancingCurve:
     """Trace the dancing path determined by a non-incident anchor
     (t^, z^, a^, b^): continuation in t solving the three incidence
     constraints G = 0 for (z, a, b) by damped Newton on one tape, [G, J,
-    Gt, Gtt, Jt, H] with J = dG/d(z, a, b).  A sample is Newton's converged
+    Gt, Gtt, Jt, H] with J = dG/d(z, a, b), compiled once per solution
+    function with the anchor as input (`_dancing_tape`).  A sample is Newton's converged
     evaluation (of residual below NEWTON_TOL); one LU of its J gives the
     orientation (the sign of det J) and both Taylor solves, for the first
     and second t-derivatives s1, s2 of the state.  Newton toward the next
@@ -415,28 +448,15 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    tn, zn, an, bn = phi.chart
     that, zhat, ahat, bhat = (float(v) for v in anchor)
-
-    def exact(v):
-        from fractions import Fraction
-        return num(Fraction(v).limit_denominator(10 ** 12))
-
-    g1 = phi.phi
-    g2 = substitute(phi.phi, {tn: exact(that), zn: exact(zhat)})
-    g3 = substitute(phi.phi, {an: exact(ahat), bn: exact(bhat)})
-    gs = [g1, g2, g3]
-    state_vars = (zn, an, bn)
-    order = (tn, zn, an, bn)
-    # [G, J, Gt, Gtt, Jt, H], with H the Hessian of G in the state
-    Js = [differentiate(g, v) for g in gs for v in state_vars]
-    Gts = [differentiate(g, tn) for g in gs]
-    tape = compile_tape(
-        gs + Js + Gts + [differentiate(e, tn) for e in Gts + Js]
-        + [differentiate(e, v) for e in Js for v in state_vars], order)
+    # the anchor's inputs: each coordinate as the nearest rational of
+    # denominator at most 10^12, in float64
+    fixed = [float(Fraction(v).limit_denominator(10 ** 12))
+             for v in (that, zhat, ahat, bhat)]
+    tape = memoized(phi, "dancing_tape", lambda: _dancing_tape(phi))
 
     def GJ(t, s):
-        return tape.eval_f64([t, *s])
+        return tape.eval_f64([t, *s, *fixed])
 
     if abs(GJ(that, (zhat, ahat, bhat))[0]) < 1e-12:
         raise NonTransverse("anchor is incident: the solution function "

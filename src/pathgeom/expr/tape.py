@@ -6,19 +6,21 @@ in the sense of Griewank & Walther, *Evaluating Derivatives*).  A tape
 compiled from a sequence of expressions runs the union of their DAGs, each
 shared node once, and returns a list with one value per expression.  There
 are three number domains.  The exact domain has its own loop, on int
-numerator/denominator pairs kept in lowest terms; the other two share one
-interpreter loop, `Tape._run`, to which the domain supplies the constants,
-the point, and the integer and fractional power functions.  The float64 and
-mpf domains differ only in their number type: they share one conversion of
-the constants and fractional exponents (`Tape._converted`) and one pair of
+numerator/denominator pairs kept in lowest terms.  The other two run one
+Python function generated from the tape (`_source`): one statement per
+node, with no dispatch on the instruction, compiled on the tape's first
+float64 or mpf evaluation and kept on the tape.  The domain supplies the
+constants, the point, and its zero and one.  The float64 and mpf domains
+differ only in their number type: they share one conversion of the
+constants and fractional exponents (`Tape._converted`) and one pair of
 power functions (`_pow_int`, `_pow_frac`), written with `**`:
 
   * exact   -- rationals, held as int pairs and returned as Fractions; a
                fractional power must come out rational (`rat_pow_exact`)
   * mpf     -- mpmath floats at MPF_PREC bits, used for radicals
   * float64 -- Python floats; `eval_f64` takes one point, `eval_f64_many`
-               runs the same loop over the rows of an array, so each row's
-               values equal `eval_f64`'s bit for bit
+               runs the same function over the rows of an array, so each
+               row's values equal `eval_f64`'s bit for bit
 
 Every domain with fractional powers takes the real branch of an odd root of
 a negative base, with the sign `real_branch_sign` gives `rat_pow_exact`: at
@@ -42,6 +44,7 @@ from .rational import (MAX_INT_EXPONENT, MAX_POWER_BITS, as_rat, is_int,
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW_INT, OP_POW_FRAC = range(6)
 
 MPF_PREC = 256          # bits of every mpf evaluation
+_CHUNK = 64             # operands per statement of a long sum or product
 
 
 class Tape:
@@ -56,13 +59,14 @@ class Tape:
     each expression.  Every evaluation allocates its own values, so one tape
     may be evaluated from several threads, and a one-expression tape is
     shared by every caller that compiles its expression over its chart
-    (`compile_tape`).  The one state a tape changes after compiling is
-    `_converted`'s cache of numeric constants, filled in on first use: two
-    threads may both convert, and either's equal lists may be kept.
+    (`compile_tape`).  The states a tape changes after compiling are filled
+    in on first use: `_converted`'s cache of numeric constants and the
+    generated function of `_function`.  Two threads may both fill one in,
+    and either's equal value may be kept.
     """
 
     __slots__ = ("var_names", "code", "outputs", "single", "consts_exact",
-                 "exps_exact", "_numeric")
+                 "exps_exact", "_numeric", "_fn")
 
     def __init__(self, exprs, var_names):
         self.single = isinstance(exprs, Expr)
@@ -102,39 +106,21 @@ class Tape:
         self.consts_exact = consts
         self.exps_exact = exps
         self._numeric = {}   # converter -> converted on first use
+        self._fn = None      # the generated function, on first use
 
     def __len__(self):
         return len(self.code)
 
-    def _run(self, inputs, consts, exps, zero, one, pow_int, pow_frac):
-        """The interpreter: the value of every node, in tape order."""
-        values = []
-        push = values.append
-        for op, a, b in self.code:
-            if op == OP_MUL:
-                v = one
-                for j in a:
-                    v *= values[j]
-            elif op == OP_ADD:
-                v = zero
-                for j in a:
-                    v += values[j]
-            elif op == OP_CONST:
-                v = consts[a]
-            elif op == OP_VAR:
-                v = inputs[a]
-            elif op == OP_POW_INT:
-                v = pow_int(values[a], b)
-            else:
-                v = pow_frac(values[a], exps[b])
-            push(v)
-        return values
-
-    def _result(self, values):
-        """The output value of a one-expression tape, else the list of them."""
-        if self.single:
-            return values[self.outputs[0]]
-        return [values[k] for k in self.outputs]
+    def _function(self):
+        """The tape's straight-line function (`_source`), generated and
+        compiled on first use."""
+        fn = self._fn
+        if fn is None:
+            namespace = {"pow_int": _pow_int, "pow_frac": _pow_frac}
+            exec(compile(_source(self.code, self.outputs, self.single),
+                         "<tape>", "exec"), namespace)
+            fn = self._fn = namespace["run"]
+        return fn
 
     def _converted(self, to):
         """Constants as `to(c)` and fractional exponents as (`to(e)`, real
@@ -217,9 +203,9 @@ class Tape:
         return out[0] if self.single else out
 
     def eval_f64(self, point):
-        inputs = [float(x) for x in point]
-        return self._result(self._run(inputs, *self._converted(float), 0.0,
-                                      1.0, _pow_int, _pow_frac))
+        consts, exps = self._converted(float)
+        return self._function()([float(x) for x in point], consts, exps,
+                                0.0, 1.0)
 
     def eval_f64_many(self, points):
         """Evaluate at an (m, nvars) array of points, row by row as
@@ -227,9 +213,9 @@ class Tape:
 
         Raises what `eval_f64` raises, at the first row that raises."""
         consts, exps = self._converted(float)
-        rows = [[values[k] for k in self.outputs] for values in (
-            self._run(row, consts, exps, 0.0, 1.0, _pow_int, _pow_frac)
-            for row in np.asarray(points, dtype=np.float64).tolist())]
+        fn = self._function()
+        rows = [fn(row, consts, exps, 0.0, 1.0)
+                for row in np.asarray(points, dtype=np.float64).tolist()]
         columns = list(np.array(rows, dtype=np.float64)
                        .reshape(len(rows), len(self.outputs)).T.copy())
         return columns[0] if self.single else columns
@@ -245,16 +231,19 @@ class Tape:
             mpf = mpmath.mpf
             inputs = [_to_mpf(p) if hasattr(p, "numerator") else mpf(p)
                       for p in point]
-            values = self._run(inputs, *self._converted(_to_mpf), mpf(0),
-                               mpf(1), _pow_int, _pow_frac)
+            consts, exps = self._converted(_to_mpf)
+            run = self._function()
             if not with_scale:
-                return self._result(values)
+                return run(inputs, consts, exps, mpf(0), mpf(1))
+            values = run(inputs, consts, exps, mpf(0), mpf(1), True)
 
         def scale():
             with mpmath.workprec(MPF_PREC):
                 return max((abs(v) for v in values), default=mpf(0))
 
-        return self._result(values), scale
+        if self.single:
+            return values[self.outputs[0]], scale
+        return [values[k] for k in self.outputs], scale
 
 
 def _to_mpf(q):
@@ -288,6 +277,50 @@ def _pow_frac(base, e):
     if base == 0 and e < 0:
         raise DivisionByZero("denominator evaluated to zero")
     return base ** e
+
+
+def _source(code, outputs, single):
+    """The source of run(x, c, e, zero, one, full=False, pow_int=_pow_int,
+    pow_frac=_pow_frac), which does what an interpreter loop over the
+    instructions would: node k is the local v<k>, computed by one statement
+    from the point x, the constants c, the fractional exponents e and the
+    nodes before it.  It returns the output value of a one-expression tape
+    (`single`), else the list of them; with `full`, the list of every
+    node's value, in tape order.
+
+    A sum is zero + v<i> + v<j> ... and a product one * v<i> * v<j> ..., in
+    the order of the node's children, so every value, signed zeros
+    included, is the one the same operations in that order give; a node of
+    more than _CHUNK operands takes one statement per _CHUNK of them, which
+    keeps every statement shallow enough to compile.  Powers call pow_int
+    and pow_frac, the only calls that raise, in node order.  The source
+    holds node, slot and exponent indices, integer exponents and fixed
+    names only; nothing of an expression's text."""
+    lines = ["def run(x, c, e, zero, one, full=False, "
+             "pow_int=pow_int, pow_frac=pow_frac):"]
+    push = lines.append
+    for k, (op, a, b) in enumerate(code):
+        if op == OP_ADD or op == OP_MUL:
+            acc, sign = ("zero", " + ") if op == OP_ADD else ("one", " * ")
+            for lo in range(0, max(len(a), 1), _CHUNK):
+                terms = "".join(f"{sign}v{j:d}" for j in a[lo:lo + _CHUNK])
+                push(f"    v{k} = {acc}{terms}")
+                acc = f"v{k}"
+        elif op == OP_CONST:
+            push(f"    v{k} = c[{a:d}]")
+        elif op == OP_VAR:
+            push(f"    v{k} = x[{a:d}]")
+        elif op == OP_POW_INT:
+            push(f"    v{k} = pow_int(v{a:d}, {b:d})")
+        else:
+            push(f"    v{k} = pow_frac(v{a:d}, e[{b:d}])")
+    every = ", ".join(f"v{k}" for k in range(len(code)))
+    push(f"    if full:\n        return [{every}]")
+    if single:
+        push(f"    return v{outputs[0]:d}")
+    else:
+        push(f"    return [{', '.join(f'v{k:d}' for k in outputs)}]")
+    return "\n".join(lines) + "\n"
 
 
 def _exact_pow_frac(n: int, d: int, e):

@@ -46,7 +46,8 @@ def _sort_index(idx):
 class DifferentialForm:
     """Degree-k form: map from strictly increasing k-tuples of chart indices
     to coefficient expressions (zero coefficients dropped), read-only once
-    built, so that a form can be shared (a catalog coframe's, say)."""
+    built, so that a form can be shared (a catalog coframe's, say).  Equal
+    forms hash equal, so a coframe of forms can key a memo (`memo`)."""
 
     __slots__ = ("chart", "degree", "comps")
 
@@ -78,7 +79,8 @@ class DifferentialForm:
         return (isinstance(other, DifferentialForm) and self.chart == other.chart
                 and self.degree == other.degree and self.comps == other.comps)
 
-    __hash__ = None
+    def __hash__(self):
+        return hash((self.chart, self.degree, frozenset(self.comps.items())))
 
     def __repr__(self):
         if not self.comps:

@@ -3,17 +3,19 @@ reduction checks.
 
 The stepper is the Dormand-Prince embedded 5(4) pair (`_dp_step`) with
 PI-free standard step control at fixed tolerances (REL_TOL, ABS_TOL).  One
-tape evaluates the right-hand sides and their syntactic denominators (the
-poles); the last, first-same-as-last stage of an accepted step gives both
-at the new state.  A |denominator| at most SINGULAR_FLOOR truncates the
-trajectory and sets a flag rather than integrating blindly across a pole,
-and every failed step is rejected by one rule (`integrate_pair`).
+tape, compiled once per pair (`_rhs_tape`), evaluates the right-hand sides
+and their syntactic denominators (the poles); the last,
+first-same-as-last stage of an accepted step gives both at the new state.
+A |denominator| at most SINGULAR_FLOOR truncates the trajectory and sets a
+flag rather than integrating blindly across a pole, and every failed step
+is rejected by one rule (`integrate_pair`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,7 +25,10 @@ from .expr import (Expr, Pow, compile_tape, differentiate, div, exprs_equal,
                    is_zero_probabilistic, mul, sub, substitute, var)
 from .expr.nodes import postorder
 from .jets import PairODE, _total_derivative
-from .constructions import ThirdOrderODE
+from .memo import memoized
+
+if TYPE_CHECKING:
+    from .constructions import ThirdOrderODE
 
 _DP_A = (
     (),
@@ -58,6 +63,16 @@ def denominator_bases(e: Expr):
     """Sub-expressions appearing with negative exponents (syntactic poles)."""
     return [n.base for n in postorder((e,))
             if isinstance(n, Pow) and n.exponent < 0]
+
+
+def _rhs_tape(sys: PairODE):
+    """The tape of F1, F2 and their denominator bases, in that order,
+    compiled once per pair and kept on it (`memo`).  The bases are nodes of
+    F1 and F2, so the tape runs exactly their DAG, and F1 and F2 come out as
+    from a tape of the two alone."""
+    return memoized(sys, "rhs_tape", lambda: compile_tape(
+        [*sys.rhs, *denominator_bases(sys.rhs1),
+         *denominator_bases(sys.rhs2)], sys.chart))
 
 
 @dataclass
@@ -107,8 +122,7 @@ def integrate_pair(sys: PairODE, ic, span) -> Trajectory:
     Below h_min the trajectory is truncated if a stage had no value or the
     state is within 1e5 SINGULAR_FLOOR of a pole; else StepUnderflow.
     """
-    tape = compile_tape([*sys.rhs, *denominator_bases(sys.rhs1),
-                         *denominator_bases(sys.rhs2)], sys.chart)
+    tape = _rhs_tape(sys)
 
     def rhs(t, y):
         f1, f2, *dens = tape.eval_f64([t, *y])

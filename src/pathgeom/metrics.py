@@ -28,6 +28,7 @@ from .forms import (DifferentialForm, d, exterior_derivative,
                     frobenius_integrable, one_form, wedge)
 from .invariants import fels_torsion
 from .jets import PairODE
+from .memo import memoized
 
 MIN_DET = 1e-8      # smallest |coframe det| / max|coefficient|^4 at a sample
 EINSTEIN_TOL = 1e-6  # largest residual |Ric - lambda g| and lambda spread
@@ -50,10 +51,13 @@ class CoframeMetric:
     structure: str = "para"
 
     def __post_init__(self):
+        # tuples, so that a coframe hashes and can key its Einstein tape
+        object.__setattr__(self, "chart", tuple(self.chart))
+        object.__setattr__(self, "etas", tuple(self.etas))
         if len(self.chart) != 4 or len(self.etas) != 4:
             raise ValueError("need four 1-forms on a 4-dimensional chart")
         for e in self.etas:
-            if e.degree != 1 or e.chart != tuple(self.chart):
+            if e.degree != 1 or e.chart != self.chart:
                 raise ValueError("coframe entries must be 1-forms on the chart")
         if self.structure not in STRUCTURES:
             raise ValueError("structure must be 'para' or 'complex'")
@@ -130,13 +134,8 @@ def einstein_check(cm: CoframeMetric, points: int = 20,
     """
     if points < 1:
         raise ValueError("points must be >= 1")
-    chart = cm.chart
-    names = list(chart)
-    coef = [c for row in cm.coefficient_rows() for c in row]
-    g = [e for row in cm.metric_components() for e in row]
-    dg = [differentiate(e, x) for x in chart for e in g]
-    ddg = [differentiate(e, x) for x in chart for e in dg]
-    tape = compile_tape(coef + g + dg + ddg, names)
+    names = list(cm.chart)
+    tape = memoized(cm, "einstein_tape", lambda: _einstein_tape(cm))
 
     rows = []
     for _, vals in sample_points(tape, names, seed, 500 * points):
@@ -171,6 +170,18 @@ def einstein_check(cm: CoframeMetric, points: int = 20,
     return EinsteinReport(lambdas=lam.tolist(),
                           max_residual=max(0.0, *res.tolist()), points=points,
                           seed=seed, signature=(2, 2))
+
+
+def _einstein_tape(cm: CoframeMetric):
+    """The tape of the 16 coframe coefficients, the 16 metric components
+    and their 64 first and 256 second derivatives, derived and compiled
+    once per coframe and kept on it (`memo`)."""
+    chart = cm.chart
+    coef = [c for row in cm.coefficient_rows() for c in row]
+    g = [e for row in cm.metric_components() for e in row]
+    dg = [differentiate(e, x) for x in chart for e in g]
+    ddg = [differentiate(e, x) for x in chart for e in dg]
+    return compile_tape(coef + g + dg + ddg, chart)
 
 
 def conformal_from_pair(pair: PairODE, x_value=0,

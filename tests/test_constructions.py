@@ -212,7 +212,10 @@ class TestDancingCurves:
     def test_one_tape_and_two_evaluations_per_sample(self, monkeypatch):
         # Newton and the samples evaluate the one tape [G, J, Gt, Gtt, Jt,
         # H]; from the Taylor predictor, Newton converges after one step,
-        # so a sample costs the predicted point and the corrected one
+        # so a sample costs the predicted point and the corrected one.  The
+        # anchor is an input of the tape, so it is compiled once per
+        # solution function: a repeat call, at another anchor, compiles
+        # nothing
         tapes, calls = [], []
 
         def compile_spy(exprs, var_names):
@@ -227,14 +230,24 @@ class TestDancingCurves:
         monkeypatch.setattr(constructions, "compile_tape", compile_spy)
         monkeypatch.setattr(Tape, "eval_f64", eval_spy)
         for name, (anchor, span, guess, _) in _DANCING.items():
+            # the catalog function in other names, equal to no live one
+            chart = ("s", "w", "c", "d")
+            fresh = SolutionFunction(rename_variables(
+                catalog(name).phi, dict(zip(catalog(name).chart, chart))),
+                chart=chart)
             tapes.clear()
-            calls.clear()
-            curve = dancing_curve_numeric(catalog(name), anchor, span,
-                                          samples=120, initial_guess=guess)
-            assert [len(t.outputs) for t in tapes] == [3 + 9 + 3 + 3 + 9
-                                                       + 27]
-            assert len(calls) <= 2 * 120 + 2
-            assert np.max(curve.residual) < constructions.NEWTON_TOL
+            for shift, first in ((0.0, guess), (0.25, None)):
+                calls.clear()
+                moved = (anchor[0], anchor[1] + shift, *anchor[2:])
+                curve = dancing_curve_numeric(fresh, moved, span,
+                                              samples=120,
+                                              initial_guess=first)
+                assert [len(t.outputs) for t in tapes] == [3 + 9 + 3 + 3 + 9
+                                                           + 27]
+                assert len(tapes[0].var_names) == 8
+                if first is not None:
+                    assert len(calls) <= 2 * 120 + 2
+                assert np.max(curve.residual) < constructions.NEWTON_TOL
 
     # the catalog windows at 120 samples: (phi, seed, Newton guess, len(t),
     # last (z, b, z1, b1, z2, b2))

@@ -1,5 +1,6 @@
 """Derivations computed once per object: shared catalog entries, and Fels
-invariants and tapes kept weakly on the objects they come from."""
+invariants and tapes (one-expression, root-type, Einstein, dancing-curve
+and right-hand-side tapes) kept weakly on the objects they come from."""
 
 import gc
 import json
@@ -11,24 +12,30 @@ import weakref
 import pytest
 
 from pathgeom import memo
-from pathgeom.constructions import catalog, catalog_names
+from pathgeom.constructions import (SolutionFunction, catalog, catalog_names,
+                                    dancing_curve_numeric)
 from pathgeom.dsl import parse
 from pathgeom.errors import UnboundVariable
 from pathgeom.expr import compile_tape, num, var
+from pathgeom.forms import DifferentialForm, one_form
+from pathgeom.integrate import integrate_pair
 from pathgeom.invariants import fels_invariants
+from pathgeom.metrics import CoframeMetric, einstein_check
 from pathgeom.pipeline import _root_type_checks
 
 PAIRS = ("flat_chain_pair", "cr_sphere_pair", "cr_y3_pair",
          "dancing_sqrt_pair")
 
-# every command the benchmark runs on a catalog entry, at seed 0
+# every command the benchmark runs on a catalog entry, at seed 0, and
+# verify-dancing at an anchor of its own
 CATALOG_COMMANDS = (
     [[cmd, "--system", pair, "--seed", "0"]
      for cmd in ("invariants", "classify", "verify-cr") for pair in PAIRS]
     + [["metric", "--system", c, "--seed", "0"]
        for c in ("dancing_metric_coframe", "fubini_study_coframe")]
-    + [["verify-dancing", "--phi", phi, "--seed", "0"]
-       for phi in ("flat", "sqrt")]
+    + [["verify-dancing", "--phi", phi, "--seed", "0"] + anchor
+       for phi in ("flat", "sqrt")
+       for anchor in ([], ["--anchor", "0.25,1.25,0.5,0.5"])]
     + [["catalog"]])
 
 # runs each command twice in one fresh process, where the first call finds
@@ -98,6 +105,28 @@ class TestMemoizedDerivations:
         e = var("x") + num(1)
         assert compile_tape([e], ["x"]) is not compile_tape([e], ["x"])
 
+    def test_equal_forms_hash_equal(self):
+        chart = ("y", "p", "Y", "P")
+        a = one_form(chart, {"Y": var("p") * 2, "y": num(1)})
+        b = DifferentialForm(chart, 1, {(0,): num(1), (2,): 2 * var("p")})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, one_form(chart, {"Y": var("p")})}) == 2
+
+    def test_equal_coframes_share_one_einstein_tape(self, monkeypatch):
+        compiled = []
+
+        def counting(exprs, names):
+            compiled.append(names)
+            return compile_tape(exprs, names)
+
+        monkeypatch.setattr("pathgeom.metrics.compile_tape", counting)
+        # two coframes built apart, equal to each other and to no live one
+        cm = [_coframe(num(3)) for _ in range(2)]
+        assert cm[0] is not cm[1] and cm[0] == cm[1]
+        reports = [einstein_check(c, points=4, seed=1) for c in cm]
+        assert len(compiled) == 1
+        assert reports[0] == reports[1]
+
     def test_a_failed_compile_keeps_nothing(self):
         e = var("x") * var("w")
         with pytest.raises(UnboundVariable):
@@ -122,6 +151,39 @@ def test_memoized_objects_are_freed():
     gc.collect()
     assert [r() for r in refs] == [None, None]
     assert len(memo._TABLES) <= tables - 2
+
+
+def _coframe(c):
+    """The catalog's dancing coframe with its second 1-form scaled by c (so
+    Einstein with lambda 6 / c), in a chart of lists."""
+    base = catalog("dancing_metric_coframe")
+    etas = list(base.etas)
+    etas[1] = etas[1].scale(c)
+    return CoframeMetric(list(base.chart), etas, base.structure)
+
+
+def test_float_tapes_are_freed_with_their_objects():
+    # the Einstein tape on a coframe, the curve tape on a solution function
+    # and the right-hand-side tape on a pair are kept only while their key
+    # lives
+    cm = _coframe(num(5))
+    phi = SolutionFunction(var("z") - var("b") * var("t") ** 3 - var("a"))
+    pair = parse("pair_ode g { vars t u1 u2 q1 q2; "
+                 "F1 = 13/(u1-19) + q2; F2 = q1*q2; }").get("g")
+    assert einstein_check(cm, points=2).points == 2
+    curve = dancing_curve_numeric(phi, (0.0, 1.0, 0.0, 0.0), (1.0, 1.5),
+                                  samples=5)
+    assert curve.pair_residuals(pair)
+    assert len(integrate_pair(pair, (0.0, 1.0, 0.5, 0.5), (0.0, 0.1)).t) > 1
+    assert ["einstein_tape" in memo._TABLES[cm],
+            "dancing_tape" in memo._TABLES[phi],
+            "rhs_tape" in memo._TABLES[pair]] == [True, True, True]
+    tables = len(memo._TABLES)
+    refs = [weakref.ref(cm), weakref.ref(phi), weakref.ref(pair)]
+    del cm, phi, pair, curve
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    assert len(memo._TABLES) <= tables - 3
 
 
 def test_threads_that_miss_together_return_one_value():
