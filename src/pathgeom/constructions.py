@@ -427,12 +427,13 @@ def dancing_curve_numeric(phi: SolutionFunction, anchor, t_range,
     (t^, z^, a^, b^): continuation in t solving the three incidence
     constraints G = 0 for (z, a, b) by damped Newton on one tape, [G, J,
     Gt, Gtt, Jt, H] with J = dG/d(z, a, b), compiled once per solution
-    function with the anchor as input (`_dancing_tape`).  A sample is Newton's converged
-    evaluation (of residual below NEWTON_TOL); one LU of its J gives the
-    orientation (the sign of det J) and both Taylor solves, for the first
-    and second t-derivatives s1, s2 of the state.  Newton toward the next
-    sample starts from state + h s1 + h^2/2 s2; on failure h halves (down
-    to 1e-9), and past an accepted shorter step it starts from the state.
+    function with the anchor as input (`_dancing_tape`).  A sample is
+    Newton's converged evaluation (of residual below NEWTON_TOL); one LU of
+    its J gives the orientation (the sign of det J) and both Taylor solves,
+    for the first and second t-derivatives s1, s2 of the state.  Newton
+    toward the next sample starts from state + h s1 + h^2/2 s2; on failure
+    h halves (down to 1e-9), and past an accepted shorter step it starts
+    from the state.
 
     The start at t0 is Newton from `initial_guess`, then, if that fails
     (no convergence, or a singular J), from up to 300 guesses drawn around

@@ -45,6 +45,8 @@ class PairODE:
     chart: tuple = PAIR_CHART
 
     def __post_init__(self):
+        # a tuple, so that the pair hashes and can key its memos (`memo`)
+        object.__setattr__(self, "chart", tuple(self.chart))
         if len(self.chart) != 5:
             raise ChartMismatch("pair chart needs 5 names (t, u1, u2, q1, q2)")
         _check_chart(self.chart, (self.rhs1, self.rhs2), "PairODE")

@@ -20,6 +20,7 @@ from pathgeom.expr import compile_tape, num, var
 from pathgeom.forms import DifferentialForm, one_form
 from pathgeom.integrate import integrate_pair
 from pathgeom.invariants import fels_invariants
+from pathgeom.jets import PAIR_CHART, PairODE
 from pathgeom.metrics import CoframeMetric, einstein_check
 from pathgeom.pipeline import _root_type_checks
 
@@ -151,6 +152,17 @@ def test_memoized_objects_are_freed():
     gc.collect()
     assert [r() for r in refs] == [None, None]
     assert len(memo._TABLES) <= tables - 2
+
+
+def test_objects_given_list_charts_key_their_memos():
+    # a chart given as a list is held as a tuple, so the object hashes
+    pair = PairODE(var("q1"), 2 * var("q2"), chart=list(PAIR_CHART))
+    assert pair.chart == PAIR_CHART
+    assert fels_invariants(pair).system is pair
+    assert len(integrate_pair(pair, (0.0, 0.0, 1.0, 1.0), (0.0, 0.1)).t) > 1
+    phi = SolutionFunction(var("z") - var("a"), chart=["t", "z", "a", "b"])
+    assert phi.chart == ("t", "z", "a", "b") and hash(phi) == hash(phi)
+    assert _coframe(num(2)).chart == catalog("dancing_metric_coframe").chart
 
 
 def _coframe(c):

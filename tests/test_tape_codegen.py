@@ -89,7 +89,7 @@ def _outcome(fn):
     return ("ok", _bits(got))
 
 
-# -- random DAGs -----------------------------------------------------------------
+# -- random DAGs --------------------------------------------------------------
 
 NAMES = ("x", "y", "z")
 _SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, -8.0, 0.5,
@@ -230,7 +230,7 @@ def test_signed_zeros_and_roots_of_negative_bases():
         compile_tape(pow_(x, Fraction(1, 2)), ["x"]).eval_f64([-4.0])
 
 
-# -- size and depth ---------------------------------------------------------------
+# -- size and depth -----------------------------------------------------------
 
 def test_a_5000_term_sum_and_a_5000_factor_product_compile_and_evaluate():
     xs = [var(f"x{k}") for k in range(5000)]
@@ -262,7 +262,7 @@ def test_a_dag_1000_levels_deep_evaluates():
         assert tape.eval_mpf([Fraction(1, 2), Fraction(-1, 4)]) != 0
 
 
-# -- what the source is made of --------------------------------------------------
+# -- what the source is made of -----------------------------------------------
 
 _STATEMENT = re.compile(
     r"    v\d+ = (?:c\[\d+\]|x\[\d+\]"
