@@ -166,8 +166,8 @@ def test_objects_given_list_charts_key_their_memos():
 
 
 def _coframe(c):
-    """The catalog's dancing coframe with its second 1-form scaled by c (so
-    Einstein with lambda 6 / c), in a chart of lists."""
+    """The catalog's dancing coframe with its second 1-form scaled by c,
+    built afresh, its chart and 1-forms given as lists."""
     base = catalog("dancing_metric_coframe")
     etas = list(base.etas)
     etas[1] = etas[1].scale(c)
