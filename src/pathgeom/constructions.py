@@ -17,6 +17,7 @@ from .errors import (DivisionByZero, DomainError, JacobianSingular,
                      SeedNotFound, UnknownName)
 from .expr import (Expr, Rat, add, compile_tape, differentiate, div, mul, num,
                    rename_variables, sqrt_, sub, substitute, var)
+from .expr.domain import Domain
 from .expr.sampling import draw_float
 from .expr.zerotest import zero_verdicts
 from .forms import CHAIN_PAIR_CHART, one_form
@@ -146,16 +147,28 @@ def _cr_y3_pair():
 
 @functools.cache
 def _dancing_sqrt_pair():
-    # freestyling/dancing pair of z'' = sqrt(z'), real branch; no sampler
-    # keeps t + b > 0, draws where a radicand is negative are dropped
-    t, b, Z, B = var("t"), var("b"), var("Z"), var("B")
+    # freestyling/dancing pair of z'' = sqrt(z'), on the real branch.  Its
+    # domain maps (t, z, b, s, w) to the chart by Z = s^2 and
+    # B = ((t + b)^2 - 4 s^2)/(w^2 - (t + b)^2); then rad = B^2 w^2, so
+    # sqrt(Z) = s and sqrt(rad) = B w on the cell s > 0, B w > 0, and the
+    # pair's identity claims are rational in the parameters.  The cell maps
+    # onto the pair's real domain Z > 0, rad > 0, B (4Z - (t + b)^2) != 0:
+    # take s = sqrt(Z) and w = sqrt(rad)/B.  Root types are still sampled
+    # in mpf over the chart, where draws with a negative radicand are
+    # dropped.
+    t, b, Z, B, s, w = (var(n) for n in ("t", "b", "Z", "B", "s", "w"))
     tb = add(t, b)
     rad = sub(mul(tb**2, B, add(B, num(1))), mul(num(4), Z, B))
     numerator = add(mul(num(-2), B**2, (B + 1)**2, tb),
                     mul(num(4), sqrt_(Z), B**2),
                     mul(num(2), B**3, sqrt_(rad)))
     denominator = mul(B, sub(mul(num(4), Z), tb**2))
-    return PairODE(sqrt_(Z), div(numerator, denominator), chart=FREESTYLE_CHART)
+    B_of = div(sub(tb**2, mul(num(4), s**2)), sub(w**2, tb**2))
+    domain = Domain(params=("t", "z", "b", "s", "w"),
+                    chart_map={"Z": s**2, "B": B_of},
+                    roots=((Z, 2, s), (rad, 2, mul(B_of, w))))
+    return PairODE(sqrt_(Z), div(numerator, denominator),
+                   chart=FREESTYLE_CHART, domain=domain)
 
 
 @functools.cache

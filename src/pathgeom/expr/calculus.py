@@ -1,4 +1,4 @@
-"""Differentiation and substitution on expression DAGs.
+"""Differentiation, substitution and rebuilding on expression DAGs.
 
 Derivatives are cached per node per variable, so repeated differentiation of
 shared subterms (ubiquitous in the invariant formulas) costs DAG size, not
@@ -70,36 +70,43 @@ def substitute(e: Expr, bindings) -> Expr:
     """Simultaneous substitution; unbound variables pass through.
 
     Keys are variable names (or Var nodes); values are expressions or exact
-    rationals.  Rebuilding goes through the constructors, so the usual shallow
-    simplification applies to the result.  One walk (`postorder`) finds the
-    nodes that hold a bound variable, and each is rebuilt after its
-    children.
+    rationals.  Rebuilding goes through the constructors, so the usual
+    shallow simplification applies to the result (`rebuild`).
     """
     table = {}
     for k, val in bindings.items():
         k = k.name if isinstance(k, Var) else k
         table[k] = val if isinstance(val, Expr) else num(val)
-    names = frozenset(table)
+    return rebuild((e,), frozenset(table),
+                   lambda v: table.get(v.name, v),
+                   lambda node, base: pow_(base, node.exponent))[0]
+
+
+def rebuild(roots, names, leaf, power) -> list:
+    """The DAGs under `roots` rebuilt bottom-up through the constructors, so
+    the usual shallow simplification applies: one walk (`postorder`) finds
+    the nodes that hold a variable of `names`, and each is rebuilt after its
+    children, a variable v as leaf(v) and a power as power(node, its rebuilt
+    base).  Returns the rebuilt roots, in order; nodes shared between roots
+    are rebuilt once."""
 
     def bound(node):
         return node._free & names
 
-    if not bound(e):
-        return e
     image: dict = {}    # node -> its rebuilt node (nodes hash by identity)
-    for node in postorder((e,), bound):
+    for node in postorder([r for r in roots if bound(r)], bound):
         if isinstance(node, Var):
-            out = table.get(node.name, node)
+            out = leaf(node)
         elif isinstance(node, Add):
             out = add(*[image.get(a, a) for a in node.args])
         elif isinstance(node, Mul):
             out = mul(*[image.get(a, a) for a in node.args])
         elif isinstance(node, Pow):
-            out = pow_(image.get(node.base, node.base), node.exponent)
+            out = power(node, image.get(node.base, node.base))
         else:
             raise TypeError(f"cannot substitute into {node!r}")
         image[node] = out
-    return image[e]
+    return [image.get(r, r) for r in roots]
 
 
 def rename_variables(e: Expr, mapping) -> Expr:

@@ -12,6 +12,16 @@ sampling range) falls back to 256-bit floating evaluation
 tested expression, or outside the domain of its radicals, is rejected and
 redrawn.
 
+A system may declare a domain instead (`domain.Domain`): a rational map
+from parameters onto its chart with a rational root R of each radicand.
+Its claims are pulled back to the parameters before they reach the tester
+(`Domain.pullback`), so an entry is a rational function, decided exactly
+with its own bound like any other.  It equals the claim on the cell where
+every R > 0; the cell is open, so the claim vanishes there exactly when the
+rational function vanishes identically, and the tester draws the
+parameters over the whole box, in the cell or not: a nonzero value at any
+draw is a witness (a parameter point) that the claim fails on the cell.
+
 Every trial outside mpf is decided by the exact value at the drawn rational
 point (`Tape.eval_exact`); a nonzero value is the nonzero verdict's witness
 value.  No verdict rests on a reduction of the value mod a fixed prime,

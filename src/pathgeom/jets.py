@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .errors import ChartMismatch
 from .expr import Expr, add, differentiate, mul, var
+from .expr.domain import Domain
 
 SCALAR_CHART = ("t", "z", "p")
 PAIR_CHART = ("t", "u1", "u2", "q1", "q2")
@@ -38,11 +39,18 @@ class ScalarODE:
 
 @dataclass(frozen=True)
 class PairODE:
-    """(u1)'' = F1, (u2)'' = F2 over chart (t, u1, u2, q1, q2)."""
+    """(u1)'' = F1, (u2)'' = F2 over chart (t, u1, u2, q1, q2).
+
+    A pair may carry a `Domain`: a rational map from parameters onto its
+    chart with a rational root of each of its radicands, on which its
+    identity claims are decided exactly (`pipeline`).  The map's names are
+    chart names, every chart name it leaves out is a parameter, and the
+    radicands are expressions in the chart."""
 
     rhs1: Expr
     rhs2: Expr
     chart: tuple = PAIR_CHART
+    domain: Domain | None = None
 
     def __post_init__(self):
         # a tuple, so that the pair hashes and can key its memos (`memo`)
@@ -50,6 +58,16 @@ class PairODE:
         if len(self.chart) != 5:
             raise ChartMismatch("pair chart needs 5 names (t, u1, u2, q1, q2)")
         _check_chart(self.chart, (self.rhs1, self.rhs2), "PairODE")
+        if self.domain is not None:
+            mapped = {name for name, _ in self.domain.chart_map}
+            loose = (set(self.chart) - mapped) - set(self.domain.params)
+            if not mapped <= set(self.chart) or loose:
+                raise ChartMismatch(
+                    f"PairODE: domain maps {sorted(mapped)} and has "
+                    f"parameters {self.domain.params}; the chart "
+                    f"{self.chart} needs each name mapped or a parameter")
+            _check_chart(self.chart, [r for r, _, _ in self.domain.roots],
+                         "PairODE domain radicands")
 
     @property
     def rhs(self):

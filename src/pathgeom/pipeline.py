@@ -13,11 +13,14 @@ it fails there is no witness point.  `torsion_iff_flat_scalar` compares two
 zero claims and names no witness either.  A failing `uniform_quartic_type`
 names a point of the wrong type, and the numeric checks (`einstein`,
 `constraint_residual`, `pair_residual`) report their residuals instead; a
-pair with no value on the curve names the first such sample t.
+pair with no value on the curve names the first such sample t.  The
+torsion claims of a pair that declares a domain are decided on its cell,
+pulled back to its parameters (`_on_domain`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -121,7 +124,12 @@ def _witness_str(witness):
 
 def _expr_text(e, limit=300):
     """Expression text for reports; large expressions are elided (they stay
-    available programmatically), and only the text shown is built."""
+    available programmatically), and only the text shown is built, once per
+    expression and limit (`memo`)."""
+    return memoized(e, ("report_text", limit), lambda: _elided(e, limit))
+
+
+def _elided(e, limit):
     text = to_text(e, limit)
     if len(text) <= limit:
         return text
@@ -145,7 +153,7 @@ def resolve(doc: Document | None, name: str, kinds=None):
 MPF_TOLERANCE = f"mpf {MPF_PREC}-bit, relative {MPF_REL_TOL:g}"
 
 
-def _claim(name, kind, verdicts, entries=None):
+def _claim(name, kind, verdicts, entries=None, domain=None):
     """The record of an identity claim, given its `zero_verdicts` (each entry
     at its own allotment): a "zero" claim holds when every verdict is zero,
     a "nonzero" claim when one is not.
@@ -157,7 +165,13 @@ def _claim(name, kind, verdicts, entries=None):
     its largest per-entry allotment and the target bound when every entry
     reaches that bound, else MAX_TRIALS trials and no bound.  A failing claim names the distinct witnesses of its nonzero
     verdicts, in order.  `entries` (label -> expression, one per verdict)
-    puts each entry's value in the details."""
+    puts each entry's value in the details.
+
+    With `domain`, the verdicts are of the entries pulled back to its
+    parameters (`_on_domain`), decided on its cell: the entries are rational
+    there, so the claim is exact with its own bound, a witness is a
+    parameter point, and the details state the parameters, the map and the
+    cell (`Domain.describe`)."""
     nonzero = [v for v in verdicts if not v.is_zero]
     holds = bool(nonzero) == (kind == "nonzero")
     needed = [target_trials(v.degree_bound) for v in verdicts]
@@ -176,16 +190,33 @@ def _claim(name, kind, verdicts, entries=None):
         w for v in nonzero for w in _witness_str(v.witness)))
     details = {label: "0" if v.is_zero else f"nonzero ({_expr_text(e, 120)})"
                for (label, e), v in zip((entries or {}).items(), verdicts)}
+    if domain is not None:
+        details.update(domain.describe())
     return CheckRecord(name=name, verdict="pass" if holds else "fail",
                        tolerance=tolerance, witnesses=witnesses,
                        details=details)
 
 
-def _torsion(inv, seed, every):
-    """The torsion claim of a pair: its four entries by label, and their
-    `zero_verdicts` (with `every`, one per entry)."""
-    entries = dict(zip(_TORSION_LABELS, sum(inv.torsion, ())))
-    return entries, zero_verdicts(entries.values(), seed=seed, every=every)
+def _on_domain(pair, entries):
+    """A claim's entries on `pair` (label -> expression) as they are
+    decided: pulled back to the parameters of the pair's domain, where its
+    declared radicals are rational (`Domain.pullback`), once per pair and
+    kept on it (`memo`); as they are when the pair has no domain."""
+    if pair.domain is None:
+        return entries
+    return memoized(pair, ("pullback",) + tuple(entries), lambda: dict(
+        zip(entries, pair.domain.pullback(entries.values()))))
+
+
+def _torsion(pair, seed, every):
+    """The torsion claim of a pair: its four entries by label, the same
+    entries as decided (`_on_domain`), and their `zero_verdicts` (with
+    `every`, one per entry)."""
+    entries = dict(zip(_TORSION_LABELS,
+                       sum(fels_invariants(pair).torsion, ())))
+    decided = _on_domain(pair, entries)
+    return entries, decided, zero_verdicts(decided.values(), seed=seed,
+                                           every=every)
 
 
 def _root_type_tape(pair):
@@ -204,9 +235,9 @@ def _root_type_checks(pair, samples, seed, expect=None):
 
     A pair is evaluated and classified exactly, on the real branch where
     its radicands are all variables (`branch_ranges`), and in mpf where a
-    radicand is anything else.  The type is uniform when every point's
-    quartic has one describe(); the witness is the last point whose type
-    differs from the first point's.
+    radicand is anything else, whether or not the pair declares a domain.
+    The type is uniform when every point's quartic has one describe(); the
+    witness is the last point whose type differs from the first point's.
     With `expect`, a uniform type other than `expect` fails too, with the
     first point as its witness.
     An mpf point whose multiplicities do not add up (IllConditioned) is
@@ -282,14 +313,16 @@ def cmd_invariants(doc: Document | None, system_name: str,
             details={"flat": str(z1.is_zero and z2.is_zero)}))
     else:
         inv = fels_invariants(obj)
-        entries, torsion = _torsion(inv, seed, False)
+        entries, _, torsion = _torsion(obj, seed, False)
+        cell = obj.domain.describe() if obj.domain else {}
         checks.append(CheckRecord(
             name="torsion", verdict="info",
             details={**{lbl: _expr_text(e) for lbl, e in entries.items()},
-                     "torsion_zero": str(all(torsion))}))
-        trace = {"T^1_1 + T^2_2": add(entries["T^1_1"], entries["T^2_2"])}
+                     "torsion_zero": str(all(torsion)), **cell}))
+        trace = _on_domain(obj, {"T^1_1 + T^2_2": add(entries["T^1_1"],
+                                                      entries["T^2_2"])})
         checks.append(_claim("torsion_trace_identity", "zero", zero_verdicts(
-            trace.values(), seed=seed, every=True), trace))
+            trace.values(), seed=seed, every=True), trace, obj.domain))
         quart = curvature_quartic(inv)
         quad = torsion_quadric(inv)
         checks.append(CheckRecord(
@@ -338,7 +371,7 @@ def cmd_verify_chains(doc: Document | None, scalar_name: str,
     checks.append(rec)
     si = scalar_invariants(sys)
     scalar = zero_verdicts([si.t1, si.c1], seed=seed)
-    torsion = _torsion(fels_invariants(closed), seed, False)[1]
+    torsion = _torsion(closed, seed, False)[2]
     # two zero claims compared, with the tolerance of both claims' verdicts
     rec = _claim("torsion_iff_flat_scalar", "zero", scalar + torsion)
     rec.verdict = "pass" if all(scalar) == all(torsion) else "fail"
@@ -356,8 +389,8 @@ def cmd_verify_cr(doc: Document | None, pair_name: str,
     candidate pair, plus the torsion report."""
     pair = resolve(doc, pair_name, PairODE)
     checks = _root_type_checks(pair, samples, seed, expect="D_c")
-    entries, torsion = _torsion(fels_invariants(pair), seed, True)
-    rec = _claim("torsion_zero", "zero", torsion, entries)
+    _, entries, torsion = _torsion(pair, seed, True)
+    rec = _claim("torsion_zero", "zero", torsion, entries, pair.domain)
     if rec.verdict == "fail":
         rec.verdict = "info"
         rec.details["note"] = "nonzero torsion: CR structure is not flat"
@@ -373,6 +406,14 @@ _DANCING = {"flat_dancing_phi": ((0.0, 1.0, 0.0, 0.0), (1.0, 2.0),
             "sqrt_dancing_phi": ((0.0, 2.0, 1.0, 1.0), (2.0, 3.0),
                                  (19 / 6, 2.0, 0.4142135623730951),
                                  "dancing_sqrt_pair")}
+
+
+@functools.cache
+def _flat_freestyle_pair():
+    """The default pair of the 'flat' dancing curves, freestyle_pair(F = 0):
+    one per process, built on first use like the catalog entries, so its
+    right-hand-side tape is compiled once (`integrate._rhs_tape`)."""
+    return freestyle_pair(ScalarODE(num(0)))
 
 
 def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
@@ -396,7 +437,7 @@ def cmd_verify_dancing(doc: Document | None, phi_name: str = "flat",
         guess = None
     pair_label = pair_name or pair_label
     pair = resolve(doc, pair_label, PairODE) if pair_label \
-        else freestyle_pair(ScalarODE(num(0)))
+        else _flat_freestyle_pair()
     checks = []
     curve = dancing_curve_numeric(phi, anchor, span, samples=samples,
                                   initial_guess=guess, seed=seed)

@@ -10,11 +10,11 @@ import pytest
 
 from pathgeom import pipeline
 from pathgeom.cli import main
-from pathgeom.constructions import (catalog, catalog_names,
+from pathgeom.constructions import (DancingCurve, catalog, catalog_names,
                                     dancing_curve_numeric, freestyle_pair)
 from pathgeom.dsl import MAX_NESTING, Document, parse, parse_expression
 from pathgeom.errors import DslSyntaxError, IllConditioned
-from pathgeom.expr import compile_tape, rational
+from pathgeom.expr import compile_tape, num, rational
 from pathgeom.expr.sampling import sample_points
 from pathgeom.expr.zerotest import ZeroVerdict
 from pathgeom.invariants import (curvature_quartic, fels_invariants,
@@ -217,7 +217,7 @@ class TestReports:
 
     def test_default_identity_tolerance_names_allotment_and_bound(self):
         # without a trial count an exact claim names its largest per-entry
-        # allotment and the target bound; mpf claims keep 50 trials
+        # allotment and the target bound, also on a declared domain
         rep = cmd_invariants(None, "cr_sphere_pair")
         tol = {c.name: c.tolerance for c in rep.checks}
         assert tol["torsion_trace_identity"] == (
@@ -230,14 +230,35 @@ class TestReports:
         rep = cmd_invariants(None, "dancing_sqrt_pair")
         tol = {c.name: c.tolerance for c in rep.checks}
         assert tol["torsion_trace_identity"] == (
-            "mpf 256-bit, relative 1e-30, 50 trials")
+            "exact identity, 8 trials, bound 2^-100")
+
+    def test_declared_domain_decides_radical_pair_exactly(self):
+        # dancing_sqrt_pair's radicands are not chart variables, but its
+        # domain declares a rational root of each: its torsion claims are
+        # pulled back to the parameters and decided exactly on the cell
+        cell = "s > 0, ((t + b)^2 - 4*s^2)/(w^2 - (t + b)^2)*w > 0"
+        rep = cmd_invariants(None, "dancing_sqrt_pair")
+        checks = {c.name: c for c in rep.checks}
+        trace = checks["torsion_trace_identity"]
+        assert trace.verdict == "pass"
+        assert trace.details == {
+            "T^1_1 + T^2_2": "0", "parameters": "t z b s w",
+            "map": "Z = s^2, B = ((t + b)^2 - 4*s^2)/(w^2 - (t + b)^2)",
+            "cell": cell}
+        assert checks["torsion"].details["torsion_zero"] == "False"
+        assert checks["torsion"].details["cell"] == cell
+        rep = cmd_verify_cr(None, "dancing_sqrt_pair", samples=4)
+        torsion = {c.name: c for c in rep.checks}["torsion_zero"]
+        assert torsion.verdict == "info"
+        assert torsion.tolerance == "exact identity, 8 trials, bound 2^-100"
+        # the witness is a parameter point
+        assert re.fullmatch(r"b = \S+, s = \S+, t = \S+, w = \S+",
+                            torsion.witnesses[0])
 
     def test_identity_tolerance_names_mpf_arithmetic(self):
-        # a radicand that is not a chart variable is decided in mpf
+        # a radicand that is not a chart variable, with no declared domain,
+        # is decided in mpf
         mpf = "mpf 256-bit, relative 1e-30, 50 trials"
-        rep = cmd_invariants(None, "dancing_sqrt_pair")
-        tol = {c.name: c.tolerance for c in rep.checks}
-        assert tol["torsion_trace_identity"] == mpf
         doc = parse("scalar_ode r { vars t z p; F = sqrt(z + p^2); }")
         rep = cmd_verify_chains(doc, "r", samples=4)
         tol = {c.name: c.tolerance for c in rep.checks}
@@ -345,6 +366,23 @@ coframe n {{ vars y p Y P;
         rep = cmd_verify_dancing(None, "flat", samples=40, csv_path=str(csv))
         assert rep.passed
         assert csv.read_text().startswith("t,z,b,res\n")
+
+    def test_dancing_default_pair_is_built_once(self, monkeypatch):
+        # two 'flat' calls check their curves against one pair object, so
+        # its right-hand-side tape is compiled once per process
+        seen = []
+        residuals = DancingCurve.pair_residuals
+
+        def spy(curve, pair):
+            seen.append(pair)
+            return residuals(curve, pair)
+
+        monkeypatch.setattr(DancingCurve, "pair_residuals", spy)
+        for seed in (0, 1):
+            assert cmd_verify_dancing(None, "flat", samples=10,
+                                      seed=seed).passed
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0] == freestyle_pair(ScalarODE(num(0)))
 
     def test_catalog_report(self):
         rep = cmd_catalog("flat_chain_pair")

@@ -57,8 +57,9 @@ PINNED = {
         (0, "9e153bb59527d9fd1f72a010d4e46c4e9db4a9f3f01367ad5eba86fb5b418075"),
     (None, ("classify", "--system", "cr_y3_pair")):
         (0, "e7db812b713cc0e37b9a37a670452790c06f573995c69602d39c9933729e58fb"),
+    # torsion claims decided exactly on the declared domain's cell
     (None, ("invariants", "--system", "dancing_sqrt_pair")):
-        (0, "8b7aa720f84185967db47095fae0f82a631e1f8c4b040e01304f8413449bce12"),
+        (0, "2029c4f897dd0c4152a30cf77b09cac8a72b0986ad0b1d3bca53db9af6590021"),
     (None, ("classify", "--system", "dancing_sqrt_pair")):
         (1, "ba81c4a07288847d5a3755e96d5a38430b85e454d578769a7829dc19a8641d03"),
     (None, ("verify-cr", "--system", "cr_sphere_pair")):
