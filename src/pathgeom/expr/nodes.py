@@ -30,7 +30,7 @@ from _weakref import _remove_dead_weakref
 from ..errors import DivisionByZero
 from .rational import Rat, as_rat, rat_pow_exact, real_branch_sign
 
-# structural key -> weakref.KeyedRef to the node
+# structural key -> _Ref to the node
 _TABLE: dict = {}
 _LOCK = threading.Lock()
 _NO_NAMES = frozenset()
@@ -124,6 +124,14 @@ def _canon(value):
     return q.numerator if q.denominator == 1 else q
 
 
+class _Ref(weakref.ref):
+    """A weak reference to a node that carries the node's key, for
+    `_forget`.  Unlike `weakref.KeyedRef`, it has no `__new__` or `__init__`
+    written in Python, so making one runs in C; `_intern` sets the key."""
+
+    __slots__ = ("key",)
+
+
 def _forget(ref, _remove=_remove_dead_weakref, _table=_TABLE):
     # deletes the entry only while it still holds this dead reference
     _remove(_table, ref.key)
@@ -143,7 +151,8 @@ def _intern(key, build, *args):
             node = build(*args)
             node._dcache = None
             node._degree = _PENDING
-            _TABLE[key] = weakref.KeyedRef(node, _forget, key)
+            ref = _TABLE[key] = _Ref(node, _forget)
+            ref.key = key
         return node
 
 

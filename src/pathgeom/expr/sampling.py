@@ -5,7 +5,9 @@ range or, given None, over the default:
 
   * exact -- a rational n/d with d uniform over [1, bound] and n uniform
              over [-bound, bound] (or over the n with lo < n/d <= hi),
-             drawn by `draw_exact`;
+             drawn by `draw_pairs` as the int pair (n, d), not reduced,
+             which `Tape.eval_exact` takes as it is; `draw_exact` draws the
+             same point, with the same rng calls, as rationals;
   * float -- `rng.uniform` over (lo, hi), by default over DEFAULT_BOX.
 
 The real branch: where every fractional power of a tape has a variable with
@@ -20,7 +22,8 @@ mpf at the default draws.
 
 `sample_points` evaluates one compiled sequence tape at successive draws
 from one seed, in one arithmetic: "exact" and "mpf" evaluate exact draws
-(bound EXACT_BOUND) with `Tape.eval_exact` (on the real branch) and
+(bound EXACT_BOUND) with `Tape.eval_exact` (on the real branch, at the int
+pairs, whose rationals are built only for a point that has a value) and
 `Tape.eval_mpf`, "float64" evaluates float draws with `Tape.eval_f64`.  It
 yields only the points where every output has a value (and, in float64, a
 finite one).  A point that raises DivisionByZero, DomainError or
@@ -93,13 +96,24 @@ def branch_ranges(tape, ranges):
     return [roots.get(k, r) for k, r in enumerate(ranges)]
 
 
-def draw_exact(rng: random.Random, ranges, bound: int) -> list:
+def draw_pairs(rng: random.Random, ranges, bound: int) -> list:
     """One exact point, a coordinate per entry of `ranges`: (lo, hi), None,
-    or a root index K (an int, from `branch_ranges`) for s^K; each as a
-    rational."""
-    return [Rat(*(_root_pair(rng, r, bound) if type(r) is int
-                  else _sample_pair(rng, *(r or (None, None)), bound)))
+    or a root index K (an int, from `branch_ranges`) for s^K; each as an
+    int pair (n, d) with d > 0, not reduced, which `Tape.eval_exact` takes
+    as it is."""
+    return [_root_pair(rng, r, bound) if type(r) is int
+            else _sample_pair(rng, *(r or (None, None)), bound)
             for r in ranges]
+
+
+def rationals(pairs) -> list:
+    """The coordinates of a `draw_pairs` point as rationals."""
+    return [Rat(n, d) for n, d in pairs]
+
+
+def draw_exact(rng: random.Random, ranges, bound: int) -> list:
+    """The point `draw_pairs` draws from `rng`, as rationals."""
+    return rationals(draw_pairs(rng, ranges, bound))
 
 
 def draw_float(rng: random.Random, ranges) -> list:
@@ -126,11 +140,15 @@ def sample_points(tape, names, seed, budget: int,
     for _ in range(budget):
         if arithmetic == "float64":
             point = draw_float(rng, box)
+        elif arithmetic == "exact":
+            point = draw_pairs(rng, box, EXACT_BOUND)
         else:
             point = draw_exact(rng, box, EXACT_BOUND)
         try:
             values = evaluate(point)
         except (DivisionByZero, DomainError, OverflowError):
             continue
-        if arithmetic != "float64" or all(map(math.isfinite, values)):
+        if arithmetic == "exact":
+            yield rationals(point), values
+        elif arithmetic == "mpf" or all(map(math.isfinite, values)):
             yield point, values

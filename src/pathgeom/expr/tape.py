@@ -6,14 +6,15 @@ in the sense of Griewank & Walther, *Evaluating Derivatives*).  A tape
 compiled from a sequence of expressions runs the union of their DAGs, each
 shared node once, and returns a list with one value per expression.  There
 are three number domains.  The exact domain has its own loop, on int
-numerator/denominator pairs kept in lowest terms.  The other two run one
-Python function generated from the tape (`_source`): one statement per
-node, with no dispatch on the instruction, compiled on the tape's first
-float64 or mpf evaluation and kept on the tape.  The domain supplies the
-constants, the point, and its zero and one.  The float64 and mpf domains
-differ only in their number type: they share one conversion of the
-constants and fractional exponents (`Tape._converted`) and one pair of
-power functions (`_pow_int`, `_pow_frac`), written with `**`:
+numerator/denominator pairs that are reduced only where it pays
+(`Tape.eval_exact`).  The other two run one Python function generated from
+the tape (`_source`): one statement per node, with no dispatch on the
+instruction, compiled on the tape's first float64 or mpf evaluation and
+kept on the tape.  The domain supplies the constants, the point, and its
+zero and one.  The float64 and mpf domains differ only in their number
+type: they share one conversion of the constants and fractional exponents
+(`Tape._converted`) and one pair of power functions (`_pow_int`,
+`_pow_frac`), written with `**`:
 
   * exact   -- rationals, held as int pairs and returned as Fractions; a
                fractional power must come out rational (`rat_pow_exact`)
@@ -44,6 +45,7 @@ from .rational import (MAX_INT_EXPONENT, MAX_POWER_BITS, as_rat, is_int,
 OP_CONST, OP_VAR, OP_ADD, OP_MUL, OP_POW_INT, OP_POW_FRAC = range(6)
 
 MPF_PREC = 256          # bits of every mpf evaluation
+NORMALIZE_BITS = 1024   # an exact sum or product is reduced beyond this
 _CHUNK = 64             # operands per statement of a long sum or product
 
 
@@ -136,16 +138,21 @@ class Tape:
         return got
 
     def eval_exact(self, point):
-        """The exact value at a point of ints and rationals, as rationals
-        (Fraction), also where an int point meets a negative power.
+        """The exact value at a point, as rationals (Fraction), also where
+        an int point meets a negative power.  A coordinate is an int, a
+        rational, or an int pair (n, d) with d > 0 for n/d, in lowest terms
+        or not (`sampling.draw_pairs`).
 
-        Node k is the int pair nums[k] / dens[k] in lowest terms with
-        dens[k] > 0, as a Fraction would hold it; each sum and product
-        divides out one gcd, and a Fraction is built only for the outputs.
+        Node k is the int pair nums[k] / dens[k] with dens[k] > 0, not
+        reduced: a sum or a product divides out its gcd only when its
+        denominator has more than NORMALIZE_BITS bits, which bounds the
+        growth of common factors, and a Fraction (in lowest terms) is built
+        only for the outputs.  The base of a power is reduced first, so a
+        power sees its value in lowest terms.
 
         Raises ValueError, before computing it, for a power whose numerator
         and denominator together could exceed MAX_POWER_BITS."""
-        inputs = [as_rat(v) for v in point]
+        inputs = [_exact_input(v) for v in point]
         consts, exps = self.consts_exact, self.exps_exact
         gcd = math.gcd
         nums, dens = [], []
@@ -156,10 +163,11 @@ class Tape:
                 for j in a:
                     n *= nums[j]
                     d *= dens[j]
-                g = gcd(n, d)
-                if g != 1:
-                    n //= g
-                    d //= g
+                if d.bit_length() > NORMALIZE_BITS:
+                    g = gcd(n, d)
+                    if g != 1:
+                        n //= g
+                        d //= g
             elif op == OP_ADD:
                 n, d = 0, 1
                 for j in a:
@@ -169,24 +177,32 @@ class Tape:
                     else:
                         n = n * dj + nums[j] * d
                         d *= dj
-                g = gcd(n, d)
-                if g != 1:
-                    n //= g
-                    d //= g
+                if d.bit_length() > NORMALIZE_BITS:
+                    g = gcd(n, d)
+                    if g != 1:
+                        n //= g
+                        d //= g
             elif op == OP_CONST:
                 q = consts[a]
                 n, d = q.numerator, q.denominator
             elif op == OP_VAR:
-                q = inputs[a]
-                n, d = q.numerator, q.denominator
-            elif op == OP_POW_INT:
+                n, d = inputs[a]
+            else:
                 n, d = nums[a], dens[a]
-                if abs(b) * (n.bit_length() + d.bit_length()) > MAX_POWER_BITS:
+                g = gcd(n, d)
+                if g != 1:
+                    n //= g
+                    d //= g
+                if op == OP_POW_FRAC:
+                    q = _exact_pow_frac(n, d, exps[b])
+                    n, d = q.numerator, q.denominator
+                elif abs(b) * (n.bit_length() + d.bit_length()) \
+                        > MAX_POWER_BITS:
                     raise ValueError(f"integer power ^{b} of a "
                                      f"{n.bit_length() + d.bit_length()}-bit "
                                      f"value too large: beyond "
                                      f"{MAX_POWER_BITS} bits")
-                if b >= 0:
+                elif b >= 0:
                     n, d = n ** b, d ** b
                 elif n == 0:
                     raise DivisionByZero("denominator evaluated to zero")
@@ -194,9 +210,6 @@ class Tape:
                     n, d = d ** -b, n ** -b
                     if d < 0:
                         n, d = -n, -d
-            else:
-                q = _exact_pow_frac(nums[a], dens[a], exps[b])
-                n, d = q.numerator, q.denominator
             push_num(n)
             push_den(d)
         out = [Fraction(nums[k], dens[k]) for k in self.outputs]
@@ -244,6 +257,17 @@ class Tape:
         if self.single:
             return values[self.outputs[0]], scale
         return [values[k] for k in self.outputs], scale
+
+
+def _exact_input(v):
+    """A coordinate of an exact point as an int pair (n, d) with d > 0."""
+    if type(v) is tuple:
+        n, d = v
+        if type(n) is not int or type(d) is not int or d <= 0:
+            raise TypeError(f"not an int pair (n, d) with d > 0: {v!r}")
+        return v
+    q = as_rat(v)
+    return q.numerator, q.denominator
 
 
 def _to_mpf(q):

@@ -23,10 +23,11 @@ parameters over the whole box, in the cell or not: a nonzero value at any
 draw is a witness (a parameter point) that the claim fails on the cell.
 
 Every trial outside mpf is decided by the exact value at the drawn rational
-point (`Tape.eval_exact`); a nonzero value is the nonzero verdict's witness
-value.  No verdict rests on a reduction of the value mod a fixed prime,
-which would read zero wherever that prime divides every coefficient of the
-cleared numerator.
+point (`Tape.eval_exact`, at the int pairs `draw_pairs` draws); a nonzero
+value is the nonzero verdict's witness value, and its point, turned into
+rationals, the witness.  No verdict rests on a reduction of the value mod a
+fixed prime, which would read zero wherever that prime divides every
+coefficient of the cleared numerator.
 
 A claim is a sequence of expressions, its entries (`zero_verdicts`), and
 each entry is decided alone (`is_zero_probabilistic`): its own tape, and its
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 from ..errors import DivisionByZero, DomainError, SamplingExhausted
 from .nodes import Expr, sub
-from .sampling import RESAMPLE_BUDGET, branch_ranges, draw_exact
+from .sampling import RESAMPLE_BUDGET, branch_ranges, draw_pairs, rationals
 from .tape import compile_tape
 
 DEFAULT_BOUND = 10 ** 6
@@ -134,10 +135,11 @@ def _run(e, names, trials, seed, ranges):
     rejected = 0
     for trial in range(1, allotted + 1):
         for _ in range(RESAMPLE_BUDGET):
-            point = draw_exact(rng, ranges, DEFAULT_BOUND)
+            point = draw_pairs(rng, ranges, DEFAULT_BOUND)
             try:
                 if mpf:
-                    value, scale = tape.eval_mpf(point, with_scale=True)
+                    value, scale = tape.eval_mpf(rationals(point),
+                                                 with_scale=True)
                     # the threshold is at least MPF_REL_TOL, so a value
                     # below it is zero without the scale
                     size = abs(value)
@@ -155,7 +157,8 @@ def _run(e, names, trials, seed, ranges):
                 f"no sample point with a value in {RESAMPLE_BUDGET} attempts")
         if value:
             return ZeroVerdict(
-                False, witness=dict(zip(names, point)), witness_value=value,
+                False, witness=dict(zip(names, rationals(point))),
+                witness_value=value,
                 trials=trial, mode=mode, degree_bound=deg,
                 constraints_rejected=rejected)
     return ZeroVerdict(

@@ -23,6 +23,7 @@ from .expr import (Expr, Rat, ZERO, add, differentiate, div,
                    substitute, var)
 from .expr.zerotest import zero_verdicts
 from .jets import PairODE, ScalarODE
+from .memo import memoized
 
 CHAIN_RHO_CHART = ("x", "y", "p", "b1", "b2")
 CHAIN_PAIR_CHART = ("x", "y", "p", "Y", "P")
@@ -207,7 +208,14 @@ def pullback(a: DifferentialForm, target_chart, component_map: dict) -> Differen
 
 def rho_chain(sys: ScalarODE) -> DifferentialForm:
     """Quasi-symplectic 2-form whose characteristic curves are the chains of
-    the 2D path geometry of z'' = F, on the chart (x, y, p, b1, b2)."""
+    the 2D path geometry of z'' = F, on the chart (x, y, p, b1, b2).
+
+    It is derived once per ODE: the read-only form, which holds no
+    reference to `sys`, is kept weakly on `sys` (`memo`)."""
+    return memoized(sys, "rho_chain", lambda: _rho_chain(sys))
+
+
+def _rho_chain(sys: ScalarODE) -> DifferentialForm:
     chart = CHAIN_RHO_CHART
     F = rename_variables(sys.rhs, {sys.chart[0]: "x", sys.chart[1]: "y",
                                    sys.chart[2]: "p"})

@@ -6,10 +6,10 @@ immutable objects the derivations depend on.
 under `key`, for as long as `obj` lives; the table is dropped when `obj`
 is.  A key names the derivation and anything else the value depends on
 (the chart of a tape, say).  Objects are keyed by their own equality and
-hash: an interned `Expr` by identity, a `PairODE` or a `SolutionFunction`
-by its interned expressions and chart, a `CoframeMetric` by its chart,
-structure and 1-forms (each by its coefficients), so two equal objects
-share their entries.
+hash: an interned `Expr` by identity, a `ScalarODE`, a `PairODE` or a
+`SolutionFunction` by its interned expressions and chart, a
+`CoframeMetric` by its chart, structure and 1-forms (each by its
+coefficients), so two equal objects share their entries.
 
 A value must hold no strong reference to the object it is kept on:
 otherwise the object stays alive through its own table and is never

@@ -17,7 +17,7 @@ from pathgeom.constructions import (SolutionFunction, catalog, catalog_names,
 from pathgeom.dsl import parse
 from pathgeom.errors import UnboundVariable
 from pathgeom.expr import compile_tape, num, var
-from pathgeom.forms import DifferentialForm, one_form
+from pathgeom.forms import DifferentialForm, one_form, rho_chain
 from pathgeom.integrate import integrate_pair
 from pathgeom.invariants import fels_invariants
 from pathgeom.jets import PAIR_CHART, PairODE
@@ -94,6 +94,22 @@ class TestMemoizedDerivations:
         # each wrapper has its own curvature dict
         a.curvature.clear()
         assert fels_invariants(pair).curvature == b.curvature
+
+    def test_rho_chain_is_derived_once_per_ode(self):
+        ode = parse("scalar_ode s { vars t z p; F = 7/3*p^3 + z*p; }").get("s")
+        rho = rho_chain(ode)
+        assert rho_chain(ode) is rho
+        # an equal ODE, parsed again, shares the form
+        again = parse("scalar_ode s { vars t z p; F = 7/3*p^3 + z*p; }")
+        assert rho_chain(again.get("s")) is rho
+        # the form holds no reference to the ODE, so both go together
+        assert "rho_chain" in memo._TABLES[ode]
+        tables = len(memo._TABLES)
+        ref = weakref.ref(ode)
+        del ode, rho, again
+        gc.collect()
+        assert ref() is None
+        assert len(memo._TABLES) < tables
 
     def test_one_expression_tape_is_shared_per_chart(self):
         e = var("x") * var("y") + num(3)
